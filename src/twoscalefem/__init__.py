@@ -24,14 +24,14 @@ from .mesh import (
 from .reference import assemble_reference, solve_reference
 from .runtime import PartitionPlan, RankContext, partition_mesh, run_ranks
 from .scheduler import PatchGraph, Schedule, build_schedule, validate
-from .sparsela import CgReport, Factor, SparseSym, factorize, pcg, solve
+from .sparsela import CgReport, Factor, factorize, pcg, solve
 from .twoscale import ProblemSetup, TsConfig, TsResult, solve_case
 
 __all__ = [
     "BoundaryConditions", "CoarseMesh", "DofPartition", "NestedMesh", "Patch",
     "box_mesh", "build_partition", "classify_sp", "read_mesh", "refine", "write_mesh",
     "LoadSet", "Material",
-    "SparseSym", "Factor", "CgReport", "factorize", "solve", "pcg",
+    "Factor", "CgReport", "factorize", "solve", "pcg",
     "assemble_reference", "solve_reference",
     "PartitionPlan", "RankContext", "partition_mesh", "run_ranks",
     "PatchGraph", "Schedule", "build_schedule", "validate",

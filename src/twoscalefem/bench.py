@@ -15,7 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elasticity import LoadSet, Material, TET4_QUAD, hooke_matrix
+from .elasticity import (
+    TET4_QUAD,
+    LoadSet,
+    Material,
+    expand,
+    hooke_matrix,
+    leaf_moduli,
+    p1_gradients,
+    strain_operator,
+)
 from .mesh import (
     BoundaryConditions,
     CoarseMesh,
@@ -50,6 +59,10 @@ __all__ = [
 CUBIC_E = 36.5e9
 CUBIC_NU = 0.2
 
+SIDES = ("x0", "x1", "y0", "y1", "z0", "z1")
+SIDE_NORMAL = {"x0": (-1, 0), "x1": (1, 0), "y0": (-1, 1), "y1": (1, 1),
+               "z0": (-1, 2), "z1": (1, 2)}   # side -> (sign, axis) of the outer normal
+
 
 @dataclass
 class CaseSpec:
@@ -71,8 +84,10 @@ class CaseSpec:
     def __post_init__(self):
         if self.sp_depth < 1:
             raise ValueError("SP depth must be >= 1")
-        if self.solver == "dd" and self.ranks < 2:
-            raise ValueError("dd needs at least 2 ranks")
+        if self.ranks < 1:
+            raise ValueError("ranks must be >= 1")
+        if self.solver in ("dd", "tsdd") and self.ranks < 2:
+            raise ValueError(f"{self.solver} needs at least 2 ranks")
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +128,7 @@ def cubic_body_force(E=CUBIC_E, nu=CUBIC_NU, F=1.0, K=4.0):
 
 def cubic_traction(side, E=CUBIC_E, nu=CUBIC_NU, F=1.0, K=4.0):
     """sigma . n on one box side (x faces carry zero traction)."""
-    normal = {
-        "x0": (-1, 0), "x1": (1, 0), "y0": (-1, 1), "y1": (1, 1),
-        "z0": (-1, 2), "z1": (1, 2),
-    }[side]
-    sign, axis = normal
+    sign, axis = SIDE_NORMAL[side]
 
     def t(p):
         s = _cubic_stress_diag(p[0], E, nu, F, K)
@@ -151,37 +162,49 @@ def _corner_node(mesh: CoarseMesh, point):
     return i
 
 
+def _box_problem(spec: CaseSpec, base, dims, material, loads, origin=(0.0, 0.0, 0.0),
+                 third_axis=1, select=None) -> ProblemSetup:
+    """Case skeleton: labelled box, optional flatten, refine, classify_sp, 3-2-1 pins.
+
+    The six box sides carry their names as labels.  The box is flattened
+    spec.coarse_level times, then refined spec.sp_depth times on the
+    elements select(mesh) returns (all of them by default).  The pins fix
+    the origin corner, the y and z components of the corner along x, and
+    the component normal to the x/third_axis plane of the corner along
+    third_axis.
+    """
+    mesh = box_mesh(*base, lengths=dims, origin=origin, face_labels={s: s for s in SIDES})
+    if spec.coarse_level > 0:
+        mesh = flatten_to_coarse(
+            refine(NestedMesh.from_coarse(mesh), lambda e: True, spec.coarse_level))
+    selector = select(mesh) if select is not None else (lambda e: True)
+    nested = refine(NestedMesh.from_coarse(mesh), selector, spec.sp_depth)
+    sp_info = classify_sp(nested)
+    o, axes = np.asarray(origin, dtype=np.float64), np.eye(3)
+    A = _corner_node(mesh, o)
+    Bp = _corner_node(mesh, o + dims[0] * axes[0])
+    C = _corner_node(mesh, o + dims[third_axis] * axes[third_axis])
+    bc = BoundaryConditions(point_constraints=[
+        (A, 0), (A, 1), (A, 2), (Bp, 1), (Bp, 2), (C, 3 - third_axis),
+    ])
+    return ProblemSetup(nested, sp_info, build_partition(nested, sp_info, bc), material, loads)
+
+
 def build_cubic_problem(spec: CaseSpec, base=(4, 2, 1), dims=(4.0, 2.0, 1.0),
                         F=1.0, material=None):
     """Plate problem with the cubic exact field; all elements enriched."""
-    K, H, T = dims
-    labels = {s: s for s in ("x0", "x1", "y0", "y1", "z0", "z1")}
-    mesh = box_mesh(*base, lengths=dims, face_labels=labels)
-    if spec.coarse_level > 0:
-        nested0 = refine(NestedMesh.from_coarse(mesh), lambda e: True, spec.coarse_level)
-        mesh = flatten_to_coarse(nested0)
-    nested = refine(NestedMesh.from_coarse(mesh), lambda e: True, spec.sp_depth)
-    sp_info = classify_sp(nested)
-
+    K = dims[0]
     mat = material or Material(young_modulus=CUBIC_E, poisson_ratio=CUBIC_NU)
-    A = _corner_node(mesh, (0.0, 0.0, 0.0))
-    Bp = _corner_node(mesh, (K, 0.0, 0.0))
-    C = _corner_node(mesh, (0.0, H, 0.0))
-    bc = BoundaryConditions(point_constraints=[
-        (A, 0), (A, 1), (A, 2), (Bp, 1), (Bp, 2), (C, 2),
-    ])
-    part = build_partition(nested, sp_info, bc)
     E, nu = mat.young_modulus, mat.poisson_ratio
     loads = LoadSet(
         body=cubic_body_force(E, nu, F, K),
         tractions={s: cubic_traction(s, E, nu, F, K) for s in ("y0", "y1", "z0", "z1")},
     )
-    problem = ProblemSetup(nested, sp_info, part, mat, loads)
     exact = {
         "u": lambda p: cubic_exact(p[0], p[1], p[2], E, nu, F, K),
         "strain": lambda p: cubic_strain(p[0], p[1], p[2], E, nu, F, K),
     }
-    return problem, exact
+    return _box_problem(spec, base, dims, mat, loads), exact
 
 
 def build_affine_problem(spec: CaseSpec, base=(2, 1, 1), dims=(4.0, 2.0, 1.0),
@@ -191,42 +214,25 @@ def build_affine_problem(spec: CaseSpec, base=(2, 1, 1), dims=(4.0, 2.0, 1.0),
     G must vanish below the diagonal so the corner pins are compatible with
     zero prescribed displacements.
     """
-    K, H, T = dims
     if G is None:
         G = np.array([[3e-4, 1e-4, -2e-4], [0.0, -1e-4, 5e-5], [0.0, 0.0, 2e-4]])
     if np.abs(np.tril(G, -1)).max() > 0:
         raise ValueError("G must be upper-triangular for the corner pins")
-    labels = {s: s for s in ("x0", "x1", "y0", "y1", "z0", "z1")}
-    mesh = box_mesh(*base, lengths=dims, face_labels=labels)
-    nested = refine(NestedMesh.from_coarse(mesh),
-                    selector if selector is not None else (lambda e: True),
-                    spec.sp_depth)
-    sp_info = classify_sp(nested)
     mat = Material(young_modulus=CUBIC_E, poisson_ratio=CUBIC_NU)
     eps_t = 0.5 * (G + G.T)
     voigt = np.array([eps_t[0, 0], eps_t[1, 1], eps_t[2, 2],
                       2 * eps_t[1, 2], 2 * eps_t[0, 2], 2 * eps_t[0, 1]])
     sv = hooke_matrix(mat.young_modulus, mat.poisson_ratio) @ voigt
     sigma = np.array([[sv[0], sv[5], sv[4]], [sv[5], sv[1], sv[3]], [sv[4], sv[3], sv[2]]])
-    normals = {"x0": (-1, 0), "x1": (1, 0), "y0": (-1, 1), "y1": (1, 1),
-               "z0": (-1, 2), "z1": (1, 2)}
 
     def traction(side):
-        sign, axis = normals[side]
-        n = np.zeros(3)
-        n[axis] = sign
-        t = sigma @ n
+        sign, axis = SIDE_NORMAL[side]
+        t = sign * sigma[:, axis]
         return lambda p: t
 
-    A = _corner_node(mesh, (0.0, 0.0, 0.0))
-    Bp = _corner_node(mesh, (K, 0.0, 0.0))
-    C = _corner_node(mesh, (0.0, H, 0.0))
-    bc = BoundaryConditions(point_constraints=[
-        (A, 0), (A, 1), (A, 2), (Bp, 1), (Bp, 2), (C, 2),
-    ])
-    part = build_partition(nested, sp_info, bc)
-    loads = LoadSet(tractions={s: traction(s) for s in labels})
-    problem = ProblemSetup(nested, sp_info, part, mat, loads)
+    loads = LoadSet(tractions={s: traction(s) for s in SIDES})
+    problem = _box_problem(spec, base, dims, mat, loads,
+                           select=None if selector is None else (lambda mesh: selector))
     exact = {
         "u": lambda p: G @ p,
         "strain": lambda p: eps_t,
@@ -268,17 +274,8 @@ def region_code(points, planes):
 
 def build_microstructure_problem(spec: CaseSpec, base=(2, 2, 2)):
     """Pressurized cube with plane-wise random moduli; all nodes enriched."""
-    labels = {s: s for s in ("x0", "x1", "y0", "y1", "z0", "z1")}
-    mesh = box_mesh(*base, lengths=(2.0, 2.0, 2.0), face_labels=labels)
-    if spec.coarse_level > 0:
-        mesh = flatten_to_coarse(
-            refine(NestedMesh.from_coarse(mesh), lambda e: True, spec.coarse_level))
-    nested = refine(NestedMesh.from_coarse(mesh), lambda e: True, spec.sp_depth)
-    sp_info = classify_sp(nested)
-
     planes = PLANES_64[: spec.n_planes]
     E_min, E_max = spec.e_range
-    rng = np.random.default_rng(spec.seed)
     jitter = spec.perturb_percent / 100.0
 
     def modulus(p):
@@ -293,25 +290,13 @@ def build_microstructure_problem(spec: CaseSpec, base=(2, 2, 2)):
     press = 4.0e6
 
     def pressure(side):
-        axis = {"x": 0, "y": 1, "z": 2}[side[0]]
-        sign = -1.0 if side[1] == "0" else 1.0
+        sign, axis = SIDE_NORMAL[side]
+        t = np.zeros(3)
+        t[axis] = -sign * press  # compression on every face
+        return lambda p: t
 
-        def t(p):
-            out = np.zeros(3)
-            out[axis] = -sign * press  # compression on every face
-            return out
-
-        return t
-
-    A = _corner_node(mesh, (0.0, 0.0, 0.0))
-    Bp = _corner_node(mesh, (2.0, 0.0, 0.0))
-    C = _corner_node(mesh, (0.0, 2.0, 0.0))
-    bc = BoundaryConditions(point_constraints=[
-        (A, 0), (A, 1), (A, 2), (Bp, 1), (Bp, 2), (C, 2),
-    ])
-    part = build_partition(nested, sp_info, bc)
-    loads = LoadSet(tractions={s: pressure(s) for s in labels})
-    return ProblemSetup(nested, sp_info, part, mat, loads)
+    loads = LoadSet(tractions={s: pressure(s) for s in SIDES})
+    return _box_problem(spec, base, (2.0, 2.0, 2.0), mat, loads)
 
 
 # ---------------------------------------------------------------------------
@@ -360,59 +345,37 @@ def build_cone_box_problem(spec: CaseSpec, base=(6, 2, 6)):
     """Box-with-cone analog of the pull-out test: NSP elements, mixed patches."""
     dims = (600.0, 119.0, 600.0)
     origin = (-300.0, -469.0, -300.0)
-    labels = {s: s for s in ("x0", "x1", "y0", "y1", "z0", "z1")}
-    mesh = box_mesh(*base, lengths=dims, origin=origin, face_labels=labels)
-    if spec.coarse_level > 0:
-        mesh = flatten_to_coarse(
-            refine(NestedMesh.from_coarse(mesh), lambda e: True, spec.coarse_level))
-
     h = spec.cone_h
     y_floor = -469.0
 
     def dmg(p):
         return cone_damage(p[0], p[1], p[2], h=h, y_floor=y_floor)
 
-    # refine every element within reach of the damage band: the band is thin
-    # (radial width ~10), so select by distance to its mid surface instead of
-    # sampling the damage value
-    theta = np.deg2rad(35.0)
-    o_mid = 0.5 * (-545.08 - 531.31)
-    base_nested = NestedMesh.from_coarse(mesh)
-    selector = []
-    for e in range(mesh.n_elements):
-        pts = mesh.vertices[mesh.tets[e]]
-        diam = max(np.linalg.norm(pts[i] - pts[j]) for i in range(4) for j in range(i + 1, 4))
-        probe = np.vstack([pts, pts.mean(axis=0)[None, :]])
-        close = False
-        for p in probe:
-            y = np.clip(p[1], y_floor, h)
-            if not (y_floor - 0.25 * diam <= p[1] <= h + 0.25 * diam):
-                continue
-            rho = np.hypot(p[0], p[2])
-            mid = (y - o_mid) * np.tan(theta)
-            if abs(rho - mid) <= 6.9 + 0.25 * diam:
-                close = True
-                break
-        if close:
-            selector.append(e)
-    if not selector:
-        raise ValueError("damage band does not intersect the box")
-    nested = refine(base_nested, selector, spec.sp_depth)
-    sp_info = classify_sp(nested)
+    def select(mesh):
+        # refine every element within reach of the damage band: the band is
+        # thin (radial width ~10), so select by distance to its mid surface
+        # instead of sampling the damage value
+        theta = np.deg2rad(35.0)
+        o_mid = 0.5 * (-545.08 - 531.31)
+        selector = []
+        for e in range(mesh.n_elements):
+            pts = mesh.vertices[mesh.tets[e]]
+            diam = max(np.linalg.norm(pts[i] - pts[j]) for i in range(4) for j in range(i + 1, 4))
+            probe = np.vstack([pts, pts.mean(axis=0)[None, :]])
+            for p in probe:
+                y = np.clip(p[1], y_floor, h)
+                if not (y_floor - 0.25 * diam <= p[1] <= h + 0.25 * diam):
+                    continue
+                rho = np.hypot(p[0], p[2])
+                mid = (y - o_mid) * np.tan(theta)
+                if abs(rho - mid) <= 6.9 + 0.25 * diam:
+                    selector.append(e)
+                    break
+        if not selector:
+            raise ValueError("damage band does not intersect the box")
+        return selector
 
     mat = Material(young_modulus=26.4e9, poisson_ratio=0.193, damage=dmg)
-    # self-equilibrated loading (anchor pull + support-ring reaction) with
-    # 3-2-1 corner pins: no Dirichlet faces, so hanging nodes on the SP/NSP
-    # interface can never carry a Dirichlet label
-    x0, y0, z0 = origin
-    A = _corner_node(mesh, (x0, y0, z0))
-    Bp = _corner_node(mesh, (x0 + dims[0], y0, z0))
-    C = _corner_node(mesh, (x0, y0, z0 + dims[2]))
-    bc = BoundaryConditions(point_constraints=[
-        (A, 0), (A, 1), (A, 2), (Bp, 1), (Bp, 2), (C, 1),
-    ])
-    part = build_partition(nested, sp_info, bc)
-
     r_pull, r_in, r_out, P = 75.0, 150.0, 220.0, 2.0e6
     balance = r_pull**2 / (r_out**2 - r_in**2)
 
@@ -424,8 +387,11 @@ def build_cone_box_problem(spec: CaseSpec, base=(6, 2, 6)):
             return np.array([0.0, -P * balance, 0.0])
         return np.zeros(3)
 
-    loads = LoadSet(tractions={"y1": pull})
-    return ProblemSetup(nested, sp_info, part, mat, loads)
+    # self-equilibrated loading (anchor pull + support-ring reaction) with
+    # 3-2-1 corner pins: no Dirichlet faces, so hanging nodes on the SP/NSP
+    # interface can never carry a Dirichlet label
+    return _box_problem(spec, base, dims, mat, LoadSet(tractions={"y1": pull}),
+                        origin=origin, third_axis=2, select=select)
 
 
 # ---------------------------------------------------------------------------
@@ -440,56 +406,30 @@ def reference_oracle(problem: ProblemSetup):
     return u_r, system, F
 
 
-def _strain_from_nodal(points, leaves, values):
-    """Constant strain per leaf from nodal displacement values (n_nodes, 3)."""
-    p = points[leaves]
-    T = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]], axis=1)
-    gl = np.linalg.solve(T, np.broadcast_to(np.eye(3), T.shape).copy())
-    grads = np.empty((len(leaves), 4, 3))
-    grads[:, 1:] = np.transpose(gl, (0, 2, 1))
-    grads[:, 0] = -grads[:, 1:].sum(axis=1)
-    u = values[leaves]  # (k, 4, 3)
-    G = np.einsum("kia,kic->kac", grads, u)  # grad u per leaf
-    return 0.5 * (G + np.transpose(G, (0, 2, 1)))
-
-
 def energy_norm_fields(problem: ProblemSetup, fields, analytic_strain=None):
     """Squared energy of (field_a - field_b) by element quadrature.
 
     fields: pair of nodal arrays (n_nodes, 3) or None to use the analytic
-    strain in that slot.  The elastic coefficients are sampled exactly as
-    in the stiffness assembly (per leaf centroid), so FE-FE energies match
-    x^T A x to round-off.
+    strain in that slot.  The kernel and the per-leaf modulus are the ones
+    of the stiffness assembly, so FE-FE energies match x^T A x to round-off.
     """
     nested, mat = problem.nested, problem.material
     fa, fb = fields
     bary, w = TET4_QUAD
+    C1 = hooke_matrix(1.0, mat.poisson_ratio)
     total = 0.0
-    for e in range(nested.coarse.n_elements):
-        leaves = nested.micro[e]
-        pts = nested.points
-        p = pts[leaves]
-        vols = np.abs(np.linalg.det(
-            np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]], axis=1)
-        )) / 6.0
-        cents = p.mean(axis=1)
-        if callable(mat.young_modulus):
-            Es = np.array([mat.modulus_at(c) for c in cents])
-        else:
-            Es = np.full(len(leaves), mat.young_modulus)
-        if mat.damage is not None:
-            Es = Es * np.array([1.0 - mat.damage_at(c) for c in cents])
-        C1 = hooke_matrix(1.0, mat.poisson_ratio)
-
-        eps_a = _leaf_strains(pts, leaves, fa, bary, analytic_strain)
-        eps_b = _leaf_strains(pts, leaves, fb, bary, analytic_strain)
+    for leaves in nested.micro:
+        grads, vols = p1_gradients(nested.points, leaves)
+        B = strain_operator(grads)
+        eps_a = _leaf_strains(nested.points, leaves, B, fa, bary, analytic_strain)
+        eps_b = _leaf_strains(nested.points, leaves, B, fb, bary, analytic_strain)
         diff = eps_a - eps_b  # (k, q, 6)
         dens = np.einsum("kqi,ij,kqj->kq", diff, C1, diff)
-        total += float(np.sum(dens @ w * vols * Es))
+        total += float(np.sum(dens @ w * vols * leaf_moduli(nested.points, leaves, mat)))
     return total
 
 
-def _leaf_strains(points, leaves, fld, bary, analytic_strain):
+def _leaf_strains(points, leaves, B, fld, bary, analytic_strain):
     """Voigt strains at the quadrature points of each leaf, (k, q, 6)."""
     k, q = len(leaves), bary.shape[0]
     if fld is None:
@@ -500,23 +440,8 @@ def _leaf_strains(points, leaves, fld, bary, analytic_strain):
                 e = analytic_strain(xq[i, j])
                 out[i, j] = [e[0, 0], e[1, 1], e[2, 2], 2 * e[1, 2], 2 * e[0, 2], 2 * e[0, 1]]
         return out
-    eps = _strain_from_nodal(points, leaves, fld)  # (k, 3, 3) constant
-    voigt = np.stack([
-        eps[:, 0, 0], eps[:, 1, 1], eps[:, 2, 2],
-        2 * eps[:, 1, 2], 2 * eps[:, 0, 2], 2 * eps[:, 0, 1],
-    ], axis=1)
+    voigt = np.einsum("kij,kj->ki", B, fld[leaves].reshape(k, 12))  # constant per leaf
     return np.repeat(voigt[:, None, :], q, axis=1)
-
-
-def expand_u_r(problem: ProblemSetup, u_r) -> np.ndarray:
-    """Nodal field (n_nodes, 3) from the free vector, hanging values filled."""
-    part = problem.partition
-    full = np.zeros(3 * part.n_nodes)
-    full[part.free_ref_dofs] = u_r
-    for h, parents in problem.nested.hanging.items():
-        for c in range(3):
-            full[3 * h + c] = sum(w * full[3 * p + c] for p, w in parents)
-    return full.reshape(-1, 3)
 
 
 def build_problem(spec: CaseSpec):
@@ -589,7 +514,7 @@ def run_case(spec: CaseSpec, outdir=None):
         strategy = {"ts": "tsd", "tsi": "tsi", "tsdd": "tsdd"}[spec.solver]
         cfg = TsConfig(eps=spec.eps, coarse_strategy=strategy, max_iterations=400)
         res = solve_case(problem, plan, cfg, n_ranks=spec.ranks)
-        u_field = expand_u_r(problem, res.u_r)
+        u_field = expand(problem.nested, problem.partition, res.u_r)
         summary.update(converged=bool(res.converged), iterations=res.iterations,
                        final_resi=res.resi_history[-1] if res.resi_history else 0.0,
                        norm_B=res.norm_B)
@@ -603,7 +528,7 @@ def run_case(spec: CaseSpec, outdir=None):
             summary["perturbed_warm_iterations"] = warm2.iterations
     elif spec.solver == "fr":
         u_R, system, _ = reference_oracle(problem)
-        u_field = expand_u_r(problem, u_R)
+        u_field = expand(problem.nested, problem.partition, u_R)
         summary.update(converged=True, iterations=1, final_resi=system.residual(u_R))
     elif spec.solver == "dd":
         n = problem.partition.n_ref_free
@@ -615,7 +540,7 @@ def run_case(spec: CaseSpec, outdir=None):
             return dd_solve_from_triplets(ctx, n, trips, bv, eps=spec.eps, dof_set=dofs)
 
         res = run_ranks(spec.ranks, prog)[0]
-        u_field = expand_u_r(problem, res.x)
+        u_field = expand(problem.nested, problem.partition, res.x)
         summary.update(converged=bool(res.report.converged),
                        iterations=res.report.iterations,
                        final_resi=res.report.crit)

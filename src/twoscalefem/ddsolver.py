@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from .runtime import RankContext
 from .sparsela import CgReport, SingularMatrixError, factorize, pcg, solve
 
-__all__ = ["DdResult", "DomainCondensation", "dd_solve_from_triplets", "reference_rank_triplets"]
+__all__ = ["DdResult", "dd_solve_from_triplets", "reference_rank_triplets"]
 
 CONDENSE_BLOCK = 32  # right-hand sides per interior solve pass
 
@@ -30,18 +30,6 @@ class DdResult:
     x: np.ndarray          # full solution (every rank)
     warm: np.ndarray       # this rank's boundary shard for restarts
     report: CgReport
-
-
-@dataclass
-class DomainCondensation:
-    """Per-rank condensed pieces (kept for inspection and tests)."""
-
-    dofs: np.ndarray
-    interior: np.ndarray
-    boundary: np.ndarray
-    owned: np.ndarray
-    S: np.ndarray
-    B_cond: np.ndarray
 
 
 def dd_solve_from_triplets(
@@ -203,7 +191,7 @@ def dd_solve_from_triplets(
 
 def reference_rank_triplets(nested, sp_info, partition, material, loads, plan, rank):
     """This rank's contributions to the reduced reference system A_rr, B_r."""
-    from .elasticity import assemble_element_block, assemble_nsp, traction_face_table
+    from .elasticity import assemble_element_block, assemble_nsp, node_dofs, traction_face_table
 
     tr_table = traction_face_table(nested, loads)
     trips, bvecs, dof_list = [], [], []
@@ -212,8 +200,7 @@ def reference_rank_triplets(nested, sp_info, partition, material, loads, plan, r
         if e not in mine:
             continue
         block = assemble_element_block(e, nested, material, loads, tr_table)
-        gdofs = np.repeat(3 * block.nodes, 3) + np.tile(np.arange(3), len(block.nodes))
-        fidx = partition.ref_dof_index[gdofs]
+        fidx = partition.ref_dof_index[node_dofs(block.nodes)]
         coo = block.A_FF.tocoo()
         r, c = fidx[coo.row], fidx[coo.col]
         keep = (r >= 0) & (c >= 0)
@@ -225,8 +212,7 @@ def reference_rank_triplets(nested, sp_info, partition, material, loads, plan, r
         if e not in mine:
             continue
         nb = assemble_nsp(e, nested, material, loads, tr_table)
-        gdofs = np.repeat(3 * nb.nodes, 3) + np.tile(np.arange(3), 4)
-        fidx = partition.ref_dof_index[gdofs]
+        fidx = partition.ref_dof_index[node_dofs(nb.nodes)]
         rr, cc = np.meshgrid(fidx, fidx, indexing="ij")
         keep = (rr >= 0) & (cc >= 0)
         trips.append((e, rr[keep], cc[keep], nb.K[keep]))

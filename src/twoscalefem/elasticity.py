@@ -1,10 +1,14 @@
-"""Linear-elastic element matrices and per-macro-element block assembly.
+"""Linear-elastic element kernels and per-macro-element block assembly.
 
-Constant-strain tetrahedra get exact single-point stiffness integration;
-volume loads use the 4-point degree-2 rule and tractions the 6-point
-degree-4 triangle rule, which keeps the discrete load consistent with the
-energy quadrature used by the error metrics.  Damage and heterogeneous
-moduli are sampled per micro-element centroid.
+This module owns the discrete operator that the two-scale blocks, the
+monolithic oracle and the error metrics share: one batched P1 kernel
+(gradients, volumes, strain operator and the modulus E(1-d) sampled once
+per leaf centroid), one hanging-node fold (u_raw = W u_kept) and one
+consistent-load integrator.  Constant-strain tetrahedra get exact
+single-point stiffness integration; volume loads use the 4-point degree-2
+rule and tractions the 6-point degree-4 triangle rule, which keeps the
+discrete load consistent with the energy quadrature used by the error
+metrics.
 """
 
 from __future__ import annotations
@@ -15,14 +19,23 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import NestedMesh
+from .mesh import DofPartition, NestedMesh
 
 __all__ = [
     "Material",
     "LoadSet",
     "ElementBlock",
     "NspBlock",
+    "p1_gradients",
+    "strain_operator",
+    "leaf_moduli",
+    "batch_leaf_stiffness",
     "element_stiffness",
+    "consistent_loads",
+    "nodal_loads",
+    "hanging_fold",
+    "reference_fold",
+    "expand",
     "assemble_element_block",
     "assemble_nsp",
     "elastic_moduli",
@@ -121,78 +134,184 @@ TRI6_QUAD = (
 )
 
 
-def _grads_and_volume(coords):
-    """Shape-function gradients (4,3) and volume of one tetrahedron."""
-    T = np.stack([coords[1] - coords[0], coords[2] - coords[0], coords[3] - coords[0]])
+def node_dofs(nodes):
+    """Dof ids 3v+c of node ids, component fastest; the last axis grows threefold."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    return (3 * nodes[..., None] + np.arange(3)).reshape(*nodes.shape[:-1], -1)
+
+
+# ---------------------------------------------------------------------------
+# the batched P1 kernel
+
+
+def p1_gradients(points, leaves):
+    """Shape-function gradients (k,4,3) and volumes (k,) of a batch of tetrahedra.
+
+    Raises on a non-positive volume (inverted or degenerate element).
+    """
+    p = points[leaves]
+    T = p[:, 1:] - p[:, :1]  # rows: edge vectors from vertex 0
     det = np.linalg.det(T)
-    vol = det / 6.0
-    gl = np.linalg.solve(T, np.eye(3))  # gradients of barycentric lam1..lam3
-    grads = np.empty((4, 3))
-    grads[1:] = gl.T
-    grads[0] = -gl.T.sum(axis=0)
-    return grads, vol
+    if np.any(det <= 0):
+        raise ValueError("inverted element (non-positive volume)")
+    grads = np.empty((len(p), 4, 3))
+    grads[:, 1:] = np.transpose(np.linalg.inv(T), (0, 2, 1))
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    return grads, det / 6.0
 
 
-def _b_matrix(grads):
-    B = np.zeros((6, 12))
-    for i in range(4):
-        gx, gy, gz = grads[i]
-        B[0, 3 * i] = gx
-        B[1, 3 * i + 1] = gy
-        B[2, 3 * i + 2] = gz
-        B[3, 3 * i + 1] = gz
-        B[3, 3 * i + 2] = gy
-        B[4, 3 * i] = gz
-        B[4, 3 * i + 2] = gx
-        B[5, 3 * i] = gy
-        B[5, 3 * i + 1] = gx
-    return B
+# (Voigt row, displacement component, gradient axis) of the nonzero B entries
+_B_PATTERN = ((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 1),
+              (4, 0, 2), (4, 2, 0), (5, 0, 1), (5, 1, 0))
+
+
+def strain_operator(grads):
+    """Voigt strain operators (k,6,12) of P1 gradients (k,4,3); column 3*i+c."""
+    B = np.zeros((len(grads), 6, 4, 3))
+    for row, comp, axis in _B_PATTERN:
+        B[:, row, :, comp] = grads[:, :, axis]
+    return B.reshape(len(grads), 6, 12)
+
+
+def leaf_moduli(points, leaves, material: Material):
+    """Effective Young's modulus E(1-d) of each leaf, sampled once at its centroid."""
+    centroids = points[leaves].mean(axis=1)
+    if callable(material.young_modulus):
+        E = np.array([material.modulus_at(c) for c in centroids])
+    else:
+        E = np.full(len(centroids), material.young_modulus)
+    if material.damage is not None:
+        E = E * np.array([1.0 - material.damage_at(c) for c in centroids])
+    return E
+
+
+def batch_leaf_stiffness(points, leaves, material: Material):
+    """Stiffness blocks (k,12,12) and volumes of a batch of tetrahedra."""
+    grads, vol = p1_gradients(points, leaves)
+    B = strain_operator(grads)
+    K = np.einsum("kia,ij,kjb->kab", B, hooke_matrix(1.0, material.poisson_ratio), B)
+    return K * (leaf_moduli(points, leaves, material) * vol)[:, None, None], vol
 
 
 def element_stiffness(coords, material: Material):
-    """12x12 stiffness and volume-load vector of one micro tetrahedron.
+    """12x12 stiffness and volume of one tetrahedron (raises on inverted ones)."""
+    K, vol = batch_leaf_stiffness(np.asarray(coords, dtype=np.float64), np.arange(4)[None], material)
+    return K[0], vol[0]
 
-    Single-point quadrature is exact for the constant-strain stiffness;
-    the load uses the 4-point rule.  Raises on inverted elements.
+
+def leaf_matrix(leaves, K_all, n_nodes):
+    """Sparse (3n,3n) sum of leaf blocks K_all (k,12,12) placed at node ids leaves (k,4)."""
+    dof = node_dofs(leaves)
+    rows = np.repeat(dof, 12, axis=1).ravel()
+    cols = np.tile(dof, (1, 12)).ravel()
+    A = sp.coo_matrix((K_all.ravel(), (rows, cols)), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
+    A.sum_duplicates()
+    return A
+
+
+# ---------------------------------------------------------------------------
+# the consistent-load integrator
+
+
+def consistent_loads(points, simplices, f):
+    """Nodal loads (k,m,3): the integral of f N_i over tetrahedra (m=4) or triangles (m=3).
+
+    Tetrahedra use the 4-point degree-2 rule, triangles the 6-point degree-4
+    rule; f maps one point to a 3-vector.
     """
-    grads, vol = _grads_and_volume(np.asarray(coords, dtype=np.float64))
-    if vol <= 0:
-        raise ValueError("inverted element (non-positive volume)")
-    centroid = np.mean(coords, axis=0)
-    scale = 1.0 - material.damage_at(centroid)
-    C = hooke_matrix(material.modulus_at(centroid), material.poisson_ratio)
-    B = _b_matrix(grads)
-    K = vol * scale * (B.T @ C @ B)
-    return K, vol
+    p = points[simplices]
+    if simplices.shape[1] == 4:
+        bary, w = TET4_QUAD
+        measure = p1_gradients(points, simplices)[1]
+    else:
+        bary, w = TRI6_QUAD
+        measure = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    xq = np.einsum("qi,kid->kqd", bary, p)
+    fq = np.array([f(x) for x in xq.reshape(-1, 3)], dtype=np.float64).reshape(xq.shape)
+    return np.einsum("q,qi,kqd->kid", w, bary, fq) * measure[:, None, None]
+
+
+def nodal_loads(points, leaves, faces, loads: LoadSet, nodes):
+    """Load vector over the dofs of nodes: body force on leaves, tractions on faces.
+
+    faces holds (surface face, label) pairs; every node of leaves and faces
+    must be one of nodes, whose order sets the dof order.
+    """
+    nodes = np.asarray(nodes)
+    order = np.argsort(nodes)
+    out = np.zeros((len(nodes), 3))
+
+    def add(simplices, f):
+        np.add.at(out, order[np.searchsorted(nodes, simplices, sorter=order)],
+                  consistent_loads(points, simplices, f))
+
+    if loads.body is not None:
+        add(leaves, loads.body)
+    for label, traction in loads.tractions.items():
+        tris = np.array([face for face, lab in faces if lab == label], dtype=np.int64)
+        if len(tris):
+            add(tris, traction)
+    return out.ravel()
 
 
 def element_volume_load(coords, body):
-    """Consistent nodal loads int f.v dV of a body force over one tetrahedron."""
-    load = np.zeros(12)
+    """Consistent nodal loads (12,) of a body force over one tetrahedron."""
     if body is None:
-        return load
-    bary, w = TET4_QUAD
-    _, vol = _grads_and_volume(coords)
-    for q in range(len(w)):
-        x = bary[q] @ coords
-        f = np.asarray(body(x), dtype=np.float64)
-        for i in range(4):
-            load[3 * i: 3 * i + 3] += w[q] * vol * bary[q, i] * f
-    return load
+        return np.zeros(12)
+    return consistent_loads(np.asarray(coords, dtype=np.float64), np.arange(4)[None], body).ravel()
 
 
 def face_traction_load(coords3, traction):
-    """Consistent nodal loads of a traction over one surface triangle."""
-    load = np.zeros(9)
-    p0, p1, p2 = coords3
-    area = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0))
-    bary, w = TRI6_QUAD
-    for q in range(len(w)):
-        x = bary[q] @ coords3
-        t = np.asarray(traction(x), dtype=np.float64)
-        for i in range(3):
-            load[3 * i: 3 * i + 3] += w[q] * area * bary[q, i] * t
-    return load
+    """Consistent nodal loads (9,) of a traction over one surface triangle."""
+    return consistent_loads(np.asarray(coords3, dtype=np.float64), np.arange(3)[None], traction).ravel()
+
+
+# ---------------------------------------------------------------------------
+# the hanging-node fold
+
+
+def hanging_fold(nested: NestedMesh, raw_nodes):
+    """Kept nodes and the substitution u_raw = W u_kept of a set of raw node ids.
+
+    The kept nodes are the non-hanging ones, ascending.  W is sparse,
+    (3 len(raw_nodes), 3 len(kept)): a hanging node's rows hold its parents'
+    interpolation weights, every other row is a unit vector.
+    """
+    raw = np.asarray(raw_nodes, dtype=np.int64)
+    is_hanging = np.isin(raw, np.fromiter(nested.hanging, np.int64, len(nested.hanging)))
+    kept_rows = np.nonzero(~is_hanging)[0]
+    kept = np.unique(raw[kept_rows])
+    rows, parents, weights = [kept_rows], [raw[kept_rows]], [np.ones(len(kept_rows))]
+    for i in np.nonzero(is_hanging)[0]:
+        p, w = zip(*nested.hanging[int(raw[i])])
+        rows.append(np.full(len(p), i))
+        parents.append(np.array(p, dtype=np.int64))
+        weights.append(np.array(w))
+    cols = np.searchsorted(kept, np.concatenate(parents))
+    W = sp.csr_matrix((np.repeat(np.concatenate(weights), 3),
+                       (node_dofs(np.concatenate(rows)), node_dofs(cols))),
+                      shape=(3 * len(raw), 3 * len(kept)))
+    return kept, W
+
+
+def reference_fold(nested: NestedMesh, partition: DofPartition):
+    """Substitution u_R = W u_r from the free reference dofs to every node dof.
+
+    Hanging values are interpolated from their parents and Dirichlet values
+    are zero.
+    """
+    kept, W = hanging_fold(nested, np.arange(nested.n_nodes))
+    free = partition.free_ref_dofs
+    return W[:, 3 * np.searchsorted(kept, free // 3) + free % 3]
+
+
+def expand(nested: NestedMesh, partition: DofPartition, u_r):
+    """Nodal field (n_nodes, 3) of a free reference vector."""
+    return (reference_fold(nested, partition) @ u_r).reshape(-1, 3)
+
+
+# ---------------------------------------------------------------------------
+# per-macro-element blocks
 
 
 @dataclass
@@ -219,9 +338,6 @@ class ElementBlock:
     def ndof(self):
         return 3 * len(self.nodes)
 
-    def local_index(self):
-        return {int(v): i for i, v in enumerate(self.nodes)}
-
 
 @dataclass
 class NspBlock:
@@ -233,54 +349,6 @@ class NspBlock:
     B: np.ndarray              # 12
 
 
-def _hanging_fold(nested: NestedMesh, nodes):
-    """Node list without hanging nodes plus per-node substitution lists."""
-    keep = [int(v) for v in nodes if int(v) not in nested.hanging]
-    return np.array(sorted(keep), dtype=np.int64)
-
-
-def batch_leaf_stiffness(points, leaves, material: Material):
-    """Stiffness blocks (k,12,12) and volumes of a batch of tetrahedra."""
-    p = points[leaves]  # (k,4,3)
-    T = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]], axis=1)
-    det = np.linalg.det(T)
-    if np.any(det <= 0):
-        raise ValueError("inverted element (non-positive volume)")
-    vol = det / 6.0
-    gl = np.linalg.solve(T, np.broadcast_to(np.eye(3), T.shape).copy())
-    grads = np.empty((len(leaves), 4, 3))
-    grads[:, 1:] = np.transpose(gl, (0, 2, 1))
-    grads[:, 0] = -grads[:, 1:].sum(axis=1)
-
-    k = len(leaves)
-    B = np.zeros((k, 6, 12))
-    gx, gy, gz = grads[:, :, 0], grads[:, :, 1], grads[:, :, 2]
-    for i in range(4):
-        B[:, 0, 3 * i] = gx[:, i]
-        B[:, 1, 3 * i + 1] = gy[:, i]
-        B[:, 2, 3 * i + 2] = gz[:, i]
-        B[:, 3, 3 * i + 1] = gz[:, i]
-        B[:, 3, 3 * i + 2] = gy[:, i]
-        B[:, 4, 3 * i] = gz[:, i]
-        B[:, 4, 3 * i + 2] = gx[:, i]
-        B[:, 5, 3 * i] = gy[:, i]
-        B[:, 5, 3 * i + 1] = gx[:, i]
-
-    centroids = p.mean(axis=1)
-    nu = material.poisson_ratio
-    if callable(material.young_modulus):
-        Es = np.array([material.modulus_at(c) for c in centroids])
-    else:
-        Es = np.full(k, material.young_modulus)
-    if material.damage is not None:
-        scale = np.array([1.0 - material.damage_at(c) for c in centroids])
-    else:
-        scale = np.ones(k)
-    C1 = hooke_matrix(1.0, nu)
-    K = np.einsum("kia,ij,kjb->kab", B, C1, B) * (Es * scale * vol)[:, None, None]
-    return K, vol
-
-
 def assemble_element_block(
     e: int,
     nested: NestedMesh,
@@ -288,72 +356,21 @@ def assemble_element_block(
     loads: LoadSet,
     traction_faces: dict[int, list] | None = None,
 ) -> ElementBlock:
-    """Assemble A_FF and B_F of one SP macro element.
+    """Assemble A_FF = W^T K W and B_F = W^T b of one SP macro element.
 
-    Micro contributions are accumulated over the element; rows and columns
-    of hanging nodes are redistributed to their parent vertices with the
-    stored interpolation weights.  Dirichlet rows are retained.
+    K and b are summed over the element's leaves on its raw nodes; W is the
+    hanging-node fold onto the kept nodes.  Dirichlet rows are retained.
     traction_faces maps this element id to (face, label) pairs of its
     surface triangles (precomputed from the nested mesh).
     """
     leaves = nested.micro[e]
-    raw_nodes = np.unique(leaves)
-    nodes = _hanging_fold(nested, raw_nodes)
-    index = {int(v): i for i, v in enumerate(nodes)}
-    ndof = 3 * len(nodes)
-
-    # per-node substitution: hanging node -> [(kept node, weight)]
-    def subs(v):
-        v = int(v)
-        if v in index:
-            return [(index[v], 1.0)]
-        return [(index[p], w) for p, w in nested.hanging[v]]
-
-    K_all, vols = batch_leaf_stiffness(nested.points, leaves, material)
-    B = np.zeros(ndof)
-
-    has_hanging = any(int(v) in nested.hanging for v in raw_nodes)
-    if not has_hanging:
-        loc = np.vectorize(index.__getitem__)(leaves)  # (k,4)
-        dof = (3 * loc[:, :, None] + np.arange(3)).reshape(len(leaves), 12)
-        rows = np.repeat(dof, 12, axis=1).ravel()
-        cols = np.tile(dof, (1, 12)).ravel()
-        vals = K_all.reshape(len(leaves), 144).ravel()
-    else:
-        rows_l, cols_l, vals_l = [], [], []
-        for li, leaf in enumerate(leaves):
-            K = K_all[li]
-            sub = [subs(v) for v in leaf]
-            for a in range(4):
-                for (ia, wa) in sub[a]:
-                    for b in range(4):
-                        for (ib, wb) in sub[b]:
-                            for ca in range(3):
-                                rows_l.extend((3 * ia + ca,) * 3)
-                                cols_l.extend((3 * ib, 3 * ib + 1, 3 * ib + 2))
-                                vals_l.extend(wa * wb * K[3 * a + ca, 3 * b: 3 * b + 3])
-        rows, cols, vals = rows_l, cols_l, vals_l
-
-    if loads.body is not None:
-        for leaf in leaves:
-            load = element_volume_load(nested.points[leaf], loads.body)
-            for a, v in enumerate(leaf):
-                for (iv, wv) in subs(v):
-                    B[3 * iv: 3 * iv + 3] += wv * load[3 * a: 3 * a + 3]
-
-    if traction_faces:
-        for face, label in traction_faces.get(e, ()):
-            tr = loads.tractions.get(label)
-            if tr is None:
-                continue
-            coords3 = nested.points[list(face)]
-            tl = face_traction_load(coords3, tr)
-            for i, v in enumerate(face):
-                for (iv, wv) in subs(v):
-                    B[3 * iv: 3 * iv + 3] += wv * tl[3 * i: 3 * i + 3]
-
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
+    raw = np.unique(leaves)
+    nodes, W = hanging_fold(nested, raw)
+    K_all, _ = batch_leaf_stiffness(nested.points, leaves, material)
+    A = (W.T @ leaf_matrix(np.searchsorted(raw, leaves), K_all, len(raw)) @ W).tocsr()
     A.sum_duplicates()
+    faces = (traction_faces or {}).get(e, ())
+    B = W.T @ nodal_loads(nested.points, leaves, faces, loads, raw)
     return ElementBlock(e, nodes, A, B)
 
 
@@ -370,21 +387,10 @@ def assemble_nsp(
     and the interface-interface part are all carried by the single coarse
     matrix; the caller assembles it at classical coarse dof positions.
     """
-    tet = nested.coarse.tets[e]
-    coords = nested.points[tet]
-    K, _ = element_stiffness(coords, material)
-    B = element_volume_load(coords, loads.body)
-    if traction_faces:
-        index = {int(v): i for i, v in enumerate(tet)}
-        for face, label in traction_faces.get(e, ()):
-            tr = loads.tractions.get(label)
-            if tr is None:
-                continue
-            tl = face_traction_load(nested.points[list(face)], tr)
-            for i, v in enumerate(face):
-                iv = index[int(v)]
-                B[3 * iv: 3 * iv + 3] += tl[3 * i: 3 * i + 3]
-    return NspBlock(e, np.asarray(tet, dtype=np.int64), K, B)
+    tet = np.asarray(nested.coarse.tets[e], dtype=np.int64)
+    K, _ = element_stiffness(nested.points[tet], material)
+    faces = (traction_faces or {}).get(e, ())
+    return NspBlock(e, tet, K, nodal_loads(nested.points, tet[None], faces, loads, tet))
 
 
 def traction_face_table(nested: NestedMesh, loads: LoadSet):

@@ -29,6 +29,7 @@ __all__ = [
     "refine",
     "classify_sp",
     "build_partition",
+    "spf_nodes",
 ]
 
 GEOM_RTOL = 1e-12
@@ -594,6 +595,13 @@ class DofPartition:
 
     def enriched_dof(self, node, comp):
         return 3 * self.n_coarse_nodes + 3 * self.enriched_index[int(node)] + comp
+
+
+def spf_nodes(nested: NestedMesh, partition: DofPartition) -> np.ndarray:
+    """f-set nodes that also touch an NSP element (the SPF ring), ascending."""
+    tets = nested.coarse.tets
+    ring = np.unique(tets[~np.isin(tets, partition.enriched_nodes).any(axis=1)])
+    return ring[np.isin(ring, partition.f_nodes)]
 
 
 def _dirichlet_dof_mask(nested: NestedMesh, bc: BoundaryConditions, n_nodes: int):

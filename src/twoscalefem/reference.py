@@ -13,8 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .elasticity import LoadSet, Material, batch_leaf_stiffness, element_volume_load, face_traction_load, traction_face_table
-from .mesh import DofPartition, NestedMesh
+from .elasticity import (
+    LoadSet,
+    Material,
+    batch_leaf_stiffness,
+    expand,
+    leaf_matrix,
+    nodal_loads,
+    reference_fold,
+    traction_face_table,
+)
+from .mesh import DofPartition, NestedMesh, spf_nodes
 from .sparsela import factorize
 
 __all__ = ["ReferenceSystem", "assemble_reference", "solve_reference"]
@@ -29,7 +38,7 @@ class ReferenceSystem:
     partition: DofPartition
     f_row_mask: np.ndarray   # rows of r belonging to the f-set
     spf_row_mask: np.ndarray  # rows of r on the SP/NSP interface
-    hanging: dict
+    nested: NestedMesh
 
     def norm_B(self) -> float:
         return float(np.linalg.norm(self.B_r))
@@ -44,13 +53,7 @@ class ReferenceSystem:
 
     def expand(self, u_r: np.ndarray) -> np.ndarray:
         """Full nodal field (n_nodes, 3) with hanging and Dirichlet values filled."""
-        part = self.partition
-        full = np.zeros(3 * part.n_nodes)
-        full[part.free_ref_dofs] = u_r
-        for h, parents in self.hanging.items():
-            for c in range(3):
-                full[3 * h + c] = sum(w * full[3 * p + c] for p, w in parents)
-        return full.reshape(-1, 3)
+        return expand(self.nested, self.partition, u_r)
 
 
 def assemble_reference(
@@ -59,77 +62,21 @@ def assemble_reference(
     material: Material,
     loads: LoadSet,
 ) -> ReferenceSystem:
-    nn = nested.n_nodes
-    ndof = 3 * nn
-    rows, cols, vals = [], [], []
-    B = np.zeros(ndof)
-
-    tr_table = traction_face_table(nested, loads)
-    for e in range(nested.coarse.n_elements):
-        leaves = nested.micro[e]
-        K_all, _ = batch_leaf_stiffness(nested.points, leaves, material)
-        dof = (3 * leaves[:, :, None] + np.arange(3)).reshape(len(leaves), 12)
-        rows.append(np.repeat(dof, 12, axis=1).ravel())
-        cols.append(np.tile(dof, (1, 12)).ravel())
-        vals.append(K_all.reshape(-1))
-        if loads.body is not None:
-            for leaf in leaves:
-                load = element_volume_load(nested.points[leaf], loads.body)
-                for a, v in enumerate(leaf):
-                    B[3 * v: 3 * v + 3] += load[3 * a: 3 * a + 3]
-        for face, label in tr_table.get(e, ()):
-            tr = loads.tractions.get(label)
-            if tr is None:
-                continue
-            tl = face_traction_load(nested.points[list(face)], tr)
-            for i, v in enumerate(face):
-                B[3 * v: 3 * v + 3] += tl[3 * i: 3 * i + 3]
-
-    A_RR = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof),
-    ).tocsc()
-    A_RR.sum_duplicates()
-
-    # eliminate hanging relations: u_R = W u_M, A_MM = W^T A_RR W
-    kept = np.ones(ndof, dtype=bool)
-    w_rows, w_cols, w_vals = list(range(ndof)), list(range(ndof)), [1.0] * ndof
-    for h, parents in nested.hanging.items():
-        for c in range(3):
-            kept[3 * h + c] = False
-            w_vals[3 * h + c] = 0.0
-            for p, w in parents:
-                w_rows.append(3 * h + c)
-                w_cols.append(3 * p + c)
-                w_vals.append(w)
-    W_full = sp.csr_matrix((w_vals, (w_rows, w_cols)), shape=(ndof, ndof))
-    W = W_full[:, partition.free_ref_dofs]  # straight to free columns (zero Dirichlet)
-    A_rr = (W.T @ A_RR @ W).tocsc()
+    """A_rr = W^T A_RR W and B_r = W^T B_R with W the fold onto the free dofs."""
+    n = nested.n_nodes
+    K_all = np.concatenate([batch_leaf_stiffness(nested.points, leaves, material)[0]
+                            for leaves in nested.micro])
+    all_leaves = np.concatenate(nested.micro)
+    faces = [f for lst in traction_face_table(nested, loads).values() for f in lst]
+    B = nodal_loads(nested.points, all_leaves, faces, loads, np.arange(n))
+    W = reference_fold(nested, partition)
+    A_rr = (W.T @ leaf_matrix(all_leaves, K_all, n) @ W).tocsc()
     A_rr.sum_duplicates()
-    B_r = W.T @ B
 
-    free = partition.free_ref_dofs
-    f_node_set = set(int(v) for v in partition.f_nodes)
-    spf_nodes = _interface_nodes(nested, partition)
-    nodes_of_free = free // 3
-    f_mask = np.array([int(v) in f_node_set for v in nodes_of_free])
-    spf_mask = np.array([int(v) in spf_nodes for v in nodes_of_free])
-
-    return ReferenceSystem(A_rr, B_r, partition, f_mask, spf_mask, nested.hanging)
-
-
-def _interface_nodes(nested: NestedMesh, partition: DofPartition) -> set:
-    """f-set nodes that also touch an NSP element (the SPF ring)."""
-    f_set = set(int(v) for v in partition.f_nodes)
-    out = set()
-    for e in range(nested.coarse.n_elements):
-        tet = [int(v) for v in nested.coarse.tets[e]]
-        if any(v in partition.enriched_index for v in tet):
-            continue  # SP element
-        for v in tet:
-            if v in f_set:
-                out.add(v)
-    return out
+    nodes_of_free = partition.free_ref_dofs // 3
+    f_mask = np.isin(nodes_of_free, partition.f_nodes)
+    spf_mask = np.isin(nodes_of_free, spf_nodes(nested, partition))
+    return ReferenceSystem(A_rr, W.T @ B, partition, f_mask, spf_mask, nested)
 
 
 def solve_reference(system: ReferenceSystem):

@@ -1,4 +1,4 @@
-"""Sparse symmetric storage, LDL^T factorization and preconditioned CG.
+"""Sparse LDL^T factorization, triangular solves and preconditioned CG.
 
 The factorization is delegated to SuperLU in symmetric mode with a
 minimum-degree ordering; the unit-lower factor, diagonal and symmetric
@@ -15,7 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-__all__ = ["SparseSym", "Factor", "CgReport", "SingularMatrixError", "factorize", "solve", "pcg"]
+__all__ = ["Factor", "CgReport", "SingularMatrixError", "factorize", "solve", "pcg"]
+
+PIVOT_RTOL = 1e-14  # smallest pivot magnitude accepted, in equilibrated units
 
 
 class SingularMatrixError(RuntimeError):
@@ -25,64 +27,6 @@ class SingularMatrixError(RuntimeError):
         self.dof = dof
         self.pivot = pivot
         super().__init__(f"singular pivot {pivot:.3e} at dof {dof}")
-
-
-class SparseSym:
-    """Symmetric sparse matrix accumulated in triplet form (lower triangle kept).
-
-    Entries may be added in any order and with duplicates; ``finalize``
-    coalesces them.  Only the lower triangle is stored; ``to_csc`` mirrors it.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._rows: list[np.ndarray] = []
-        self._cols: list[np.ndarray] = []
-        self._vals: list[np.ndarray] = []
-        self._mat: sp.csc_matrix | None = None
-
-    def add(self, rows, cols, vals):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        keep = rows >= cols  # lower triangle
-        self._rows.append(rows[keep])
-        self._cols.append(cols[keep])
-        self._vals.append(vals[keep])
-        self._mat = None
-
-    def add_dense(self, idx, block):
-        idx = np.asarray(idx, dtype=np.int64)
-        block = np.asarray(block, dtype=np.float64)
-        r = np.repeat(idx, len(idx))
-        c = np.tile(idx, len(idx))
-        self.add(r, c, block.ravel())
-
-    def finalize(self) -> sp.csc_matrix:
-        if self._mat is None:
-            if self._rows:
-                r = np.concatenate(self._rows)
-                c = np.concatenate(self._cols)
-                v = np.concatenate(self._vals)
-            else:
-                r = c = np.zeros(0, dtype=np.int64)
-                v = np.zeros(0)
-            low = sp.coo_matrix((v, (r, c)), shape=(self.n, self.n)).tocsc()
-            low.sum_duplicates()
-            diag = sp.diags(low.diagonal())
-            self._mat = (low + low.T - diag).tocsc()
-        return self._mat
-
-    def to_csc(self) -> sp.csc_matrix:
-        return self.finalize()
-
-    @classmethod
-    def from_csc(cls, A) -> "SparseSym":
-        A = sp.csc_matrix(A)
-        obj = cls(A.shape[0])
-        coo = sp.tril(A).tocoo()
-        obj.add(coo.row, coo.col, coo.data)
-        return obj
 
 
 @dataclass
@@ -105,21 +49,18 @@ class Factor:
         return solve(self, b)
 
 
-def factorize(A, pivot_rtol: float = 1e-14, ordering: str = "mmd",
-              null_pivot: str = "error") -> Factor:
+def factorize(A, ordering: str = "mmd", null_pivot: str = "error") -> Factor:
     """Factorize a symmetric matrix into P A P^T = L D L^T.
 
-    Accepts a SparseSym, a scipy sparse matrix or a dense array.  The
+    Accepts a scipy sparse matrix or a dense array.  The
     fill-reducing ordering is minimum degree by default; ``ordering="natural"``
     keeps the given dof order (useful to inspect the raw elimination).  A
-    pivot below pivot_rtol (in diagonally equilibrated units) raises
+    pivot below PIVOT_RTOL (in diagonally equilibrated units) raises
     SingularMatrixError naming the dof, or, with ``null_pivot="drop"``, gets
     deflated: solves then return the solution with zero component along the
     redundant directions, which is exact for consistent right-hand sides.
     """
-    if isinstance(A, SparseSym):
-        A = A.to_csc()
-    elif not sp.issparse(A):
+    if not sp.issparse(A):
         A = sp.csc_matrix(np.asarray(A, dtype=np.float64))
     A = A.tocsc()
     n = A.shape[0]
@@ -143,22 +84,34 @@ def factorize(A, pivot_rtol: float = 1e-14, ordering: str = "mmd",
             As = As + sp.coo_matrix(
                 (np.ones(len(empty)), (empty, empty)), shape=As.shape).tocsc()
     spec = {"mmd": "MMD_AT_PLUS_A", "natural": "NATURAL"}[ordering]
-    try:
-        lu = splu(
-            As,
-            diag_pivot_thresh=0.0,
-            permc_spec=spec,
-            options=dict(SymmetricMode=True),
-        )
-    except RuntimeError as exc:  # SuperLU reports exact zeros itself
-        raise SingularMatrixError(-1, 0.0) from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise RuntimeError("symmetric factorization produced asymmetric pivoting")
+    lifted = set()
+    while True:
+        try:
+            lu = splu(
+                As,
+                diag_pivot_thresh=0.0,
+                permc_spec=spec,
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError as exc:  # SuperLU reports exact zeros itself
+            raise SingularMatrixError(-1, 0.0) from exc
+        if np.array_equal(lu.perm_r, lu.perm_c):
+            break
+        # SuperLU leaves the diagonal only for a pivot that is exactly zero
+        # while round-off remains below it.  Lifting that diagonal keeps the
+        # sparsity, hence the ordering, and turns the pivot into a tiny one
+        # that is deflated like any other pivot below PIVOT_RTOL.
+        row_at, col_at = np.argsort(lu.perm_r), np.argsort(lu.perm_c)
+        j = int(col_at[np.argmax(row_at != col_at)])
+        if null_pivot != "drop" or j in lifted:
+            raise RuntimeError("symmetric factorization produced asymmetric pivoting")
+        lifted.add(j)
+        As[j, j] += 0.5 * PIVOT_RTOL
     ds = lu.U.diagonal().copy()
     inv = np.empty(n, dtype=np.int64)
     inv[lu.perm_r] = np.arange(n)
     # scaled diagonals are +-1 (or 0): pivots must stay above rtol of that
-    bad = np.nonzero(np.abs(ds) <= pivot_rtol)[0]
+    bad = np.nonzero(np.abs(ds) <= PIVOT_RTOL)[0]
     dropped = None
     if bad.size and null_pivot == "error":
         k = int(bad[0])

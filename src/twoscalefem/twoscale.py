@@ -20,9 +20,11 @@ from .elasticity import (
     Material,
     assemble_element_block,
     assemble_nsp,
+    hanging_fold,
+    node_dofs,
     traction_face_table,
 )
-from .mesh import DofPartition, NestedMesh, SpInfo
+from .mesh import DofPartition, NestedMesh, SpInfo, spf_nodes
 from .runtime import PartitionPlan, RankContext, run_ranks
 from .scheduler import Schedule, build_schedule
 from .sparsela import SingularMatrixError, factorize, pcg, solve
@@ -38,6 +40,11 @@ from .transfer import (
 
 __all__ = ["TsConfig", "TsResult", "ProblemSetup", "solve_case", "ts_program"]
 
+# the loop gives up once resi has stayed above STAGNATION_FACTOR times its
+# best value for STAGNATION_WINDOW consecutive iterations
+STAGNATION_WINDOW = 5
+STAGNATION_FACTOR = 10.0
+
 
 @dataclass
 class TsConfig:
@@ -50,13 +57,13 @@ class TsConfig:
     tsi_refresh_cg_iters: int = 13
     pcg_iter_max: int = 400
     schedule_variant: str = "V2"
-    stagnation_window: int = 5
-    stagnation_factor: float = 10.0
     record_iterates: bool = False
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.nbp_max < 1:
             raise ValueError("nbp_max must be >= 1")
         if self.coarse_strategy not in ("tsd", "tsi", "tsdd"):
@@ -104,7 +111,8 @@ class _RankState:
     def __init__(self):
         self.blocks = {}            # element -> ElementBlock
         self.nsp_blocks = {}
-        self.patch_order = []       # (sequence phase) list of patch actions
+        self.const_trips = []       # constant coarse triplets of the owned elements
+        self.const_b = []
         self.patch_sys = {}         # patch index -> dict with factor etc.
         self.patch_fields = {}      # element -> {enriched corner -> field array}
         self.norm_B = 0.0
@@ -113,7 +121,7 @@ class _RankState:
         self.schedule = None
         self.mult = None            # node -> SP replica count
         self.node_ranks = None      # node -> ranks holding incident SP elements
-        self.spf_dofs = None        # set of interface dofs
+        self.spf_nodes = None       # set of SPF ring nodes
         self.btmp = None            # coarse classical NSP load vector (full)
         self.u_prev_coarse = None
 
@@ -128,20 +136,6 @@ def _node_multiplicity(nested, sp_info, blocks_nodes):
         for v in blocks_nodes[int(e)]:
             mult[int(v)] = mult.get(int(v), 0) + 1
     return mult
-
-
-def _spf_dof_set(nested, partition):
-    out = set()
-    f_set = set(int(v) for v in partition.f_nodes)
-    for e in range(nested.coarse.n_elements):
-        tet = [int(v) for v in nested.coarse.tets[e]]
-        if any(v in partition.enriched_index for v in tet):
-            continue
-        for v in tet:
-            if v in f_set:
-                for c in range(3):
-                    out.add(3 * v + c)
-    return out
 
 
 def _patch_owner_ranks(sp_info, plan):
@@ -160,7 +154,7 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config
     mine = set(int(e) for e in plan.elements_of(ctx.rank))
 
     # element blocks (A_FF, B_F, T_Fk, P_Fk) for owned SP elements
-    const_trips, const_b = [], []
+    const_trips, const_b = state.const_trips, state.const_b
     for e in map(int, sp_info.sp_elements):
         if e not in mine:
             continue
@@ -186,14 +180,10 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config
         btmp_items.append(b)
 
     # shared metadata: identical on every rank (mesh is global, plan is global)
-    all_nodes = {e: np.unique(nested.micro[e]) for e in map(int, sp_info.sp_elements)}
-    block_nodes = {
-        e: np.array(sorted(set(int(v) for v in all_nodes[e]) - set(map(int, part.hanging_nodes))),
-                    dtype=np.int64)
-        for e in all_nodes
-    }
+    block_nodes = {e: hanging_fold(nested, np.unique(nested.micro[e]))[0]
+                   for e in map(int, sp_info.sp_elements)}
     state.mult = _node_multiplicity(nested, sp_info, block_nodes)
-    state.spf_dofs = _spf_dof_set(nested, part)
+    state.spf_nodes = set(map(int, spf_nodes(nested, part)))
     node_ranks: dict[int, set] = {}
     for e in map(int, sp_info.sp_elements):
         r = int(plan.element_rank[e])
@@ -213,7 +203,7 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config
                 if part.ref_dirichlet[dof]:
                     w = 0.0
                 scal_bnorm[3 * j + c] = w
-                scal_resi[3 * j + c] = 0.0 if dof in state.spf_dofs else w
+                scal_resi[3 * j + c] = 0.0 if int(v) in state.spf_nodes else w
         block.scaling = scal_resi
         block._scaling_bnorm = scal_bnorm
 
@@ -309,7 +299,7 @@ def _build_patch_systems(ctx, state, problem, plan):
         rows_d, cols_d, vals_d = [], [], []
         BI = np.zeros(nq)
         for e, nodes, A_FF, B_F in merged:
-            dof_ids = np.repeat(3 * nodes, 3) + np.tile(np.arange(3), len(nodes))
+            dof_ids = node_dofs(nodes)
             qi = np.array([q_index.get(int(d), -1) for d in dof_ids])
             di = np.array([d_index.get(int(d), -1) for d in dof_ids])
             coo = A_FF.tocoo()
@@ -397,7 +387,6 @@ def micro_scale_resolution(ctx, state, problem, plan):
         # gather boundary values (dof -> value) from member elements
         local_vals = {}
         for e, b in sorted(my_blocks):
-            idx = b.local_index()
             for j, v in enumerate(b.nodes):
                 for c in range(3):
                     dof = 3 * int(v) + c
@@ -534,12 +523,9 @@ def compute_b_norm(ctx, state, problem):
     part = problem.partition
     per_elem = {e: b.B_F for e, b in state.blocks.items()}
     spf_extra = {}
-    for dof in state.spf_dofs:
-        v, c = dof // 3, dof % 3
-        vec = spf_extra.setdefault(v, np.zeros(3))
-        gi = part.coarse_dof_index[dof]
-        if gi >= 0:
-            vec[c] = state.btmp[gi]
+    for v in state.spf_nodes:
+        gi = part.coarse_dof_index[3 * v: 3 * v + 3]
+        spf_extra[v] = np.where(gi >= 0, state.btmp[gi], 0.0)
     _accumulate_vr(ctx, state, per_elem, spf_extra)
     items = []
     for e, block in sorted(state.blocks.items()):
@@ -668,8 +654,8 @@ def _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich, flops):
     out = dd_solve_from_triplets(
         ctx,
         n=part.n_coarse_free,
-        const_trips=state.dd_const_trips,
-        const_b=state.dd_const_b,
+        const_trips=state.const_trips,
+        const_b=state.const_b,
         extra_trips=enrich,
         extra_b=b_enrich,
         eps=config.eps * 1e-2,
@@ -691,7 +677,7 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
     state.coarse_refresh = False
     state.dd_warm = None
     if config.coarse_strategy == "tsdd":
-        _prepare_dd_coarse(ctx, state, problem, plan, config)
+        _prepare_dd_coarse(state, problem)
 
     flops = {"factor": 0, "solve": 0}
     records: list[IterationRecord] = []
@@ -744,9 +730,9 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         if resi < best:
             best = resi
             worse = 0
-        elif resi > config.stagnation_factor * best:
+        elif resi > STAGNATION_FACTOR * best:
             worse += 1
-            if worse >= config.stagnation_window:
+            if worse >= STAGNATION_WINDOW:
                 break
         else:
             worse = 0
@@ -765,33 +751,20 @@ def _scatter_warm(state, problem, warm_u_r):
             block.u_F[3 * j: 3 * j + 3] = full[3 * int(v): 3 * int(v) + 3]
 
 
-def _prepare_dd_coarse(ctx, state, problem, plan, config):
-    """Cache this rank's constant coarse triplets and dof layout for dd."""
+def _prepare_dd_coarse(state, problem):
+    """Cache this rank's coarse dof layout for dd.
+
+    The layout holds the classical dofs of every owned element and the
+    enriched dofs of the owned SP elements; the constant triplets are the
+    ones ts_init kept on the rank state.
+    """
     from .transfer import element_classical_dofs, element_enriched_dofs
 
-    part = problem.partition
-    nested, sp_info = problem.nested, problem.sp_info
-    const_trips, const_b = [], []
-    dof_list = []
-    for e, block in sorted(state.blocks.items()):
-        t, b = coarse_triplets_constant(block, nested, part)
-        const_trips.append(t)
-        const_b.append(b)
-        cd = part.coarse_dof_index[element_classical_dofs(nested, e)]
-        ed = part.coarse_dof_index[element_enriched_dofs(nested, part, e)] if len(
-            element_enriched_dofs(nested, part, e)) else np.zeros(0, np.int64)
-        dof_list.append(cd[cd >= 0])
-        dof_list.append(ed[ed >= 0])
-    for e, nb in sorted(state.nsp_blocks.items()):
-        t, b = nsp_triplets(nb, part)
-        const_trips.append(t)
-        const_b.append(b)
-        cd = part.coarse_dof_index[element_classical_dofs(nested, e)]
-        dof_list.append(cd[cd >= 0])
-    state.dd_const_trips = const_trips
-    state.dd_const_b = const_b
-    state.dd_dofs = (np.unique(np.concatenate(dof_list))
-                     if dof_list else np.zeros(0, np.int64))
+    part, nested = problem.partition, problem.nested
+    dofs = [element_classical_dofs(nested, e) for e in (*state.blocks, *state.nsp_blocks)]
+    dofs += [element_enriched_dofs(nested, part, e) for e in state.blocks]
+    idx = part.coarse_dof_index[np.concatenate([np.zeros(0, np.int64), *dofs])]
+    state.dd_dofs = np.unique(idx[idx >= 0])
 
 
 def solve_case(problem: ProblemSetup, plan: PartitionPlan, config: TsConfig,

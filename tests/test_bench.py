@@ -217,3 +217,7 @@ def test_case_spec_validation():
         CaseSpec(sp_depth=0)
     with pytest.raises(ValueError):
         CaseSpec(solver="dd", ranks=1)
+    with pytest.raises(ValueError):
+        CaseSpec(ranks=0)
+    with pytest.raises(ValueError):
+        CaseSpec(solver="tsdd", ranks=1)

@@ -1,0 +1,24 @@
+"""The demo scripts run to completion against the package sources.
+
+cone_damage_stages.py is left out for its run time (about 45 s); the
+cone_box golden run covers its case builder.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ("cost_model_sweep.py", "cubic_convergence.py", "domain_decomposition.py",
+         "patch_scheduling.py")
+
+
+@pytest.mark.parametrize("script", DEMOS)
+def test_demo_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

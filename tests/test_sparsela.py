@@ -4,7 +4,6 @@ import scipy.sparse as sp
 
 from twoscalefem.sparsela import (
     SingularMatrixError,
-    SparseSym,
     factorize,
     pcg,
     solve,
@@ -64,19 +63,24 @@ def test_dense_gaussian_elimination_oracle():
         assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
 
 
-def test_sparsesym_accumulation():
-    S = SparseSym(3)
-    S.add_dense([0, 1], np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    S.add_dense([1, 2], np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    A = S.to_csc().toarray()
-    expect = np.array([[2.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 2.0]])
-    assert np.allclose(A, expect)
-
-
 def test_singularity_reports_dof():
     A = sp.diags([1.0, 1.0, 0.0, 1.0]).tocsc()
     with pytest.raises((SingularMatrixError, RuntimeError)):
         factorize(A)
+
+
+def test_exact_zero_pivot_with_roundoff_below_is_deflated():
+    # eliminating dof 0 leaves an exactly zero pivot on dof 1 with a round-off
+    # entry below it, which SuperLU would pivot on off the diagonal
+    d = 1e-17
+    A = sp.csc_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, d], [0.0, d, 1.0]]))
+    F = factorize(A, ordering="natural", null_pivot="drop")
+    assert F.dropped.sum() == 1
+    b = A @ np.array([1.0, 0.0, 2.0])
+    x = solve(F, b)
+    assert np.abs(A @ x - b).max() <= 1e-15
+    with pytest.raises(RuntimeError):
+        factorize(A, ordering="natural")
 
 
 def test_flop_counters_deterministic():

@@ -334,3 +334,5 @@ def test_config_validation():
         TsConfig(coarse_strategy="nope")
     with pytest.raises(ValueError):
         TsConfig(nbp_max=0)
+    with pytest.raises(ValueError):
+        TsConfig(max_iterations=0)
