@@ -562,11 +562,12 @@ def run_case(spec: CaseSpec, outdir=None):
             json.dump(summary, fh, indent=2)
         with open(os.path.join(outdir, "resi_history.csv"), "w") as fh:
             fh.write("iteration,resi,coarse_kind,pcg_iterations,wall_time,"
-                     "factor_flops,solve_flops\n")
+                     "factor_flops,solve_flops,deflated_pivots,pcg_fallback\n")
             for r in records:
                 fh.write(f"{r.iteration},{r.resi:.16e},{r.coarse_kind},"
                          f"{r.pcg_iterations},{r.wall_time:.6f},"
-                         f"{r.factor_flops},{r.solve_flops}\n")
+                         f"{r.factor_flops},{r.solve_flops},"
+                         f"{r.deflated_pivots},{int(r.pcg_fallback)}\n")
         with open(os.path.join(outdir, "field_u.txt"), "w") as fh:
             fh.write("# node  x  y  z  ux  uy  uz\n")
             for i, (p, u) in enumerate(zip(problem.nested.points, u_field)):

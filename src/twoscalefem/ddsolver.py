@@ -62,32 +62,27 @@ def dd_solve_from_triplets(
     else:
         dofs = np.unique(np.asarray(dof_set, dtype=np.int64))
 
-    all_dofs = ctx.allgather(dofs)
-    holders: dict[int, list[int]] = {}
-    for r, dl in enumerate(all_dofs):
-        for d in dl:
-            holders.setdefault(int(d), []).append(r)
+    # held[r, i]: rank r holds dofs[i]; a shared dof is owned by its lowest holder
+    held = np.array([np.isin(dofs, dl) for dl in ctx.allgather(dofs)])
 
-    local = {int(d): i for i, d in enumerate(dofs)}
-    nk = len(dofs)
+    nk = len(dofs)  # dofs is sorted and unique: searchsorted gives local indices
     rows = np.concatenate([t[1] for t in trips]) if trips else np.zeros(0, np.int64)
     cols = np.concatenate([t[2] for t in trips]) if trips else np.zeros(0, np.int64)
     vals = np.concatenate([t[3] for t in trips]) if trips else np.zeros(0)
-    lr = np.array([local[int(d)] for d in rows], dtype=np.int64)
-    lc = np.array([local[int(d)] for d in cols], dtype=np.int64)
-    A = sp.coo_matrix((vals, (lr, lc)), shape=(nk, nk)).tocsc()
+    A = sp.coo_matrix((vals, (np.searchsorted(dofs, rows), np.searchsorted(dofs, cols))),
+                      shape=(nk, nk)).tocsc()
     A.sum_duplicates()
     B = np.zeros(nk)
     for _, idx, v in bvecs:
-        li = np.array([local[int(d)] for d in idx], dtype=np.int64)
-        np.add.at(B, li, v)
+        np.add.at(B, np.searchsorted(dofs, idx), v)
 
-    shared = np.array([len(holders[int(d)]) >= 2 for d in dofs])
+    shared = held.sum(axis=0) >= 2
     I_idx = np.nonzero(~shared)[0]
     b_idx = np.nonzero(shared)[0]
     b_dofs = dofs[b_idx]
-    owner = {int(d): holders[int(d)][0] for d in b_dofs}
-    owned_mask = np.array([owner[int(d)] == ctx.rank for d in b_dofs], dtype=bool)
+    b_held = held[:, b_idx]
+    owner = np.argmax(b_held, axis=0)
+    owned_mask = owner == ctx.rank
 
     # condensation: S = A_bb - A_bI A_II^-1 A_Ib, column-blocked interior solves
     A_II = A[I_idx][:, I_idx].tocsc()
@@ -106,11 +101,8 @@ def dd_solve_from_triplets(
     B_b = B[b_idx] - (A_bI @ solve(F_II, B_I) if nI else 0.0)
 
     # communication tables over shared dofs
-    co_ranks = sorted({r for d in b_dofs for r in holders[int(d)] if r != ctx.rank})
-    send_idx = {
-        r: np.array([i for i, d in enumerate(b_dofs) if r in holders[int(d)]], dtype=np.int64)
-        for r in co_ranks
-    }
+    co_ranks = [r for r in range(ctx.size) if r != ctx.rank and b_held[r].any()]
+    send_idx = {r: np.nonzero(b_held[r])[0] for r in co_ranks}
 
     def exchange_sum(vec):
         """Assemble shared values: every replica receives the full sum."""
@@ -130,16 +122,15 @@ def dd_solve_from_triplets(
     for r in range(ctx.size):
         if r == ctx.rank:
             continue
-        t = np.array([i for i, d in enumerate(b_dofs) if owner[int(d)] == r], dtype=np.int64)
+        t = np.nonzero(owner == r)[0]
         if len(t) and r in co_ranks:
             pieces_out.setdefault(r, []).append((b_dofs[t], S[np.ix_(t, t)]))
     for r in co_ranks:
         ctx.send(r, pieces_out.get(r, []), tag=42)
     M_jj = S[np.ix_(j_local, j_local)].copy()
-    jpos = {int(b_dofs[i]): k for k, i in enumerate(j_local)}
     for r in co_ranks:
         for dl, Spart in ctx.recv(r, tag=42):
-            sel = np.array([jpos[int(d)] for d in dl], dtype=np.int64)
+            sel = np.searchsorted(b_dofs[j_local], dl)
             M_jj[np.ix_(sel, sel)] += Spart
     if len(j_local):
         try:
@@ -158,13 +149,9 @@ def dd_solve_from_triplets(
             z[j_local] = solve(F_M, r_vec[j_local])
         # owner values broadcast to co-holders
         for r in co_ranks:
-            sel = send_idx[r]
-            mine = [(int(b_dofs[i]), z[i]) for i in sel if owner[int(b_dofs[i])] == ctx.rank]
-            ctx.send(r, mine, tag=43)
+            ctx.send(r, z[send_idx[r][owned_mask[send_idx[r]]]], tag=43)
         for r in co_ranks:
-            for d, v in ctx.recv(r, tag=43):
-                if owner[d] == r:
-                    z[np.nonzero(b_dofs == d)[0][0]] = v
+            z[owner == r] = ctx.recv(r, tag=43)
         return z
 
     def dot(u, v):
@@ -175,14 +162,12 @@ def dd_solve_from_triplets(
     x_b, report = pcg(x0, apply_S, B_b, apply_M, eps, iter_max=iter_max, dot=dot)
     X_I = solve(F_II, B_I - A_Ib @ x_b) if nI else np.zeros(0)
 
-    pairs = [(int(dofs[i]), float(X_I[k])) for k, i in enumerate(I_idx)]
-    pairs += [(int(b_dofs[i]), float(x_b[i])) for i in j_local]
-    lists = ctx.gather(pairs, 0)
+    lists = ctx.gather((np.concatenate([dofs[I_idx], b_dofs[j_local]]),
+                        np.concatenate([X_I, x_b[j_local]])), 0)
     if ctx.rank == 0:
         x = np.zeros(n)
-        for lst in lists:
-            for d, v in lst:
-                x[d] = v
+        for idx, vals in lists:
+            x[idx] = vals
     else:
         x = None
     x = ctx.bcast(x, 0)

@@ -328,8 +328,9 @@ class ElementBlock:
     A_FF: sp.csr_matrix
     B_F: np.ndarray
     T_Fk: sp.csr_matrix | None = None
-    P_Fk: sp.csr_matrix | None = None
-    T_Fe: sp.csr_matrix | None = None
+    P_Fk: np.ndarray | None = None         # A_FF T_Fk, dense (3n, 12)
+    T_Fe: np.ndarray | None = None         # dense (3n, 3k)
+    transfer: object = None                # transfer.BlockTransfer, built once
     u_F: np.ndarray | None = None
     VR_F: np.ndarray | None = None
     scaling: np.ndarray | None = None

@@ -590,12 +590,6 @@ class DofPartition:
     def n_ref_free(self):
         return len(self.free_ref_dofs)
 
-    def coarse_dof(self, node, comp):
-        return 3 * node + comp
-
-    def enriched_dof(self, node, comp):
-        return 3 * self.n_coarse_nodes + 3 * self.enriched_index[int(node)] + comp
-
 
 def spf_nodes(nested: NestedMesh, partition: DofPartition) -> np.ndarray:
     """f-set nodes that also touch an NSP element (the SPF ring), ascending."""

@@ -63,6 +63,21 @@ class _Simulator:
                 out.append(r)
         return out
 
+    def hand_off(self):
+        """Wake the next runnable rank; wake the run loop when none is (or on abort).
+
+        Called by the rank giving up the turn, so a handover costs one thread
+        switch; the pick is the one the run loop would make.
+        """
+        cand = self.runnable()
+        if not cand or self.abort:
+            self.control.release()
+            return
+        pick = self.rng.choice(cand) if self.rng is not None else cand[0]
+        self.state[pick] = "ready"
+        self.wait_key[pick] = None
+        self.rank_sem[pick].release()
+
     def run(self, program, args_list):
         results = [None] * self.n
 
@@ -78,7 +93,7 @@ class _Simulator:
                 self.abort = True
             finally:
                 self.state[rank] = "done"
-                self.control.release()
+                self.hand_off()
 
         threads = [
             threading.Thread(target=entry, args=(r, args_list[r]), daemon=True)
@@ -105,10 +120,7 @@ class _Simulator:
                 if self.errors:
                     break  # a rank failure caused the stall; re-raised below
                 raise DeadlockError(f"all ranks blocked: {detail}")
-            pick = self.rng.choice(cand) if self.rng is not None else cand[0]
-            self.state[pick] = "ready"
-            self.wait_key[pick] = None
-            self.rank_sem[pick].release()
+            self.hand_off()
             self.control.acquire()
         for t in threads:
             t.join()
@@ -155,7 +167,7 @@ class RankContext:
                 raise _Abort()
             sim.state[self._world_rank] = "waiting"
             sim.wait_key[self._world_rank] = key
-            sim.control.release()
+            sim.hand_off()
             sim.rank_sem[self._world_rank].acquire()
             if sim.abort:
                 raise _Abort()

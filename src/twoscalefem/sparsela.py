@@ -86,25 +86,26 @@ def factorize(A, ordering: str = "mmd", null_pivot: str = "error") -> Factor:
     spec = {"mmd": "MMD_AT_PLUS_A", "natural": "NATURAL"}[ordering]
     lifted = set()
     while True:
-        try:
-            lu = splu(
-                As,
-                diag_pivot_thresh=0.0,
-                permc_spec=spec,
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as exc:  # SuperLU reports exact zeros itself
-            raise SingularMatrixError(-1, 0.0) from exc
-        if np.array_equal(lu.perm_r, lu.perm_c):
-            break
-        # SuperLU leaves the diagonal only for a pivot that is exactly zero
-        # while round-off remains below it.  Lifting that diagonal keeps the
+        # An exactly zero pivot either leaves a column with nothing left to
+        # pivot on (SuperLU raises) or, with round-off below it, makes
+        # SuperLU leave the diagonal.  Lifting that diagonal keeps the
         # sparsity, hence the ordering, and turns the pivot into a tiny one
         # that is deflated like any other pivot below PIVOT_RTOL.
-        row_at, col_at = np.argsort(lu.perm_r), np.argsort(lu.perm_c)
-        j = int(col_at[np.argmax(row_at != col_at)])
-        if null_pivot != "drop" or j in lifted:
-            raise RuntimeError("symmetric factorization produced asymmetric pivoting")
+        try:
+            lu = _splu(As, spec)
+        except RuntimeError as exc:
+            if null_pivot != "drop":
+                raise SingularMatrixError(-1, 0.0) from exc
+            j = _singular_column(As, spec)
+        else:
+            if np.array_equal(lu.perm_r, lu.perm_c):
+                break
+            if null_pivot != "drop":
+                raise RuntimeError("symmetric factorization produced asymmetric pivoting")
+            row_at, col_at = np.argsort(lu.perm_r), np.argsort(lu.perm_c)
+            j = int(col_at[np.argmax(row_at != col_at)])
+        if j in lifted:
+            raise SingularMatrixError(j, 0.0)
         lifted.add(j)
         As[j, j] += 0.5 * PIVOT_RTOL
     ds = lu.U.diagonal().copy()
@@ -133,6 +134,42 @@ def factorize(A, ordering: str = "mmd", null_pivot: str = "error") -> Factor:
         F._Ls = lu.L.tocsc()
         F._ds = ds
     return F
+
+
+def _splu(As, spec):
+    """SuperLU in symmetric mode: diagonal pivots, elimination order = ordering."""
+    return splu(As, diag_pivot_thresh=0.0, permc_spec=spec, options=dict(SymmetricMode=True))
+
+
+def _symmetric_pivots(As):
+    """True when SuperLU factorizes As on its diagonal, in the given order."""
+    try:
+        lu = _splu(As, "NATURAL")
+    except RuntimeError:
+        return False
+    return bool(np.array_equal(lu.perm_r, lu.perm_c))
+
+
+def _singular_column(As, spec):
+    """Column of the first exactly zero pivot that made SuperLU raise.
+
+    The ordering depends on the sparsity only, so a diagonally dominant
+    matrix of the same pattern reveals the elimination order; bisection then
+    finds the shortest leading block, in that order, that does not
+    factorize on its diagonal.
+    """
+    S = As.copy()
+    S.data[:] = -1.0
+    S = (S + sp.diags(np.diff(S.indptr) + 1.0)).tocsc()
+    order = np.argsort(_splu(S, spec).perm_c)
+    lo, hi = 0, len(order)  # the leading block of size lo factorizes, of size hi does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _symmetric_pivots(As[order[:mid]][:, order[:mid]].tocsc()):
+            lo = mid
+        else:
+            hi = mid
+    return int(order[hi - 1])
 
 
 def solve(F: Factor, b: np.ndarray) -> np.ndarray:

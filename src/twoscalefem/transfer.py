@@ -4,7 +4,9 @@ T_Fk carries the classical hat values of the coarse element at fine node
 locations; T_Fe carries the shifted local solutions multiplied by the
 enriched node's hat and re-interpolated on the fine mesh.  The coarse
 matrix keeps a constant part assembled once and enrichment-dependent
-blocks rebuilt every iteration.
+blocks rebuilt every iteration from dense per-element products; what a
+block's transfer does not change between iterations (BlockTransfer) is
+built once.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .elasticity import ElementBlock, NspBlock
-from .mesh import DofPartition, NestedMesh, SpInfo, _p1_weights
+from .elasticity import ElementBlock, NspBlock, node_dofs
+from .mesh import DofPartition, NestedMesh, SpInfo
 
 __all__ = [
     "build_tfk",
+    "block_transfer",
     "update_tfe",
     "enriched_corners",
     "CoarseSystem",
@@ -31,10 +34,16 @@ __all__ = [
 def barycentric_matrix(nested: NestedMesh, e: int, nodes) -> np.ndarray:
     """Hat values N^i(x_j) of coarse element e at the given fine nodes (n,4)."""
     coords = nested.points[nested.coarse.tets[e]]
-    out = np.empty((len(nodes), 4))
-    for j, v in enumerate(nodes):
-        out[j] = _p1_weights(coords, nested.points[int(v)])
-    return out
+    edges = (coords[1:] - coords[0]).T
+    lam = np.linalg.solve(edges, (nested.points[np.asarray(nodes, dtype=np.int64)] - coords[0]).T).T
+    return np.column_stack([1.0 - lam.sum(axis=1), lam])
+
+
+def _hat_matrix(nested: NestedMesh, e: int, nodes) -> np.ndarray:
+    """barycentric_matrix with round-off zeros made exact."""
+    N = barycentric_matrix(nested, e, nodes)
+    N[np.abs(N) < 1e-14] = 0.0
+    return N
 
 
 def build_tfk(block: ElementBlock, nested: NestedMesh) -> sp.csr_matrix:
@@ -43,23 +52,7 @@ def build_tfk(block: ElementBlock, nested: NestedMesh) -> sp.csr_matrix:
     Row (node j, comp c) holds N^i(x_j) at column (vertex i, comp c); rows of
     fine nodes sitting on coarse vertices are unit vectors.
     """
-    N = barycentric_matrix(nested, block.element, block.nodes)
-    N[np.abs(N) < 1e-14] = 0.0
-    n = len(block.nodes)
-    # fine dof (j, c) -> columns (i, c), one hat value per coarse vertex
-    rows = []
-    cols = []
-    vals = []
-    for j in range(n):
-        for c in range(3):
-            for i in range(4):
-                w = N[j, i]
-                if w != 0.0:
-                    rows.append(3 * j + c)
-                    cols.append(3 * i + c)
-                    vals.append(w)
-    T = sp.csr_matrix((vals, (rows, cols)), shape=(3 * n, 12))
-    return T
+    return sp.csr_matrix(np.kron(_hat_matrix(nested, block.element, block.nodes), np.eye(3)))
 
 
 def enriched_corners(nested: NestedMesh, partition: DofPartition, e: int) -> list[int]:
@@ -67,13 +60,66 @@ def enriched_corners(nested: NestedMesh, partition: DofPartition, e: int) -> lis
     return sorted(int(v) for v in nested.coarse.tets[e] if int(v) in partition.enriched_index)
 
 
+@dataclass
+class BlockTransfer:
+    """Constants of one SP block's transfer, built on first use and kept on the block.
+
+    corner_hat holds the hat columns (n, k) of the k enriched corners and
+    corner_row each corner's block-local node; dirichlet masks the 3n rows
+    that T_Fe leaves zero.  c_dofs/e_dofs are the coarse dofs of the 12
+    classical and 3k enriched columns.  rows/cols/keep scatter the row-major
+    concatenation of A_ee, A_ek and A_ek^T into free coarse positions;
+    e_free/e_keep do the same for B_e.
+    """
+
+    corners: list[int]
+    corner_hat: np.ndarray
+    corner_row: np.ndarray
+    dirichlet: np.ndarray
+    c_dofs: np.ndarray
+    e_dofs: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    keep: np.ndarray
+    e_free: np.ndarray
+    e_keep: np.ndarray
+
+
+def block_transfer(block: ElementBlock, nested: NestedMesh, partition: DofPartition) -> BlockTransfer:
+    """The block's BlockTransfer, built once."""
+    if block.transfer is None:
+        e = block.element
+        tet = [int(v) for v in nested.coarse.tets[e]]
+        corners = enriched_corners(nested, partition, e)
+        hat = _hat_matrix(nested, e, block.nodes)
+        c_dofs = element_classical_dofs(nested, e)
+        e_dofs = element_enriched_dofs(nested, partition, e)
+        blocks = [_free_pairs(partition, r, c) for r, c in
+                  ((e_dofs, e_dofs), (e_dofs, c_dofs), (c_dofs, e_dofs))]
+        e_free = partition.coarse_dof_index[e_dofs]
+        block.transfer = BlockTransfer(
+            corners=corners,
+            corner_hat=hat[:, [tet.index(p) for p in corners]],
+            corner_row=np.searchsorted(block.nodes, corners),
+            dirichlet=partition.ref_dirichlet[node_dofs(block.nodes)],
+            c_dofs=c_dofs,
+            e_dofs=e_dofs,
+            rows=np.concatenate([b[0] for b in blocks]),
+            cols=np.concatenate([b[1] for b in blocks]),
+            keep=np.concatenate([b[2] for b in blocks]),
+            e_free=e_free[e_free >= 0],
+            e_keep=e_free >= 0,
+        )
+    return block.transfer
+
+
 def update_tfe(
     block: ElementBlock,
     nested: NestedMesh,
     partition: DofPartition,
     patch_fields: dict[int, np.ndarray],
-) -> sp.csr_matrix:
-    """Shifted-enrichment transfer of one SP element.
+) -> np.ndarray:
+    """Shifted-enrichment transfer of one SP element, dense (3n, 3k).
 
     patch_fields maps each enriched corner node p to the full local field of
     patch p evaluated at block.nodes, shape (n, 3): solved interior values,
@@ -84,33 +130,17 @@ def update_tfe(
     through their fields; transition elements are handled by the caller
     passing no field (column block left zero).
     """
-    corners = enriched_corners(nested, partition, block.element)
-    n = len(block.nodes)
-    ncols = 3 * len(corners)
-    if ncols == 0:
-        return sp.csr_matrix((3 * n, 0))
-    N = barycentric_matrix(nested, block.element, block.nodes)
-    tet = [int(v) for v in nested.coarse.tets[block.element]]
-    node_pos = {int(v): j for j, v in enumerate(block.nodes)}
-    dir_mask = partition.ref_dirichlet
-
-    rows, cols, vals = [], [], []
-    for ci, p in enumerate(corners):
+    tr = block_transfer(block, nested, partition)
+    n, k = len(block.nodes), len(tr.corners)
+    T = np.zeros((n, 3, k, 3))
+    comp = np.arange(3)
+    for ci, p in enumerate(tr.corners):
         fld = patch_fields.get(p)
-        if fld is None:
-            continue
-        hat = N[:, tet.index(p)]
-        shift = fld[node_pos[p]]
-        for c in range(3):
-            col = 3 * ci + c
-            colvals = hat * (fld[:, c] - shift[c])
-            for j in range(n):
-                v = colvals[j]
-                if v != 0.0 and not dir_mask[3 * int(block.nodes[j]) + c]:
-                    rows.append(3 * j + c)
-                    cols.append(col)
-                    vals.append(v)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(3 * n, ncols))
+        if fld is not None:
+            T[:, comp, ci, comp] = tr.corner_hat[:, ci, None] * (fld - fld[tr.corner_row[ci]])
+    T = T.reshape(3 * n, 3 * k)
+    T[tr.dirichlet] = 0.0
+    return T
 
 
 @dataclass
@@ -162,74 +192,59 @@ class CoarseSystem:
         return A, B
 
 
-def _free_scatter(partition: DofPartition, coarse_dofs):
-    """Map coarse dof ids to free positions; -1 entries are dropped by callers."""
-    return partition.coarse_dof_index[np.asarray(coarse_dofs, dtype=np.int64)]
-
-
 def element_classical_dofs(nested: NestedMesh, e: int) -> np.ndarray:
-    tet = nested.coarse.tets[e]
-    return np.concatenate([[3 * int(v), 3 * int(v) + 1, 3 * int(v) + 2] for v in tet])
+    return node_dofs(nested.coarse.tets[e])
 
 
 def element_enriched_dofs(nested: NestedMesh, partition: DofPartition, e: int) -> np.ndarray:
-    corners = enriched_corners(nested, partition, e)
-    out = []
-    for p in corners:
-        for c in range(3):
-            out.append(partition.enriched_dof(p, c))
-    return np.asarray(out, dtype=np.int64)
+    idx = [partition.enriched_index[p] for p in enriched_corners(nested, partition, e)]
+    return 3 * partition.n_coarse_nodes + node_dofs(np.asarray(idx, dtype=np.int64))
 
 
-def _dense_triplets(eid, M, row_dofs, col_dofs, partition):
-    """Free-index triplets of a small dense block, Dirichlet rows/cols dropped."""
-    r = _free_scatter(partition, row_dofs)
-    c = _free_scatter(partition, col_dofs)
-    rr, cc = np.meshgrid(r, c, indexing="ij")
-    keep = (rr >= 0) & (cc >= 0)
-    vals = np.asarray(M)[keep]
-    return (eid, rr[keep], cc[keep], vals)
+def _free_pairs(partition, row_dofs, col_dofs):
+    """Free-index (rows, cols) of a dense block in row-major order, and its keep mask.
+
+    Pairs with a Dirichlet row or column are dropped.
+    """
+    rr, cc = np.meshgrid(partition.coarse_dof_index[row_dofs],
+                         partition.coarse_dof_index[col_dofs], indexing="ij")
+    keep = ((rr >= 0) & (cc >= 0)).ravel()
+    return rr.ravel()[keep], cc.ravel()[keep], keep
+
+
+def _dense_triplets(eid, M, dofs, B, partition):
+    """Free-index triplets of a square dense block and its load vector."""
+    rows, cols, keep = _free_pairs(partition, dofs, dofs)
+    idx = partition.coarse_dof_index[dofs]
+    return (eid, rows, cols, np.asarray(M).ravel()[keep]), (eid, idx[idx >= 0], B[idx >= 0])
 
 
 def coarse_triplets_constant(block: ElementBlock, nested, partition):
     """A_kk = T_Fk^T P_Fk and B_k = T_Fk^T B_F of one SP element, free-indexed."""
-    A_kk = (block.T_Fk.T @ block.P_Fk).toarray()
-    dofs = element_classical_dofs(nested, block.element)
-    trip = _dense_triplets(block.element, A_kk, dofs, dofs, partition)
-    bk = block.T_Fk.T @ block.B_F
-    idx = _free_scatter(partition, dofs)
-    keep = idx >= 0
-    return trip, (block.element, idx[keep], bk[keep])
+    return _dense_triplets(block.element, block.T_Fk.T @ block.P_Fk,
+                           element_classical_dofs(nested, block.element),
+                           block.T_Fk.T @ block.B_F, partition)
 
 
 def nsp_triplets(nsp: NspBlock, partition):
     """Coarse stiffness of an NSP element at classical free positions."""
-    dofs = np.concatenate([[3 * int(v), 3 * int(v) + 1, 3 * int(v) + 2] for v in nsp.nodes])
-    trip = _dense_triplets(nsp.element, nsp.K, dofs, dofs, partition)
-    idx = _free_scatter(partition, dofs)
-    keep = idx >= 0
-    return trip, (nsp.element, idx[keep], nsp.B[keep])
+    return _dense_triplets(nsp.element, nsp.K, node_dofs(nsp.nodes), nsp.B, partition)
 
 
 def coarse_triplets_enrichment(block: ElementBlock, nested, partition):
-    """(e,e) and (e,k)+(k,e) blocks plus B_e of one SP element, free-indexed."""
+    """(e,e) and (e,k)+(k,e) blocks plus B_e of one SP element, free-indexed.
+
+    A_ee = T_Fe^T (A_FF T_Fe), A_ek = T_Fe^T P_Fk, B_e = T_Fe^T B_F, dense.
+    """
     T_Fe = block.T_Fe
-    e_dofs = element_enriched_dofs(nested, partition, block.element)
-    if T_Fe is None or T_Fe.shape[1] == 0 or T_Fe.nnz == 0:
+    if T_Fe is None or not T_Fe.any():
         return None
-    A_ee = (T_Fe.T @ block.A_FF @ T_Fe).toarray()
-    A_ek = (T_Fe.T @ block.P_Fk).toarray()
-    c_dofs = element_classical_dofs(nested, block.element)
-    t1 = _dense_triplets(block.element, A_ee, e_dofs, e_dofs, partition)
-    t2 = _dense_triplets(block.element, A_ek, e_dofs, c_dofs, partition)
-    t3 = _dense_triplets(block.element, A_ek.T, c_dofs, e_dofs, partition)
-    rows = np.concatenate([t1[1], t2[1], t3[1]])
-    cols = np.concatenate([t1[2], t2[2], t3[2]])
-    vals = np.concatenate([t1[3], t2[3], t3[3]])
+    tr = block_transfer(block, nested, partition)
+    A_ee = T_Fe.T @ (block.A_FF @ T_Fe)
+    A_ek = T_Fe.T @ block.P_Fk
+    vals = np.concatenate([A_ee.ravel(), A_ek.ravel(), A_ek.T.ravel()])[tr.keep]
     be = T_Fe.T @ block.B_F
-    idx = _free_scatter(partition, e_dofs)
-    keep = idx >= 0
-    return (block.element, rows, cols, vals), (block.element, idx[keep], be[keep])
+    return (block.element, tr.rows, tr.cols, vals), (block.element, tr.e_free, be[tr.e_keep])
 
 
 def monolithic_transfer(nested, sp_info: SpInfo, partition: DofPartition, blocks, patch_fields_all):
@@ -241,36 +256,23 @@ def monolithic_transfer(nested, sp_info: SpInfo, partition: DofPartition, blocks
     """
     n_r = partition.n_ref_free
     n_g = partition.n_coarse_free
-    entries: dict[tuple[int, int], float] = {}
-
     # h rows: identity against the matching coarse dofs
-    for v in partition.h_nodes:
-        for c in range(3):
-            ri = partition.ref_dof_index[3 * int(v) + c]
-            gi = partition.coarse_dof_index[3 * int(v) + c]
-            if ri >= 0 and gi >= 0:
-                entries[(ri, gi)] = 1.0
-
+    h = node_dofs(partition.h_nodes)
+    rows, cols = [partition.ref_dof_index[h]], [partition.coarse_dof_index[h]]
+    vals = [np.ones(len(h))]
     for e, block in sorted(blocks.items()):
-        c_dofs = element_classical_dofs(nested, e)
-        e_dofs = element_enriched_dofs(nested, partition, e)
-        Tk = block.T_Fk.tocoo()
-        for r, c, v in zip(Tk.row, Tk.col, Tk.data):
-            node = int(block.nodes[r // 3])
-            ri = partition.ref_dof_index[3 * node + (r % 3)]
-            gi = partition.coarse_dof_index[c_dofs[c]]
-            if ri >= 0 and gi >= 0:
-                entries[(ri, gi)] = v
-        if block.T_Fe is not None and block.T_Fe.nnz:
-            Te = block.T_Fe.tocoo()
-            for r, c, v in zip(Te.row, Te.col, Te.data):
-                node = int(block.nodes[r // 3])
-                ri = partition.ref_dof_index[3 * node + (r % 3)]
-                gi = partition.coarse_dof_index[e_dofs[c]]
-                if ri >= 0 and gi >= 0:
-                    entries[(ri, gi)] = v
-
-    rows = np.array([k[0] for k in entries], dtype=np.int64)
-    cols = np.array([k[1] for k in entries], dtype=np.int64)
-    vals = np.array(list(entries.values()))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_r, n_g))
+        T = block.T_Fk.toarray()
+        col_dofs = element_classical_dofs(nested, e)
+        if block.T_Fe is not None:
+            T = np.hstack([T, block.T_Fe])
+            col_dofs = np.concatenate([col_dofs, element_enriched_dofs(nested, partition, e)])
+        r, c = np.nonzero(T)
+        rows.append(partition.ref_dof_index[node_dofs(block.nodes)][r])
+        cols.append(partition.coarse_dof_index[col_dofs][c])
+        vals.append(T[r, c])
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    keep = (rows >= 0) & (cols >= 0)
+    # an entry shared by several blocks keeps the value of the highest element id
+    rows, cols, vals = rows[keep][::-1], cols[keep][::-1], vals[keep][::-1]
+    _, last = np.unique(rows * n_g + cols, return_index=True)
+    return sp.csr_matrix((vals[last], (rows[last], cols[last])), shape=(n_r, n_g))

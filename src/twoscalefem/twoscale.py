@@ -20,7 +20,6 @@ from .elasticity import (
     Material,
     assemble_element_block,
     assemble_nsp,
-    hanging_fold,
     node_dofs,
     traction_face_table,
 )
@@ -30,10 +29,10 @@ from .scheduler import Schedule, build_schedule
 from .sparsela import SingularMatrixError, factorize, pcg, solve
 from .transfer import (
     CoarseSystem,
+    block_transfer,
     build_tfk,
     coarse_triplets_constant,
     coarse_triplets_enrichment,
-    enriched_corners,
     nsp_triplets,
     update_tfe,
 )
@@ -66,6 +65,8 @@ class TsConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.nbp_max < 1:
             raise ValueError("nbp_max must be >= 1")
+        if self.pcg_iter_max < 1:
+            raise ValueError("pcg_iter_max must be >= 1")
         if self.coarse_strategy not in ("tsd", "tsi", "tsdd"):
             raise ValueError(f"unknown coarse strategy {self.coarse_strategy}")
 
@@ -90,6 +91,8 @@ class IterationRecord:
     wall_time: float
     factor_flops: int
     solve_flops: int
+    deflated_pivots: int = 0      # coarse pivots the direct factorization dropped
+    pcg_fallback: bool = False    # tsi's PCG did not converge: solved directly
 
 
 @dataclass
@@ -109,19 +112,20 @@ class _RankState:
     """Everything one rank holds between procedures."""
 
     def __init__(self):
-        self.blocks = {}            # element -> ElementBlock
+        self.blocks = {}            # element -> ElementBlock, ascending element id
         self.nsp_blocks = {}
         self.const_trips = []       # constant coarse triplets of the owned elements
         self.const_b = []
-        self.patch_sys = {}         # patch index -> dict with factor etc.
+        self.patch_sys = {}         # patch index -> dict with factor etc. (owner only)
+        self.patch_scatter = {}     # patch index -> [(own member, field positions)]
         self.patch_fields = {}      # element -> {enriched corner -> field array}
         self.norm_B = 0.0
         self.coarse = None          # CoarseSystem on the solving rank
         self.coarse_factor = None
         self.schedule = None
-        self.mult = None            # node -> SP replica count
-        self.node_ranks = None      # node -> ranks holding incident SP elements
-        self.spf_nodes = None       # set of SPF ring nodes
+        self.groups = None          # per schedule sequence: subgroup or None
+        self.fold = None            # _FoldTables of the owned blocks' nodes
+        self.spf_nodes = None       # SPF ring nodes, ascending
         self.btmp = None            # coarse classical NSP load vector (full)
         self.u_prev_coarse = None
 
@@ -130,12 +134,41 @@ class _RankState:
 # initialization
 
 
-def _node_multiplicity(nested, sp_info, blocks_nodes):
-    mult = {}
-    for e in sp_info.sp_elements:
-        for v in blocks_nodes[int(e)]:
-            mult[int(v)] = mult.get(int(v), 0) + 1
-    return mult
+@dataclass
+class _FoldTables:
+    """Node -> (element, slot) tables of the assembled-vector fold.
+
+    A row is one (SP element, slot) pair; rows are numbered in ascending
+    element order, slots ascending within an element.  Every row touching
+    one of ``nodes`` (the nodes of this rank's blocks) is folded in row
+    order, so each node sums its contributions in element-id order
+    whatever the rank layout.
+    """
+
+    nodes: np.ndarray       # fold targets, ascending
+    target: np.ndarray      # target position of each folded row
+    own: np.ndarray         # folded-row position of each owned row
+    send: dict              # neighbour rank -> owned rows it folds
+    recv: dict              # neighbour rank -> folded-row positions of its rows
+    block_pos: dict         # owned element -> target positions of its nodes
+
+
+def _fold_tables(rank, plan, block_nodes):
+    elems = sorted(block_nodes)
+    row_node = np.concatenate([np.zeros(0, np.int64), *(block_nodes[e] for e in elems)])
+    row_rank = np.repeat(plan.element_rank[elems], [len(block_nodes[e]) for e in elems])
+    nodes = np.unique(row_node[row_rank == rank])
+    folded = np.nonzero(np.isin(row_node, nodes))[0]
+    owned = row_node[row_rank == rank]
+    send, recv = {}, {}
+    for r in np.unique(row_rank[folded]):
+        if r != rank:
+            recv[int(r)] = np.nonzero(row_rank[folded] == r)[0]
+            send[int(r)] = np.nonzero(np.isin(owned, row_node[row_rank == r]))[0]
+    return _FoldTables(nodes, np.searchsorted(nodes, row_node[folded]),
+                       np.nonzero(row_rank[folded] == rank)[0], send, recv,
+                       {e: np.searchsorted(nodes, block_nodes[e])
+                        for e in elems if plan.element_rank[e] == rank})
 
 
 def _patch_owner_ranks(sp_info, plan):
@@ -160,9 +193,8 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config
             continue
         block = assemble_element_block(e, nested, mat, loads, tr_table)
         block.T_Fk = build_tfk(block, nested)
-        block.P_Fk = (block.A_FF @ block.T_Fk).tocsr()
+        block.P_Fk = (block.A_FF @ block.T_Fk).toarray()
         block.u_F = np.zeros(block.ndof)
-        block.VR_F = np.zeros(block.ndof)
         state.blocks[e] = block
         t, b = coarse_triplets_constant(block, nested, part)
         const_trips.append(t)
@@ -180,41 +212,24 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config
         btmp_items.append(b)
 
     # shared metadata: identical on every rank (mesh is global, plan is global)
-    block_nodes = {e: hanging_fold(nested, np.unique(nested.micro[e]))[0]
-                   for e in map(int, sp_info.sp_elements)}
-    state.mult = _node_multiplicity(nested, sp_info, block_nodes)
-    state.spf_nodes = set(map(int, spf_nodes(nested, part)))
-    node_ranks: dict[int, set] = {}
-    for e in map(int, sp_info.sp_elements):
-        r = int(plan.element_rank[e])
-        for v in block_nodes[e]:
-            node_ranks.setdefault(int(v), set()).add(r)
-    state.node_ranks = {v: tuple(sorted(rs)) for v, rs in node_ranks.items()}
+    hanging = np.fromiter(nested.hanging, np.int64, len(nested.hanging))
+    block_nodes = {e: np.setdiff1d(nested.micro[e], hanging) for e in map(int, sp_info.sp_elements)}
+    state.fold = _fold_tables(ctx.rank, plan, block_nodes)
+    state.spf_nodes = spf_nodes(nested, part)
+    mult = np.bincount(np.concatenate([np.zeros(0, np.int64), *block_nodes.values()]))
 
-    # scaling diagonals per owned block
+    # scaling diagonals per owned block: 1/multiplicity, 0 on Dirichlet rows,
+    # and 0 on the SPF ring rows of the residual
     for e, block in state.blocks.items():
-        scal_resi = np.empty(block.ndof)
-        scal_bnorm = np.empty(block.ndof)
-        for j, v in enumerate(block.nodes):
-            m = state.mult[int(v)]
-            for c in range(3):
-                dof = 3 * int(v) + c
-                w = 1.0 / m
-                if part.ref_dirichlet[dof]:
-                    w = 0.0
-                scal_bnorm[3 * j + c] = w
-                scal_resi[3 * j + c] = 0.0 if int(v) in state.spf_nodes else w
-        block.scaling = scal_resi
-        block._scaling_bnorm = scal_bnorm
+        w = np.repeat(1.0 / mult[block.nodes], 3)
+        w[part.ref_dirichlet[node_dofs(block.nodes)]] = 0.0
+        block._scaling_bnorm = w
+        block.scaling = np.where(np.repeat(np.isin(block.nodes, state.spf_nodes), 3), 0.0, w)
 
     # NSP load vector over coarse classical free dofs, summed deterministically
-    n_free = part.n_coarse_free
-    local_btmp = np.zeros(n_free)
-    for eid, idx, vals in btmp_items:
-        np.add.at(local_btmp, idx, vals)
-    gathered = ctx.gather([(eid, idx, vals) for eid, idx, vals in btmp_items], 0)
+    gathered = ctx.gather(btmp_items, 0)
     if ctx.rank == 0:
-        btmp = np.zeros(n_free)
+        btmp = np.zeros(part.n_coarse_free)
         flat = sorted((t for lst in gathered for t in lst), key=lambda t: t[0])
         for eid, idx, vals in flat:
             np.add.at(btmp, idx, vals)
@@ -266,21 +281,42 @@ def _route_to_root(ctx, config, items):
     return [t for lst in lists for t in lst]
 
 
-def _patch_members(sp_info, plan, pi):
-    return [int(e) for e in sp_info.patches[pi].elements]
+def _positions(sorted_ids, ids):
+    """Position of each id in the ascending array sorted_ids, -1 where absent."""
+    pos = np.searchsorted(sorted_ids, ids)
+    found = pos < len(sorted_ids)
+    found[found] = sorted_ids[pos[found]] == ids[found]
+    return np.where(found, pos, -1)
 
 
 def _build_patch_systems(ctx, state, problem, plan):
-    """Assemble and factorize A_qq per patch; owner is the lowest participant."""
+    """Assemble and factorize A_qq per patch; owner is the lowest participant.
+
+    Also builds the patch's gather/scatter index arrays: every participant
+    keeps, per own member element, the position of each local dof in the
+    owner's broadcast [u_q, u_d, 0] (Dirichlet dofs read the 0), and the
+    owner keeps d_src, the position of each d dof's value in the
+    concatenated member u_F vectors as they arrive.  A d dof takes its
+    value from the highest-id member element holding it, so the patch
+    data do not depend on the rank layout.
+    """
     sp_info, part = problem.sp_info, problem.partition
 
     def handle_patch(pi, group):
         sets = part.patch_sets[pi]
-        members = _patch_members(sp_info, plan, pi)
-        owner_world = state.patch_owner[pi][0]
-        my_blocks = [(e, state.blocks[e]) for e in members
+        q_dofs, d_dofs = sets["q"], sets["d"]
+        nq, nd = len(q_dofs), len(d_dofs)
+        my_blocks = [state.blocks[e] for e in map(int, sp_info.patches[pi].elements)
                      if int(plan.element_rank[e]) == ctx.rank]
-        payload = [(e, b.nodes, b.A_FF, b.B_F) for e, b in sorted(my_blocks)]
+        scatter = []
+        for b in my_blocks:
+            dofs = node_dofs(b.nodes)
+            qi, di = _positions(q_dofs, dofs), _positions(d_dofs, dofs)
+            pos = np.where(qi >= 0, qi, np.where(di >= 0, nq + di, nq + nd))
+            pos[part.ref_dirichlet[dofs]] = nq + nd
+            scatter.append((b.element, pos))
+        state.patch_scatter[pi] = scatter
+        payload = [(b.element, b.nodes, b.A_FF, b.B_F) for b in my_blocks]
         if group is not None:
             pieces = group.gather(payload, root=0)
             is_owner = group.rank == 0
@@ -289,19 +325,17 @@ def _build_patch_systems(ctx, state, problem, plan):
             is_owner = True
         if not is_owner:
             return
-        merged = sorted((t for lst in pieces for t in lst), key=lambda t: t[0])
-        q_dofs = sets["q"]
-        d_dofs = sets["d"]
-        q_index = {int(d): i for i, d in enumerate(q_dofs)}
-        d_index = {int(d): i for i, d in enumerate(d_dofs)}
-        nq, nd = len(q_dofs), len(d_dofs)
+        arrived = [t for lst in pieces for t in lst]
+        offsets = np.cumsum([0] + [3 * len(t[1]) for t in arrived])
+        d_src = np.full(nd, -1, dtype=np.int64)
         rows_q, cols_q, vals_q = [], [], []
         rows_d, cols_d, vals_d = [], [], []
         BI = np.zeros(nq)
-        for e, nodes, A_FF, B_F in merged:
+        for k in np.argsort([t[0] for t in arrived]):  # ascending element id
+            e, nodes, A_FF, B_F = arrived[k]
             dof_ids = node_dofs(nodes)
-            qi = np.array([q_index.get(int(d), -1) for d in dof_ids])
-            di = np.array([d_index.get(int(d), -1) for d in dof_ids])
+            qi, di = _positions(q_dofs, dof_ids), _positions(d_dofs, dof_ids)
+            d_src[di[di >= 0]] = offsets[k] + np.nonzero(di >= 0)[0]
             coo = A_FF.tocoo()
             r_q = qi[coo.row]
             c_q = qi[coo.col]
@@ -329,13 +363,7 @@ def _build_patch_systems(ctx, state, problem, plan):
         except SingularMatrixError as exc:
             raise SingularMatrixError(exc.dof, exc.pivot) from RuntimeError(
                 f"patch {sp_info.patches[pi].node} has a singular interior matrix")
-        state.patch_sys[pi] = {
-            "factor": factor,
-            "BI": BI,
-            "D_qd": -A_qd,
-            "q_dofs": np.asarray(q_dofs, dtype=np.int64),
-            "d_dofs": np.asarray(d_dofs, dtype=np.int64),
-        }
+        state.patch_sys[pi] = {"factor": factor, "BI": BI, "D_qd": -A_qd, "d_src": d_src}
 
     _iterate_schedule(ctx, state, problem, plan, handle_patch)
 
@@ -343,26 +371,26 @@ def _build_patch_systems(ctx, state, problem, plan):
 def _iterate_schedule(ctx, state, problem, plan, fn):
     """Visit patches sequence by sequence (subgroups for distributed ones).
 
-    fn(patch_index, subgroup_or_None); local patches pass None.  A rank
-    joining two patches in one sequence would deadlock the subgroup
-    collectives, which the schedule guarantees against (asserted).
+    fn(patch_index, subgroup_or_None); local patches pass None.  The
+    schedule is fixed, so the subgroups are split once, on the first visit,
+    and reused.  A rank joining two patches in one sequence would deadlock
+    the subgroup collectives, which the schedule guarantees against
+    (asserted).
     """
     sched = state.schedule
     M = sched.M
-    for s in range(sched.n_sequences):
-        col = M[:, s]
-        my = int(col[ctx.rank])
-        color = my if my >= 0 else None
-        owners = state.patch_owner
-        if my >= 0 and len(owners[my]) >= 2:
-            assert list(np.nonzero(col == my)[0]) == list(owners[my]), \
-                "schedule violation: participant mismatch"
-            group = ctx.split_by_color(int(my))
-            fn(my, group)
-        else:
-            ctx.split_by_color(None)
-            if my >= 0:
-                fn(my, None)
+    if state.groups is None:
+        state.groups = []
+        for s in range(sched.n_sequences):
+            my = int(M[ctx.rank, s])
+            distributed = my >= 0 and len(state.patch_owner[my]) >= 2
+            if distributed:
+                assert list(np.nonzero(M[:, s] == my)[0]) == list(state.patch_owner[my]), \
+                    "schedule violation: participant mismatch"
+            state.groups.append(ctx.split_by_color(my if distributed else None))
+    for s, group in enumerate(state.groups):
+        if M[ctx.rank, s] >= 0:
+            fn(int(M[ctx.rank, s]), group)
     done = {int(p) for s in range(sched.n_sequences) for p in M[:, s] if p >= 0}
     for p in sched.L_o[ctx.rank]:
         if p not in done:
@@ -374,58 +402,38 @@ def _iterate_schedule(ctx, state, problem, plan, fn):
 
 
 def micro_scale_resolution(ctx, state, problem, plan):
-    """Solve every patch with the current boundary data from u_F."""
-    sp_info, part = problem.sp_info, problem.partition
-    nested = problem.nested
+    """Solve every patch with the current boundary data from u_F.
+
+    The owner of a distributed patch broadcasts its solution and moves on;
+    the other participants only send their boundary values during the pass
+    and receive the solutions once it is done, so within the pass a rank
+    waits only for the boundary values of the patches it solves.
+    """
+    sp_info = problem.sp_info
     state.patch_fields = {e: {} for e in state.blocks}
+    pending = []
+
+    def store(pi, sol):
+        for e, pos in state.patch_scatter[pi]:
+            state.patch_fields[e][sp_info.patches[pi].node] = sol[pos].reshape(-1, 3)
 
     def handle_patch(pi, group):
-        sets = part.patch_sets[pi]
-        members = _patch_members(sp_info, plan, pi)
-        my_blocks = [(e, state.blocks[e]) for e in members
-                     if int(plan.element_rank[e]) == ctx.rank]
-        # gather boundary values (dof -> value) from member elements
-        local_vals = {}
-        for e, b in sorted(my_blocks):
-            for j, v in enumerate(b.nodes):
-                for c in range(3):
-                    dof = 3 * int(v) + c
-                    local_vals[dof] = b.u_F[3 * j + c]
+        u_mine = [state.blocks[e].u_F for e, _ in state.patch_scatter[pi]]
+        pieces = [u_mine] if group is None else group.gather(u_mine, root=0)
+        if pieces is None:
+            pending.append((pi, group))
+            return
+        sysd = state.patch_sys[pi]
+        u_d = np.concatenate([u for lst in pieces for u in lst])[sysd["d_src"]]
+        u_q = solve(sysd["factor"], sysd["BI"] + sysd["D_qd"] @ u_d)
+        sol = np.concatenate([u_q, u_d, [0.0]])
         if group is not None:
-            pieces = group.gather(local_vals, root=0)
-            is_owner = group.rank == 0
-        else:
-            pieces = [local_vals]
-            is_owner = True
-        sol_nodes = None
-        if is_owner:
-            sysd = state.patch_sys[pi]
-            dmap = {}
-            for d in pieces:
-                dmap.update(d)
-            u_d = np.array([dmap[int(d)] for d in sysd["d_dofs"]])
-            B_q = sysd["BI"] + sysd["D_qd"] @ u_d
-            u_q = solve(sysd["factor"], B_q)
-            full = dict(zip((int(d) for d in sysd["q_dofs"]), u_q))
-            for d, v in zip(sysd["d_dofs"], u_d):
-                full[int(d)] = v
-            sol_nodes = full
-        if group is not None:
-            sol_nodes = group.bcast(sol_nodes, root=0)
-        # store the per-element field of this patch
-        p_node = sp_info.patches[pi].node
-        for e, b in my_blocks:
-            arr = np.zeros((len(b.nodes), 3))
-            for j, v in enumerate(b.nodes):
-                for c in range(3):
-                    dof = 3 * int(v) + c
-                    if part.ref_dirichlet[dof]:
-                        arr[j, c] = 0.0
-                    else:
-                        arr[j, c] = sol_nodes[dof]
-            state.patch_fields[e][p_node] = arr
+            group.bcast(sol, root=0)
+        store(pi, sol)
 
     _iterate_schedule(ctx, state, problem, plan, handle_patch)
+    for pi, group in pending:
+        store(pi, group.bcast(None, root=0))
 
 
 def update_macro_prb(ctx, state, problem, plan, config):
@@ -453,136 +461,94 @@ def build_coarse_on_root(ctx, state, config, enrich, b_enrich):
 def update_micro_dofs(ctx, state, problem, U_g):
     """u_F per element from the coarse solution (classical + enrichment)."""
     nested, part = problem.nested, problem.partition
-    nc = part.n_coarse_nodes
-    full = np.zeros(3 * nc + 3 * part.n_enriched)
+    full = np.zeros(3 * part.n_coarse_nodes + 3 * part.n_enriched)
     full[part.free_coarse_dofs] = U_g
-    for e, block in state.blocks.items():
-        tet = nested.coarse.tets[e]
-        U_c = np.concatenate([full[3 * int(v): 3 * int(v) + 3] for v in tet])
-        u = block.T_Fk @ U_c
+    for block in state.blocks.values():
+        tr = block_transfer(block, nested, part)
+        u = block.T_Fk @ full[tr.c_dofs]
         if block.T_Fe is not None and block.T_Fe.shape[1]:
-            corners = enriched_corners(nested, part, e)
-            E = np.concatenate([
-                full[3 * nc + 3 * part.enriched_index[p]: 3 * nc + 3 * part.enriched_index[p] + 3]
-                for p in corners
-            ])
-            u = u + block.T_Fe @ E
+            u = u + block.T_Fe @ full[tr.e_dofs]
         block.u_F = u
 
 
-def _exchange_assembled(ctx, state, contrib):
-    """Fold per-(node, element) vectors into fully assembled nodal values.
+def _exchange_assembled(ctx, state, rows):
+    """Fold per-(element, slot) rows into fully assembled nodal values.
 
-    contrib: node -> list[(element id, 3-vector)].  Returns node -> value
-    with contributions from every rank summed in element-id order.
+    rows: (m, 3) values of this rank's rows, in row order (see _FoldTables).
+    Returns the (len(fold.nodes), 3) assembled values of the fold targets,
+    contributions from every rank summed in element-id order.
     """
-    out_msgs: dict[int, list] = {}
-    for v, lst in contrib.items():
-        for r in state.node_ranks[v]:
-            if r != ctx.rank:
-                out_msgs.setdefault(r, []).append((v, lst))
-    neighbours = sorted({r for v in contrib for r in state.node_ranks[v] if r != ctx.rank})
-    for r in neighbours:
-        ctx.send(r, out_msgs.get(r, []), tag=31)
-    merged = {v: list(lst) for v, lst in contrib.items()}
-    for r in neighbours:
-        for v, lst in ctx.recv(r, tag=31):
-            merged.setdefault(v, []).extend(lst)
-    values = {}
-    for v, lst in merged.items():
-        lst.sort(key=lambda t: t[0])
-        acc = np.zeros(3)
-        for _, vec in lst:
-            acc = acc + vec
-        values[v] = acc
+    fold = state.fold
+    for r, idx in fold.send.items():
+        ctx.send(r, rows[idx], tag=31)
+    folded = np.empty((len(fold.target), 3))
+    folded[fold.own] = rows
+    for r, dst in fold.recv.items():
+        folded[dst] = ctx.recv(r, tag=31)
+    values = np.zeros((len(fold.nodes), 3))
+    np.add.at(values, fold.target, folded)  # sequential: row (element-id) order per node
     return values
 
 
-def _accumulate_vr(ctx, state, per_element_vec, extra_node_values=None):
-    """Assemble VR buffers for every owned element from per-element vectors."""
-    contrib: dict[int, list] = {}
+def _accumulate_vr(ctx, state, per_element_vec, extra=None):
+    """Assemble VR buffers for every owned element from per-element vectors.
+
+    extra: optional (len(fold.nodes), 3) values added after the fold.
+    """
+    rows = np.concatenate([np.zeros(0), *(per_element_vec[e] for e in state.blocks)])
+    values = _exchange_assembled(ctx, state, rows.reshape(-1, 3))
+    if extra is not None:
+        values += extra
     for e, block in state.blocks.items():
-        vec = per_element_vec[e]
-        for j, v in enumerate(block.nodes):
-            contrib.setdefault(int(v), []).append((e, vec[3 * j: 3 * j + 3]))
-    values = _exchange_assembled(ctx, state, contrib)
-    if extra_node_values:
-        for v, vec in extra_node_values.items():
-            if v in values:
-                values[v] = values[v] + vec
-    for e, block in state.blocks.items():
-        VR = block.VR_F
-        VR[:] = 0.0
-        for j, v in enumerate(block.nodes):
-            VR[3 * j: 3 * j + 3] = values[int(v)]
-    return values
+        block.VR_F = values[state.fold.block_pos[e]].ravel()
 
 
 def compute_b_norm(ctx, state, problem):
     """Monolithic-exact ||B_r||: NSP h rows plus assembled f rows once each."""
-    part = problem.partition
-    per_elem = {e: b.B_F for e, b in state.blocks.items()}
-    spf_extra = {}
-    for v in state.spf_nodes:
-        gi = part.coarse_dof_index[3 * v: 3 * v + 3]
-        spf_extra[v] = np.where(gi >= 0, state.btmp[gi], 0.0)
-    _accumulate_vr(ctx, state, per_elem, spf_extra)
-    items = []
-    for e, block in sorted(state.blocks.items()):
-        local = float(np.dot(block._scaling_bnorm * block.VR_F, block.VR_F))
-        items.append((e, local))
+    part, nodes = problem.partition, state.fold.nodes
+    on_ring = np.isin(nodes, state.spf_nodes)
+    gi = part.coarse_dof_index[node_dofs(nodes[on_ring])].reshape(-1, 3)
+    spf_extra = np.zeros((len(nodes), 3))
+    spf_extra[on_ring] = np.where(gi >= 0, state.btmp[gi], 0.0)
+    _accumulate_vr(ctx, state, {e: b.B_F for e, b in state.blocks.items()}, spf_extra)
+    items = [(e, float(np.dot(b._scaling_bnorm * b.VR_F, b.VR_F)))
+             for e, b in state.blocks.items()]
     if ctx.rank == 0:
-        h_part = 0.0
-        for v in part.coarse_h_nodes:
-            for c in range(3):
-                gi = part.coarse_dof_index[3 * int(v) + c]
-                if gi >= 0:
-                    h_part += state.btmp[gi] ** 2
-        items.append((-1, h_part))
+        gi = part.coarse_dof_index[node_dofs(part.coarse_h_nodes)]
+        items.append((-1, float(np.sum(state.btmp[gi[gi >= 0]] ** 2))))
     total = ctx.all_reduce_ordered_sum(items)
     return float(np.sqrt(total))
 
 
 def compute_residual(ctx, state, problem):
     """resi = ||A_fr u_r - B_f|| / ||B_r|| with interface rows treated as zero."""
-    per_elem = {}
-    for e, block in state.blocks.items():
-        per_elem[e] = block.A_FF @ block.u_F - block.B_F
-    _accumulate_vr(ctx, state, per_elem)
-    items = []
-    for e, block in sorted(state.blocks.items()):
-        local = float(np.dot(block.scaling * block.VR_F, block.VR_F))
-        items.append((e, local))
+    _accumulate_vr(ctx, state, {e: b.A_FF @ b.u_F - b.B_F for e, b in state.blocks.items()})
+    items = [(e, float(np.dot(b.scaling * b.VR_F, b.VR_F))) for e, b in state.blocks.items()]
     total = ctx.all_reduce_ordered_sum(items)
     return float(np.sqrt(total)) / state.norm_B
 
 
 def gather_u_r(ctx, state, problem, U_g):
-    """Assemble the global free reference vector from element fields."""
+    """Assemble the global free reference vector from element fields.
+
+    A dof shared by several elements takes the value of the highest element id.
+    """
     part = problem.partition
-    vals = {}
+    items = []
     for e, block in state.blocks.items():
-        for j, v in enumerate(block.nodes):
-            for c in range(3):
-                dof = 3 * int(v) + c
-                idx = part.ref_dof_index[dof]
-                if idx >= 0:
-                    vals[int(idx)] = block.u_F[3 * j + c]
-    lists = ctx.gather(vals, 0)
+        idx = part.ref_dof_index[node_dofs(block.nodes)]
+        items.append((e, idx[idx >= 0], block.u_F[idx >= 0]))
+    lists = ctx.gather(items, 0)
     u_r = None
     if ctx.rank == 0:
         u_r = np.zeros(part.n_ref_free)
-        for d in lists:
-            for idx, v in d.items():
-                u_r[idx] = v
-        nc = part.n_coarse_nodes
-        full = np.zeros(3 * nc + 3 * part.n_enriched)
+        for _, idx, vals in sorted((t for lst in lists for t in lst), key=lambda t: t[0]):
+            u_r[idx] = vals
+        full = np.zeros(3 * part.n_coarse_nodes + 3 * part.n_enriched)
         full[part.free_coarse_dofs] = U_g
-        for v in part.h_nodes:
-            for c in range(3):
-                idx = part.ref_dof_index[3 * int(v) + c]
-                if idx >= 0:
-                    u_r[idx] = full[3 * int(v) + c]
+        dofs = node_dofs(part.h_nodes)
+        idx = part.ref_dof_index[dofs]
+        u_r[idx[idx >= 0]] = full[dofs[idx >= 0]]
     return ctx.bcast(u_r, 0)
 
 
@@ -606,10 +572,13 @@ def _initial_coarse_solve(ctx, state, problem, config):
 
 
 def _coarse_solve(ctx, state, problem, config, A, B, resi_prev, it, flops):
-    """One dagger solve; returns (U_g, kind, pcg_iters) on every rank."""
-    part = problem.partition
-    kind, piters = "direct", 0
+    """One dagger solve.
+
+    Returns (U_g, kind, pcg_iters, deflated_pivots, pcg_fallback) on every rank.
+    """
+    out = None
     if ctx.rank == 0:
+        kind, piters, deflated, fallback = "direct", 0, 0, False
         use_pcg = (
             config.coarse_strategy == "tsi"
             and state.coarse_factor is not None
@@ -628,8 +597,8 @@ def _coarse_solve(ctx, state, problem, config, A, B, resi_prev, it, flops):
             if rep.converged:
                 U, kind, piters = x, "pcg", rep.iterations
                 state.coarse_refresh = rep.iterations > config.tsi_refresh_cg_iters
-            else:
-                use_pcg = False  # fall back to a direct solve this iteration
+            else:  # fall back to a direct solve this iteration
+                use_pcg, fallback = False, True
         if not use_pcg:
             F = factorize(A, null_pivot="drop")
             flops["factor"] += F.factor_flops
@@ -637,13 +606,10 @@ def _coarse_solve(ctx, state, problem, config, A, B, resi_prev, it, flops):
             state.coarse_factor = F
             state.coarse_refresh = False
             kind = "direct"
+            deflated = 0 if F.dropped is None else int(F.dropped.sum())
         state.u_prev_coarse = U
-    else:
-        U = None
-    U = ctx.bcast(U, 0)
-    kind = ctx.bcast(kind, 0)
-    piters = ctx.bcast(piters, 0)
-    return U, kind, piters
+        out = (U, kind, piters, deflated, fallback)
+    return ctx.bcast(out, 0)
 
 
 def _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich, flops):
@@ -709,10 +675,10 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         enrich, b_enrich = update_macro_prb(ctx, state, problem, plan, config)
         if config.coarse_strategy == "tsdd":
             U_g, piters = _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich, flops)
-            kind = "dd"
+            kind, deflated, fallback = "dd", 0, False
         else:
             A, B = build_coarse_on_root(ctx, state, config, enrich, b_enrich)
-            U_g, kind, piters = _coarse_solve(
+            U_g, kind, piters, deflated, fallback = _coarse_solve(
                 ctx, state, problem, config, A, B, resi_prev, it, flops)
         update_micro_dofs(ctx, state, problem, U_g)
         resi = compute_residual(ctx, state, problem)
@@ -721,7 +687,8 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         psolve = ctx.all_reduce_sum(
             sum(s["factor"].solve_flops for s in state.patch_sys.values()))
         records.append(IterationRecord(
-            it, resi, kind, piters, time.perf_counter() - t0, flops["factor"], psolve))
+            it, resi, kind, piters, time.perf_counter() - t0, flops["factor"], psolve,
+            deflated, fallback))
         if iterates is not None:
             iterates.append(gather_u_r(ctx, state, problem, U_g))
         if resi < config.eps:
@@ -746,9 +713,8 @@ def _scatter_warm(state, problem, warm_u_r):
     part = problem.partition
     full = np.zeros(3 * part.n_nodes)
     full[part.free_ref_dofs] = warm_u_r
-    for e, block in state.blocks.items():
-        for j, v in enumerate(block.nodes):
-            block.u_F[3 * j: 3 * j + 3] = full[3 * int(v): 3 * int(v) + 3]
+    for block in state.blocks.values():
+        block.u_F[:] = full[node_dofs(block.nodes)]
 
 
 def _prepare_dd_coarse(state, problem):

@@ -46,7 +46,10 @@ def test_cli_run_outputs(tmp_path):
     assert len(rows) == summary["iterations"]
     assert float(rows[-1]["resi"]) == pytest.approx(summary["final_resi"], rel=1e-12)
     assert {"iteration", "resi", "coarse_kind", "pcg_iterations",
-            "wall_time", "factor_flops", "solve_flops"} <= set(rows[0])
+            "wall_time", "factor_flops", "solve_flops",
+            "deflated_pivots", "pcg_fallback"} <= set(rows[0])
+    assert list(rows[0])[-2:] == ["deflated_pivots", "pcg_fallback"]
+    assert all(r["pcg_fallback"] in ("0", "1") and int(r["deflated_pivots"]) >= 0 for r in rows)
     field = (tmp_path / "field_u.txt").read_text().splitlines()
     assert field[0].startswith("# node")
     assert len(field) - 1 == summary["n_nodes"]  # one row per node

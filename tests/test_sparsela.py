@@ -83,6 +83,20 @@ def test_exact_zero_pivot_with_roundoff_below_is_deflated():
         factorize(A, ordering="natural")
 
 
+def test_exact_zero_pivot_reported_singular_by_superlu_is_deflated():
+    # in minimum-degree order dof 1 comes last and its pivot is exactly zero
+    # with nothing left to pivot on, so SuperLU itself reports a singular factor
+    d = 1e-17
+    A = sp.csc_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, d], [0.0, d, 1.0]]))
+    F = factorize(A, ordering="mmd", null_pivot="drop")
+    assert F.dropped.sum() == 1
+    b = A @ np.array([1.0, 2.0, 3.0])
+    x = solve(F, b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    with pytest.raises(SingularMatrixError):
+        factorize(A, ordering="mmd", null_pivot="error")
+
+
 def test_flop_counters_deterministic():
     A = random_spd(60, 7)
     F1 = factorize(A)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from twoscalefem.elasticity import LoadSet, Material, assemble_element_block, assemble_nsp
+from twoscalefem.elasticity import (
+    LoadSet,
+    Material,
+    assemble_element_block,
+    assemble_nsp,
+    node_dofs,
+)
 from twoscalefem.mesh import (
     BoundaryConditions,
     NestedMesh,
@@ -13,9 +20,12 @@ from twoscalefem.mesh import (
 from twoscalefem.reference import assemble_reference
 from twoscalefem.transfer import (
     CoarseSystem,
+    barycentric_matrix,
     build_tfk,
     coarse_triplets_constant,
     coarse_triplets_enrichment,
+    element_classical_dofs,
+    element_enriched_dofs,
     enriched_corners,
     monolithic_transfer,
     nsp_triplets,
@@ -70,6 +80,62 @@ def test_tfk_rows():
             assert np.allclose(sorted(nz), [0.5, 0.5])
 
 
+def test_hat_matrix_matches_p1_weights():
+    from twoscalefem.mesh import _p1_weights
+
+    nested, sp_info, part = setup_case(refined=range(6), boxdims=(3, 1, 1), dirichlet=True)
+    for e in map(int, sp_info.sp_elements):
+        nodes = np.unique(nested.micro[e])
+        N = barycentric_matrix(nested, e, nodes)
+        coords = nested.points[nested.coarse.tets[e]]
+        for j, v in enumerate(nodes):
+            assert np.abs(N[j] - _p1_weights(coords, nested.points[v])).max() <= 1e-15
+        assert np.abs(N.sum(axis=1) - 1.0).max() <= 1e-15
+
+
+def test_enrichment_triplets_match_dense_products():
+    nested, sp_info, part = setup_case(refined=range(6), boxdims=(3, 1, 1), dirichlet=True)
+    mat = Material(young_modulus=3.0, poisson_ratio=0.3)
+    loads = LoadSet(body=lambda x: np.array([1.0, 0.5, -0.25]))
+    fields = random_patch_fields(nested, sp_info, part, seed=5)
+    e = 0
+    block = assemble_element_block(e, nested, mat, loads)
+    # the block folds hanging nodes away and carries Dirichlet rows and columns
+    assert np.isin(np.unique(nested.micro[e]), list(nested.hanging)).any()
+    assert part.ref_dirichlet[node_dofs(block.nodes)].any()
+    g_c = part.coarse_dof_index[element_classical_dofs(nested, e)]
+    g_e = part.coarse_dof_index[element_enriched_dofs(nested, part, e)]
+    assert (g_c < 0).any() and len(g_e) == 12
+    block.T_Fk = build_tfk(block, nested)
+    block.P_Fk = (block.A_FF @ block.T_Fk).toarray()
+    corners = enriched_corners(nested, part, e)
+    block.T_Fe = update_tfe(block, nested, part, element_patch_fields(block, fields, corners, part))
+    assert np.count_nonzero(block.T_Fe[part.ref_dirichlet[node_dofs(block.nodes)]]) == 0
+    (eid, rows, cols, vals), (eid_b, idx, be) = coarse_triplets_enrichment(block, nested, part)
+    assert eid == eid_b == e
+
+    T, A, Tk = block.T_Fe, block.A_FF.toarray(), block.T_Fk.toarray()
+    A_ee, A_ek, B_e = T.T @ A @ T, T.T @ A @ Tk, T.T @ block.B_F
+    n = part.n_coarse_free
+    expect, expect_b = np.zeros((n, n)), np.zeros(n)
+    for a, ga in enumerate(g_e):
+        if ga < 0:
+            continue
+        expect_b[ga] += B_e[a]
+        for b, gb in enumerate(g_e):
+            if gb >= 0:
+                expect[ga, gb] += A_ee[a, b]
+        for b, gc in enumerate(g_c):
+            if gc >= 0:
+                expect[ga, gc] += A_ek[a, b]
+                expect[gc, ga] += A_ek[a, b]
+    got = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).toarray()
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+    got_b = np.zeros(n)
+    np.add.at(got_b, idx, be)
+    assert np.abs(got_b - expect_b).max() <= 1e-13 * np.abs(expect_b).max()
+
+
 def random_patch_fields(nested, sp_info, part, seed=0):
     """Synthetic per-patch nodal fields over patch nodes (boundary included)."""
     rng = np.random.default_rng(seed)
@@ -106,7 +172,7 @@ def test_tfe_constant_field_vanishes():
     corners = enriched_corners(nested, part, e)
     const = {p: np.tile([1.0, 2.0, 3.0], (len(block.nodes), 1)) for p in corners}
     T_Fe = update_tfe(block, nested, part, const)
-    assert T_Fe.nnz == 0
+    assert np.count_nonzero(T_Fe) == 0
 
 
 def test_tfe_transition_element_zero():
@@ -118,7 +184,7 @@ def test_tfe_transition_element_zero():
     block.T_Fk = build_tfk(block, nested)
     # transition elements get no patch field: columns stay identically zero
     T_Fe = update_tfe(block, nested, part, {})
-    assert T_Fe.nnz == 0
+    assert np.count_nonzero(T_Fe) == 0
 
 
 def test_tfe_interior_patch_boundary_rows_zero():
@@ -129,7 +195,7 @@ def test_tfe_interior_patch_boundary_rows_zero():
         block.T_Fk = build_tfk(block, nested)
         corners = enriched_corners(nested, part, e)
         efields = element_patch_fields(block, fields, corners, part)
-        T_Fe = update_tfe(block, nested, part, efields).toarray()
+        T_Fe = update_tfe(block, nested, part, efields)
         for ci, p in enumerate(corners):
             patch = next(pa for pa in sp_info.patches if pa.node == p)
             sets = part.patch_sets[sp_info.patches.index(patch)]
@@ -155,7 +221,7 @@ def build_full_system(nested, sp_info, part, mat, loads, fields=None):
     for e in map(int, sp_info.sp_elements):
         block = assemble_element_block(e, nested, mat, loads, tr)
         block.T_Fk = build_tfk(block, nested)
-        block.P_Fk = block.A_FF @ block.T_Fk
+        block.P_Fk = (block.A_FF @ block.T_Fk).toarray()
         if fields is not None:
             corners = enriched_corners(nested, part, e)
             efields = element_patch_fields(block, fields, corners, part)

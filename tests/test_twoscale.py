@@ -278,6 +278,35 @@ def test_rank_count_invariance(cubic_small):
     assert hist[1] == hist[2] == hist[4]  # bitwise identical
 
 
+def test_rank_count_invariance_with_shared_boundary_values():
+    # neighbouring elements hold their shared dofs' u_F with ulp-level
+    # differences; the patch boundary data must not depend on which rank
+    # holds which element
+    cases = [
+        (build_affine_problem(CaseSpec(sp_depth=1), base=(3, 2, 1))[0],
+         TsConfig(eps=1e-20, max_iterations=5)),
+        (build_cubic_problem(CaseSpec(sp_depth=1), base=(2, 1, 1))[0],
+         TsConfig(eps=1e-7, max_iterations=10)),
+    ]
+    for problem, cfg in cases:
+        hist = {}
+        for n in (1, 2, 4):
+            plan = partition_mesh(problem.nested, problem.sp_info, n)
+            hist[n] = solve_case(problem, plan, cfg, n_ranks=n).resi_history
+        assert hist[1] == hist[2] == hist[4]  # bitwise identical
+
+
+def test_tsi_records_pcg_fallback(cubic_small):
+    problem, *_ = cubic_small
+    plan = partition_mesh(problem.nested, problem.sp_info, 1)
+    cfg = TsConfig(eps=1e-7, coarse_strategy="tsi", max_iterations=80, pcg_iter_max=1)
+    res = solve_case(problem, plan, cfg, n_ranks=1)
+    assert any(r.pcg_fallback for r in res.records)
+    for r in res.records:
+        assert not (r.pcg_fallback and r.coarse_kind != "direct")
+        assert isinstance(r.deflated_pivots, int) and r.deflated_pivots >= 0
+
+
 def test_tsi_switches_and_converges(cubic_small):
     problem, *_ = cubic_small
     plan = partition_mesh(problem.nested, problem.sp_info, 2)
@@ -336,3 +365,5 @@ def test_config_validation():
         TsConfig(nbp_max=0)
     with pytest.raises(ValueError):
         TsConfig(max_iterations=0)
+    with pytest.raises(ValueError, match="pcg_iter_max"):
+        TsConfig(pcg_iter_max=0)
