@@ -86,6 +86,8 @@ class CaseSpec:
             raise ValueError("SP depth must be >= 1")
         if self.ranks < 1:
             raise ValueError("ranks must be >= 1")
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
         if self.solver in ("dd", "tsdd") and self.ranks < 2:
             raise ValueError(f"{self.solver} needs at least 2 ranks")
 
@@ -406,41 +408,52 @@ def reference_oracle(problem: ProblemSetup):
     return u_r, system, F
 
 
-def energy_norm_fields(problem: ProblemSetup, fields, analytic_strain=None):
+def energy_norm_fields(problem: ProblemSetup, fields, analytic=None):
     """Squared energy of (field_a - field_b) by element quadrature.
 
-    fields: pair of nodal arrays (n_nodes, 3) or None to use the analytic
-    strain in that slot.  The kernel and the per-leaf modulus are the ones
-    of the stiffness assembly, so FE-FE energies match x^T A x to round-off.
+    fields: pair of nodal arrays (n_nodes, 3) or None to use, in that slot,
+    the analytic strain values ``analytic`` from analytic_strains.  The
+    kernel and the per-leaf modulus are the ones of the stiffness assembly,
+    so FE-FE energies match x^T A x to round-off.
     """
     nested, mat = problem.nested, problem.material
     fa, fb = fields
-    bary, w = TET4_QUAD
+    q = TET4_QUAD[0].shape[0]
+    w = TET4_QUAD[1]
     C1 = hooke_matrix(1.0, mat.poisson_ratio)
     total = 0.0
-    for leaves in nested.micro:
+    for i, leaves in enumerate(nested.micro):
         grads, vols = p1_gradients(nested.points, leaves)
         B = strain_operator(grads)
-        eps_a = _leaf_strains(nested.points, leaves, B, fa, bary, analytic_strain)
-        eps_b = _leaf_strains(nested.points, leaves, B, fb, bary, analytic_strain)
+        eps_a, eps_b = (analytic[i] if f is None else _leaf_strains(leaves, B, f, q)
+                        for f in (fa, fb))
         diff = eps_a - eps_b  # (k, q, 6)
         dens = np.einsum("kqi,ij,kqj->kq", diff, C1, diff)
         total += float(np.sum(dens @ w * vols * leaf_moduli(nested.points, leaves, mat)))
     return total
 
 
-def _leaf_strains(points, leaves, B, fld, bary, analytic_strain):
-    """Voigt strains at the quadrature points of each leaf, (k, q, 6)."""
-    k, q = len(leaves), bary.shape[0]
-    if fld is None:
-        xq = np.einsum("qi,kid->kqd", bary, points[leaves])
-        out = np.empty((k, q, 6))
-        for i in range(k):
-            for j in range(q):
-                e = analytic_strain(xq[i, j])
-                out[i, j] = [e[0, 0], e[1, 1], e[2, 2], 2 * e[1, 2], 2 * e[0, 2], 2 * e[0, 1]]
-        return out
-    voigt = np.einsum("kij,kj->ki", B, fld[leaves].reshape(k, 12))  # constant per leaf
+def analytic_strains(problem: ProblemSetup, strain):
+    """Voigt strains of an analytic strain field at each leaf's quadrature points.
+
+    One (k, q, 6) array per macro element, in nested.micro order.
+    """
+    bary = TET4_QUAD[0]
+    out = []
+    for leaves in problem.nested.micro:
+        xq = np.einsum("qi,kid->kqd", bary, problem.nested.points[leaves])
+        vals = np.empty(xq.shape[:2] + (6,))
+        for i in range(xq.shape[0]):
+            for j in range(xq.shape[1]):
+                e = strain(xq[i, j])
+                vals[i, j] = [e[0, 0], e[1, 1], e[2, 2], 2 * e[1, 2], 2 * e[0, 2], 2 * e[0, 1]]
+        out.append(vals)
+    return out
+
+
+def _leaf_strains(leaves, B, fld, q):
+    """Voigt strains of a nodal field at the q quadrature points of each leaf, (k, q, 6)."""
+    voigt = np.einsum("kij,kj->ki", B, fld[leaves].reshape(len(leaves), 12))  # constant per leaf
     return np.repeat(voigt[:, None, :], q, axis=1)
 
 
@@ -607,7 +620,7 @@ def error_report(problem, u_ts_r, u_R_r, system: ReferenceSystem, exact) -> Erro
     part = problem.partition
     f_ts = system.expand(u_ts_r)
     f_R = system.expand(u_R_r)
-    strain = exact["strain"]
+    strain = analytic_strains(problem, exact["strain"])  # shared by the three norms below
 
     e2_ts_R = energy_norm_fields(problem, (f_ts, f_R))
     e2_ts_C = energy_norm_fields(problem, (f_ts, None), strain)

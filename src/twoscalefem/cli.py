@@ -24,18 +24,22 @@ def cmd_run(args):
     from .bench import CaseSpec, run_case
 
     lc, l = args.levels
-    spec = CaseSpec(
-        kind=args.case,
-        coarse_level=lc,
-        sp_depth=l - lc,
-        eps=args.eps,
-        solver=args.solver,
-        ranks=args.ranks,
-        warm_start=args.warm_start,
-        perturb_percent=args.perturb,
-        n_planes=args.planes,
-        cone_h=args.cone_h,
-    )
+    try:  # an invalid configuration is refused before any work, in one line
+        spec = CaseSpec(
+            kind=args.case,
+            coarse_level=lc,
+            sp_depth=l - lc,
+            eps=args.eps,
+            solver=args.solver,
+            ranks=args.ranks,
+            warm_start=args.warm_start,
+            perturb_percent=args.perturb,
+            n_planes=args.planes,
+            cone_h=args.cone_h,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     summary = run_case(spec, outdir=args.outdir)
     json.dump(summary, sys.stdout, indent=2)
     print()

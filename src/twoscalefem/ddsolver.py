@@ -14,9 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .runtime import RankContext
-from .sparsela import CgReport, SingularMatrixError, factorize, pcg, solve
+from .sparsela import CgReport, CscPattern, SingularMatrixError, factorize, pcg, solve
 
-__all__ = ["DdResult", "dd_solve_from_triplets", "reference_rank_triplets"]
+__all__ = ["DdLayout", "DdResult", "dd_layout", "dd_solve_from_triplets", "reference_rank_triplets"]
 
 CONDENSE_BLOCK = 32  # right-hand sides per interior solve pass
 
@@ -32,6 +32,59 @@ class DdResult:
     report: CgReport
 
 
+@dataclass
+class DdLayout:
+    """One rank's dd structure for a fixed triplet list, built once by dd_layout.
+
+    The local dofs are numbered interior first, then shared boundary dofs
+    (each part ascending); the triplets sum onto ``pattern`` and load entry
+    i adds to local dof ``b_loc[i]``.
+    """
+
+    dofs: np.ndarray            # global id of each local dof
+    nI: int                     # interior dofs
+    pattern: CscPattern
+    b_loc: np.ndarray
+    owner: np.ndarray           # owning rank per boundary dof
+    co_ranks: list              # ranks sharing a boundary dof with this one
+    send_idx: dict              # co-rank -> boundary positions shared with it
+    m_send: dict                # co-rank -> boundary positions it owns (preconditioner)
+    m_sel: dict                 # co-rank -> owned-block positions of what it sends
+
+
+def dd_layout(ctx: RankContext, trips, bvecs, dof_set=None) -> DdLayout:
+    """Build the dd layout of a triplet list (collective over ctx).
+
+    trips: (key, rows, cols[, vals]) and bvecs (key, idx[, vals]) in global
+    dof indices, in the order their values will be given; dof_set may pin
+    this rank's dofs.
+    """
+    rows = np.concatenate([np.zeros(0, np.int64)] + [t[1] for t in trips])
+    cols = np.concatenate([np.zeros(0, np.int64)] + [t[2] for t in trips])
+    dofs = np.unique(np.concatenate([rows, cols]) if dof_set is None else dof_set).astype(np.int64)
+    # held[r, i]: rank r holds dofs[i]; a shared dof is owned by its lowest holder
+    held = np.array([np.isin(dofs, dl) for dl in ctx.allgather(dofs)])
+    shared = held.sum(axis=0) >= 2
+    order = np.concatenate([np.nonzero(~shared)[0], np.nonzero(shared)[0]])
+    local = np.empty(len(dofs), dtype=np.int64)
+    local[order] = np.arange(len(dofs))
+    b_held = held[:, shared]
+    b_dofs = dofs[shared]
+    owner = np.argmax(b_held, axis=0)
+    co_ranks = [q for q in range(ctx.size) if q != ctx.rank and b_held[q].any()]
+    m_send = {q: np.nonzero(owner == q)[0] for q in co_ranks}
+    for q in co_ranks:
+        ctx.send(q, b_dofs[m_send[q]], tag=44)
+    j_dofs = b_dofs[owner == ctx.rank]
+    m_sel = {q: np.searchsorted(j_dofs, ctx.recv(q, tag=44)) for q in co_ranks}
+    lidx = lambda g: local[np.searchsorted(dofs, g)]
+    return DdLayout(
+        dofs[order], int((~shared).sum()),
+        CscPattern.of(lidx(rows), lidx(cols), (len(dofs), len(dofs))),
+        lidx(np.concatenate([np.zeros(0, np.int64)] + [t[1] for t in bvecs])),
+        owner, co_ranks, {q: np.nonzero(b_held[q])[0] for q in co_ranks}, m_send, m_sel)
+
+
 def dd_solve_from_triplets(
     ctx: RankContext,
     n: int,
@@ -43,53 +96,41 @@ def dd_solve_from_triplets(
     warm: np.ndarray | None = None,
     dof_set=None,
     iter_max: int = 10000,
+    layout: DdLayout | None = None,
 ):
     """Solve a distributed SPD system given per-rank assembly triplets.
 
     const/extra triplets are lists of (element id, rows, cols, vals) in
     global dof indices; extra_b like (element id, idx, vals).  dof_set may
     pin this rank's dof layout (needed when extras vary between calls).
+    Without a layout the triplets are sorted by element id and a layout is
+    built from them (collective); with one, from dd_layout over the same
+    structure, they are taken in the order given (const, then extra) and
+    the first member of each item is not read.
     Raises on a single rank: the decomposition needs at least two domains.
     """
     if ctx.size == 1:
         raise ValueError("domain decomposition does not handle the single domain case")
 
-    trips = sorted(list(const_trips) + list(extra_trips), key=lambda t: t[0])
-    bvecs = sorted(list(const_b) + list(extra_b), key=lambda t: t[0])
-    if dof_set is None:
-        pieces = [np.unique(np.concatenate([t[1], t[2]])) for t in trips] or [np.zeros(0, np.int64)]
-        dofs = np.unique(np.concatenate(pieces)).astype(np.int64)
-    else:
-        dofs = np.unique(np.asarray(dof_set, dtype=np.int64))
-
-    # held[r, i]: rank r holds dofs[i]; a shared dof is owned by its lowest holder
-    held = np.array([np.isin(dofs, dl) for dl in ctx.allgather(dofs)])
-
-    nk = len(dofs)  # dofs is sorted and unique: searchsorted gives local indices
-    rows = np.concatenate([t[1] for t in trips]) if trips else np.zeros(0, np.int64)
-    cols = np.concatenate([t[2] for t in trips]) if trips else np.zeros(0, np.int64)
-    vals = np.concatenate([t[3] for t in trips]) if trips else np.zeros(0)
-    A = sp.coo_matrix((vals, (np.searchsorted(dofs, rows), np.searchsorted(dofs, cols))),
-                      shape=(nk, nk)).tocsc()
-    A.sum_duplicates()
-    B = np.zeros(nk)
-    for _, idx, v in bvecs:
-        np.add.at(B, np.searchsorted(dofs, idx), v)
-
-    shared = held.sum(axis=0) >= 2
-    I_idx = np.nonzero(~shared)[0]
-    b_idx = np.nonzero(shared)[0]
-    b_dofs = dofs[b_idx]
-    b_held = held[:, b_idx]
-    owner = np.argmax(b_held, axis=0)
+    trips = [*const_trips, *extra_trips]
+    bvecs = [*const_b, *extra_b]
+    if layout is None:
+        trips.sort(key=lambda t: t[0])
+        bvecs.sort(key=lambda t: t[0])
+        layout = dd_layout(ctx, trips, bvecs, dof_set)
+    lay = layout
+    A = lay.pattern.assemble(np.concatenate([np.zeros(0)] + [t[3] for t in trips]))
+    B = np.bincount(lay.b_loc, weights=np.concatenate([np.zeros(0)] + [t[2] for t in bvecs]),
+                    minlength=len(lay.dofs))
+    nI = lay.nI
+    b_dofs = lay.dofs[nI:]
+    owner, co_ranks, send_idx = lay.owner, lay.co_ranks, lay.send_idx
     owned_mask = owner == ctx.rank
+    j_local = np.nonzero(owned_mask)[0]
 
     # condensation: S = A_bb - A_bI A_II^-1 A_Ib, column-blocked interior solves
-    A_II = A[I_idx][:, I_idx].tocsc()
-    A_Ib = A[I_idx][:, b_idx].toarray() if len(b_idx) else np.zeros((len(I_idx), 0))
-    A_bI = A[b_idx][:, I_idx]
-    A_bb = A[b_idx][:, b_idx].toarray()
-    nI = len(I_idx)
+    A_II, A_bI = A[:nI, :nI], A[nI:, :nI]
+    A_Ib, A_bb = A[:nI, nI:].toarray(), A[nI:, nI:].toarray()
     F_II = factorize(A_II) if nI else None
     Y = np.zeros_like(A_Ib)
     for lo in range(0, A_Ib.shape[1], CONDENSE_BLOCK):
@@ -97,12 +138,8 @@ def dd_solve_from_triplets(
         if nI:
             Y[:, lo:hi] = solve(F_II, A_Ib[:, lo:hi])
     S = A_bb - (A_bI @ Y if nI else 0.0)
-    B_I = B[I_idx]
-    B_b = B[b_idx] - (A_bI @ solve(F_II, B_I) if nI else 0.0)
-
-    # communication tables over shared dofs
-    co_ranks = [r for r in range(ctx.size) if r != ctx.rank and b_held[r].any()]
-    send_idx = {r: np.nonzero(b_held[r])[0] for r in co_ranks}
+    B_I = B[:nI]
+    B_b = B[nI:] - (A_bI @ solve(F_II, B_I) if nI else 0.0)
 
     def exchange_sum(vec):
         """Assemble shared values: every replica receives the full sum."""
@@ -117,21 +154,12 @@ def dd_solve_from_triplets(
     B_b = exchange_sum(B_b)
 
     # block-Jacobi preconditioner on owned boundary blocks
-    j_local = np.nonzero(owned_mask)[0]
-    pieces_out: dict[int, list] = {}
-    for r in range(ctx.size):
-        if r == ctx.rank:
-            continue
-        t = np.nonzero(owner == r)[0]
-        if len(t) and r in co_ranks:
-            pieces_out.setdefault(r, []).append((b_dofs[t], S[np.ix_(t, t)]))
     for r in co_ranks:
-        ctx.send(r, pieces_out.get(r, []), tag=42)
+        ctx.send(r, S[np.ix_(lay.m_send[r], lay.m_send[r])], tag=42)
     M_jj = S[np.ix_(j_local, j_local)].copy()
     for r in co_ranks:
-        for dl, Spart in ctx.recv(r, tag=42):
-            sel = np.searchsorted(b_dofs[j_local], dl)
-            M_jj[np.ix_(sel, sel)] += Spart
+        sel = lay.m_sel[r]
+        M_jj[np.ix_(sel, sel)] += ctx.recv(r, tag=42)
     if len(j_local):
         try:
             F_M = factorize(sp.csc_matrix(M_jj))
@@ -154,20 +182,21 @@ def dd_solve_from_triplets(
             z[owner == r] = ctx.recv(r, tag=43)
         return z
 
+    j_dofs = b_dofs[j_local]
+
     def dot(u, v):
-        items = [(int(b_dofs[i]), float(u[i] * v[i])) for i in j_local]
-        return ctx.all_reduce_ordered_sum(items)
+        return ctx.all_reduce_ordered_sum((j_dofs, u[j_local] * v[j_local]))
 
     x0 = warm if warm is not None and len(warm) == len(b_dofs) else np.zeros(len(b_dofs))
     x_b, report = pcg(x0, apply_S, B_b, apply_M, eps, iter_max=iter_max, dot=dot)
     X_I = solve(F_II, B_I - A_Ib @ x_b) if nI else np.zeros(0)
 
-    lists = ctx.gather((np.concatenate([dofs[I_idx], b_dofs[j_local]]),
+    lists = ctx.gather((np.concatenate([lay.dofs[:nI], j_dofs]),
                         np.concatenate([X_I, x_b[j_local]])), 0)
     if ctx.rank == 0:
         x = np.zeros(n)
-        for idx, vals in lists:
-            x[idx] = vals
+        for idx, v in lists:
+            x[idx] = v
     else:
         x = None
     x = ctx.bcast(x, 0)

@@ -319,8 +319,8 @@ class ElementBlock:
     """Per-macro-element matrices of the fine problem, hanging nodes eliminated.
 
     nodes lists the element's F-level node ids (ascending); local dof i of
-    node j is 3*j_local + i.  Dirichlet rows are kept; scaling holds the
-    residual weights (1/multiplicity, zeroed on Dirichlet and interface rows).
+    node j is 3*j_local + i.  Dirichlet rows are kept.  In the solver, T_Fe
+    and u_F are views into the rank's transfer.BlockStack.
     """
 
     element: int
@@ -328,12 +328,8 @@ class ElementBlock:
     A_FF: sp.csr_matrix
     B_F: np.ndarray
     T_Fk: sp.csr_matrix | None = None
-    P_Fk: np.ndarray | None = None         # A_FF T_Fk, dense (3n, 12)
     T_Fe: np.ndarray | None = None         # dense (3n, 3k)
-    transfer: object = None                # transfer.BlockTransfer, built once
     u_F: np.ndarray | None = None
-    VR_F: np.ndarray | None = None
-    scaling: np.ndarray | None = None
 
     @property
     def ndof(self):

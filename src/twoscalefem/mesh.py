@@ -248,19 +248,6 @@ class NestedMesh:
     def n_nodes(self):
         return len(self.points)
 
-    def element_nodes(self, e) -> np.ndarray:
-        return np.unique(self.micro[e])
-
-    def micro_count(self, e) -> int:
-        return len(self.micro[e])
-
-    def union_edges(self):
-        edges = set()
-        for leaves in self.micro:
-            for tet in leaves:
-                edges.update(_tet_edges(tet))
-        return edges
-
     def boundary_fine_faces(self) -> dict[tuple, list[tuple]]:
         """Label -> list of (fine face triple, macro element id)."""
         out: dict[str, list[tuple]] = {}
@@ -501,14 +488,6 @@ class SpInfo:
     sp_elements: np.ndarray      # sorted macro element ids
     nsp_elements: np.ndarray
     patches: list[Patch]
-
-    def is_sp(self, e) -> bool:
-        return bool(self._sp_mask[e])
-
-    def __post_init__(self):
-        n = len(self.refined)
-        self._sp_mask = np.zeros(n, dtype=bool)
-        self._sp_mask[self.sp_elements] = True
 
 
 def classify_sp(nested: NestedMesh) -> SpInfo:

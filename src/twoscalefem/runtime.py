@@ -226,13 +226,20 @@ class RankContext:
     def reduce_ordered_sum(self, items, root=0):
         """Sum of (key, value) contributions in globally sorted key order.
 
+        items: (key, value) pairs, or one (keys, values) pair of arrays.
         The summation order depends only on the keys, never on the rank
-        layout, so results are bitwise identical for any rank count.
+        layout, so results are bitwise identical for any rank count; both
+        forms add the values one by one from 0.0, so they agree bitwise.
         """
-        lists = self.gather(list(items), root)
-        if lists is None:
+        arrays = isinstance(items, tuple) and len(items) == 2 and isinstance(items[0], np.ndarray)
+        pieces = self.gather(items if arrays else list(items), root)
+        if pieces is None:
             return None
-        merged = [kv for lst in lists for kv in lst]
+        if arrays:
+            keys = np.concatenate([p[0] for p in pieces])
+            vals = np.concatenate([p[1] for p in pieces])[np.argsort(keys, kind="stable")]
+            return float(np.cumsum(np.concatenate([[0.0], vals]))[-1])
+        merged = [kv for lst in pieces for kv in lst]
         merged.sort(key=lambda kv: kv[0])
         acc = 0.0
         for _, v in merged:

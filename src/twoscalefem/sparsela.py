@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-__all__ = ["Factor", "CgReport", "SingularMatrixError", "factorize", "solve", "pcg"]
+__all__ = ["Factor", "CgReport", "CscPattern", "SingularMatrixError", "factorize", "solve", "pcg"]
 
 PIVOT_RTOL = 1e-14  # smallest pivot magnitude accepted, in equilibrated units
 
@@ -31,19 +31,32 @@ class SingularMatrixError(RuntimeError):
 
 @dataclass
 class Factor:
-    """LDL^T factorization with its fill-reducing permutation and flop counters."""
+    """LDL^T factorization with its fill-reducing permutation and flop counters.
+
+    The unscaled unit-lower factor ``L`` is built on first access: solves
+    and flop counts only need SuperLU's equilibrated factor.
+    """
 
     n: int
     perm: np.ndarray  # A[perm][:, perm] == L @ diag(d) @ L.T
-    L: sp.csc_matrix
     d: np.ndarray
     factor_flops: int
     solve_flops: int = 0
+    nnz_L: int = 0    # nonzeros of L, unit diagonal included
     _lu: object = field(default=None, repr=False)
-    _scale: np.ndarray = field(default=None, repr=False)
+    _scale: np.ndarray = field(default=None, repr=False)  # 1/s of A = S A' S
     dropped: np.ndarray = field(default=None, repr=False)  # null-pivot dofs
     _Ls: sp.csc_matrix = field(default=None, repr=False)
     _ds: np.ndarray = field(default=None, repr=False)
+    _s_p: np.ndarray = field(default=None, repr=False)
+    _L: sp.csc_matrix = field(default=None, repr=False)
+
+    @property
+    def L(self) -> sp.csc_matrix:
+        if self._L is None:
+            # A[perm][:, perm] = diag(s_p) L' D' L'^T diag(s_p): L = S_p L' S_p^-1
+            self._L = (sp.diags(self._s_p) @ self._lu.L @ sp.diags(1.0 / self._s_p)).tocsc()
+        return self._L
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return solve(self, b)
@@ -62,19 +75,20 @@ def factorize(A, ordering: str = "mmd", null_pivot: str = "error") -> Factor:
     """
     if not sp.issparse(A):
         A = sp.csc_matrix(np.asarray(A, dtype=np.float64))
-    A = A.tocsc()
-    n = A.shape[0]
+    As = sp.csc_matrix(A, dtype=np.float64, copy=True)
+    n = As.shape[0]
     if n == 0:
-        return Factor(0, np.zeros(0, int), sp.csc_matrix((0, 0)), np.zeros(0), 0)
+        return Factor(0, np.zeros(0, int), np.zeros(0), 0, _L=sp.csc_matrix((0, 0)))
     # symmetric diagonal equilibration: dof scales may legitimately span many
     # orders (enrichment dofs live at displacement-squared scale), and the
     # unpivoted elimination needs balanced magnitudes.  The unscaled factors
     # are recovered exactly: L = S L' S^-1, D = s^2 D'.
-    diag = A.diagonal()
-    s = np.sqrt(np.abs(diag))
+    As.sum_duplicates()
+    s = np.sqrt(np.abs(As.diagonal()))
     s[s == 0.0] = 1.0
-    Dinv = sp.diags(1.0 / s)
-    As = (Dinv @ A @ Dinv).tocsc()
+    sinv = 1.0 / s
+    As.data = (sinv[As.indices] * As.data) * np.repeat(sinv, np.diff(As.indptr))
+    As.eliminate_zeros()
     empty = None
     if null_pivot == "drop":
         # structurally empty rows cannot even be factorized: pin them upfront
@@ -122,18 +136,43 @@ def factorize(A, ordering: str = "mmd", null_pivot: str = "error") -> Factor:
         dropped[bad] = True
         if empty is not None and empty.size:
             dropped[inv[empty]] = True
-    # A[perm][:, perm] = diag(s[perm]) L' D' L'^T diag(s[perm]) with perm = inv
     s_p = s[inv]
-    L = (sp.diags(s_p) @ lu.L @ sp.diags(1.0 / s_p)).tocsc()
-    d = ds * s_p * s_p
-    # column-wise outer-product count: one multiply-add pair per L entry pair
-    col_nnz = np.diff(L.indptr)
+    # column-wise outer-product count: one multiply-add pair per L entry pair;
+    # the scaling S_p keeps L's nonzeros where SuperLU's factor has them
+    Lsc = lu.L
+    col_nnz = np.diff(Lsc.indptr)
+    if not Lsc.data.all():
+        col_nnz = np.bincount(np.repeat(np.arange(n), col_nnz)[Lsc.data != 0], minlength=n)
     factor_flops = int(np.sum(col_nnz.astype(np.int64) ** 2))
-    F = Factor(n, inv, L, d, factor_flops, 0, lu, 1.0 / s, dropped)
+    F = Factor(n, inv, ds * s_p * s_p, factor_flops, 0, int(col_nnz.sum()), lu, sinv, dropped,
+               _s_p=s_p)
     if dropped is not None and dropped.any():
-        F._Ls = lu.L.tocsc()
+        F._Ls = Lsc.tocsc()
         F._ds = ds
     return F
+
+
+@dataclass
+class CscPattern:
+    """CSC structure of a triplet list, built once; triplet i adds to data[slot[i]]."""
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+
+    @classmethod
+    def of(cls, rows, cols, shape):
+        key, slot = np.unique(np.asarray(cols, dtype=np.int64) * shape[0] + rows,
+                              return_inverse=True)
+        counts = np.bincount(key // shape[0], minlength=shape[1])
+        return cls(shape, np.concatenate([[0], np.cumsum(counts)]), key % shape[0], slot)
+
+    def assemble(self, vals) -> sp.csc_matrix:
+        """Sum the triplet values onto the pattern, one by one in list order."""
+        assert len(vals) == len(self.slot), "triplet structure changed"
+        data = np.bincount(self.slot, weights=vals, minlength=len(self.indices))
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 def _splu(As, spec):
@@ -178,7 +217,7 @@ def solve(F: Factor, b: np.ndarray) -> np.ndarray:
     if F.n == 0:
         return np.zeros_like(b)
     ncols = 1 if b.ndim == 1 else b.shape[1]
-    F.solve_flops += (2 * F.L.nnz + F.n) * ncols
+    F.solve_flops += (2 * F.nnz_L + F.n) * ncols
     sinv = F._scale
     if F._Ls is not None:
         return _solve_deflated(F, b)

@@ -2,33 +2,37 @@
 
 T_Fk carries the classical hat values of the coarse element at fine node
 locations; T_Fe carries the shifted local solutions multiplied by the
-enriched node's hat and re-interpolated on the fine mesh.  The coarse
-matrix keeps a constant part assembled once and enrichment-dependent
-blocks rebuilt every iteration from dense per-element products; what a
-block's transfer does not change between iterations (BlockTransfer) is
-built once.
+enriched node's hat and re-interpolated on the fine mesh.  A rank's SP
+blocks are stacked once (BlockStack), so that T_Fe and the enrichment
+blocks of the coarse matrix are a fixed number of batched array operations
+per iteration; the coarse matrix keeps a constant part and is summed onto a
+CSC pattern built once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .elasticity import ElementBlock, NspBlock, node_dofs
-from .mesh import DofPartition, NestedMesh, SpInfo
+from .mesh import DofPartition, NestedMesh
+from .sparsela import CscPattern
 
 __all__ = [
     "build_tfk",
-    "block_transfer",
+    "BlockStack",
+    "stack_blocks",
     "update_tfe",
     "enriched_corners",
     "CoarseSystem",
+    "flatten_triplets",
     "coarse_triplets_constant",
     "coarse_triplets_enrichment",
-    "monolithic_transfer",
 ]
+
+KMAX = 4  # enriched corners of a tet, at most: T_Fe has 3 * KMAX columns
 
 
 def barycentric_matrix(nested: NestedMesh, e: int, nodes) -> np.ndarray:
@@ -61,135 +65,188 @@ def enriched_corners(nested: NestedMesh, partition: DofPartition, e: int) -> lis
 
 
 @dataclass
-class BlockTransfer:
-    """Constants of one SP block's transfer, built on first use and kept on the block.
+class BlockStack:
+    """One rank's SP blocks in ascending element id, stacked once.
 
-    corner_hat holds the hat columns (n, k) of the k enriched corners and
-    corner_row each corner's block-local node; dirichlet masks the 3n rows
-    that T_Fe leaves zero.  c_dofs/e_dofs are the coarse dofs of the 12
-    classical and 3k enriched columns.  rows/cols/keep scatter the row-major
-    concatenation of A_ee, A_ek and A_ek^T into free coarse positions;
-    e_free/e_keep do the same for B_e.
+    Every block takes ``width`` rows, 3 x the largest SP block of the mesh
+    (not of the rank), so batched per-block arithmetic does not depend on
+    which blocks share a rank; rows past a block's 3n dofs are zero.  Each
+    block's u_F and T_Fe are views into the stacked arrays.
+
+    ``fields`` holds per row and enriched-corner slot the current patch
+    field of that corner (zero where no patch covers the block).  The
+    enrichment triplets of all blocks are listed once, in element order
+    (``e_keys`` element ids, ``e_rows``/``e_cols`` free coarse indices);
+    ``e_src`` picks each value from the batched [A_ee | A_ek^T] products
+    and ``b_src`` each B_e entry from T_Fe^T B_F.
     """
 
-    corners: list[int]
-    corner_hat: np.ndarray
-    corner_row: np.ndarray
-    dirichlet: np.ndarray
-    c_dofs: np.ndarray
-    e_dofs: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    keep: np.ndarray
-    e_free: np.ndarray
-    e_keep: np.ndarray
+    elements: np.ndarray
+    width: int
+    corners: list                # per block: enriched corner nodes, ascending
+    ndof: np.ndarray             # 3n per block
+    A: sp.csr_matrix             # block-diagonal A_FF
+    T_Fk: sp.csr_matrix          # block-diagonal T_Fk, 12 columns per block
+    B: np.ndarray                # (nb width,) B_F
+    u: np.ndarray                # (nb width,) fine iterate
+    T: np.ndarray                # (nb, width, 3 KMAX) T_Fe
+    fields: np.ndarray           # (nb width, KMAX) patch field per enriched corner
+    hat: np.ndarray              # (nb, width / 3, KMAX) hat column of each corner
+    corner_row: np.ndarray       # (nb, KMAX) block-local node of each corner
+    dirichlet: np.ndarray        # (nb, width) rows T_Fe leaves zero
+    real: np.ndarray             # (nb width,) mask of the rows that are block dofs
+    c_dofs: np.ndarray           # (12 nb) coarse dofs of the T_Fk columns
+    e_dofs: np.ndarray           # (3 KMAX nb) coarse dofs of the T_Fe columns, -1 if absent
+    e_keys: np.ndarray
+    e_rows: np.ndarray
+    e_cols: np.ndarray
+    e_src: np.ndarray
+    b_keys: np.ndarray
+    b_idx: np.ndarray
+    b_src: np.ndarray
+
+    def rows_of(self, e) -> np.ndarray:
+        """Stacked rows of block e's dofs."""
+        i = int(np.searchsorted(self.elements, e))
+        return self.width * i + np.arange(self.ndof[i])
+
+    def field_slots(self, e, p) -> np.ndarray:
+        """Positions of enriched corner p's field on block e in fields.ravel()."""
+        i = int(np.searchsorted(self.elements, e))
+        return self.rows_of(e) * KMAX + self.corners[i].index(p)
 
 
-def block_transfer(block: ElementBlock, nested: NestedMesh, partition: DofPartition) -> BlockTransfer:
-    """The block's BlockTransfer, built once."""
-    if block.transfer is None:
-        e = block.element
+def _block_diag(mats, width, col0, ncols):
+    """CSR holding mats[i] (CSR) at rows width*i.. and columns col0[i]..; other rows empty."""
+    nnz = np.cumsum([0] + [m.nnz for m in mats])
+    indptr = np.repeat(nnz[1:], width)
+    for i, m in enumerate(mats):
+        indptr[width * i:width * i + m.shape[0]] = nnz[i] + m.indptr[1:]
+    return sp.csr_matrix(
+        (np.concatenate([np.zeros(0)] + [m.data for m in mats]),
+         np.concatenate([np.zeros(0, np.int32)] + [m.indices + int(c) for m, c in zip(mats, col0)]),
+         np.concatenate([[0], indptr])), shape=(width * len(mats), ncols))
+
+
+def stack_blocks(blocks, nested: NestedMesh, partition: DofPartition, width: int) -> BlockStack:
+    """Stack SP blocks (ascending element id, T_Fk set) into one BlockStack.
+
+    Sets each block's u_F and T_Fe to views into the stack.
+    """
+    nb, W = len(blocks), width
+    ndof = np.array([b.ndof for b in blocks], dtype=np.int64)
+    base = W * np.arange(nb)
+    hat = np.zeros((nb, W // 3, KMAX))
+    corner_row = np.zeros((nb, KMAX), dtype=np.int64)
+    dirichlet = np.zeros((nb, W), dtype=bool)
+    B = np.zeros(nb * W)
+    corners, c_dofs, e_dofs, e_parts, b_parts = [], [], [], [], []
+    for i, block in enumerate(blocks):
+        e, n3 = block.element, ndof[i]
         tet = [int(v) for v in nested.coarse.tets[e]]
-        corners = enriched_corners(nested, partition, e)
-        hat = _hat_matrix(nested, e, block.nodes)
-        c_dofs = element_classical_dofs(nested, e)
-        e_dofs = element_enriched_dofs(nested, partition, e)
-        blocks = [_free_pairs(partition, r, c) for r, c in
-                  ((e_dofs, e_dofs), (e_dofs, c_dofs), (c_dofs, e_dofs))]
-        e_free = partition.coarse_dof_index[e_dofs]
-        block.transfer = BlockTransfer(
-            corners=corners,
-            corner_hat=hat[:, [tet.index(p) for p in corners]],
-            corner_row=np.searchsorted(block.nodes, corners),
-            dirichlet=partition.ref_dirichlet[node_dofs(block.nodes)],
-            c_dofs=c_dofs,
-            e_dofs=e_dofs,
-            rows=np.concatenate([b[0] for b in blocks]),
-            cols=np.concatenate([b[1] for b in blocks]),
-            keep=np.concatenate([b[2] for b in blocks]),
-            e_free=e_free[e_free >= 0],
-            e_keep=e_free >= 0,
-        )
-    return block.transfer
+        cs = enriched_corners(nested, partition, e)
+        k = len(cs)
+        corners.append(cs)
+        B[base[i]:base[i] + n3] = block.B_F
+        hat[i, :n3 // 3, :k] = _hat_matrix(nested, e, block.nodes)[:, [tet.index(p) for p in cs]]
+        corner_row[i, :k] = np.searchsorted(block.nodes, cs)
+        dirichlet[i, :n3] = partition.ref_dirichlet[node_dofs(block.nodes)]
+        cd, ed = element_classical_dofs(nested, e), element_enriched_dofs(nested, partition, e)
+        c_dofs.append(cd)
+        e_dofs.append(np.concatenate([ed, np.full(3 * (KMAX - k), -1)]))
+        # (e,e), (e,k) and (k,e) blocks row-major, as positions in the
+        # (nb, 2, 12, 12) products [A_ee, A_ek^T]
+        a, j = np.arange(3 * k), np.arange(12)
+        src = (a[:, None] * 12 + a, 144 + j * 12 + a[:, None], 144 + j[:, None] * 12 + a)
+        for (r, c), s in zip(((ed, ed), (ed, cd), (cd, ed)), src):
+            rows, cols, keep = _free_pairs(partition, r, c)
+            e_parts.append((e, rows, cols, 288 * i + s.ravel()[keep]))
+        free = partition.coarse_dof_index[ed]
+        b_parts.append((e, free[free >= 0], 12 * i + a[free >= 0]))
+    z = np.zeros(0, np.int64)
+    stack = BlockStack(
+        np.array([b.element for b in blocks], dtype=np.int64), W, corners, ndof,
+        _block_diag([b.A_FF.tocsr() for b in blocks], W, base, nb * W),
+        _block_diag([b.T_Fk for b in blocks], W, 12 * np.arange(nb), 12 * nb),
+        B, np.zeros(nb * W), np.zeros((nb, W, 3 * KMAX)), np.zeros((nb * W, KMAX)), hat,
+        corner_row, dirichlet, (np.arange(W) < ndof[:, None]).ravel(),
+        np.concatenate([z] + c_dofs), np.concatenate([z] + e_dofs),
+        *flatten_triplets(e_parts, 3), *flatten_triplets(b_parts, 2))
+    for i, block in enumerate(blocks):
+        block.u_F = stack.u[base[i]:base[i] + ndof[i]]
+        block.T_Fe = stack.T[i, :ndof[i], :3 * len(corners[i])]
+    return stack
 
 
-def update_tfe(
-    block: ElementBlock,
-    nested: NestedMesh,
-    partition: DofPartition,
-    patch_fields: dict[int, np.ndarray],
-) -> np.ndarray:
-    """Shifted-enrichment transfer of one SP element, dense (3n, 3k).
+def update_tfe(stack: BlockStack) -> np.ndarray:
+    """Shifted-enrichment transfer of every stacked block, (nb, width, 3 KMAX).
 
-    patch_fields maps each enriched corner node p to the full local field of
-    patch p evaluated at block.nodes, shape (n, 3): solved interior values,
-    imposed boundary values and zeros on Dirichlet dofs.  Each column
-    (p, c) holds N^p(x_j) * (field[j, c] - field_at_p[c]) at rows (j, c);
-    rows on Dirichlet dofs are zeroed (they belong to the coupling block).
-    Unrefined elements in the patch produce identically zero columns only
-    through their fields; transition elements are handled by the caller
-    passing no field (column block left zero).
+    Column (p, c) of a block holds N^p(x_j) * (field_p[j, c] - field_p[p, c])
+    at rows (j, c), field_p being the patch field of enriched corner p
+    (solved interior values, imposed boundary values, zeros on Dirichlet
+    dofs); rows on Dirichlet dofs are zeroed (they belong to the coupling
+    block).  A corner whose patch does not cover the block (transition
+    elements) has a zero field, hence a zero column block.
     """
-    tr = block_transfer(block, nested, partition)
-    n, k = len(block.nodes), len(tr.corners)
-    T = np.zeros((n, 3, k, 3))
+    nb, n = len(stack.elements), stack.width // 3
+    f = stack.fields.reshape(nb, n, 3, KMAX)               # (block, node, comp, corner)
+    at_corner = f[np.arange(nb)[:, None], stack.corner_row, :, np.arange(KMAX)]
+    vals = stack.hat[:, :, None, :] * (f - at_corner.transpose(0, 2, 1)[:, None])
+    vals[stack.dirichlet.reshape(nb, n, 3)] = 0.0
     comp = np.arange(3)
-    for ci, p in enumerate(tr.corners):
-        fld = patch_fields.get(p)
-        if fld is not None:
-            T[:, comp, ci, comp] = tr.corner_hat[:, ci, None] * (fld - fld[tr.corner_row[ci]])
-    T = T.reshape(3 * n, 3 * k)
-    T[tr.dirichlet] = 0.0
-    return T
+    stack.T.reshape(nb, n, 3, KMAX, 3)[:, :, comp, :, comp] = vals.transpose(2, 0, 1, 3)
+    return stack.T
 
 
 @dataclass
 class CoarseSystem:
-    """Constant and per-iteration parts of the reduced coarse problem."""
+    """A_gg and B_g summed onto a CSC pattern built once.
 
-    partition: DofPartition
-    ini_rows: np.ndarray = field(default=None)
-    ini_cols: np.ndarray = field(default=None)
-    ini_vals: np.ndarray = field(default=None)
-    B_ini: np.ndarray = field(default=None)
+    Built from the constant parts, flat ``(keys, rows, cols, vals)`` and
+    ``(keys, idx, vals)``, and the structure of the enrichment parts,
+    ``(keys, rows, cols)`` and ``(keys, idx)`` in the order their values
+    reach ``build``.  Keys are element ids: every entry sums its
+    contributions one by one in element-id order, constants first (they
+    are summed once, which is the same sum), whatever order they arrive in.
+    """
 
-    @property
-    def n(self):
-        return self.partition.n_coarse_free
+    pattern: CscPattern
+    const_vals: np.ndarray       # summed constant entries, first in the pattern's list
+    order: np.ndarray            # arrival -> element order of the enrichment values
+    b_slot: np.ndarray
+    b_const: np.ndarray
+    b_order: np.ndarray
 
-    def set_constant(self, contribs, b_contribs):
-        """contribs: iterable of (element id, rows, cols, vals) in free coarse indices."""
-        contribs = sorted(contribs, key=lambda t: t[0])
-        if contribs:
-            self.ini_rows = np.concatenate([c[1] for c in contribs])
-            self.ini_cols = np.concatenate([c[2] for c in contribs])
-            self.ini_vals = np.concatenate([c[3] for c in contribs])
-        else:
-            self.ini_rows = np.zeros(0, dtype=np.int64)
-            self.ini_cols = np.zeros(0, dtype=np.int64)
-            self.ini_vals = np.zeros(0)
-        self.B_ini = np.zeros(self.n)
-        for eid, idx, vals in sorted(b_contribs, key=lambda t: t[0]):
-            np.add.at(self.B_ini, idx, vals)
+    @classmethod
+    def of(cls, partition, const, const_b, enrich, enrich_b):
+        n = partition.n_coarse_free
+        c, cb = np.argsort(const[0], kind="stable"), np.argsort(const_b[0], kind="stable")
+        K = CscPattern.of(const[1][c], const[2][c], (n, n)).assemble(const[3][c]).tocoo()
+        order, b_order = np.argsort(enrich[0], kind="stable"), np.argsort(enrich_b[0], kind="stable")
+        pattern = CscPattern.of(np.concatenate([K.row, enrich[1][order]]),
+                                np.concatenate([K.col, enrich[2][order]]), (n, n))
+        return cls(pattern, K.data, order,
+                   np.concatenate([np.arange(n), enrich_b[1][b_order]]),
+                   np.bincount(const_b[1][cb], weights=const_b[2][cb], minlength=n), b_order)
 
-    def build(self, enrich_contribs=(), b_enrich=()):  # per-iteration parts
-        """Assemble A_gg and B_g from the stored constants plus enrichment triplets."""
-        parts_r = [self.ini_rows]
-        parts_c = [self.ini_cols]
-        parts_v = [self.ini_vals]
-        for eid, rows, cols, vals in sorted(enrich_contribs, key=lambda t: t[0]):
-            parts_r.append(rows)
-            parts_c.append(cols)
-            parts_v.append(vals)
-        A = sp.coo_matrix(
-            (np.concatenate(parts_v), (np.concatenate(parts_r), np.concatenate(parts_c))),
-            shape=(self.n, self.n),
-        ).tocsc()
-        A.sum_duplicates()
-        B = self.B_ini.copy()
-        for eid, idx, vals in sorted(b_enrich, key=lambda t: t[0]):
-            np.add.at(B, idx, vals)
+    def build(self, vals=None, b_vals=None):
+        """A_gg, B_g with the enrichment values in arrival order (None: all zero)."""
+        ev = np.zeros(len(self.order)) if vals is None else vals[self.order]
+        bv = np.zeros(len(self.b_order)) if b_vals is None else b_vals[self.b_order]
+        A = self.pattern.assemble(np.concatenate([self.const_vals, ev]))
+        B = np.bincount(self.b_slot, weights=np.concatenate([self.b_const, bv]))
         return A, B
+
+
+def flatten_triplets(items, arity):
+    """(element id, a_1, ..., a_arity) items -> (keys, a_1, ..., a_arity).
+
+    The arrays are concatenated in item order and keys repeats each element
+    id over its entries; the last array holds values, the others indices.
+    """
+    items = list(items) or [(0, *[np.zeros(0, np.int64)] * arity)]
+    keys = np.concatenate([np.full(len(t[1]), t[0], dtype=np.int64) for t in items])
+    return (keys, *(np.concatenate([t[a] for t in items]) for a in range(1, arity + 1)))
 
 
 def element_classical_dofs(nested: NestedMesh, e: int) -> np.ndarray:
@@ -220,8 +277,8 @@ def _dense_triplets(eid, M, dofs, B, partition):
 
 
 def coarse_triplets_constant(block: ElementBlock, nested, partition):
-    """A_kk = T_Fk^T P_Fk and B_k = T_Fk^T B_F of one SP element, free-indexed."""
-    return _dense_triplets(block.element, block.T_Fk.T @ block.P_Fk,
+    """A_kk = T_Fk^T A_FF T_Fk and B_k = T_Fk^T B_F of one SP element, free-indexed."""
+    return _dense_triplets(block.element, block.T_Fk.T @ (block.A_FF @ block.T_Fk).toarray(),
                            element_classical_dofs(nested, block.element),
                            block.T_Fk.T @ block.B_F, partition)
 
@@ -231,48 +288,17 @@ def nsp_triplets(nsp: NspBlock, partition):
     return _dense_triplets(nsp.element, nsp.K, node_dofs(nsp.nodes), nsp.B, partition)
 
 
-def coarse_triplets_enrichment(block: ElementBlock, nested, partition):
-    """(e,e) and (e,k)+(k,e) blocks plus B_e of one SP element, free-indexed.
+def coarse_triplets_enrichment(stack: BlockStack):
+    """Values of the (e,e), (e,k)+(k,e) blocks and of B_e of every stacked block.
 
-    A_ee = T_Fe^T (A_FF T_Fe), A_ek = T_Fe^T P_Fk, B_e = T_Fe^T B_F, dense.
+    A_ee = T_Fe^T (A_FF T_Fe), A_ek^T = T_Fk^T (A_FF T_Fe), B_e = T_Fe^T B_F,
+    batched over the blocks; the values follow the stack's e_rows/e_cols
+    and b_idx.  A block whose T_Fe is zero contributes explicit zeros, so
+    the coarse pattern never changes.
     """
-    T_Fe = block.T_Fe
-    if T_Fe is None or not T_Fe.any():
-        return None
-    tr = block_transfer(block, nested, partition)
-    A_ee = T_Fe.T @ (block.A_FF @ T_Fe)
-    A_ek = T_Fe.T @ block.P_Fk
-    vals = np.concatenate([A_ee.ravel(), A_ek.ravel(), A_ek.T.ravel()])[tr.keep]
-    be = T_Fe.T @ block.B_F
-    return (block.element, tr.rows, tr.cols, vals), (block.element, tr.e_free, be[tr.e_keep])
-
-
-def monolithic_transfer(nested, sp_info: SpInfo, partition: DofPartition, blocks, patch_fields_all):
-    """Full T operator from free coarse dofs to free reference dofs.
-
-    Oracle-only: the production path never assembles this matrix.  blocks
-    maps SP element id -> ElementBlock with T_Fk/T_Fe current;
-    patch_fields_all as in update_tfe, keyed per element.
-    """
-    n_r = partition.n_ref_free
-    n_g = partition.n_coarse_free
-    # h rows: identity against the matching coarse dofs
-    h = node_dofs(partition.h_nodes)
-    rows, cols = [partition.ref_dof_index[h]], [partition.coarse_dof_index[h]]
-    vals = [np.ones(len(h))]
-    for e, block in sorted(blocks.items()):
-        T = block.T_Fk.toarray()
-        col_dofs = element_classical_dofs(nested, e)
-        if block.T_Fe is not None:
-            T = np.hstack([T, block.T_Fe])
-            col_dofs = np.concatenate([col_dofs, element_enriched_dofs(nested, partition, e)])
-        r, c = np.nonzero(T)
-        rows.append(partition.ref_dof_index[node_dofs(block.nodes)][r])
-        cols.append(partition.coarse_dof_index[col_dofs][c])
-        vals.append(T[r, c])
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    keep = (rows >= 0) & (cols >= 0)
-    # an entry shared by several blocks keeps the value of the highest element id
-    rows, cols, vals = rows[keep][::-1], cols[keep][::-1], vals[keep][::-1]
-    _, last = np.unique(rows * n_g + cols, return_index=True)
-    return sp.csr_matrix((vals[last], (rows[last], cols[last])), shape=(n_r, n_g))
+    nb, W, m = stack.T.shape
+    Tt = stack.T.transpose(0, 2, 1)
+    AT = stack.A @ stack.T.reshape(nb * W, m)
+    prod = np.stack([Tt @ AT.reshape(nb, W, m), (stack.T_Fk.T @ AT).reshape(nb, 12, m)], axis=1)
+    be = Tt @ stack.B.reshape(nb, W, 1)
+    return prod.ravel()[stack.e_src], be.ravel()[stack.b_src]

@@ -29,11 +29,12 @@ from .scheduler import Schedule, build_schedule
 from .sparsela import SingularMatrixError, factorize, pcg, solve
 from .transfer import (
     CoarseSystem,
-    block_transfer,
     build_tfk,
     coarse_triplets_constant,
     coarse_triplets_enrichment,
+    flatten_triplets,
     nsp_triplets,
+    stack_blocks,
     update_tfe,
 )
 
@@ -113,12 +114,14 @@ class _RankState:
 
     def __init__(self):
         self.blocks = {}            # element -> ElementBlock, ascending element id
+        self.stack = None           # transfer.BlockStack of the blocks
         self.nsp_blocks = {}
-        self.const_trips = []       # constant coarse triplets of the owned elements
-        self.const_b = []
+        self.const = None           # constant coarse triplets of the owned elements,
+        self.const_b = None         # flat (keys, rows, cols, vals) and (keys, idx, vals)
         self.patch_sys = {}         # patch index -> dict with factor etc. (owner only)
-        self.patch_scatter = {}     # patch index -> [(own member, field positions)]
-        self.patch_fields = {}      # element -> {enriched corner -> field array}
+        self.patch_scatter = {}     # patch index -> (stack rows, field slots, solution positions)
+        self.w_resi = None          # residual weight per owned row (element order)
+        self.w_bnorm = None         # the same, SPF ring rows kept
         self.norm_B = 0.0
         self.coarse = None          # CoarseSystem on the solving rank
         self.coarse_factor = None
@@ -150,7 +153,6 @@ class _FoldTables:
     own: np.ndarray         # folded-row position of each owned row
     send: dict              # neighbour rank -> owned rows it folds
     recv: dict              # neighbour rank -> folded-row positions of its rows
-    block_pos: dict         # owned element -> target positions of its nodes
 
 
 def _fold_tables(rank, plan, block_nodes):
@@ -166,17 +168,7 @@ def _fold_tables(rank, plan, block_nodes):
             recv[int(r)] = np.nonzero(row_rank[folded] == r)[0]
             send[int(r)] = np.nonzero(np.isin(owned, row_node[row_rank == r]))[0]
     return _FoldTables(nodes, np.searchsorted(nodes, row_node[folded]),
-                       np.nonzero(row_rank[folded] == rank)[0], send, recv,
-                       {e: np.searchsorted(nodes, block_nodes[e])
-                        for e in elems if plan.element_rank[e] == rank})
-
-
-def _patch_owner_ranks(sp_info, plan):
-    owners = []
-    for patch in sp_info.patches:
-        rs = tuple(sorted({int(plan.element_rank[e]) for e in patch.elements}))
-        owners.append(rs)
-    return owners
+                       np.nonzero(row_rank[folded] == rank)[0], send, recv)
 
 
 def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config: TsConfig):
@@ -186,21 +178,28 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config
     tr_table = traction_face_table(nested, loads)
     mine = set(int(e) for e in plan.elements_of(ctx.rank))
 
-    # element blocks (A_FF, B_F, T_Fk, P_Fk) for owned SP elements
-    const_trips, const_b = state.const_trips, state.const_b
+    # shared metadata: identical on every rank (mesh is global, plan is global)
+    hanging = np.fromiter(nested.hanging, np.int64, len(nested.hanging))
+    block_nodes = {e: np.setdiff1d(nested.micro[e], hanging) for e in map(int, sp_info.sp_elements)}
+    state.fold = _fold_tables(ctx.rank, plan, block_nodes)
+    state.spf_nodes = spf_nodes(nested, part)
+    mult = np.bincount(np.concatenate([np.zeros(0, np.int64), *block_nodes.values()]))
+
+    # element blocks (A_FF, B_F, T_Fk) of the owned SP elements, stacked
+    # with a width fixed by the largest SP block of the mesh
+    const_trips, const_b = [], []
     for e in map(int, sp_info.sp_elements):
-        if e not in mine:
-            continue
-        block = assemble_element_block(e, nested, mat, loads, tr_table)
-        block.T_Fk = build_tfk(block, nested)
-        block.P_Fk = (block.A_FF @ block.T_Fk).toarray()
-        block.u_F = np.zeros(block.ndof)
-        state.blocks[e] = block
+        if e in mine:
+            block = assemble_element_block(e, nested, mat, loads, tr_table)
+            block.T_Fk = build_tfk(block, nested)
+            state.blocks[e] = block
+    width = 3 * max(map(len, block_nodes.values()), default=0)
+    stack = state.stack = stack_blocks(list(state.blocks.values()), nested, part, width)
+    for block in state.blocks.values():
         t, b = coarse_triplets_constant(block, nested, part)
         const_trips.append(t)
         const_b.append(b)
 
-    btmp_items = []
     for e in map(int, sp_info.nsp_elements):
         if e not in mine:
             continue
@@ -209,36 +208,20 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config
         t, b = nsp_triplets(nb, part)
         const_trips.append(t)
         const_b.append(b)
-        btmp_items.append(b)
+    state.const = flatten_triplets(const_trips, 3)
+    state.const_b = flatten_triplets(const_b, 2)
 
-    # shared metadata: identical on every rank (mesh is global, plan is global)
-    hanging = np.fromiter(nested.hanging, np.int64, len(nested.hanging))
-    block_nodes = {e: np.setdiff1d(nested.micro[e], hanging) for e in map(int, sp_info.sp_elements)}
-    state.fold = _fold_tables(ctx.rank, plan, block_nodes)
-    state.spf_nodes = spf_nodes(nested, part)
-    mult = np.bincount(np.concatenate([np.zeros(0, np.int64), *block_nodes.values()]))
-
-    # scaling diagonals per owned block: 1/multiplicity, 0 on Dirichlet rows,
-    # and 0 on the SPF ring rows of the residual
-    for e, block in state.blocks.items():
-        w = np.repeat(1.0 / mult[block.nodes], 3)
-        w[part.ref_dirichlet[node_dofs(block.nodes)]] = 0.0
-        block._scaling_bnorm = w
-        block.scaling = np.where(np.repeat(np.isin(block.nodes, state.spf_nodes), 3), 0.0, w)
-
-    # NSP load vector over coarse classical free dofs, summed deterministically
-    gathered = ctx.gather(btmp_items, 0)
-    if ctx.rank == 0:
-        btmp = np.zeros(part.n_coarse_free)
-        flat = sorted((t for lst in gathered for t in lst), key=lambda t: t[0])
-        for eid, idx, vals in flat:
-            np.add.at(btmp, idx, vals)
-    else:
-        btmp = None
-    state.btmp = ctx.bcast(btmp, 0)
+    # residual weights of the owned rows: 1/multiplicity, 0 on Dirichlet
+    # rows, and for the residual also 0 on the SPF ring rows
+    nodes = np.concatenate([np.zeros(0, np.int64), *(b.nodes for b in state.blocks.values())])
+    w = np.repeat(1.0 / mult[nodes], 3)
+    w[part.ref_dirichlet[node_dofs(nodes)]] = 0.0
+    state.w_bnorm = w
+    state.w_resi = np.where(np.repeat(np.isin(nodes, state.spf_nodes), 3), 0.0, w)
 
     # patch schedule and patch systems
-    owners = _patch_owner_ranks(sp_info, plan)
+    owners = [tuple(sorted({int(plan.element_rank[e]) for e in patch.elements}))
+              for patch in sp_info.patches]
     D, L = [], []
     for pi, patch in enumerate(sp_info.patches):
         rs = owners[pi]
@@ -252,20 +235,32 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config
 
     _build_patch_systems(ctx, state, problem, plan)
 
-    # coarse system on rank 0 (gathered through the retained ranks)
-    trips = _route_to_root(ctx, config, const_trips)
-    bb = _route_to_root(ctx, config, const_b)
+    # coarse system on rank 0 (gathered through the retained ranks): the
+    # constant triplets and the structure of the enrichment triplets, whose
+    # values arrive every iteration in the same rank order; and the NSP load
+    # vector over coarse classical free dofs, summed in element order
+    parts = _route_to_root(ctx, config, [(state.const, state.const_b, (
+        stack.e_keys, stack.e_rows, stack.e_cols), (stack.b_keys, stack.b_idx))])
+    btmp = None
     if ctx.rank == 0:
-        cs = CoarseSystem(part)
-        cs.set_constant(trips, bb)
-        state.coarse = cs
+        cat = [[np.concatenate(a) for a in zip(*pieces)] for pieces in zip(*parts)]
+        state.coarse = CoarseSystem.of(part, *cat)
+        keys, idx, vals = cat[1]
+        nsp = np.flatnonzero(np.isin(keys, sp_info.nsp_elements))
+        nsp = nsp[np.argsort(keys[nsp], kind="stable")]
+        btmp = np.bincount(idx[nsp], weights=vals[nsp], minlength=part.n_coarse_free)
+    state.btmp = ctx.bcast(btmp, 0)
 
     state.norm_B = compute_b_norm(ctx, state, problem)
     return state
 
 
 def _route_to_root(ctx, config, items):
-    """Send per-element contributions to rank 0 via the retained coarse ranks."""
+    """Send a list of contributions to rank 0 via the retained coarse ranks.
+
+    Rank 0 gets every rank's items in one list, in an arrival order fixed
+    by the rank count and nbp_max.
+    """
     retained = min(config.nbp_max, ctx.size)
     if ctx.rank >= retained:
         ctx.send(ctx.rank % retained, items, tag=21)
@@ -308,14 +303,15 @@ def _build_patch_systems(ctx, state, problem, plan):
         nq, nd = len(q_dofs), len(d_dofs)
         my_blocks = [state.blocks[e] for e in map(int, sp_info.patches[pi].elements)
                      if int(plan.element_rank[e]) == ctx.rank]
-        scatter = []
+        rows, slots, pos = [], [], []
         for b in my_blocks:
             dofs = node_dofs(b.nodes)
             qi, di = _positions(q_dofs, dofs), _positions(d_dofs, dofs)
-            pos = np.where(qi >= 0, qi, np.where(di >= 0, nq + di, nq + nd))
-            pos[part.ref_dirichlet[dofs]] = nq + nd
-            scatter.append((b.element, pos))
-        state.patch_scatter[pi] = scatter
+            pos.append(np.where(qi >= 0, qi, np.where(di >= 0, nq + di, nq + nd)))
+            pos[-1][part.ref_dirichlet[dofs]] = nq + nd
+            rows.append(state.stack.rows_of(b.element))
+            slots.append(state.stack.field_slots(b.element, sp_info.patches[pi].node))
+        state.patch_scatter[pi] = tuple(map(np.concatenate, (rows, slots, pos)))
         payload = [(b.element, b.nodes, b.A_FF, b.B_F) for b in my_blocks]
         if group is not None:
             pieces = group.gather(payload, root=0)
@@ -409,76 +405,65 @@ def micro_scale_resolution(ctx, state, problem, plan):
     and receive the solutions once it is done, so within the pass a rank
     waits only for the boundary values of the patches it solves.
     """
-    sp_info = problem.sp_info
-    state.patch_fields = {e: {} for e in state.blocks}
+    fields = state.stack.fields.reshape(-1)
     pending = []
 
-    def store(pi, sol):
-        for e, pos in state.patch_scatter[pi]:
-            state.patch_fields[e][sp_info.patches[pi].node] = sol[pos].reshape(-1, 3)
-
     def handle_patch(pi, group):
-        u_mine = [state.blocks[e].u_F for e, _ in state.patch_scatter[pi]]
+        rows, slots, pos = state.patch_scatter[pi]
+        u_mine = state.stack.u[rows]
         pieces = [u_mine] if group is None else group.gather(u_mine, root=0)
         if pieces is None:
             pending.append((pi, group))
             return
         sysd = state.patch_sys[pi]
-        u_d = np.concatenate([u for lst in pieces for u in lst])[sysd["d_src"]]
+        u_d = np.concatenate(pieces)[sysd["d_src"]]
         u_q = solve(sysd["factor"], sysd["BI"] + sysd["D_qd"] @ u_d)
         sol = np.concatenate([u_q, u_d, [0.0]])
         if group is not None:
             group.bcast(sol, root=0)
-        store(pi, sol)
+        fields[slots] = sol[pos]
 
     _iterate_schedule(ctx, state, problem, plan, handle_patch)
     for pi, group in pending:
-        store(pi, group.bcast(None, root=0))
+        _, slots, pos = state.patch_scatter[pi]
+        fields[slots] = group.bcast(None, root=0)[pos]
 
 
 def update_macro_prb(ctx, state, problem, plan, config):
-    """Rebuild T_Fe per element; returns this rank's enrichment triplets."""
-    nested, part = problem.nested, problem.partition
-    enrich, b_enrich = [], []
-    for e, block in sorted(state.blocks.items()):
-        block.T_Fe = update_tfe(block, nested, part, state.patch_fields.get(e, {}))
-        out = coarse_triplets_enrichment(block, nested, part)
-        if out is not None:
-            enrich.append(out[0])
-            b_enrich.append(out[1])
-    return enrich, b_enrich
+    """Rebuild T_Fe of the rank stack; returns its enrichment values (A_gg part, B_e)."""
+    update_tfe(state.stack)
+    return coarse_triplets_enrichment(state.stack)
 
 
 def build_coarse_on_root(ctx, state, config, enrich, b_enrich):
-    """Route enrichment triplets to rank 0 and assemble A_gg, B_g there."""
-    trips = _route_to_root(ctx, config, enrich)
-    bb = _route_to_root(ctx, config, b_enrich)
+    """Route the enrichment values to rank 0 and assemble A_gg, B_g there."""
+    parts = _route_to_root(ctx, config, [(enrich, b_enrich)])
     if ctx.rank == 0:
-        return state.coarse.build(trips, bb)
+        return state.coarse.build(*(np.concatenate(a) for a in zip(*parts)))
     return None, None
 
 
 def update_micro_dofs(ctx, state, problem, U_g):
-    """u_F per element from the coarse solution (classical + enrichment)."""
-    nested, part = problem.nested, problem.partition
-    full = np.zeros(3 * part.n_coarse_nodes + 3 * part.n_enriched)
+    """u_F of every owned block from the coarse solution (classical + enrichment)."""
+    part, stack = problem.partition, state.stack
+    # the extra last entry is the zero read by absent T_Fe columns (e_dofs -1)
+    full = np.zeros(3 * part.n_coarse_nodes + 3 * part.n_enriched + 1)
     full[part.free_coarse_dofs] = U_g
-    for block in state.blocks.values():
-        tr = block_transfer(block, nested, part)
-        u = block.T_Fk @ full[tr.c_dofs]
-        if block.T_Fe is not None and block.T_Fe.shape[1]:
-            u = u + block.T_Fe @ full[tr.e_dofs]
-        block.u_F = u
+    enriched = stack.T @ full[stack.e_dofs].reshape(*stack.T.shape[::2], 1)
+    np.add(stack.T_Fk @ full[stack.c_dofs], enriched.reshape(-1), out=stack.u)
 
 
-def _exchange_assembled(ctx, state, rows):
-    """Fold per-(element, slot) rows into fully assembled nodal values.
+def _element_sq_norms(ctx, state, vec, weights, extra=None):
+    """Per-element weighted squares of a stacked vector assembled over the ranks.
 
-    rows: (m, 3) values of this rank's rows, in row order (see _FoldTables).
-    Returns the (len(fold.nodes), 3) assembled values of the fold targets,
-    contributions from every rank summed in element-id order.
+    The owned rows of vec (the stack's block dofs) and the neighbours' rows
+    are folded into nodal values, every node summing its contributions in
+    element-id order (see _FoldTables); extra, optional (len(fold.nodes), 3)
+    values, is added after the fold.  Returns the owned element ids and
+    their sums, ready for the ordered all-reduce.
     """
-    fold = state.fold
+    fold, stack = state.fold, state.stack
+    rows = vec[stack.real].reshape(-1, 3)
     for r, idx in fold.send.items():
         ctx.send(r, rows[idx], tag=31)
     folded = np.empty((len(fold.target), 3))
@@ -487,20 +472,12 @@ def _exchange_assembled(ctx, state, rows):
         folded[dst] = ctx.recv(r, tag=31)
     values = np.zeros((len(fold.nodes), 3))
     np.add.at(values, fold.target, folded)  # sequential: row (element-id) order per node
-    return values
-
-
-def _accumulate_vr(ctx, state, per_element_vec, extra=None):
-    """Assemble VR buffers for every owned element from per-element vectors.
-
-    extra: optional (len(fold.nodes), 3) values added after the fold.
-    """
-    rows = np.concatenate([np.zeros(0), *(per_element_vec[e] for e in state.blocks)])
-    values = _exchange_assembled(ctx, state, rows.reshape(-1, 3))
     if extra is not None:
         values += extra
-    for e, block in state.blocks.items():
-        block.VR_F = values[state.fold.block_pos[e]].ravel()
+    vr = values[fold.target[fold.own]].reshape(-1)
+    nb = len(stack.elements)
+    return stack.elements, np.bincount(np.repeat(np.arange(nb), stack.ndof),
+                                       weights=weights * vr * vr, minlength=nb)
 
 
 def compute_b_norm(ctx, state, problem):
@@ -510,22 +487,19 @@ def compute_b_norm(ctx, state, problem):
     gi = part.coarse_dof_index[node_dofs(nodes[on_ring])].reshape(-1, 3)
     spf_extra = np.zeros((len(nodes), 3))
     spf_extra[on_ring] = np.where(gi >= 0, state.btmp[gi], 0.0)
-    _accumulate_vr(ctx, state, {e: b.B_F for e, b in state.blocks.items()}, spf_extra)
-    items = [(e, float(np.dot(b._scaling_bnorm * b.VR_F, b.VR_F)))
-             for e, b in state.blocks.items()]
+    keys, sums = _element_sq_norms(ctx, state, state.stack.B, state.w_bnorm, spf_extra)
     if ctx.rank == 0:
         gi = part.coarse_dof_index[node_dofs(part.coarse_h_nodes)]
-        items.append((-1, float(np.sum(state.btmp[gi[gi >= 0]] ** 2))))
-    total = ctx.all_reduce_ordered_sum(items)
-    return float(np.sqrt(total))
+        keys = np.concatenate([[-1], keys])
+        sums = np.concatenate([[np.sum(state.btmp[gi[gi >= 0]] ** 2)], sums])
+    return float(np.sqrt(ctx.all_reduce_ordered_sum((keys, sums))))
 
 
 def compute_residual(ctx, state, problem):
     """resi = ||A_fr u_r - B_f|| / ||B_r|| with interface rows treated as zero."""
-    _accumulate_vr(ctx, state, {e: b.A_FF @ b.u_F - b.B_F for e, b in state.blocks.items()})
-    items = [(e, float(np.dot(b.scaling * b.VR_F, b.VR_F))) for e, b in state.blocks.items()]
-    total = ctx.all_reduce_ordered_sum(items)
-    return float(np.sqrt(total)) / state.norm_B
+    stack = state.stack
+    keys, sums = _element_sq_norms(ctx, state, stack.A @ stack.u - stack.B, state.w_resi)
+    return float(np.sqrt(ctx.all_reduce_ordered_sum((keys, sums)))) / state.norm_B
 
 
 def gather_u_r(ctx, state, problem, U_g):
@@ -616,17 +590,17 @@ def _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich, flops):
     """Coarse solve through the Schur-complement backend, warm boundary start."""
     from .ddsolver import dd_solve_from_triplets
 
-    part = problem.partition
+    stack = state.stack
     out = dd_solve_from_triplets(
         ctx,
-        n=part.n_coarse_free,
-        const_trips=state.const_trips,
-        const_b=state.const_b,
-        extra_trips=enrich,
-        extra_b=b_enrich,
+        n=problem.partition.n_coarse_free,
+        const_trips=[state.const],
+        const_b=[state.const_b],
+        extra_trips=[(0, stack.e_rows, stack.e_cols, enrich)],
+        extra_b=[(0, stack.b_idx, b_enrich)],
         eps=config.eps * 1e-2,
         warm=state.dd_warm,
-        dof_set=state.dd_dofs,
+        layout=state.dd_layout,
     )
     state.dd_warm = out.warm
     return out.x, out.report.iterations
@@ -643,7 +617,7 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
     state.coarse_refresh = False
     state.dd_warm = None
     if config.coarse_strategy == "tsdd":
-        _prepare_dd_coarse(state, problem)
+        _prepare_dd_coarse(ctx, state, problem)
 
     flops = {"factor": 0, "solve": 0}
     records: list[IterationRecord] = []
@@ -717,20 +691,19 @@ def _scatter_warm(state, problem, warm_u_r):
         block.u_F[:] = full[node_dofs(block.nodes)]
 
 
-def _prepare_dd_coarse(state, problem):
-    """Cache this rank's coarse dof layout for dd.
+def _prepare_dd_coarse(ctx, state, problem):
+    """Build this rank's dd coarse layout once (collective).
 
-    The layout holds the classical dofs of every owned element and the
-    enriched dofs of the owned SP elements; the constant triplets are the
-    ones ts_init kept on the rank state.
+    The triplets are the constant ones ts_init kept on the rank state
+    followed by the rank stack's enrichment triplets, explicit zeros
+    included, so their structure holds the classical free dofs of every
+    owned element and the enriched dofs of the owned SP elements.
     """
-    from .transfer import element_classical_dofs, element_enriched_dofs
+    from .ddsolver import dd_layout
 
-    part, nested = problem.partition, problem.nested
-    dofs = [element_classical_dofs(nested, e) for e in (*state.blocks, *state.nsp_blocks)]
-    dofs += [element_enriched_dofs(nested, part, e) for e in state.blocks]
-    idx = part.coarse_dof_index[np.concatenate([np.zeros(0, np.int64), *dofs])]
-    state.dd_dofs = np.unique(idx[idx >= 0])
+    stack = state.stack
+    state.dd_layout = dd_layout(
+        ctx, [state.const, (0, stack.e_rows, stack.e_cols)], [state.const_b, (0, stack.b_idx)])
 
 
 def solve_case(problem: ProblemSetup, plan: PartitionPlan, config: TsConfig,

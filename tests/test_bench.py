@@ -221,3 +221,5 @@ def test_case_spec_validation():
         CaseSpec(ranks=0)
     with pytest.raises(ValueError):
         CaseSpec(solver="tsdd", ranks=1)
+    with pytest.raises(ValueError):
+        CaseSpec(eps=-1.0)

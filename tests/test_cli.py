@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +59,20 @@ def test_cli_run_outputs(tmp_path):
     assert all(len(row.split()) == 7 for row in field[1:])
     sched = json.loads((tmp_path / "schedule.json").read_text())
     assert "columns" in sched and "stats" in sched
+
+
+@pytest.mark.parametrize("argv", [["--ranks", "0"], ["--solver", "tsdd", "--ranks", "1"],
+                                  ["--eps", "-1"]])
+def test_cli_rejects_invalid_run_in_one_line(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "twoscalefem", "run", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_run_dd_and_fr(tmp_path):

@@ -85,6 +85,23 @@ def test_ordered_reduction_bitwise_across_rank_counts():
     assert r1 == r2 == r4  # bitwise identical
 
 
+def test_ordered_sum_array_form_equals_pair_form():
+    rng = np.random.default_rng(9)
+    keys = rng.permutation(40)[:30]
+    keys[::7] = keys[0]  # repeated keys keep their rank order in both forms
+    vals = rng.normal(size=30) * 10.0 ** rng.integers(-8, 8, size=30)
+
+    def prog(ctx):
+        mine = np.arange(ctx.rank, 30, ctx.size)
+        pairs = ctx.all_reduce_ordered_sum([(int(keys[i]), float(vals[i])) for i in mine])
+        arrays = ctx.all_reduce_ordered_sum((keys[mine], vals[mine]))
+        return pairs, arrays
+
+    for n in (1, 2, 3):
+        for pairs, arrays in run_ranks(n, prog):
+            assert pairs == arrays and isinstance(arrays, float)
+
+
 def test_gather_scatter_roundtrip():
     def prog(ctx):
         data = ctx.gather(ctx.rank * 10, root=1)

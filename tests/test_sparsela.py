@@ -109,6 +109,23 @@ def test_flop_counters_deterministic():
     assert isinstance(F1.factor_flops, int)
 
 
+def test_flop_counters_match_explicit_factor():
+    # the counters come from SuperLU's equilibrated factor; they must equal
+    # the formulas on the unscaled L, which is only built on access
+    A = random_spd(70, 11)
+    Z = A.tocsc(copy=True)
+    Z.data[np.flatnonzero(Z.indices != np.repeat(np.arange(70), np.diff(Z.indptr)))[::3]] = 0.0
+    assert (Z.data == 0.0).any()  # explicit stored zeros
+    for M in (A, Z):
+        F = factorize(M)
+        assert F._L is None
+        col_nnz = np.diff(F.L.indptr).astype(np.int64)
+        assert F.factor_flops == int(np.sum(col_nnz ** 2))
+        solve(F, np.ones(70))
+        solve(F, np.ones((70, 3)))
+        assert F.solve_flops == 4 * (2 * F.L.nnz + F.n)
+
+
 def test_pcg_zero_rhs():
     A = sp.eye(4).tocsc()
     x, rep = pcg(np.zeros(4), lambda v: A @ v, np.zeros(4), lambda v: v, 1e-8)

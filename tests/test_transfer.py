@@ -27,8 +27,9 @@ from twoscalefem.transfer import (
     element_classical_dofs,
     element_enriched_dofs,
     enriched_corners,
-    monolithic_transfer,
+    flatten_triplets,
     nsp_triplets,
+    stack_blocks,
     update_tfe,
 )
 
@@ -107,12 +108,12 @@ def test_enrichment_triplets_match_dense_products():
     g_e = part.coarse_dof_index[element_enriched_dofs(nested, part, e)]
     assert (g_c < 0).any() and len(g_e) == 12
     block.T_Fk = build_tfk(block, nested)
-    block.P_Fk = (block.A_FF @ block.T_Fk).toarray()
     corners = enriched_corners(nested, part, e)
-    block.T_Fe = update_tfe(block, nested, part, element_patch_fields(block, fields, corners, part))
+    stack = stacked_tfe([block], nested, part, {e: element_patch_fields(block, fields, corners, part)})
     assert np.count_nonzero(block.T_Fe[part.ref_dirichlet[node_dofs(block.nodes)]]) == 0
-    (eid, rows, cols, vals), (eid_b, idx, be) = coarse_triplets_enrichment(block, nested, part)
-    assert eid == eid_b == e
+    vals, be = coarse_triplets_enrichment(stack)
+    rows, cols, idx = stack.e_rows, stack.e_cols, stack.b_idx
+    assert set(stack.e_keys) == set(stack.b_keys) == {e}
 
     T, A, Tk = block.T_Fe, block.A_FF.toarray(), block.T_Fk.toarray()
     A_ee, A_ek, B_e = T.T @ A @ T, T.T @ A @ Tk, T.T @ block.B_F
@@ -147,6 +148,21 @@ def random_patch_fields(nested, sp_info, part, seed=0):
     return fields
 
 
+def stacked_tfe(blocks, nested, part, efields):
+    """Stack the blocks, load their patch fields and build T_Fe.
+
+    efields: element -> {enriched corner -> (n, 3) field}; corners without
+    a field keep a zero field.
+    """
+    stack = stack_blocks(blocks, nested, part, max(b.ndof for b in blocks))
+    flat = stack.fields.reshape(-1)
+    for e, flds in efields.items():
+        for p, arr in flds.items():
+            flat[stack.field_slots(e, p)] = arr.ravel()
+    update_tfe(stack)
+    return stack
+
+
 def element_patch_fields(block, fields, corners, part):
     """Restrict global per-patch dicts to element node order, zero on Dirichlet."""
     out = {}
@@ -170,9 +186,11 @@ def test_tfe_constant_field_vanishes():
     block = assemble_element_block(e, nested, mat, LoadSet())
     block.T_Fk = build_tfk(block, nested)
     corners = enriched_corners(nested, part, e)
+    assert corners
     const = {p: np.tile([1.0, 2.0, 3.0], (len(block.nodes), 1)) for p in corners}
-    T_Fe = update_tfe(block, nested, part, const)
-    assert np.count_nonzero(T_Fe) == 0
+    stack = stacked_tfe([block], nested, part, {e: const})
+    assert np.count_nonzero(stack.fields) > 0
+    assert np.count_nonzero(stack.T) == 0
 
 
 def test_tfe_transition_element_zero():
@@ -183,19 +201,25 @@ def test_tfe_transition_element_zero():
     block = assemble_element_block(e, nested, Material(), LoadSet())
     block.T_Fk = build_tfk(block, nested)
     # transition elements get no patch field: columns stay identically zero
-    T_Fe = update_tfe(block, nested, part, {})
-    assert np.count_nonzero(T_Fe) == 0
+    stack = stacked_tfe([block], nested, part, {})
+    assert np.count_nonzero(stack.T) == 0
 
 
 def test_tfe_interior_patch_boundary_rows_zero():
     nested, sp_info, part = setup_case()
     fields = random_patch_fields(nested, sp_info, part)
-    for e in map(int, sp_info.sp_elements):
-        block = assemble_element_block(e, nested, Material(), LoadSet())
+    blocks = [assemble_element_block(e, nested, Material(), LoadSet())
+              for e in map(int, sp_info.sp_elements)]
+    efields = {}
+    for block in blocks:
         block.T_Fk = build_tfk(block, nested)
-        corners = enriched_corners(nested, part, e)
-        efields = element_patch_fields(block, fields, corners, part)
-        T_Fe = update_tfe(block, nested, part, efields)
+        corners = enriched_corners(nested, part, block.element)
+        efields[block.element] = element_patch_fields(block, fields, corners, part)
+    stack = stacked_tfe(blocks, nested, part, efields)
+    assert np.count_nonzero(stack.T) > 0
+    for block in blocks:
+        T_Fe = block.T_Fe
+        corners = enriched_corners(nested, part, block.element)
         for ci, p in enumerate(corners):
             patch = next(pa for pa in sp_info.patches if pa.node == p)
             sets = part.patch_sets[sp_info.patches.index(patch)]
@@ -207,6 +231,36 @@ def test_tfe_interior_patch_boundary_rows_zero():
                         assert T_Fe[3 * j + c, 3 * ci + c] == 0.0
 
 
+def test_stacked_tfe_matches_per_block_formula():
+    # blocks of different sizes share one padded stack; each block's T_Fe is
+    # N^p(x_j) (field_p[j] - field_p[p]) per component, zero on Dirichlet rows
+    nested, sp_info, part = setup_case(refined=range(6), boxdims=(3, 1, 1), dirichlet=True)
+    fields = random_patch_fields(nested, sp_info, part, seed=7)
+    blocks, efields = [], {}
+    for e in map(int, sp_info.sp_elements):
+        block = assemble_element_block(e, nested, Material(), LoadSet())
+        block.T_Fk = build_tfk(block, nested)
+        blocks.append(block)
+        efields[e] = element_patch_fields(block, fields, enriched_corners(nested, part, e), part)
+    assert len({b.ndof for b in blocks}) > 1
+    stacked_tfe(blocks, nested, part, efields)
+    checked = 0
+    for block in blocks:
+        e, nodes = block.element, [int(v) for v in block.nodes]
+        tet = [int(v) for v in nested.coarse.tets[e]]
+        N = barycentric_matrix(nested, e, nodes)
+        dirichlet = part.ref_dirichlet[node_dofs(block.nodes)].reshape(-1, 3)
+        for ci, p in enumerate(enriched_corners(nested, part, e)):
+            fld = efields[e][p]
+            expect = N[:, [tet.index(p)]] * (fld - fld[nodes.index(p)])
+            expect[dirichlet] = 0.0
+            got = block.T_Fe[:, 3 * ci:3 * ci + 3].reshape(-1, 3, 3)
+            assert np.abs(np.einsum("jcc->jc", got) - expect).max() <= 1e-13
+            assert np.count_nonzero(got * (1 - np.eye(3))) == 0
+            checked += 1
+    assert checked > 0
+
+
 def _on_domain_boundary(nested, node):
     surface = set(nested.coarse.surface_faces())
     return bool(nested.node_faces.get(node, frozenset()) & surface)
@@ -216,17 +270,17 @@ def build_full_system(nested, sp_info, part, mat, loads, fields=None):
     from twoscalefem.elasticity import traction_face_table
 
     tr = traction_face_table(nested, loads)
-    blocks = {}
+    blocks, efields = {}, {}
     const_trips, const_b = [], []
     for e in map(int, sp_info.sp_elements):
         block = assemble_element_block(e, nested, mat, loads, tr)
         block.T_Fk = build_tfk(block, nested)
-        block.P_Fk = (block.A_FF @ block.T_Fk).toarray()
         if fields is not None:
             corners = enriched_corners(nested, part, e)
-            efields = element_patch_fields(block, fields, corners, part)
-            block.T_Fe = update_tfe(block, nested, part, efields)
+            efields[e] = element_patch_fields(block, fields, corners, part)
         blocks[e] = block
+    stack = stacked_tfe(list(blocks.values()), nested, part, efields)
+    for block in blocks.values():
         t, b = coarse_triplets_constant(block, nested, part)
         const_trips.append(t)
         const_b.append(b)
@@ -235,17 +289,40 @@ def build_full_system(nested, sp_info, part, mat, loads, fields=None):
         t, b = nsp_triplets(nb, part)
         const_trips.append(t)
         const_b.append(b)
-    cs = CoarseSystem(part)
-    cs.set_constant(const_trips, const_b)
-    enrich, b_enrich = [], []
-    if fields is not None:
-        for e, block in blocks.items():
-            out = coarse_triplets_enrichment(block, nested, part)
-            if out:
-                enrich.append(out[0])
-                b_enrich.append(out[1])
-    A, B = cs.build(enrich, b_enrich)
+    cs = CoarseSystem.of(part, flatten_triplets(const_trips, 3), flatten_triplets(const_b, 2),
+                         (stack.e_keys, stack.e_rows, stack.e_cols), (stack.b_keys, stack.b_idx))
+    A, B = cs.build(*coarse_triplets_enrichment(stack)) if fields is not None else cs.build()
     return A, B, blocks, cs
+
+
+def monolithic_transfer(nested, sp_info, partition, blocks):
+    """Oracle: full T operator from free coarse dofs to free reference dofs.
+
+    The solver never assembles this matrix.  blocks maps SP element id ->
+    ElementBlock with T_Fk/T_Fe current.
+    """
+    n_r = partition.n_ref_free
+    n_g = partition.n_coarse_free
+    # h rows: identity against the matching coarse dofs
+    h = node_dofs(partition.h_nodes)
+    rows, cols = [partition.ref_dof_index[h]], [partition.coarse_dof_index[h]]
+    vals = [np.ones(len(h))]
+    for e, block in sorted(blocks.items()):
+        T = block.T_Fk.toarray()
+        col_dofs = element_classical_dofs(nested, e)
+        if block.T_Fe is not None:
+            T = np.hstack([T, block.T_Fe])
+            col_dofs = np.concatenate([col_dofs, element_enriched_dofs(nested, partition, e)])
+        r, c = np.nonzero(T)
+        rows.append(partition.ref_dof_index[node_dofs(block.nodes)][r])
+        cols.append(partition.coarse_dof_index[col_dofs][c])
+        vals.append(T[r, c])
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    keep = (rows >= 0) & (cols >= 0)
+    # an entry shared by several blocks keeps the value of the highest element id
+    rows, cols, vals = rows[keep][::-1], cols[keep][::-1], vals[keep][::-1]
+    _, last = np.unique(rows * n_g + cols, return_index=True)
+    return sp.csr_matrix((vals[last], (rows[last], cols[last])), shape=(n_r, n_g))
 
 
 def test_zero_enrichment_reduces_to_coarse_fem():
@@ -291,7 +368,7 @@ def test_agg_matches_monolithic_operator_oracle():
     A, B, blocks, _ = build_full_system(nested, sp_info, part, mat, loads, fields)
 
     ref = assemble_reference(nested, part, mat, loads)
-    T = monolithic_transfer(nested, sp_info, part, blocks, None)
+    T = monolithic_transfer(nested, sp_info, part, blocks)
     A_oracle = (T.T @ ref.A_rr @ T).toarray()
     B_oracle = T.T @ ref.B_r
 
@@ -314,7 +391,7 @@ def test_affine_reproduction_through_transfer():
     nested, sp_info, part = setup_case()
     mat = Material()
     A, B, blocks, _ = build_full_system(nested, sp_info, part, mat, LoadSet())
-    T = monolithic_transfer(nested, sp_info, part, blocks, None)
+    T = monolithic_transfer(nested, sp_info, part, blocks)
     G = np.array([[0.3, 0.1, 0.0], [0.0, -0.2, 0.05], [0.1, 0.0, 0.4]])
     u_aff = lambda x: G @ x
     U = np.zeros(part.n_coarse_free)

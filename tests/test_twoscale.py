@@ -119,15 +119,18 @@ def test_patch_restriction_property(cubic_small):
         micro_scale_resolution(ctx, state, problem, plan)
         full = np.zeros(3 * part.n_nodes)
         full[part.free_ref_dofs] = u_R
-        worst = 0.0
-        for e, flds in state.patch_fields.items():
-            block = state.blocks[e]
-            for p, arr in flds.items():
+        worst, checked = 0.0, 0
+        for patch in problem.sp_info.patches:
+            for e in patch.elements:
+                arr = state.stack.fields.reshape(-1)[state.stack.field_slots(e, patch.node)].reshape(-1, 3)
+                block = state.blocks[e]
                 for j, v in enumerate(block.nodes):
                     worst = max(worst, np.abs(arr[j] - full[3 * int(v): 3 * int(v) + 3]).max())
-        return worst
+                checked += 1
+        return worst, checked
 
-    (worst,) = run_state_program(problem, plan, fn)
+    ((worst, checked),) = run_state_program(problem, plan, fn)
+    assert checked == sum(len(p.elements) for p in problem.sp_info.patches) > 0
     assert worst <= 1e-10 * max(np.abs(u_R).max(), 1e-300)
 
 
@@ -141,19 +144,22 @@ def test_affine_boundary_gives_affine_patch_solutions():
     def fn(ctx, state):
         _scatter_warm(state, problem, u_aff)
         micro_scale_resolution(ctx, state, problem, plan)
-        worst = 0.0
-        for e, flds in state.patch_fields.items():
-            block = state.blocks[e]
-            for p, arr in flds.items():
+        worst, checked = 0.0, 0
+        for patch in problem.sp_info.patches:
+            for e in patch.elements:
+                arr = state.stack.fields.reshape(-1)[state.stack.field_slots(e, patch.node)].reshape(-1, 3)
+                block = state.blocks[e]
                 expect = problem.nested.points[block.nodes] @ G.T
                 for j, v in enumerate(block.nodes):
                     for c in range(3):
                         if part.ref_dirichlet[3 * int(v) + c]:
                             expect[j, c] = 0.0
                 worst = max(worst, np.abs(arr - expect).max())
-        return worst
+                checked += 1
+        return worst, checked
 
-    (worst,) = run_state_program(problem, plan, fn)
+    ((worst, checked),) = run_state_program(problem, plan, fn)
+    assert checked == sum(len(p.elements) for p in problem.sp_info.patches) > 0
     assert worst <= 1e-10 * np.abs(u_aff).max()
 
 
