@@ -587,15 +587,8 @@ def run_case(spec: CaseSpec, outdir=None):
                 fh.write(f"{i} {p[0]:.9g} {p[1]:.9g} {p[2]:.9g} "
                          f"{u[0]:.12e} {u[1]:.12e} {u[2]:.12e}\n")
         if schedule is not None:
-            owners = {}
-            weights = {}
-            for pi, patch in enumerate(problem.sp_info.patches):
-                rs = tuple(sorted({int(plan.element_rank[e]) for e in patch.elements}))
-                owners[pi] = rs
-                weights[pi] = patch.weight
-            graph = PatchGraph(spec.ranks, weights, owners)
             with open(os.path.join(outdir, "schedule.json"), "w") as fh:
-                fh.write(dump_json(schedule, graph))
+                fh.write(dump_json(schedule, PatchGraph.of(problem.sp_info, plan)))
     return summary
 
 

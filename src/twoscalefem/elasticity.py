@@ -319,17 +319,14 @@ class ElementBlock:
     """Per-macro-element matrices of the fine problem, hanging nodes eliminated.
 
     nodes lists the element's F-level node ids (ascending); local dof i of
-    node j is 3*j_local + i.  Dirichlet rows are kept.  In the solver, T_Fe
-    and u_F are views into the rank's transfer.BlockStack.
+    node j is 3*j_local + i.  Dirichlet rows are kept.  The solver stacks
+    the blocks with their transfers and iterate in a transfer.BlockStack.
     """
 
     element: int
     nodes: np.ndarray
     A_FF: sp.csr_matrix
     B_F: np.ndarray
-    T_Fk: sp.csr_matrix | None = None
-    T_Fe: np.ndarray | None = None         # dense (3n, 3k)
-    u_F: np.ndarray | None = None
 
     @property
     def ndof(self):

@@ -80,10 +80,7 @@ class CoarseMesh:
         if np.any(vols <= 0):
             bad = int(np.argmin(vols))
             raise MeshError(f"element {bad} is not positively oriented (volume {vols[bad]:.3e})")
-        counts: dict[tuple, int] = {}
-        for tet in self.tets:
-            for face in _tet_faces(tet):
-                counts[face] = counts.get(face, 0) + 1
+        counts = _face_counts(self.tets)
         if any(c > 2 for c in counts.values()):
             raise MeshError("non-manifold face (shared by more than two elements)")
         surface = {f for f, c in counts.items() if c == 1}
@@ -92,11 +89,7 @@ class CoarseMesh:
                 raise MeshError(f"tagged face {face} is not a surface face")
 
     def surface_faces(self):
-        counts: dict[tuple, int] = {}
-        for tet in self.tets:
-            for face in _tet_faces(tet):
-                counts[face] = counts.get(face, 0) + 1
-        return [f for f, c in counts.items() if c == 1]
+        return [f for f, c in _face_counts(self.tets).items() if c == 1]
 
     def element_adjacency(self):
         """Pairs of elements sharing at least an edge (two common vertices)."""
@@ -115,6 +108,15 @@ class CoarseMesh:
                 if shared >= 2:
                     adj[e].add(o)
         return adj
+
+
+def _face_counts(tets):
+    """Sorted vertex triple -> number of the given tets having that face."""
+    counts: dict[tuple, int] = {}
+    for tet in tets:
+        for face in _tet_faces(tet):
+            counts[face] = counts.get(face, 0) + 1
+    return counts
 
 
 def _tet_faces(tet):
@@ -658,7 +660,8 @@ def build_partition(nested: NestedMesh, sp: SpInfo, bc: BoundaryConditions) -> D
     ref_index = np.full(3 * nn, -1, dtype=np.int64)
     ref_index[free_ref] = np.arange(len(free_ref))
 
-    patch_sets = [_patch_sets(nested, patch, hang_mask, ref_dir) for patch in sp.patches]
+    surface = set(mesh.surface_faces())
+    patch_sets = [_patch_sets(nested, patch, hang_mask, ref_dir, surface) for patch in sp.patches]
 
     return DofPartition(
         n_coarse_nodes=nc, n_nodes=nn, n_enriched=len(enriched),
@@ -672,20 +675,17 @@ def build_partition(nested: NestedMesh, sp: SpInfo, bc: BoundaryConditions) -> D
     )
 
 
-def _patch_sets(nested: NestedMesh, patch: Patch, hang_mask, ref_dir):
+def _patch_sets(nested: NestedMesh, patch: Patch, hang_mask, ref_dir, surface):
     """Q/L/DP/d/q classification for one patch, at dof granularity.
 
     The d-set is the artificial cut: member coarse faces not shared between
     two members and not on the domain surface; free non-hanging dofs there
     carry Dirichlet data from the fine-scale field.  Domain-boundary faces
     keep their physical conditions (tractions or free), so their dofs stay
-    in q; interior free dofs form q as well.
+    in q; interior free dofs form q as well.  surface is the set of the
+    coarse mesh's surface faces.
     """
-    face_count: dict[tuple, int] = {}
-    for e in patch.elements:
-        for f in _tet_faces(nested.coarse.tets[e]):
-            face_count[f] = face_count.get(f, 0) + 1
-    surface = set(nested.coarse.surface_faces())
+    face_count = _face_counts(nested.coarse.tets[list(patch.elements)])
     boundary_faces = {f for f, c in face_count.items() if c == 1 and f not in surface}
 
     all_nodes = patch.fine_nodes(nested)

@@ -224,27 +224,18 @@ class RankContext:
         return self.bcast(out, 0)
 
     def reduce_ordered_sum(self, items, root=0):
-        """Sum of (key, value) contributions in globally sorted key order.
+        """Sum of (keys, values) array contributions in globally sorted key order.
 
-        items: (key, value) pairs, or one (keys, values) pair of arrays.
-        The summation order depends only on the keys, never on the rank
-        layout, so results are bitwise identical for any rank count; both
-        forms add the values one by one from 0.0, so they agree bitwise.
+        The values are added one by one from 0.0 in stable key order (equal
+        keys in rank order), so when the keys are distinct the result is
+        bitwise identical for any rank count.
         """
-        arrays = isinstance(items, tuple) and len(items) == 2 and isinstance(items[0], np.ndarray)
-        pieces = self.gather(items if arrays else list(items), root)
+        pieces = self.gather(items, root)
         if pieces is None:
             return None
-        if arrays:
-            keys = np.concatenate([p[0] for p in pieces])
-            vals = np.concatenate([p[1] for p in pieces])[np.argsort(keys, kind="stable")]
-            return float(np.cumsum(np.concatenate([[0.0], vals]))[-1])
-        merged = [kv for lst in pieces for kv in lst]
-        merged.sort(key=lambda kv: kv[0])
-        acc = 0.0
-        for _, v in merged:
-            acc = acc + v
-        return acc
+        keys = np.concatenate([p[0] for p in pieces])
+        vals = np.concatenate([p[1] for p in pieces])[np.argsort(keys, kind="stable")]
+        return float(np.cumsum(np.concatenate([[0.0], vals]))[-1])
 
     def all_reduce_ordered_sum(self, items):
         return self.bcast(self.reduce_ordered_sum(items, 0), 0)

@@ -34,6 +34,14 @@ class PatchGraph:
     weights: dict[int, int]
     participants: dict[int, tuple[int, ...]]
 
+    @classmethod
+    def of(cls, sp_info, plan):
+        """The patches of sp_info, each with the ranks owning its elements under plan."""
+        participants = {pi: tuple(np.unique(plan.element_rank[list(patch.elements)]).tolist())
+                        for pi, patch in enumerate(sp_info.patches)}
+        return cls(plan.n_ranks, {pi: patch.weight for pi, patch in enumerate(sp_info.patches)},
+                   participants)
+
     def rank_view(self, rank):
         """(D, L) lists for one rank, in construction (dict) order."""
         D = [(p, self.weights[p], self.participants[p])

@@ -70,8 +70,9 @@ class BlockStack:
 
     Every block takes ``width`` rows, 3 x the largest SP block of the mesh
     (not of the rank), so batched per-block arithmetic does not depend on
-    which blocks share a rank; rows past a block's 3n dofs are zero.  Each
-    block's u_F and T_Fe are views into the stacked arrays.
+    which blocks share a rank; rows past a block's 3n dofs are zero.  The
+    stack is the only holder of the blocks' iterate ``u`` (u_F) and
+    transfer ``T`` (T_Fe).
 
     ``fields`` holds per row and enriched-corner slot the current patch
     field of that corner (zero where no patch covers the block).  The
@@ -94,7 +95,7 @@ class BlockStack:
     hat: np.ndarray              # (nb, width / 3, KMAX) hat column of each corner
     corner_row: np.ndarray       # (nb, KMAX) block-local node of each corner
     dirichlet: np.ndarray        # (nb, width) rows T_Fe leaves zero
-    real: np.ndarray             # (nb width,) mask of the rows that are block dofs
+    dofs: np.ndarray             # (nb width,) global dof of each row, -1 on padding
     c_dofs: np.ndarray           # (12 nb) coarse dofs of the T_Fk columns
     e_dofs: np.ndarray           # (3 KMAX nb) coarse dofs of the T_Fe columns, -1 if absent
     e_keys: np.ndarray
@@ -128,14 +129,13 @@ def _block_diag(mats, width, col0, ncols):
          np.concatenate([[0], indptr])), shape=(width * len(mats), ncols))
 
 
-def stack_blocks(blocks, nested: NestedMesh, partition: DofPartition, width: int) -> BlockStack:
-    """Stack SP blocks (ascending element id, T_Fk set) into one BlockStack.
-
-    Sets each block's u_F and T_Fe to views into the stack.
-    """
+def stack_blocks(blocks, T_Fk, nested: NestedMesh, partition: DofPartition,
+                 width: int) -> BlockStack:
+    """Stack SP blocks (ascending element id) and their T_Fk into one BlockStack."""
     nb, W = len(blocks), width
     ndof = np.array([b.ndof for b in blocks], dtype=np.int64)
     base = W * np.arange(nb)
+    dofs = np.full(nb * W, -1, dtype=np.int64)
     hat = np.zeros((nb, W // 3, KMAX))
     corner_row = np.zeros((nb, KMAX), dtype=np.int64)
     dirichlet = np.zeros((nb, W), dtype=bool)
@@ -148,6 +148,7 @@ def stack_blocks(blocks, nested: NestedMesh, partition: DofPartition, width: int
         k = len(cs)
         corners.append(cs)
         B[base[i]:base[i] + n3] = block.B_F
+        dofs[base[i]:base[i] + n3] = node_dofs(block.nodes)
         hat[i, :n3 // 3, :k] = _hat_matrix(nested, e, block.nodes)[:, [tet.index(p) for p in cs]]
         corner_row[i, :k] = np.searchsorted(block.nodes, cs)
         dirichlet[i, :n3] = partition.ref_dirichlet[node_dofs(block.nodes)]
@@ -164,18 +165,14 @@ def stack_blocks(blocks, nested: NestedMesh, partition: DofPartition, width: int
         free = partition.coarse_dof_index[ed]
         b_parts.append((e, free[free >= 0], 12 * i + a[free >= 0]))
     z = np.zeros(0, np.int64)
-    stack = BlockStack(
+    return BlockStack(
         np.array([b.element for b in blocks], dtype=np.int64), W, corners, ndof,
         _block_diag([b.A_FF.tocsr() for b in blocks], W, base, nb * W),
-        _block_diag([b.T_Fk for b in blocks], W, 12 * np.arange(nb), 12 * nb),
+        _block_diag(T_Fk, W, 12 * np.arange(nb), 12 * nb),
         B, np.zeros(nb * W), np.zeros((nb, W, 3 * KMAX)), np.zeros((nb * W, KMAX)), hat,
-        corner_row, dirichlet, (np.arange(W) < ndof[:, None]).ravel(),
+        corner_row, dirichlet, dofs,
         np.concatenate([z] + c_dofs), np.concatenate([z] + e_dofs),
         *flatten_triplets(e_parts, 3), *flatten_triplets(b_parts, 2))
-    for i, block in enumerate(blocks):
-        block.u_F = stack.u[base[i]:base[i] + ndof[i]]
-        block.T_Fe = stack.T[i, :ndof[i], :3 * len(corners[i])]
-    return stack
 
 
 def update_tfe(stack: BlockStack) -> np.ndarray:
@@ -276,11 +273,11 @@ def _dense_triplets(eid, M, dofs, B, partition):
     return (eid, rows, cols, np.asarray(M).ravel()[keep]), (eid, idx[idx >= 0], B[idx >= 0])
 
 
-def coarse_triplets_constant(block: ElementBlock, nested, partition):
+def coarse_triplets_constant(block: ElementBlock, T_Fk, nested, partition):
     """A_kk = T_Fk^T A_FF T_Fk and B_k = T_Fk^T B_F of one SP element, free-indexed."""
-    return _dense_triplets(block.element, block.T_Fk.T @ (block.A_FF @ block.T_Fk).toarray(),
+    return _dense_triplets(block.element, T_Fk.T @ (block.A_FF @ T_Fk).toarray(),
                            element_classical_dofs(nested, block.element),
-                           block.T_Fk.T @ block.B_F, partition)
+                           T_Fk.T @ block.B_F, partition)
 
 
 def nsp_triplets(nsp: NspBlock, partition):

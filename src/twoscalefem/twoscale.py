@@ -25,7 +25,7 @@ from .elasticity import (
 )
 from .mesh import DofPartition, NestedMesh, SpInfo, spf_nodes
 from .runtime import PartitionPlan, RankContext, run_ranks
-from .scheduler import Schedule, build_schedule
+from .scheduler import PatchGraph, Schedule, build_schedule
 from .sparsela import SingularMatrixError, factorize, pcg, solve
 from .transfer import (
     CoarseSystem,
@@ -44,6 +44,16 @@ __all__ = ["TsConfig", "TsResult", "ProblemSetup", "solve_case", "ts_program"]
 # best value for STAGNATION_WINDOW consecutive iterations
 STAGNATION_WINDOW = 5
 STAGNATION_FACTOR = 10.0
+# coarse contributions reach rank 0 through at most NBP_MAX retained ranks
+NBP_MAX = 4
+# tsi switches to PCG on the last direct factor from iteration
+# TSI_MIN_ITERATIONS on, once resi < TSI_SWITCH_FACTOR * eps; a PCG solve
+# taking more than TSI_REFRESH_CG_ITERS iterations asks for a new factor, and
+# one not converged in PCG_ITER_MAX iterations falls back to a direct solve
+TSI_SWITCH_FACTOR = 1e4
+TSI_MIN_ITERATIONS = 2
+TSI_REFRESH_CG_ITERS = 13
+PCG_ITER_MAX = 400
 
 
 @dataclass
@@ -51,12 +61,6 @@ class TsConfig:
     eps: float = 1e-7
     max_iterations: int = 200
     coarse_strategy: str = "tsd"        # tsd | tsi | tsdd
-    nbp_max: int = 4
-    tsi_switch_factor: float = 10000.0
-    tsi_min_iterations: int = 2
-    tsi_refresh_cg_iters: int = 13
-    pcg_iter_max: int = 400
-    schedule_variant: str = "V2"
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -64,10 +68,6 @@ class TsConfig:
             raise ValueError("eps must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.nbp_max < 1:
-            raise ValueError("nbp_max must be >= 1")
-        if self.pcg_iter_max < 1:
-            raise ValueError("pcg_iter_max must be >= 1")
         if self.coarse_strategy not in ("tsd", "tsi", "tsdd"):
             raise ValueError(f"unknown coarse strategy {self.coarse_strategy}")
 
@@ -113,9 +113,7 @@ class _RankState:
     """Everything one rank holds between procedures."""
 
     def __init__(self):
-        self.blocks = {}            # element -> ElementBlock, ascending element id
-        self.stack = None           # transfer.BlockStack of the blocks
-        self.nsp_blocks = {}
+        self.stack = None           # transfer.BlockStack of the owned SP blocks
         self.const = None           # constant coarse triplets of the owned elements,
         self.const_b = None         # flat (keys, rows, cols, vals) and (keys, idx, vals)
         self.patch_sys = {}         # patch index -> dict with factor etc. (owner only)
@@ -126,11 +124,15 @@ class _RankState:
         self.coarse = None          # CoarseSystem on the solving rank
         self.coarse_factor = None
         self.schedule = None
+        self.patch_owner = None     # patch index -> participant ranks (PatchGraph)
         self.groups = None          # per schedule sequence: subgroup or None
         self.fold = None            # _FoldTables of the owned blocks' nodes
         self.spf_nodes = None       # SPF ring nodes, ascending
         self.btmp = None            # coarse classical NSP load vector (full)
         self.u_prev_coarse = None
+        self.coarse_refresh = False  # tsi: the next coarse solve is direct
+        self.dd_warm = None         # tsdd: warm start of the next dd solve
+        self.dd_layout = None       # tsdd: ddsolver.dd_layout, built once
 
 
 # ---------------------------------------------------------------------------
@@ -185,61 +187,40 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config
     state.spf_nodes = spf_nodes(nested, part)
     mult = np.bincount(np.concatenate([np.zeros(0, np.int64), *block_nodes.values()]))
 
-    # element blocks (A_FF, B_F, T_Fk) of the owned SP elements, stacked
-    # with a width fixed by the largest SP block of the mesh
-    const_trips, const_b = [], []
-    for e in map(int, sp_info.sp_elements):
-        if e in mine:
-            block = assemble_element_block(e, nested, mat, loads, tr_table)
-            block.T_Fk = build_tfk(block, nested)
-            state.blocks[e] = block
+    # element blocks (A_FF, B_F) of the owned SP elements and their T_Fk,
+    # stacked with a width fixed by the largest SP block of the mesh; the
+    # stack keeps all a block's state, the blocks are dropped after set-up
+    blocks = [assemble_element_block(e, nested, mat, loads, tr_table)
+              for e in map(int, sp_info.sp_elements) if e in mine]
+    T_Fk = [build_tfk(block, nested) for block in blocks]
     width = 3 * max(map(len, block_nodes.values()), default=0)
-    stack = state.stack = stack_blocks(list(state.blocks.values()), nested, part, width)
-    for block in state.blocks.values():
-        t, b = coarse_triplets_constant(block, nested, part)
-        const_trips.append(t)
-        const_b.append(b)
-
-    for e in map(int, sp_info.nsp_elements):
-        if e not in mine:
-            continue
-        nb = assemble_nsp(e, nested, mat, loads, tr_table)
-        state.nsp_blocks[e] = nb
-        t, b = nsp_triplets(nb, part)
-        const_trips.append(t)
-        const_b.append(b)
-    state.const = flatten_triplets(const_trips, 3)
-    state.const_b = flatten_triplets(const_b, 2)
+    stack = state.stack = stack_blocks(blocks, T_Fk, nested, part, width)
+    const = [coarse_triplets_constant(block, tk, nested, part) for block, tk in zip(blocks, T_Fk)]
+    const += [nsp_triplets(assemble_nsp(e, nested, mat, loads, tr_table), part)
+              for e in map(int, sp_info.nsp_elements) if e in mine]
+    state.const = flatten_triplets([t for t, _ in const], 3)
+    state.const_b = flatten_triplets([b for _, b in const], 2)
 
     # residual weights of the owned rows: 1/multiplicity, 0 on Dirichlet
     # rows, and for the residual also 0 on the SPF ring rows
-    nodes = np.concatenate([np.zeros(0, np.int64), *(b.nodes for b in state.blocks.values())])
-    w = np.repeat(1.0 / mult[nodes], 3)
-    w[part.ref_dirichlet[node_dofs(nodes)]] = 0.0
+    dofs = stack.dofs[stack.dofs >= 0]
+    w = 1.0 / mult[dofs // 3]
+    w[part.ref_dirichlet[dofs]] = 0.0
     state.w_bnorm = w
-    state.w_resi = np.where(np.repeat(np.isin(nodes, state.spf_nodes), 3), 0.0, w)
+    state.w_resi = np.where(np.isin(dofs // 3, state.spf_nodes), 0.0, w)
 
     # patch schedule and patch systems
-    owners = [tuple(sorted({int(plan.element_rank[e]) for e in patch.elements}))
-              for patch in sp_info.patches]
-    D, L = [], []
-    for pi, patch in enumerate(sp_info.patches):
-        rs = owners[pi]
-        if ctx.rank in rs:
-            if len(rs) >= 2:
-                D.append((pi, patch.weight, rs))
-            else:
-                L.append((pi, patch.weight))
-    state.schedule = build_schedule(ctx, D, L, config.schedule_variant)
-    state.patch_owner = owners
+    graph = PatchGraph.of(sp_info, plan)
+    state.schedule = build_schedule(ctx, *graph.rank_view(ctx.rank))
+    state.patch_owner = graph.participants
 
-    _build_patch_systems(ctx, state, problem, plan)
+    _build_patch_systems(ctx, state, problem, plan, {b.element: b for b in blocks})
 
     # coarse system on rank 0 (gathered through the retained ranks): the
     # constant triplets and the structure of the enrichment triplets, whose
     # values arrive every iteration in the same rank order; and the NSP load
     # vector over coarse classical free dofs, summed in element order
-    parts = _route_to_root(ctx, config, [(state.const, state.const_b, (
+    parts = _route_to_root(ctx, [(state.const, state.const_b, (
         stack.e_keys, stack.e_rows, stack.e_cols), (stack.b_keys, stack.b_idx))])
     btmp = None
     if ctx.rank == 0:
@@ -255,25 +236,20 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config
     return state
 
 
-def _route_to_root(ctx, config, items):
+def _route_to_root(ctx, items):
     """Send a list of contributions to rank 0 via the retained coarse ranks.
 
     Rank 0 gets every rank's items in one list, in an arrival order fixed
-    by the rank count and nbp_max.
+    by the rank count and NBP_MAX.
     """
-    retained = min(config.nbp_max, ctx.size)
+    retained = min(NBP_MAX, ctx.size)
     if ctx.rank >= retained:
         ctx.send(ctx.rank % retained, items, tag=21)
         items = []
-    else:
-        merged = list(items)
-        for r in range(retained + ctx.rank, ctx.size, retained):
-            merged.extend(ctx.recv(r, tag=21))
-        items = merged
+    for r in range(retained + ctx.rank, ctx.size, retained):
+        items = items + ctx.recv(r, tag=21)
     lists = ctx.gather(items, 0)
-    if ctx.rank != 0:
-        return None
-    return [t for lst in lists for t in lst]
+    return None if lists is None else [t for lst in lists for t in lst]
 
 
 def _positions(sorted_ids, ids):
@@ -284,7 +260,13 @@ def _positions(sorted_ids, ids):
     return np.where(found, pos, -1)
 
 
-def _build_patch_systems(ctx, state, problem, plan):
+def _patch_positions(q_dofs, d_dofs, dofs):
+    """Position of each dof in [q_dofs, d_dofs], len(q_dofs) + len(d_dofs) where absent."""
+    qi, di = _positions(q_dofs, dofs), _positions(d_dofs, dofs)
+    return np.where(qi >= 0, qi, np.where(di >= 0, len(q_dofs) + di, len(q_dofs) + len(d_dofs)))
+
+
+def _build_patch_systems(ctx, state, problem, plan, blocks):
     """Assemble and factorize A_qq per patch; owner is the lowest participant.
 
     Also builds the patch's gather/scatter index arrays: every participant
@@ -293,7 +275,8 @@ def _build_patch_systems(ctx, state, problem, plan):
     owner keeps d_src, the position of each d dof's value in the
     concatenated member u_F vectors as they arrive.  A d dof takes its
     value from the highest-id member element holding it, so the patch
-    data do not depend on the rank layout.
+    data do not depend on the rank layout.  blocks maps the owned SP
+    elements to their ElementBlock.
     """
     sp_info, part = problem.sp_info, problem.partition
 
@@ -301,59 +284,42 @@ def _build_patch_systems(ctx, state, problem, plan):
         sets = part.patch_sets[pi]
         q_dofs, d_dofs = sets["q"], sets["d"]
         nq, nd = len(q_dofs), len(d_dofs)
-        my_blocks = [state.blocks[e] for e in map(int, sp_info.patches[pi].elements)
+        my_blocks = [blocks[e] for e in map(int, sp_info.patches[pi].elements)
                      if int(plan.element_rank[e]) == ctx.rank]
         rows, slots, pos = [], [], []
         for b in my_blocks:
             dofs = node_dofs(b.nodes)
-            qi, di = _positions(q_dofs, dofs), _positions(d_dofs, dofs)
-            pos.append(np.where(qi >= 0, qi, np.where(di >= 0, nq + di, nq + nd)))
+            pos.append(_patch_positions(q_dofs, d_dofs, dofs))
             pos[-1][part.ref_dirichlet[dofs]] = nq + nd
             rows.append(state.stack.rows_of(b.element))
             slots.append(state.stack.field_slots(b.element, sp_info.patches[pi].node))
         state.patch_scatter[pi] = tuple(map(np.concatenate, (rows, slots, pos)))
         payload = [(b.element, b.nodes, b.A_FF, b.B_F) for b in my_blocks]
-        if group is not None:
-            pieces = group.gather(payload, root=0)
-            is_owner = group.rank == 0
-        else:
-            pieces = [payload]
-            is_owner = True
-        if not is_owner:
+        pieces = [payload] if group is None else group.gather(payload, root=0)
+        if pieces is None:  # not the owner
             return
         arrived = [t for lst in pieces for t in lst]
         offsets = np.cumsum([0] + [3 * len(t[1]) for t in arrived])
         d_src = np.full(nd, -1, dtype=np.int64)
-        rows_q, cols_q, vals_q = [], [], []
-        rows_d, cols_d, vals_d = [], [], []
+        rows, cols, vals = [], [], []
         BI = np.zeros(nq)
         for k in np.argsort([t[0] for t in arrived]):  # ascending element id
             e, nodes, A_FF, B_F = arrived[k]
-            dof_ids = node_dofs(nodes)
-            qi, di = _positions(q_dofs, dof_ids), _positions(d_dofs, dof_ids)
-            d_src[di[di >= 0]] = offsets[k] + np.nonzero(di >= 0)[0]
+            col = _patch_positions(q_dofs, d_dofs, node_dofs(nodes))
+            row = np.where(col < nq, col, -1)
+            d = np.nonzero((col >= nq) & (col < nq + nd))[0]
+            d_src[col[d] - nq] = offsets[k] + d
             coo = A_FF.tocoo()
-            r_q = qi[coo.row]
-            c_q = qi[coo.col]
-            c_d = di[coo.col]
-            in_qq = (r_q >= 0) & (c_q >= 0)
-            rows_q.append(r_q[in_qq])
-            cols_q.append(c_q[in_qq])
-            vals_q.append(coo.data[in_qq])
-            in_qd = (r_q >= 0) & (c_d >= 0)
-            rows_d.append(r_q[in_qd])
-            cols_d.append(c_d[in_qd])
-            vals_d.append(coo.data[in_qd])
-            keep = qi >= 0
-            np.add.at(BI, qi[keep], B_F[keep])
-        A_qq = sp.coo_matrix(
-            (np.concatenate(vals_q), (np.concatenate(rows_q), np.concatenate(cols_q))),
-            shape=(nq, nq),
-        ).tocsc()
-        A_qd = sp.coo_matrix(
-            (np.concatenate(vals_d), (np.concatenate(rows_d), np.concatenate(cols_d))),
-            shape=(nq, nd),
-        ).tocsr()
+            keep = (row[coo.row] >= 0) & (col[coo.col] < nq + nd)
+            rows.append(row[coo.row][keep])
+            cols.append(col[coo.col][keep])
+            vals.append(coo.data[keep])
+            np.add.at(BI, row[row >= 0], B_F[row >= 0])
+        # the q and the d columns of the member blocks, in element order
+        r, c, v = (np.concatenate(a) for a in (rows, cols, vals))
+        qq = c < nq
+        A_qq = sp.coo_matrix((v[qq], (r[qq], c[qq])), shape=(nq, nq)).tocsc()
+        A_qd = sp.coo_matrix((v[~qq], (r[~qq], c[~qq] - nq)), shape=(nq, nd)).tocsr()
         try:
             factor = factorize(A_qq)
         except SingularMatrixError as exc:
@@ -437,7 +403,7 @@ def update_macro_prb(ctx, state, problem, plan, config):
 
 def build_coarse_on_root(ctx, state, config, enrich, b_enrich):
     """Route the enrichment values to rank 0 and assemble A_gg, B_g there."""
-    parts = _route_to_root(ctx, config, [(enrich, b_enrich)])
+    parts = _route_to_root(ctx, [(enrich, b_enrich)])
     if ctx.rank == 0:
         return state.coarse.build(*(np.concatenate(a) for a in zip(*parts)))
     return None, None
@@ -463,7 +429,7 @@ def _element_sq_norms(ctx, state, vec, weights, extra=None):
     their sums, ready for the ordered all-reduce.
     """
     fold, stack = state.fold, state.stack
-    rows = vec[stack.real].reshape(-1, 3)
+    rows = vec[stack.dofs >= 0].reshape(-1, 3)
     for r, idx in fold.send.items():
         ctx.send(r, rows[idx], tag=31)
     folded = np.empty((len(fold.target), 3))
@@ -503,21 +469,24 @@ def compute_residual(ctx, state, problem):
 
 
 def gather_u_r(ctx, state, problem, U_g):
-    """Assemble the global free reference vector from element fields.
+    """Assemble the global free reference vector from the rank stacks.
 
     A dof shared by several elements takes the value of the highest element id.
     """
-    part = problem.partition
-    items = []
-    for e, block in state.blocks.items():
-        idx = part.ref_dof_index[node_dofs(block.nodes)]
-        items.append((e, idx[idx >= 0], block.u_F[idx >= 0]))
-    lists = ctx.gather(items, 0)
+    part, stack = problem.partition, state.stack
+    real = stack.dofs >= 0
+    idx = part.ref_dof_index[stack.dofs[real]]
+    keep = idx >= 0
+    keys = np.repeat(stack.elements, stack.ndof)
+    pieces = ctx.gather((keys[keep], idx[keep], stack.u[real][keep]), 0)
     u_r = None
     if ctx.rank == 0:
+        keys, idx, vals = (np.concatenate(a) for a in zip(*pieces))
+        # highest element id first, then the first row of each dof
+        order = np.argsort(keys, kind="stable")[::-1]
+        idx, first = np.unique(idx[order], return_index=True)
         u_r = np.zeros(part.n_ref_free)
-        for _, idx, vals in sorted((t for lst in lists for t in lst), key=lambda t: t[0]):
-            u_r[idx] = vals
+        u_r[idx] = vals[order][first]
         full = np.zeros(3 * part.n_coarse_nodes + 3 * part.n_enriched)
         full[part.free_coarse_dofs] = U_g
         dofs = node_dofs(part.h_nodes)
@@ -557,20 +526,20 @@ def _coarse_solve(ctx, state, problem, config, A, B, resi_prev, it, flops):
             config.coarse_strategy == "tsi"
             and state.coarse_factor is not None
             and not state.coarse_refresh
-            and it >= config.tsi_min_iterations
+            and it >= TSI_MIN_ITERATIONS
             and resi_prev is not None
-            and resi_prev < config.eps * config.tsi_switch_factor
+            and resi_prev < config.eps * TSI_SWITCH_FACTOR
         )
         if use_pcg:
             x0 = state.u_prev_coarse if state.u_prev_coarse is not None else np.zeros(len(B))
             factor = state.coarse_factor
             x, rep = pcg(
                 x0, lambda v: A @ v, B, lambda v: solve(factor, v),
-                config.eps * 1e-4, iter_max=config.pcg_iter_max,
+                config.eps * 1e-4, iter_max=PCG_ITER_MAX,
             )
             if rep.converged:
                 U, kind, piters = x, "pcg", rep.iterations
-                state.coarse_refresh = rep.iterations > config.tsi_refresh_cg_iters
+                state.coarse_refresh = rep.iterations > TSI_REFRESH_CG_ITERS
             else:  # fall back to a direct solve this iteration
                 use_pcg, fallback = False, True
         if not use_pcg:
@@ -614,8 +583,6 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
                config: TsConfig, warm_u_r=None):
     part = problem.partition
     state = ts_init(ctx, problem, plan, config)
-    state.coarse_refresh = False
-    state.dd_warm = None
     if config.coarse_strategy == "tsdd":
         _prepare_dd_coarse(ctx, state, problem)
 
@@ -684,11 +651,12 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
 
 
 def _scatter_warm(state, problem, warm_u_r):
+    """Set the stack's iterate from a free reference vector."""
     part = problem.partition
-    full = np.zeros(3 * part.n_nodes)
+    # the extra last entry is the zero read by padding rows (dofs -1)
+    full = np.zeros(3 * part.n_nodes + 1)
     full[part.free_ref_dofs] = warm_u_r
-    for block in state.blocks.values():
-        block.u_F[:] = full[node_dofs(block.nodes)]
+    state.stack.u[:] = full[state.stack.dofs]
 
 
 def _prepare_dd_coarse(ctx, state, problem):

@@ -150,8 +150,8 @@ def test_criterion_06_patch_restriction(cubic_case):
         for patch in problem.sp_info.patches:
             for e in patch.elements:
                 arr = state.stack.fields.reshape(-1)[state.stack.field_slots(e, patch.node)].reshape(-1, 3)
-                block = state.blocks[e]
-                for j, v in enumerate(block.nodes):
+                nodes = state.stack.dofs[state.stack.rows_of(e)][::3] // 3
+                for j, v in enumerate(nodes):
                     worst = max(worst, np.abs(arr[j] - full[3 * int(v): 3 * int(v) + 3]).max())
                 checked += 1
         return worst, checked

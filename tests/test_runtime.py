@@ -62,8 +62,8 @@ def test_scheduling_order_independence():
         val = ctx.recv(prv)
         total = ctx.all_reduce_sum(np.float64(val))
         mx = ctx.all_reduce_max(val + ctx.rank)
-        items = [(ctx.rank * 2 + i, 0.1 * (ctx.rank + i)) for i in range(2)]
-        tot2 = ctx.all_reduce_ordered_sum(items)
+        i = np.arange(2)
+        tot2 = ctx.all_reduce_ordered_sum((ctx.rank * 2 + i, 0.1 * (ctx.rank + i)))
         return (val, total, mx, tot2)
 
     base = run_ranks(4, prog)
@@ -76,8 +76,8 @@ def test_ordered_reduction_bitwise_across_rank_counts():
     vals = rng.normal(size=24)
 
     def prog(ctx):
-        mine = [(i, vals[i]) for i in range(ctx.rank, 24, ctx.size)]
-        return ctx.all_reduce_ordered_sum(mine)
+        mine = np.arange(ctx.rank, 24, ctx.size)
+        return ctx.all_reduce_ordered_sum((mine, vals[mine]))
 
     r1 = run_ranks(1, prog)[0]
     r2 = run_ranks(2, prog)[0]
@@ -85,21 +85,23 @@ def test_ordered_reduction_bitwise_across_rank_counts():
     assert r1 == r2 == r4  # bitwise identical
 
 
-def test_ordered_sum_array_form_equals_pair_form():
+def test_ordered_sum_equals_left_fold_in_stable_key_order():
     rng = np.random.default_rng(9)
     keys = rng.permutation(40)[:30]
-    keys[::7] = keys[0]  # repeated keys keep their rank order in both forms
+    keys[::7] = keys[0]  # repeated keys are summed in rank order
     vals = rng.normal(size=30) * 10.0 ** rng.integers(-8, 8, size=30)
 
     def prog(ctx):
         mine = np.arange(ctx.rank, 30, ctx.size)
-        pairs = ctx.all_reduce_ordered_sum([(int(keys[i]), float(vals[i])) for i in mine])
-        arrays = ctx.all_reduce_ordered_sum((keys[mine], vals[mine]))
-        return pairs, arrays
+        return ctx.all_reduce_ordered_sum((keys[mine], vals[mine]))
 
     for n in (1, 2, 3):
-        for pairs, arrays in run_ranks(n, prog):
-            assert pairs == arrays and isinstance(arrays, float)
+        arrived = [i for r in range(n) for i in range(r, 30, n)]
+        expect = 0.0
+        for i in sorted(arrived, key=lambda i: keys[i]):  # stable: rank order on ties
+            expect = expect + float(vals[i])
+        for got in run_ranks(n, prog):
+            assert got == expect and isinstance(got, float)
 
 
 def test_gather_scatter_roundtrip():

@@ -107,15 +107,15 @@ def test_enrichment_triplets_match_dense_products():
     g_c = part.coarse_dof_index[element_classical_dofs(nested, e)]
     g_e = part.coarse_dof_index[element_enriched_dofs(nested, part, e)]
     assert (g_c < 0).any() and len(g_e) == 12
-    block.T_Fk = build_tfk(block, nested)
     corners = enriched_corners(nested, part, e)
     stack = stacked_tfe([block], nested, part, {e: element_patch_fields(block, fields, corners, part)})
-    assert np.count_nonzero(block.T_Fe[part.ref_dirichlet[node_dofs(block.nodes)]]) == 0
+    T = block_tfe(stack, 0)
+    assert np.count_nonzero(T[part.ref_dirichlet[node_dofs(block.nodes)]]) == 0
     vals, be = coarse_triplets_enrichment(stack)
     rows, cols, idx = stack.e_rows, stack.e_cols, stack.b_idx
     assert set(stack.e_keys) == set(stack.b_keys) == {e}
 
-    T, A, Tk = block.T_Fe, block.A_FF.toarray(), block.T_Fk.toarray()
+    A, Tk = block.A_FF.toarray(), build_tfk(block, nested).toarray()
     A_ee, A_ek, B_e = T.T @ A @ T, T.T @ A @ Tk, T.T @ block.B_F
     n = part.n_coarse_free
     expect, expect_b = np.zeros((n, n)), np.zeros(n)
@@ -154,13 +154,19 @@ def stacked_tfe(blocks, nested, part, efields):
     efields: element -> {enriched corner -> (n, 3) field}; corners without
     a field keep a zero field.
     """
-    stack = stack_blocks(blocks, nested, part, max(b.ndof for b in blocks))
+    stack = stack_blocks(blocks, [build_tfk(b, nested) for b in blocks], nested, part,
+                         max(b.ndof for b in blocks))
     flat = stack.fields.reshape(-1)
     for e, flds in efields.items():
         for p, arr in flds.items():
             flat[stack.field_slots(e, p)] = arr.ravel()
     update_tfe(stack)
     return stack
+
+
+def block_tfe(stack, i):
+    """T_Fe (3n, 3k) of the i-th stacked block."""
+    return stack.T[i, :stack.ndof[i], :3 * len(stack.corners[i])]
 
 
 def element_patch_fields(block, fields, corners, part):
@@ -184,7 +190,6 @@ def test_tfe_constant_field_vanishes():
     mat = Material()
     e = int(sp_info.sp_elements[0])
     block = assemble_element_block(e, nested, mat, LoadSet())
-    block.T_Fk = build_tfk(block, nested)
     corners = enriched_corners(nested, part, e)
     assert corners
     const = {p: np.tile([1.0, 2.0, 3.0], (len(block.nodes), 1)) for p in corners}
@@ -199,7 +204,6 @@ def test_tfe_transition_element_zero():
     assert transition
     e = int(transition[0])
     block = assemble_element_block(e, nested, Material(), LoadSet())
-    block.T_Fk = build_tfk(block, nested)
     # transition elements get no patch field: columns stay identically zero
     stack = stacked_tfe([block], nested, part, {})
     assert np.count_nonzero(stack.T) == 0
@@ -212,13 +216,12 @@ def test_tfe_interior_patch_boundary_rows_zero():
               for e in map(int, sp_info.sp_elements)]
     efields = {}
     for block in blocks:
-        block.T_Fk = build_tfk(block, nested)
         corners = enriched_corners(nested, part, block.element)
         efields[block.element] = element_patch_fields(block, fields, corners, part)
     stack = stacked_tfe(blocks, nested, part, efields)
     assert np.count_nonzero(stack.T) > 0
-    for block in blocks:
-        T_Fe = block.T_Fe
+    for i, block in enumerate(blocks):
+        T_Fe = block_tfe(stack, i)
         corners = enriched_corners(nested, part, block.element)
         for ci, p in enumerate(corners):
             patch = next(pa for pa in sp_info.patches if pa.node == p)
@@ -239,13 +242,12 @@ def test_stacked_tfe_matches_per_block_formula():
     blocks, efields = [], {}
     for e in map(int, sp_info.sp_elements):
         block = assemble_element_block(e, nested, Material(), LoadSet())
-        block.T_Fk = build_tfk(block, nested)
         blocks.append(block)
         efields[e] = element_patch_fields(block, fields, enriched_corners(nested, part, e), part)
     assert len({b.ndof for b in blocks}) > 1
-    stacked_tfe(blocks, nested, part, efields)
+    stack = stacked_tfe(blocks, nested, part, efields)
     checked = 0
-    for block in blocks:
+    for i, block in enumerate(blocks):
         e, nodes = block.element, [int(v) for v in block.nodes]
         tet = [int(v) for v in nested.coarse.tets[e]]
         N = barycentric_matrix(nested, e, nodes)
@@ -254,7 +256,7 @@ def test_stacked_tfe_matches_per_block_formula():
             fld = efields[e][p]
             expect = N[:, [tet.index(p)]] * (fld - fld[nodes.index(p)])
             expect[dirichlet] = 0.0
-            got = block.T_Fe[:, 3 * ci:3 * ci + 3].reshape(-1, 3, 3)
+            got = block_tfe(stack, i)[:, 3 * ci:3 * ci + 3].reshape(-1, 3, 3)
             assert np.abs(np.einsum("jcc->jc", got) - expect).max() <= 1e-13
             assert np.count_nonzero(got * (1 - np.eye(3))) == 0
             checked += 1
@@ -270,18 +272,17 @@ def build_full_system(nested, sp_info, part, mat, loads, fields=None):
     from twoscalefem.elasticity import traction_face_table
 
     tr = traction_face_table(nested, loads)
-    blocks, efields = {}, {}
+    blocks, efields = [], {}
     const_trips, const_b = [], []
     for e in map(int, sp_info.sp_elements):
         block = assemble_element_block(e, nested, mat, loads, tr)
-        block.T_Fk = build_tfk(block, nested)
         if fields is not None:
             corners = enriched_corners(nested, part, e)
             efields[e] = element_patch_fields(block, fields, corners, part)
-        blocks[e] = block
-    stack = stacked_tfe(list(blocks.values()), nested, part, efields)
-    for block in blocks.values():
-        t, b = coarse_triplets_constant(block, nested, part)
+        blocks.append(block)
+    stack = stacked_tfe(blocks, nested, part, efields)
+    for block in blocks:
+        t, b = coarse_triplets_constant(block, build_tfk(block, nested), nested, part)
         const_trips.append(t)
         const_b.append(b)
     for e in map(int, sp_info.nsp_elements):
@@ -292,14 +293,14 @@ def build_full_system(nested, sp_info, part, mat, loads, fields=None):
     cs = CoarseSystem.of(part, flatten_triplets(const_trips, 3), flatten_triplets(const_b, 2),
                          (stack.e_keys, stack.e_rows, stack.e_cols), (stack.b_keys, stack.b_idx))
     A, B = cs.build(*coarse_triplets_enrichment(stack)) if fields is not None else cs.build()
-    return A, B, blocks, cs
+    return A, B, stack, cs
 
 
-def monolithic_transfer(nested, sp_info, partition, blocks):
+def monolithic_transfer(nested, sp_info, partition, stack):
     """Oracle: full T operator from free coarse dofs to free reference dofs.
 
-    The solver never assembles this matrix.  blocks maps SP element id ->
-    ElementBlock with T_Fk/T_Fe current.
+    The solver never assembles this matrix.  stack is the BlockStack of
+    every SP element, T_Fe current.
     """
     n_r = partition.n_ref_free
     n_g = partition.n_coarse_free
@@ -307,14 +308,13 @@ def monolithic_transfer(nested, sp_info, partition, blocks):
     h = node_dofs(partition.h_nodes)
     rows, cols = [partition.ref_dof_index[h]], [partition.coarse_dof_index[h]]
     vals = [np.ones(len(h))]
-    for e, block in sorted(blocks.items()):
-        T = block.T_Fk.toarray()
-        col_dofs = element_classical_dofs(nested, e)
-        if block.T_Fe is not None:
-            T = np.hstack([T, block.T_Fe])
-            col_dofs = np.concatenate([col_dofs, element_enriched_dofs(nested, partition, e)])
+    for i, e in enumerate(map(int, stack.elements)):
+        block_rows = stack.rows_of(e)
+        T = np.hstack([stack.T_Fk[block_rows, 12 * i:12 * i + 12].toarray(), block_tfe(stack, i)])
+        col_dofs = np.concatenate([element_classical_dofs(nested, e),
+                                   element_enriched_dofs(nested, partition, e)])
         r, c = np.nonzero(T)
-        rows.append(partition.ref_dof_index[node_dofs(block.nodes)][r])
+        rows.append(partition.ref_dof_index[stack.dofs[block_rows]][r])
         cols.append(partition.coarse_dof_index[col_dofs][c])
         vals.append(T[r, c])
     rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
@@ -330,7 +330,7 @@ def test_zero_enrichment_reduces_to_coarse_fem():
     nested, sp_info, part = setup_case(dirichlet=True)
     mat = Material(young_modulus=10.0, poisson_ratio=0.25)
     loads = LoadSet(body=lambda x: np.array([0.0, -1.0, 0.0]))
-    A, B, blocks, _ = build_full_system(nested, sp_info, part, mat, loads)
+    A, B, _, _ = build_full_system(nested, sp_info, part, mat, loads)
 
     n_cl = part.n_coarse_free - 3 * part.n_enriched
     A_ee = A[n_cl:, n_cl:].toarray()
@@ -365,10 +365,10 @@ def test_agg_matches_monolithic_operator_oracle():
     mat = Material(young_modulus=3.0, poisson_ratio=0.3)
     loads = LoadSet(body=lambda x: np.array([1.0, 0.5, -0.25]))
     fields = random_patch_fields(nested, sp_info, part, seed=3)
-    A, B, blocks, _ = build_full_system(nested, sp_info, part, mat, loads, fields)
+    A, B, stack, _ = build_full_system(nested, sp_info, part, mat, loads, fields)
 
     ref = assemble_reference(nested, part, mat, loads)
-    T = monolithic_transfer(nested, sp_info, part, blocks)
+    T = monolithic_transfer(nested, sp_info, part, stack)
     A_oracle = (T.T @ ref.A_rr @ T).toarray()
     B_oracle = T.T @ ref.B_r
 
@@ -390,8 +390,8 @@ def test_affine_reproduction_through_transfer():
     # interpolation at fine nodes, exact for affine fields
     nested, sp_info, part = setup_case()
     mat = Material()
-    A, B, blocks, _ = build_full_system(nested, sp_info, part, mat, LoadSet())
-    T = monolithic_transfer(nested, sp_info, part, blocks)
+    A, B, stack, _ = build_full_system(nested, sp_info, part, mat, LoadSet())
+    T = monolithic_transfer(nested, sp_info, part, stack)
     G = np.array([[0.3, 0.1, 0.0], [0.0, -0.2, 0.05], [0.1, 0.0, 0.4]])
     u_aff = lambda x: G @ x
     U = np.zeros(part.n_coarse_free)
