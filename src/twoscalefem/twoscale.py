@@ -246,8 +246,11 @@ def _route_to_root(ctx, items):
     if ctx.rank >= retained:
         ctx.send(ctx.rank % retained, items, tag=21)
         items = []
-    for r in range(retained + ctx.rank, ctx.size, retained):
-        items = items + ctx.recv(r, tag=21)
+    else:
+        merged = list(items)
+        for r in range(retained + ctx.rank, ctx.size, retained):
+            merged.extend(ctx.recv(r, tag=21))
+        items = merged
     lists = ctx.gather(items, 0)
     return None if lists is None else [t for lst in lists for t in lst]
 

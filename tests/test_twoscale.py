@@ -304,6 +304,19 @@ def test_rank_count_invariance_with_shared_boundary_values():
         assert hist[1] == hist[2] == hist[4] == hist[5]  # bitwise identical
 
 
+@pytest.mark.parametrize("n", [1, 4, 5, 9, 13])
+def test_route_to_root_collects_every_rank(n):
+    # ranks >= NBP_MAX forward to rank % NBP_MAX; rank 0 gets each retained
+    # rank's own items followed by those it forwards, in rank order
+    retained = min(twoscale.NBP_MAX, n)
+    expected = [r for q in range(retained) for r in range(q, n, retained)]
+    for seed in (None, 1):
+        out = run_ranks(n, lambda ctx: twoscale._route_to_root(ctx, [ctx.rank]),
+                        seed=seed)
+        assert out[0] == expected
+        assert all(o is None for o in out[1:])
+
+
 def test_tsi_records_pcg_fallback(cubic_small, monkeypatch):
     problem, *_ = cubic_small
     plan = partition_mesh(problem.nested, problem.sp_info, 1)
