@@ -193,8 +193,8 @@ def _box_problem(spec: CaseSpec, base, dims, material, loads, origin=(0.0, 0.0, 
 
 
 def build_cubic_problem(spec: CaseSpec, base=(4, 2, 1), dims=(4.0, 2.0, 1.0),
-                        F=1.0, material=None):
-    """Plate problem with the cubic exact field; all elements enriched."""
+                        F=1.0, material=None, selector=None):
+    """Plate problem with the cubic exact field, refined on selector (default: all elements)."""
     K = dims[0]
     mat = material or Material(young_modulus=CUBIC_E, poisson_ratio=CUBIC_NU)
     E, nu = mat.young_modulus, mat.poisson_ratio
@@ -206,7 +206,8 @@ def build_cubic_problem(spec: CaseSpec, base=(4, 2, 1), dims=(4.0, 2.0, 1.0),
         "u": lambda p: cubic_exact(p[0], p[1], p[2], E, nu, F, K),
         "strain": lambda p: cubic_strain(p[0], p[1], p[2], E, nu, F, K),
     }
-    return _box_problem(spec, base, dims, mat, loads), exact
+    select = None if selector is None else (lambda mesh: selector)
+    return _box_problem(spec, base, dims, mat, loads, select=select), exact
 
 
 def build_affine_problem(spec: CaseSpec, base=(2, 1, 1), dims=(4.0, 2.0, 1.0),
@@ -528,7 +529,7 @@ def run_case(spec: CaseSpec, outdir=None):
         cfg = TsConfig(eps=spec.eps, coarse_strategy=strategy, max_iterations=400)
         res = solve_case(problem, plan, cfg, n_ranks=spec.ranks)
         u_field = expand(problem.nested, problem.partition, res.u_r)
-        summary.update(converged=bool(res.converged), iterations=res.iterations,
+        summary.update(converged=bool(res.converged), reason=res.reason, iterations=res.iterations,
                        final_resi=res.resi_history[-1] if res.resi_history else 0.0,
                        norm_B=res.norm_B)
         records = res.records
@@ -575,12 +576,12 @@ def run_case(spec: CaseSpec, outdir=None):
             json.dump(summary, fh, indent=2)
         with open(os.path.join(outdir, "resi_history.csv"), "w") as fh:
             fh.write("iteration,resi,coarse_kind,pcg_iterations,wall_time,"
-                     "factor_flops,solve_flops,deflated_pivots,pcg_fallback\n")
+                     "factor_flops,solve_flops,shifted,refinement_steps,pcg_fallback\n")
             for r in records:
                 fh.write(f"{r.iteration},{r.resi:.16e},{r.coarse_kind},"
                          f"{r.pcg_iterations},{r.wall_time:.6f},"
                          f"{r.factor_flops},{r.solve_flops},"
-                         f"{r.deflated_pivots},{int(r.pcg_fallback)}\n")
+                         f"{int(r.shifted)},{r.refinement_steps},{int(r.pcg_fallback)}\n")
         with open(os.path.join(outdir, "field_u.txt"), "w") as fh:
             fh.write("# node  x  y  z  ux  uy  uz\n")
             for i, (p, u) in enumerate(zip(problem.nested.points, u_field)):

@@ -3,7 +3,9 @@
 Each rank condenses its domain onto the shared boundary; the boundary
 problem is solved by the preconditioned conjugate gradient with owner-only
 dot products, where a boundary dof is owned by the lowest rank holding it
-(rank 0 owns its whole boundary, later ranks may own nothing).
+(rank 0 owns its whole boundary, later ranks may own nothing).  A singular
+interior block is factorized shifted and its solves refined against it; a
+singular preconditioner block is factorized shifted.
 """
 
 from __future__ import annotations
@@ -14,15 +16,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .runtime import RankContext
-from .sparsela import CgReport, CscPattern, SingularMatrixError, factorize, pcg, solve
+from .sparsela import (CgReport, CscPattern, SingularMatrixError, factorize, pcg, refine, shifted,
+                       solve)
 
 __all__ = ["DdLayout", "DdResult", "dd_layout", "dd_solve_from_triplets", "reference_rank_triplets"]
 
 CONDENSE_BLOCK = 32  # right-hand sides per interior solve pass
-
-
-class IllConditionedError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -30,6 +29,15 @@ class DdResult:
     x: np.ndarray          # full solution (every rank)
     warm: np.ndarray       # this rank's boundary shard for restarts
     report: CgReport
+    shifted: bool          # some rank factorized a shifted (singular) F_II or F_M
+
+
+def _factorize(A):
+    """(factorize(A), False), or (factorize(shifted(A)), True) when A is singular."""
+    try:
+        return factorize(A), False
+    except SingularMatrixError:
+        return factorize(shifted(A)), True
 
 
 @dataclass
@@ -131,15 +139,18 @@ def dd_solve_from_triplets(
     # condensation: S = A_bb - A_bI A_II^-1 A_Ib, column-blocked interior solves
     A_II, A_bI = A[:nI, :nI], A[nI:, :nI]
     A_Ib, A_bb = A[:nI, nI:].toarray(), A[nI:, nI:].toarray()
-    F_II = factorize(A_II) if nI else None
+    F_II, shift = _factorize(A_II) if nI else (None, False)
+
+    def solve_II(rhs):
+        x = solve(F_II, rhs)
+        return refine(F_II, A_II, rhs, x)[0] if shift else x
+
     Y = np.zeros_like(A_Ib)
-    for lo in range(0, A_Ib.shape[1], CONDENSE_BLOCK):
-        hi = min(lo + CONDENSE_BLOCK, A_Ib.shape[1])
-        if nI:
-            Y[:, lo:hi] = solve(F_II, A_Ib[:, lo:hi])
+    for lo in range(0, A_Ib.shape[1] if nI else 0, CONDENSE_BLOCK):
+        Y[:, lo:lo + CONDENSE_BLOCK] = solve_II(A_Ib[:, lo:lo + CONDENSE_BLOCK])
     S = A_bb - (A_bI @ Y if nI else 0.0)
     B_I = B[:nI]
-    B_b = B[nI:] - (A_bI @ solve(F_II, B_I) if nI else 0.0)
+    B_b = B[nI:] - (A_bI @ solve_II(B_I) if nI else 0.0)
 
     def exchange_sum(vec):
         """Assemble shared values: every replica receives the full sum."""
@@ -160,13 +171,7 @@ def dd_solve_from_triplets(
     for r in co_ranks:
         sel = lay.m_sel[r]
         M_jj[np.ix_(sel, sel)] += ctx.recv(r, tag=42)
-    if len(j_local):
-        try:
-            F_M = factorize(sp.csc_matrix(M_jj))
-        except SingularMatrixError as exc:
-            raise IllConditionedError("ill-conditioned global matrix") from exc
-    else:
-        F_M = None
+    F_M, shift_M = _factorize(sp.csc_matrix(M_jj)) if len(j_local) else (None, False)
 
     def apply_S(x):
         return exchange_sum(S @ x)
@@ -189,18 +194,18 @@ def dd_solve_from_triplets(
 
     x0 = warm if warm is not None and len(warm) == len(b_dofs) else np.zeros(len(b_dofs))
     x_b, report = pcg(x0, apply_S, B_b, apply_M, eps, iter_max=iter_max, dot=dot)
-    X_I = solve(F_II, B_I - A_Ib @ x_b) if nI else np.zeros(0)
+    X_I = solve_II(B_I - A_Ib @ x_b) if nI else np.zeros(0)
 
     lists = ctx.gather((np.concatenate([lay.dofs[:nI], j_dofs]),
-                        np.concatenate([X_I, x_b[j_local]])), 0)
+                        np.concatenate([X_I, x_b[j_local]]), shift or shift_M), 0)
+    out = None
     if ctx.rank == 0:
         x = np.zeros(n)
-        for idx, v in lists:
+        for idx, v, _ in lists:
             x[idx] = v
-    else:
-        x = None
-    x = ctx.bcast(x, 0)
-    return DdResult(x, x_b, report)
+        out = (x, any(s for _, _, s in lists))
+    x, shift = ctx.bcast(out, 0)
+    return DdResult(x, x_b, report, shift)
 
 
 def reference_rank_triplets(nested, sp_info, partition, material, loads, plan, rank):

@@ -5,6 +5,12 @@ minimum-degree ordering; the unit-lower factor, diagonal and symmetric
 permutation are extracted so that perm applied to A reproduces L*D*L^T.
 Flop counters are integers derived from the factor sparsity, identical
 across runs.
+
+A singular matrix is refused.  A caller that may meet a positive
+semi-definite one (the GFEM coarse matrix: shifted enrichment vanishes at
+the coarse vertices) factorizes ``shifted(A) = A + SHIFT diag(A)`` instead
+and, where it needs an accurate solution, refines it against A with
+``refine`` (Strouboulis, Babuska & Copps, CMAME 181 (2000) 43-69).
 """
 
 from __future__ import annotations
@@ -15,13 +21,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-__all__ = ["Factor", "CgReport", "CscPattern", "SingularMatrixError", "factorize", "solve", "pcg"]
+__all__ = ["Factor", "CgReport", "CscPattern", "SingularMatrixError", "factorize", "solve",
+           "shifted", "refine", "pcg"]
 
 PIVOT_RTOL = 1e-14  # smallest pivot magnitude accepted, in equilibrated units
+SHIFT = 1e-10       # relative diagonal shift of a semi-definite matrix (see shifted)
+REFINE_RTOL = 1e-15  # refine stops once ||b - A x|| <= REFINE_RTOL ||b||
 
 
 class SingularMatrixError(RuntimeError):
-    """Raised when a pivot falls below tolerance; carries the offending dof."""
+    """Raised on a zero or tiny pivot; carries the offending dof (-1 if unknown)."""
 
     def __init__(self, dof: int, pivot: float):
         self.dof = dof
@@ -45,9 +54,6 @@ class Factor:
     nnz_L: int = 0    # nonzeros of L, unit diagonal included
     _lu: object = field(default=None, repr=False)
     _scale: np.ndarray = field(default=None, repr=False)  # 1/s of A = S A' S
-    dropped: np.ndarray = field(default=None, repr=False)  # null-pivot dofs
-    _Ls: sp.csc_matrix = field(default=None, repr=False)
-    _ds: np.ndarray = field(default=None, repr=False)
     _s_p: np.ndarray = field(default=None, repr=False)
     _L: sp.csc_matrix = field(default=None, repr=False)
 
@@ -62,16 +68,15 @@ class Factor:
         return solve(self, b)
 
 
-def factorize(A, ordering: str = "mmd", null_pivot: str = "error") -> Factor:
+def factorize(A, ordering: str = "mmd") -> Factor:
     """Factorize a symmetric matrix into P A P^T = L D L^T.
 
     Accepts a scipy sparse matrix or a dense array.  The
     fill-reducing ordering is minimum degree by default; ``ordering="natural"``
     keeps the given dof order (useful to inspect the raw elimination).  A
-    pivot below PIVOT_RTOL (in diagonally equilibrated units) raises
-    SingularMatrixError naming the dof, or, with ``null_pivot="drop"``, gets
-    deflated: solves then return the solution with zero component along the
-    redundant directions, which is exact for consistent right-hand sides.
+    singular matrix raises SingularMatrixError: SuperLU finds no pivot, an
+    exactly zero pivot makes it leave the diagonal, or a pivot falls to
+    PIVOT_RTOL or below (in diagonally equilibrated units).
     """
     if not sp.issparse(A):
         A = sp.csc_matrix(np.asarray(A, dtype=np.float64))
@@ -89,53 +94,23 @@ def factorize(A, ordering: str = "mmd", null_pivot: str = "error") -> Factor:
     sinv = 1.0 / s
     As.data = (sinv[As.indices] * As.data) * np.repeat(sinv, np.diff(As.indptr))
     As.eliminate_zeros()
-    empty = None
-    if null_pivot == "drop":
-        # structurally empty rows cannot even be factorized: pin them upfront
-        nnz_col = np.diff(As.indptr)
-        empty = np.nonzero((np.abs(As.diagonal()) == 0.0) & (nnz_col <= 1))[0]
-        if empty.size:
-            As = As + sp.coo_matrix(
-                (np.ones(len(empty)), (empty, empty)), shape=As.shape).tocsc()
     spec = {"mmd": "MMD_AT_PLUS_A", "natural": "NATURAL"}[ordering]
-    lifted = set()
-    while True:
-        # An exactly zero pivot either leaves a column with nothing left to
-        # pivot on (SuperLU raises) or, with round-off below it, makes
-        # SuperLU leave the diagonal.  Lifting that diagonal keeps the
-        # sparsity, hence the ordering, and turns the pivot into a tiny one
-        # that is deflated like any other pivot below PIVOT_RTOL.
-        try:
-            lu = _splu(As, spec)
-        except RuntimeError as exc:
-            if null_pivot != "drop":
-                raise SingularMatrixError(-1, 0.0) from exc
-            j = _singular_column(As, spec)
-        else:
-            if np.array_equal(lu.perm_r, lu.perm_c):
-                break
-            if null_pivot != "drop":
-                raise RuntimeError("symmetric factorization produced asymmetric pivoting")
-            row_at, col_at = np.argsort(lu.perm_r), np.argsort(lu.perm_c)
-            j = int(col_at[np.argmax(row_at != col_at)])
-        if j in lifted:
-            raise SingularMatrixError(j, 0.0)
-        lifted.add(j)
-        As[j, j] += 0.5 * PIVOT_RTOL
+    try:
+        lu = _splu(As, spec)
+    except RuntimeError as exc:
+        raise SingularMatrixError(-1, 0.0) from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        row_at, col_at = np.argsort(lu.perm_r), np.argsort(lu.perm_c)
+        j = int(col_at[np.argmax(row_at != col_at)])
+        raise SingularMatrixError(j, 0.0)  # a zero diagonal pivot made SuperLU leave it
     ds = lu.U.diagonal().copy()
     inv = np.empty(n, dtype=np.int64)
     inv[lu.perm_r] = np.arange(n)
     # scaled diagonals are +-1 (or 0): pivots must stay above rtol of that
     bad = np.nonzero(np.abs(ds) <= PIVOT_RTOL)[0]
-    dropped = None
-    if bad.size and null_pivot == "error":
+    if bad.size:
         k = int(bad[0])
         raise SingularMatrixError(int(lu.perm_r[k]), float(ds[k]))
-    if null_pivot == "drop":
-        dropped = np.zeros(n, dtype=bool)
-        dropped[bad] = True
-        if empty is not None and empty.size:
-            dropped[inv[empty]] = True
     s_p = s[inv]
     # column-wise outer-product count: one multiply-add pair per L entry pair;
     # the scaling S_p keeps L's nonzeros where SuperLU's factor has them
@@ -144,12 +119,31 @@ def factorize(A, ordering: str = "mmd", null_pivot: str = "error") -> Factor:
     if not Lsc.data.all():
         col_nnz = np.bincount(np.repeat(np.arange(n), col_nnz)[Lsc.data != 0], minlength=n)
     factor_flops = int(np.sum(col_nnz.astype(np.int64) ** 2))
-    F = Factor(n, inv, ds * s_p * s_p, factor_flops, 0, int(col_nnz.sum()), lu, sinv, dropped,
-               _s_p=s_p)
-    if dropped is not None and dropped.any():
-        F._Ls = Lsc.tocsc()
-        F._ds = ds
-    return F
+    return Factor(n, inv, ds * s_p * s_p, factor_flops, 0, int(col_nnz.sum()), lu, sinv, s_p)
+
+
+def shifted(A) -> sp.csc_matrix:
+    """A + SHIFT * diag(A), with 1 on a zero diagonal (an empty row of a semi-definite A)."""
+    A = sp.csc_matrix(A, dtype=np.float64)
+    d = A.diagonal()
+    return (A + sp.diags(np.where(d == 0.0, 1.0, SHIFT * d))).tocsc()
+
+
+def refine(F: Factor, A, b: np.ndarray, x: np.ndarray):
+    """Iterative refinement x <- x + F^-1 (b - A x) against A.
+
+    Steps are taken while they lower the residual and it is above
+    REFINE_RTOL * ||b||.  Returns (x, steps).
+    """
+    stop = REFINE_RTOL * np.linalg.norm(b)
+    r, steps = b - A @ x, 0
+    while np.linalg.norm(r) > stop:
+        x_new = x + solve(F, r)
+        r_new = b - A @ x_new
+        if np.linalg.norm(r_new) >= np.linalg.norm(r):
+            break
+        x, r, steps = x_new, r_new, steps + 1
+    return x, steps
 
 
 @dataclass
@@ -180,37 +174,6 @@ def _splu(As, spec):
     return splu(As, diag_pivot_thresh=0.0, permc_spec=spec, options=dict(SymmetricMode=True))
 
 
-def _symmetric_pivots(As):
-    """True when SuperLU factorizes As on its diagonal, in the given order."""
-    try:
-        lu = _splu(As, "NATURAL")
-    except RuntimeError:
-        return False
-    return bool(np.array_equal(lu.perm_r, lu.perm_c))
-
-
-def _singular_column(As, spec):
-    """Column of the first exactly zero pivot that made SuperLU raise.
-
-    The ordering depends on the sparsity only, so a diagonally dominant
-    matrix of the same pattern reveals the elimination order; bisection then
-    finds the shortest leading block, in that order, that does not
-    factorize on its diagonal.
-    """
-    S = As.copy()
-    S.data[:] = -1.0
-    S = (S + sp.diags(np.diff(S.indptr) + 1.0)).tocsc()
-    order = np.argsort(_splu(S, spec).perm_c)
-    lo, hi = 0, len(order)  # the leading block of size lo factorizes, of size hi does not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _symmetric_pivots(As[order[:mid]][:, order[:mid]].tocsc()):
-            lo = mid
-        else:
-            hi = mid
-    return int(order[hi - 1])
-
-
 def solve(F: Factor, b: np.ndarray) -> np.ndarray:
     """Forward/backward substitution; counts 2*nnz(L) + n flops per column."""
     b = np.asarray(b, dtype=np.float64)
@@ -219,30 +182,9 @@ def solve(F: Factor, b: np.ndarray) -> np.ndarray:
     ncols = 1 if b.ndim == 1 else b.shape[1]
     F.solve_flops += (2 * F.nnz_L + F.n) * ncols
     sinv = F._scale
-    if F._Ls is not None:
-        return _solve_deflated(F, b)
     if b.ndim == 1:
         return sinv * F._lu.solve(sinv * b)
     return sinv[:, None] * F._lu.solve(sinv[:, None] * b)
-
-
-def _solve_deflated(F: Factor, b: np.ndarray) -> np.ndarray:
-    """Triangular solves with null-pivot components forced to zero."""
-    from scipy.sparse.linalg import spsolve_triangular
-
-    one_d = b.ndim == 1
-    bb = b[:, None] if one_d else b
-    c = (F._scale[:, None] * bb)[F.perm]
-    y = spsolve_triangular(F._Ls, c, lower=True, unit_diagonal=True)
-    dd = F._ds.copy()
-    dd[F.dropped] = 1.0
-    y = y / dd[:, None]
-    y[F.dropped] = 0.0
-    y = spsolve_triangular(F._Ls.T.tocsr(), y, lower=False, unit_diagonal=True)
-    xs = np.empty_like(y)
-    xs[F.perm] = y
-    x = F._scale[:, None] * xs
-    return x[:, 0] if one_d else x
 
 
 @dataclass

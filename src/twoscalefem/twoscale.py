@@ -26,7 +26,7 @@ from .elasticity import (
 from .mesh import DofPartition, NestedMesh, SpInfo, spf_nodes
 from .runtime import PartitionPlan, RankContext, run_ranks
 from .scheduler import PatchGraph, Schedule, build_schedule
-from .sparsela import SingularMatrixError, factorize, pcg, solve
+from .sparsela import SingularMatrixError, factorize, pcg, refine, shifted, solve
 from .transfer import (
     CoarseSystem,
     build_tfk,
@@ -49,7 +49,8 @@ NBP_MAX = 4
 # tsi switches to PCG on the last direct factor from iteration
 # TSI_MIN_ITERATIONS on, once resi < TSI_SWITCH_FACTOR * eps; a PCG solve
 # taking more than TSI_REFRESH_CG_ITERS iterations asks for a new factor, and
-# one not converged in PCG_ITER_MAX iterations falls back to a direct solve
+# one not converged in PCG_ITER_MAX iterations falls back to a direct solve;
+# tsdd's boundary CG stops there too: on a singular problem it drifts at round-off
 TSI_SWITCH_FACTOR = 1e4
 TSI_MIN_ITERATIONS = 2
 TSI_REFRESH_CG_ITERS = 13
@@ -92,13 +93,15 @@ class IterationRecord:
     wall_time: float
     factor_flops: int
     solve_flops: int
-    deflated_pivots: int = 0      # coarse pivots the direct factorization dropped
+    shifted: bool = False         # the coarse solve factorized a shifted (singular) matrix
+    refinement_steps: int = 0     # refinement steps against the unshifted matrix
     pcg_fallback: bool = False    # tsi's PCG did not converge: solved directly
 
 
 @dataclass
 class TsResult:
     converged: bool
+    reason: str                   # converged | stagnated | max_iterations | zero_load
     iterations: int
     resi_history: list[float]
     U_g: np.ndarray
@@ -518,13 +521,13 @@ def _initial_coarse_solve(ctx, state, problem, config):
 
 
 def _coarse_solve(ctx, state, problem, config, A, B, resi_prev, it, flops):
-    """One dagger solve.
+    """One dagger solve; a singular A is factorized shifted and refined against A.
 
-    Returns (U_g, kind, pcg_iters, deflated_pivots, pcg_fallback) on every rank.
+    Returns (U_g, kind, pcg_iters, shifted, refinement_steps, pcg_fallback) on every rank.
     """
     out = None
     if ctx.rank == 0:
-        kind, piters, deflated, fallback = "direct", 0, 0, False
+        kind, piters, shift, steps, fallback = "direct", 0, False, 0, False
         use_pcg = (
             config.coarse_strategy == "tsi"
             and state.coarse_factor is not None
@@ -546,19 +549,22 @@ def _coarse_solve(ctx, state, problem, config, A, B, resi_prev, it, flops):
             else:  # fall back to a direct solve this iteration
                 use_pcg, fallback = False, True
         if not use_pcg:
-            F = factorize(A, null_pivot="drop")
+            try:
+                F = factorize(A)
+            except SingularMatrixError:
+                F, shift = factorize(shifted(A)), True
             flops["factor"] += F.factor_flops
             U = solve(F, B)
+            if shift:
+                U, steps = refine(F, A, B, U)
             state.coarse_factor = F
             state.coarse_refresh = False
-            kind = "direct"
-            deflated = 0 if F.dropped is None else int(F.dropped.sum())
         state.u_prev_coarse = U
-        out = (U, kind, piters, deflated, fallback)
+        out = (U, kind, piters, shift, steps, fallback)
     return ctx.bcast(out, 0)
 
 
-def _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich, flops):
+def _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich):
     """Coarse solve through the Schur-complement backend, warm boundary start."""
     from .ddsolver import dd_solve_from_triplets
 
@@ -570,12 +576,12 @@ def _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich, flops):
         const_b=[state.const_b],
         extra_trips=[(0, stack.e_rows, stack.e_cols, enrich)],
         extra_b=[(0, stack.b_idx, b_enrich)],
-        eps=config.eps * 1e-2,
+        eps=config.eps * 1e-2, iter_max=PCG_ITER_MAX,
         warm=state.dd_warm,
         layout=state.dd_layout,
     )
     state.dd_warm = out.warm
-    return out.x, out.report.iterations
+    return out.x, out.report.iterations, out.shifted
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +603,7 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         U_g = np.zeros(part.n_coarse_free)
         update_micro_dofs(ctx, state, problem, U_g)
         u_r = gather_u_r(ctx, state, problem, U_g)
-        return TsResult(True, 0, [0.0], U_g, u_r, records, 0.0, state.schedule)
+        return TsResult(True, "zero_load", 0, [0.0], U_g, u_r, records, 0.0, state.schedule)
 
     if warm_u_r is not None:
         U_g = np.zeros(part.n_coarse_free)
@@ -606,7 +612,7 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         U_g = _initial_coarse_solve(ctx, state, problem, config)
         update_micro_dofs(ctx, state, problem, U_g)
 
-    converged = False
+    reason = "max_iterations"
     it = 0
     resi_prev = None
     best = np.inf
@@ -618,11 +624,11 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         micro_scale_resolution(ctx, state, problem, plan)
         enrich, b_enrich = update_macro_prb(ctx, state, problem, plan, config)
         if config.coarse_strategy == "tsdd":
-            U_g, piters = _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich, flops)
-            kind, deflated, fallback = "dd", 0, False
+            U_g, piters, shift = _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich)
+            kind, steps, fallback = "dd", 0, False
         else:
             A, B = build_coarse_on_root(ctx, state, config, enrich, b_enrich)
-            U_g, kind, piters, deflated, fallback = _coarse_solve(
+            U_g, kind, piters, shift, steps, fallback = _coarse_solve(
                 ctx, state, problem, config, A, B, resi_prev, it, flops)
         update_micro_dofs(ctx, state, problem, U_g)
         resi = compute_residual(ctx, state, problem)
@@ -632,11 +638,11 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
             sum(s["factor"].solve_flops for s in state.patch_sys.values()))
         records.append(IterationRecord(
             it, resi, kind, piters, time.perf_counter() - t0, flops["factor"], psolve,
-            deflated, fallback))
+            shift, steps, fallback))
         if iterates is not None:
             iterates.append(gather_u_r(ctx, state, problem, U_g))
         if resi < config.eps:
-            converged = True
+            reason = "converged"
             break
         if resi < best:
             best = resi
@@ -644,12 +650,13 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         elif resi > STAGNATION_FACTOR * best:
             worse += 1
             if worse >= STAGNATION_WINDOW:
+                reason = "stagnated"
                 break
         else:
             worse = 0
 
     u_r = gather_u_r(ctx, state, problem, U_g)
-    return TsResult(converged, it, resi_history, U_g, u_r, records,
+    return TsResult(reason == "converged", reason, it, resi_history, U_g, u_r, records,
                     state.norm_B, state.schedule, iterates)
 
 

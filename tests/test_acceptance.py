@@ -122,15 +122,22 @@ def test_criterion_04_eps_bound(cubic_case):
 
 
 def test_criterion_05_affine_exactness():
-    worst = 0.0
+    worst, worst_u = 0.0, 0.0
     for base in [(2, 1, 1), (3, 2, 1)]:
         problem, exact = build_affine_problem(CaseSpec(sp_depth=1), base=base)
-        for n in (1, 2, 4):
-            plan = partition_mesh(problem.nested, problem.sp_info, n)
-            r = solve_case(problem, plan, TsConfig(eps=1e-10, max_iterations=4), n_ranks=n)
-            worst = max(worst, r.resi_history[0])
+        u_exact = np.concatenate([exact["u"](p) for p in problem.nested.points])
+        u_exact = u_exact[problem.partition.free_ref_dofs]
+        for strategy, ranks in (("tsd", (1, 2, 4)), ("tsdd", (2, 4))):
+            for n in ranks:
+                plan = partition_mesh(problem.nested, problem.sp_info, n)
+                cfg = TsConfig(eps=1e-10, max_iterations=4, coarse_strategy=strategy)
+                r = solve_case(problem, plan, cfg, n_ranks=n)
+                worst = max(worst, r.resi_history[0])
+                worst_u = max(worst_u, np.abs(r.u_r - u_exact).max() / np.abs(u_exact).max())
     assert worst <= 1e-10
-    report(5, f"resi at iteration 1 ≤ {worst:.2e} over {{1,2,4}} ranks × 2 meshes")
+    assert worst_u <= 1e-10
+    report(5, f"resi at iteration 1 ≤ {worst:.2e}, u_r off G x by ≤ {worst_u:.2e}, "
+              "ts on {1,2,4} and tsdd on {2,4} ranks × 2 meshes")
 
 
 def test_criterion_06_patch_restriction(cubic_case):

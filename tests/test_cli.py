@@ -43,16 +43,17 @@ def test_cli_run_outputs(tmp_path):
     ])
     assert rc == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["converged"]
+    assert summary["converged"] and summary["reason"] == "converged"
     with open(tmp_path / "resi_history.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == summary["iterations"]
     assert float(rows[-1]["resi"]) == pytest.approx(summary["final_resi"], rel=1e-12)
     assert {"iteration", "resi", "coarse_kind", "pcg_iterations",
             "wall_time", "factor_flops", "solve_flops",
-            "deflated_pivots", "pcg_fallback"} <= set(rows[0])
-    assert list(rows[0])[-2:] == ["deflated_pivots", "pcg_fallback"]
-    assert all(r["pcg_fallback"] in ("0", "1") and int(r["deflated_pivots"]) >= 0 for r in rows)
+            "shifted", "refinement_steps", "pcg_fallback"} <= set(rows[0])
+    assert list(rows[0])[-3:] == ["shifted", "refinement_steps", "pcg_fallback"]
+    assert all(r["pcg_fallback"] in ("0", "1") and r["shifted"] in ("0", "1")
+               and int(r["refinement_steps"]) >= 0 for r in rows)
     field = (tmp_path / "field_u.txt").read_text().splitlines()
     assert field[0].startswith("# node")
     assert len(field) - 1 == summary["n_nodes"]  # one row per node

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from twoscalefem import costmodel as cm
+from twoscalefem.bench import CaseSpec, build_affine_problem, build_cubic_problem, reference_oracle
 from twoscalefem.mesh import (
     BoundaryConditions,
     NestedMesh,
@@ -14,7 +15,9 @@ from twoscalefem.mesh import (
     classify_sp,
     refine,
 )
+from twoscalefem.runtime import partition_mesh
 from twoscalefem.sparsela import factorize, pcg, solve
+from twoscalefem.twoscale import TsConfig, solve_case
 
 
 @settings(max_examples=20, deadline=None)
@@ -79,3 +82,25 @@ def test_patch_counts_cover_all_lattice_nodes(L_c):
 def test_cost_ts_positive(L_c, extra):
     L = L_c + extra
     assert cm.cost_ts(L_c, L, 30, 0.017, 0.017) > 0
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=0, max_value=35), min_size=1, max_size=5, unique=True),
+       st.sampled_from([1, 2]), st.booleans(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2**16))
+def test_partial_refinement_converges_to_the_oracle(selector, depth, cubic, n_ranks, seed):
+    # a depth-1 refined block carries its enrichment only on the centroid's
+    # rows, so the coarse matrix of such a selector is singular
+    build = build_cubic_problem if cubic else build_affine_problem
+    try:
+        problem, _ = build(CaseSpec(sp_depth=depth), base=(3, 2, 1), selector=sorted(selector))
+    except UnsupportedConfigurationError:
+        return
+    u_R, _, _ = reference_oracle(problem)
+    cfg = TsConfig(eps=1e-10, max_iterations=150)
+    one = solve_case(problem, partition_mesh(problem.nested, problem.sp_info, 1), cfg)
+    many = solve_case(problem, partition_mesh(problem.nested, problem.sp_info, n_ranks), cfg,
+                      n_ranks=n_ranks, seed=seed)
+    assert one.converged
+    assert np.abs(one.u_r - u_R).max() <= 1e-8 * np.abs(u_R).max()
+    assert many.resi_history == one.resi_history

@@ -3,9 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from twoscalefem.sparsela import (
+    SHIFT,
     SingularMatrixError,
     factorize,
     pcg,
+    refine,
+    shifted,
     solve,
 )
 
@@ -65,36 +68,32 @@ def test_dense_gaussian_elimination_oracle():
 
 def test_singularity_reports_dof():
     A = sp.diags([1.0, 1.0, 0.0, 1.0]).tocsc()
-    with pytest.raises((SingularMatrixError, RuntimeError)):
+    with pytest.raises(SingularMatrixError):
         factorize(A)
 
 
-def test_exact_zero_pivot_with_roundoff_below_is_deflated():
+@pytest.mark.parametrize("ordering", ["natural", "mmd"])
+def test_exact_zero_pivot_is_solved_shifted_and_refined(ordering):
     # eliminating dof 0 leaves an exactly zero pivot on dof 1 with a round-off
-    # entry below it, which SuperLU would pivot on off the diagonal
+    # entry below it: in natural order SuperLU would pivot on it off the
+    # diagonal, in minimum-degree order dof 1 comes last with nothing left
+    # to pivot on and SuperLU reports a singular factor
     d = 1e-17
     A = sp.csc_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, d], [0.0, d, 1.0]]))
-    F = factorize(A, ordering="natural", null_pivot="drop")
-    assert F.dropped.sum() == 1
-    b = A @ np.array([1.0, 0.0, 2.0])
-    x = solve(F, b)
-    assert np.abs(A @ x - b).max() <= 1e-15
-    with pytest.raises(RuntimeError):
-        factorize(A, ordering="natural")
+    with pytest.raises(SingularMatrixError) as exc:
+        factorize(A, ordering=ordering)
+    assert exc.value.dof == {"natural": 1, "mmd": -1}[ordering]  # -1: SuperLU names none
+    F = factorize(shifted(A), ordering=ordering)
+    for x_true in ([1.0, 0.0, 2.0], [1.0, 2.0, 3.0]):
+        b = A @ np.array(x_true)
+        x, steps = refine(F, A, b, solve(F, b))
+        assert steps >= 1
+        assert np.linalg.norm(A @ x - b) <= 1e-15 * np.linalg.norm(b)
 
 
-def test_exact_zero_pivot_reported_singular_by_superlu_is_deflated():
-    # in minimum-degree order dof 1 comes last and its pivot is exactly zero
-    # with nothing left to pivot on, so SuperLU itself reports a singular factor
-    d = 1e-17
-    A = sp.csc_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, d], [0.0, d, 1.0]]))
-    F = factorize(A, ordering="mmd", null_pivot="drop")
-    assert F.dropped.sum() == 1
-    b = A @ np.array([1.0, 2.0, 3.0])
-    x = solve(F, b)
-    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
-    with pytest.raises(SingularMatrixError):
-        factorize(A, ordering="mmd", null_pivot="error")
+def test_shifted_puts_one_on_empty_rows():
+    A = sp.csc_matrix(np.array([[2.0, 0.0], [0.0, 0.0]]))
+    assert np.array_equal(shifted(A).diagonal(), [2.0 * (1.0 + SHIFT), 1.0])
 
 
 def test_flop_counters_deterministic():

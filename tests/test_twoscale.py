@@ -106,7 +106,7 @@ def test_zero_loads_trivial_solution():
                            problem.material, LoadSet())
     plan = partition_mesh(problem.nested, problem.sp_info, 1)
     res = solve_case(problem, plan, TsConfig(eps=1e-7), n_ranks=1)
-    assert res.converged and res.iterations == 0
+    assert res.converged and res.iterations == 0 and res.reason == "zero_load"
     assert res.norm_B == 0.0
     assert np.abs(res.u_r).max() == 0.0
 
@@ -266,7 +266,7 @@ def test_energy_round_trip(cubic_solved, cubic_small):
 def test_cubic_convergence_and_conservativeness(cubic_solved, cubic_small):
     problem, exact, u_R, system = cubic_small
     res = cubic_solved
-    assert res.converged
+    assert res.converged and res.reason == "converged"
     assert res.resi_history[-1] < 1e-7
     from twoscalefem.bench import error_report
 
@@ -326,7 +326,8 @@ def test_tsi_records_pcg_fallback(cubic_small, monkeypatch):
     assert any(r.pcg_fallback for r in res.records)
     for r in res.records:
         assert not (r.pcg_fallback and r.coarse_kind != "direct")
-        assert isinstance(r.deflated_pivots, int) and r.deflated_pivots >= 0
+        assert isinstance(r.shifted, bool) and isinstance(r.refinement_steps, int)
+        assert r.refinement_steps >= 0 and (r.shifted or r.refinement_steps == 0)
 
 
 def test_tsi_switches_and_converges(cubic_small):
@@ -373,9 +374,42 @@ def test_nonconvergence_reported():
     problem, exact = build_cubic_problem(CaseSpec(sp_depth=1), base=(2, 1, 1))
     plan = partition_mesh(problem.nested, problem.sp_info, 1)
     res = solve_case(problem, plan, TsConfig(eps=1e-13, max_iterations=3), n_ranks=1)
-    assert not res.converged
+    assert not res.converged and res.reason == "max_iterations"
     assert res.iterations == 3
     assert len(res.resi_history) == 3
+
+
+def test_stagnation_reported(cubic_small, monkeypatch):
+    problem, *_ = cubic_small
+    plan = partition_mesh(problem.nested, problem.sp_info, 1)
+    resi = iter([1.0] + [100.0] * 50)  # far above the best from iteration 2 on
+    monkeypatch.setattr(twoscale, "compute_residual", lambda *args: next(resi))
+    res = solve_case(problem, plan, TsConfig(eps=1e-7, max_iterations=50), n_ranks=1)
+    assert not res.converged and res.reason == "stagnated"
+    assert res.iterations == 1 + twoscale.STAGNATION_WINDOW
+
+
+@pytest.mark.parametrize("base, selector, strategy, n, rtol", [
+    ((2, 1, 1), [3], "tsd", 1, 1e-12),
+    ((2, 1, 1), [3], "tsd", 2, 1e-12),
+    ((2, 1, 1), [3], "tsi", 1, 1e-12),
+    ((2, 1, 1), [3], "tsdd", 2, 1e-12),
+    ((3, 2, 1), [4, 21, 26, 30], "tsdd", 2, 1e-8),      # singular interior blocks: refined solves
+    ((3, 2, 1), [12, 13, 25, 28, 33], "tsdd", 3, 1e-8),  # singular boundary: CG cut at PCG_ITER_MAX
+])
+def test_semidefinite_coarse_matrix_solved_shifted(base, selector, strategy, n, rtol):
+    # depth-1 partial refinement: a refined block carries its enrichment
+    # only on the centroid's rows, so the coarse matrix is singular
+    problem, _ = build_affine_problem(CaseSpec(sp_depth=1), base=base, selector=selector)
+    u_R, _, _ = reference_oracle(problem)
+    plan = partition_mesh(problem.nested, problem.sp_info, n)
+    cfg = TsConfig(eps=1e-10, max_iterations=20, coarse_strategy=strategy)
+    res = solve_case(problem, plan, cfg, n_ranks=n)
+    assert res.converged
+    assert np.abs(res.u_r - u_R).max() <= rtol * np.abs(u_R).max()
+    assert all(r.shifted for r in res.records)
+    for r in res.records:
+        assert r.refinement_steps >= (1 if r.coarse_kind == "direct" else 0)
 
 
 def test_config_validation():
