@@ -253,11 +253,29 @@ def microstructure_E(x, y, z, planes=None, E_min=36.5e9, E_max=3650.0e9):
     The region code is hashed (blake2b) to a log-uniform modulus in
     [E_min, E_max]; deterministic across runs and platforms.
     """
+    return float(_region_moduli(np.array([[x, y, z]], dtype=np.float64), planes, E_min, E_max)[0])
+
+
+def _region_moduli(points, planes, E_min, E_max, jitter=0.0, seed=0):
+    """Moduli (n,) of points (n, 3): one hash, and one draw with jitter, per region code.
+
+    With jitter the modulus is scaled by 1 + jitter * u, u uniform in
+    [-1, 1] from a generator seeded by the seed and the region code.
+    """
     if planes is None or len(planes) == 0:
-        return E_min
+        return np.full(len(points), E_min)
     planes = np.asarray(planes)
+    x, y, z = (points[:, i, None] for i in range(3))
     signs = (planes[:, 0] * x + planes[:, 1] * y + planes[:, 2] * z - planes[:, 3]) >= 0
-    return _code_to_modulus(np.packbits(signs).tobytes(), E_min, E_max)
+    codes, region = np.unique(np.packbits(signs, axis=1), axis=0, return_inverse=True)
+    region = region.reshape(-1)
+    E = np.array([_code_to_modulus(code.tobytes(), E_min, E_max) for code in codes])
+    if jitter:
+        ints = signs @ (1 << np.arange(signs.shape[1], dtype=np.int64))
+        first = np.unique(region, return_index=True)[1]
+        E = E * (1.0 + jitter * np.array([np.random.default_rng(
+            seed * 1_000_003 + int(ints[i])).uniform(-1, 1) for i in first]))
+    return E[region]
 
 
 def _code_to_modulus(code: bytes, E_min, E_max):
@@ -281,13 +299,8 @@ def build_microstructure_problem(spec: CaseSpec, base=(2, 2, 2)):
     E_min, E_max = spec.e_range
     jitter = spec.perturb_percent / 100.0
 
-    def modulus(p):
-        E = microstructure_E(p[0], p[1], p[2], planes, E_min, E_max)
-        if jitter:
-            code = region_code(p[None, :], planes)[0]
-            u = np.random.default_rng(spec.seed * 1_000_003 + int(code)).uniform(-1, 1)
-            E = E * (1.0 + jitter * u)
-        return E
+    def modulus(points):
+        return _region_moduli(points, planes, E_min, E_max, jitter, spec.seed)
 
     mat = Material(young_modulus=modulus, poisson_ratio=0.2)
     press = 4.0e6
@@ -313,35 +326,20 @@ def cone_damage(x, y, z, theta_deg=35.0, o1=-545.08, o2=-531.31, h=-400.0,
     Inside the envelope (between the two coaxial cones, above y_floor and
     below h) the damage falls linearly from 1 at the mid-surface band to 0
     at the envelope walls, using the envelope half-thickness as length
-    scale; outside it is 0.
+    scale; outside it is 0.  x, y, z may be arrays of one shape.
     """
     theta = np.deg2rad(theta_deg)
     rho2 = x * x + z * z
     c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
-    if not (rho2 * c2 < (y - o1) ** 2 * s2):
-        return 0.0
-    if not (rho2 * c2 > (y - o2) ** 2 * s2):
-        return 0.0
-    if not (y_floor < y < h):
-        return 0.0
+    inside = ((rho2 * c2 < np.square(y - o1) * s2) & (rho2 * c2 > np.square(y - o2) * s2)
+              & (y_floor < y) & (y < h))
     t = np.tan(theta)
     r1 = (y - o1) * t
     r2 = (y - o2) * t
     mid = 0.5 * (r1 + r2)
     half = 0.5 * (r1 - r2)
-    s = abs(np.sqrt(rho2) - mid) / half
-    return float(np.clip(2.0 * (1.0 - s), 0.0, 1.0))
-
-
-def cone_envelope_membership(p, theta_deg=35.0, o1=-545.08, o2=-531.31,
-                             h=-400.0, y_floor=-469.0):
-    """Direct evaluation of the four envelope inequalities."""
-    x, y, z = p
-    theta = np.deg2rad(theta_deg)
-    rho2 = x * x + z * z
-    c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
-    return (rho2 * c2 < (y - o1) ** 2 * s2 and rho2 * c2 > (y - o2) ** 2 * s2
-            and y_floor < y and y < h)
+    s = np.abs(np.sqrt(rho2) - mid) / half
+    return np.where(inside, np.clip(2.0 * (1.0 - s), 0.0, 1.0), 0.0)
 
 
 def build_cone_box_problem(spec: CaseSpec, base=(6, 2, 6)):
@@ -351,8 +349,8 @@ def build_cone_box_problem(spec: CaseSpec, base=(6, 2, 6)):
     h = spec.cone_h
     y_floor = -469.0
 
-    def dmg(p):
-        return cone_damage(p[0], p[1], p[2], h=h, y_floor=y_floor)
+    def dmg(points):
+        return cone_damage(points[:, 0], points[:, 1], points[:, 2], h=h, y_floor=y_floor)
 
     def select(mesh):
         # refine every element within reach of the damage band: the band is

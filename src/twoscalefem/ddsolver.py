@@ -213,30 +213,31 @@ def reference_rank_triplets(nested, sp_info, partition, material, loads, plan, r
     from .elasticity import assemble_element_block, assemble_nsp, node_dofs, traction_face_table
 
     tr_table = traction_face_table(nested, loads)
+    mine = plan.element_rank == rank
+    sp_mine = sp_info.sp_elements[mine[sp_info.sp_elements]]
+    nsp = assemble_nsp(sp_info.nsp_elements[mine[sp_info.nsp_elements]], nested, material, loads,
+                       tr_table)
+    blocks = assemble_element_block(sp_mine, nested, material, loads, tr_table)
+    fidx = partition.ref_dof_index[node_dofs(blocks.nodes)]
+    coo = blocks.A_FF.tocoo()
+    ptr = 3 * blocks.node_ptr
+    # one item per element: its free rows / columns and load entries
+    split = np.searchsorted(coo.row, ptr[1:-1])
     trips, bvecs, dof_list = [], [], []
-    mine = set(int(e) for e in plan.elements_of(rank))
-    for e in map(int, sp_info.sp_elements):
-        if e not in mine:
-            continue
-        block = assemble_element_block(e, nested, material, loads, tr_table)
-        fidx = partition.ref_dof_index[node_dofs(block.nodes)]
-        coo = block.A_FF.tocoo()
-        r, c = fidx[coo.row], fidx[coo.col]
+    for e, i, j, d, lo, hi in zip(sp_mine, np.split(coo.row, split), np.split(coo.col, split),
+                                  np.split(coo.data, split), ptr[:-1], ptr[1:]):
+        r, c = fidx[i], fidx[j]
         keep = (r >= 0) & (c >= 0)
-        trips.append((e, r[keep], c[keep], coo.data[keep]))
-        keep_b = fidx >= 0
-        bvecs.append((e, fidx[keep_b], block.B_F[keep_b]))
-        dof_list.append(fidx[keep_b])
-    for e in map(int, sp_info.nsp_elements):
-        if e not in mine:
-            continue
-        nb = assemble_nsp(e, nested, material, loads, tr_table)
-        fidx = partition.ref_dof_index[node_dofs(nb.nodes)]
+        trips.append((int(e), r[keep], c[keep], d[keep]))
+        f = fidx[lo:hi]
+        bvecs.append((int(e), f[f >= 0], blocks.B_F[lo:hi][f >= 0]))
+        dof_list.append(f[f >= 0])
+    for e, tet, K, B in zip(nsp.elements, nsp.nodes, nsp.K, nsp.B):
+        fidx = partition.ref_dof_index[node_dofs(tet)]
         rr, cc = np.meshgrid(fidx, fidx, indexing="ij")
         keep = (rr >= 0) & (cc >= 0)
-        trips.append((e, rr[keep], cc[keep], nb.K[keep]))
-        keep_b = fidx >= 0
-        bvecs.append((e, fidx[keep_b], nb.B[keep_b]))
-        dof_list.append(fidx[keep_b])
+        trips.append((int(e), rr[keep], cc[keep], K[keep]))
+        bvecs.append((int(e), fidx[fidx >= 0], B[fidx >= 0]))
+        dof_list.append(fidx[fidx >= 0])
     dofs = np.unique(np.concatenate(dof_list)) if dof_list else np.zeros(0, np.int64)
     return trips, bvecs, dofs

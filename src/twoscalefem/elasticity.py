@@ -4,7 +4,9 @@ This module owns the discrete operator that the two-scale blocks, the
 monolithic oracle and the error metrics share: one batched P1 kernel
 (gradients, volumes, strain operator and the modulus E(1-d) sampled once
 per leaf centroid), one hanging-node fold (u_raw = W u_kept) and one
-consistent-load integrator.  Constant-strain tetrahedra get exact
+consistent-load integrator.  A set of macro elements is assembled in one
+batch: one kernel call over all their leaves and one fold over their
+(element, node) slots.  Constant-strain tetrahedra get exact
 single-point stiffness integration; volume loads use the 4-point degree-2
 rule and tractions the 6-point degree-4 triangle rule, which keeps the
 discrete load consistent with the energy quadrature used by the error
@@ -24,8 +26,8 @@ from .mesh import DofPartition, NestedMesh
 __all__ = [
     "Material",
     "LoadSet",
-    "ElementBlock",
-    "NspBlock",
+    "ElementBlocks",
+    "NspBlocks",
     "p1_gradients",
     "strain_operator",
     "leaf_moduli",
@@ -33,7 +35,9 @@ __all__ = [
     "element_stiffness",
     "consistent_loads",
     "nodal_loads",
+    "labelled_faces",
     "hanging_fold",
+    "fold_stiffness",
     "reference_fold",
     "expand",
     "assemble_element_block",
@@ -64,9 +68,10 @@ def hooke_matrix(E, nu):
 class Material:
     """Isotropic elasticity with optional spatial modulus and damage fields.
 
-    young_modulus may be a constant or a callable of position; damage is a
-    callable of position returning d in [0, 1] (or None).  Both are sampled
-    at micro-element centroids.
+    young_modulus is a positive constant or a field; damage is a field
+    returning d in [0, 1], or None.  A field maps an (n, 3) array of points
+    to n values (a scalar result is broadcast to all n).  Both are sampled
+    once per micro element, at its centroid, in one call per batch.
     """
 
     young_modulus: float | Callable = 1.0
@@ -78,17 +83,6 @@ class Material:
             raise ValueError("young_modulus must be positive")
         if not 0.0 <= self.poisson_ratio < 0.5:
             raise ValueError("poisson_ratio must lie in [0, 0.5)")
-
-    def modulus_at(self, x):
-        return self.young_modulus(x) if callable(self.young_modulus) else self.young_modulus
-
-    def damage_at(self, x):
-        if self.damage is None:
-            return 0.0
-        d = float(self.damage(x))
-        if not -1e-12 <= d <= 1.0 + 1e-12:
-            raise ValueError(f"damage {d} outside [0, 1]")
-        return min(max(d, 0.0), 1.0)
 
 
 @dataclass
@@ -137,7 +131,7 @@ TRI6_QUAD = (
 def node_dofs(nodes):
     """Dof ids 3v+c of node ids, component fastest; the last axis grows threefold."""
     nodes = np.asarray(nodes, dtype=np.int64)
-    return (3 * nodes[..., None] + np.arange(3)).reshape(*nodes.shape[:-1], -1)
+    return (3 * nodes[..., None] + np.arange(3)).reshape(*nodes.shape[:-1], 3 * nodes.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +167,25 @@ def strain_operator(grads):
     return B.reshape(len(grads), 6, 12)
 
 
+def _sample(field, points):
+    """Values (n,) of a material field at points (n, 3); a scalar result is broadcast."""
+    return np.broadcast_to(np.asarray(field(points), dtype=np.float64), len(points))
+
+
 def leaf_moduli(points, leaves, material: Material):
-    """Effective Young's modulus E(1-d) of each leaf, sampled once at its centroid."""
+    """Effective Young's modulus E(1-d) of each leaf, sampled once at its centroid.
+
+    Raises when the damage leaves [0, 1] by more than round-off.
+    """
     centroids = points[leaves].mean(axis=1)
-    if callable(material.young_modulus):
-        E = np.array([material.modulus_at(c) for c in centroids])
-    else:
-        E = np.full(len(centroids), material.young_modulus)
+    E = material.young_modulus
+    E = _sample(E, centroids) if callable(E) else np.full(len(centroids), E)
     if material.damage is not None:
-        E = E * np.array([1.0 - material.damage_at(c) for c in centroids])
+        d = _sample(material.damage, centroids)
+        bad = ~((d >= -1e-12) & (d <= 1.0 + 1e-12))
+        if bad.any():
+            raise ValueError(f"damage {d[bad][0]} outside [0, 1]")
+        E = E * (1.0 - np.clip(d, 0.0, 1.0))
     return E
 
 
@@ -199,12 +203,12 @@ def element_stiffness(coords, material: Material):
     return K[0], vol[0]
 
 
-def leaf_matrix(leaves, K_all, n_nodes):
-    """Sparse (3n,3n) sum of leaf blocks K_all (k,12,12) placed at node ids leaves (k,4)."""
-    dof = node_dofs(leaves)
+def leaf_matrix(leaf_slots, K_all, n_slots):
+    """Sparse (3n,3n) sum of leaf blocks K_all (k,12,12) placed at the slots leaf_slots (k,4)."""
+    dof = node_dofs(leaf_slots)
     rows = np.repeat(dof, 12, axis=1).ravel()
     cols = np.tile(dof, (1, 12)).ravel()
-    A = sp.coo_matrix((K_all.ravel(), (rows, cols)), shape=(3 * n_nodes, 3 * n_nodes)).tocsr()
+    A = sp.coo_matrix((K_all.ravel(), (rows, cols)), shape=(3 * n_slots, 3 * n_slots)).tocsr()
     A.sum_duplicates()
     return A
 
@@ -231,67 +235,83 @@ def consistent_loads(points, simplices, f):
     return np.einsum("q,qi,kqd->kid", w, bary, fq) * measure[:, None, None]
 
 
-def nodal_loads(points, leaves, faces, loads: LoadSet, nodes):
-    """Load vector over the dofs of nodes: body force on leaves, tractions on faces.
+def nodal_loads(points, loads: LoadSet, n_slots, leaves, leaf_slots, faces=()):
+    """Load vector (3 n_slots,): body force on leaves, tractions on surface faces.
 
-    faces holds (surface face, label) pairs; every node of leaves and faces
-    must be one of nodes, whose order sets the dof order.
+    leaf_slots (k,4) gives the slot of each leaf node; faces lists
+    (label, triangles (m,3), slots (m,3)) in the order of loads.tractions.
+    Every slot sums its contributions in that order, leaves first.
     """
-    nodes = np.asarray(nodes)
-    order = np.argsort(nodes)
-    out = np.zeros((len(nodes), 3))
-
-    def add(simplices, f):
-        np.add.at(out, order[np.searchsorted(nodes, simplices, sorter=order)],
-                  consistent_loads(points, simplices, f))
-
+    out = np.zeros((n_slots, 3))
     if loads.body is not None:
-        add(leaves, loads.body)
-    for label, traction in loads.tractions.items():
-        tris = np.array([face for face, lab in faces if lab == label], dtype=np.int64)
-        if len(tris):
-            add(tris, traction)
+        np.add.at(out, leaf_slots, consistent_loads(points, leaves, loads.body))
+    for label, tris, slots in faces:
+        np.add.at(out, slots, consistent_loads(points, tris, loads.tractions[label]))
     return out.ravel()
 
 
-def element_volume_load(coords, body):
-    """Consistent nodal loads (12,) of a body force over one tetrahedron."""
-    if body is None:
-        return np.zeros(12)
-    return consistent_loads(np.asarray(coords, dtype=np.float64), np.arange(4)[None], body).ravel()
+def labelled_faces(loads: LoadSet, groups, slot_of):
+    """(label, triangles, slots) of loads.tractions' labels over a list of face groups.
 
-
-def face_traction_load(coords3, traction):
-    """Consistent nodal loads (9,) of a traction over one surface triangle."""
-    return consistent_loads(np.asarray(coords3, dtype=np.float64), np.arange(3)[None], traction).ravel()
+    groups lists (group id, [(face, label), ...]); slot_of(group ids, faces)
+    gives the slots of the faces' nodes.  Faces keep the groups' order.
+    """
+    out = []
+    for label in loads.tractions:
+        picked = [(g, face) for g, faces in groups for face, lab in faces if lab == label]
+        if picked:
+            g = np.array([t[0] for t in picked], dtype=np.int64)
+            tris = np.array([t[1] for t in picked], dtype=np.int64)
+            out.append((label, tris, slot_of(g, tris)))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the hanging-node fold
 
 
-def hanging_fold(nested: NestedMesh, raw_nodes):
-    """Kept nodes and the substitution u_raw = W u_kept of a set of raw node ids.
+def hanging_fold(nested: NestedMesh, keys):
+    """Kept slots and the substitution u_raw = W u_kept of a set of (group, node) slots.
 
-    The kept nodes are the non-hanging ones, ascending.  W is sparse,
-    (3 len(raw_nodes), 3 len(kept)): a hanging node's rows hold its parents'
-    interpolation weights, every other row is a unit vector.
+    keys are ascending slot keys group * n_nodes + node.  The kept slots are
+    the non-hanging ones, ascending.  W is sparse, (3 len(keys), 3 len(kept)):
+    a hanging slot's rows hold its parents' interpolation weights at the
+    parents' slots of the same group, every other row is a unit vector.
     """
-    raw = np.asarray(raw_nodes, dtype=np.int64)
-    is_hanging = np.isin(raw, np.fromiter(nested.hanging, np.int64, len(nested.hanging)))
-    kept_rows = np.nonzero(~is_hanging)[0]
-    kept = np.unique(raw[kept_rows])
-    rows, parents, weights = [kept_rows], [raw[kept_rows]], [np.ones(len(kept_rows))]
-    for i in np.nonzero(is_hanging)[0]:
-        p, w = zip(*nested.hanging[int(raw[i])])
-        rows.append(np.full(len(p), i))
-        parents.append(np.array(p, dtype=np.int64))
-        weights.append(np.array(w))
-    cols = np.searchsorted(kept, np.concatenate(parents))
-    W = sp.csr_matrix((np.repeat(np.concatenate(weights), 3),
-                       (node_dofs(np.concatenate(rows)), node_dofs(cols))),
-                      shape=(3 * len(raw), 3 * len(kept)))
+    n = nested.n_nodes
+    keys = np.asarray(keys, dtype=np.int64)
+    hang = np.array(sorted(nested.hanging), dtype=np.int64)
+    is_hanging = np.isin(keys % n, hang)
+    kept = keys[~is_hanging]
+    h_rows = np.nonzero(is_hanging)[0]
+    # parents of every hanging node of the mesh, flat, and their owners
+    count = np.array([len(nested.hanging[int(h)]) for h in hang], dtype=np.int64)
+    ptr = np.concatenate([[0], np.cumsum(count)])
+    pairs = np.array([pw for h in hang for pw in nested.hanging[int(h)]]).reshape(-1, 2)
+    which = np.searchsorted(hang, keys[h_rows] % n)
+    take = np.repeat(ptr[which], count[which]) + _ragged_arange(count[which])
+    parent_keys = np.repeat(keys[h_rows] - keys[h_rows] % n, count[which]) + pairs[take, 0].astype(np.int64)
+    rows = np.concatenate([np.nonzero(~is_hanging)[0], np.repeat(h_rows, count[which])])
+    cols = np.concatenate([np.arange(len(kept)), np.searchsorted(kept, parent_keys)])
+    weights = np.concatenate([np.ones(len(kept)), pairs[take, 1]])
+    W = sp.csr_matrix((np.repeat(weights, 3), (node_dofs(rows), node_dofs(cols))),
+                      shape=(3 * len(keys), 3 * len(kept)))
     return kept, W
+
+
+def _ragged_arange(counts):
+    """0..c-1 for every c of counts, concatenated."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def fold_stiffness(W, leaf_slots, K_all):
+    """W^T K W, K the leaf blocks K_all (k,12,12) summed at the raw slots leaf_slots (k,4).
+
+    W is a fold from hanging_fold (raw slots: rows / 3); the product is
+    returned as computed, in scipy's compressed format.
+    """
+    return W.T @ leaf_matrix(leaf_slots, K_all, W.shape[0] // 3) @ W
 
 
 def reference_fold(nested: NestedMesh, partition: DofPartition):
@@ -311,80 +331,103 @@ def expand(nested: NestedMesh, partition: DofPartition, u_r):
 
 
 # ---------------------------------------------------------------------------
-# per-macro-element blocks
+# macro-element blocks
 
 
 @dataclass
-class ElementBlock:
-    """Per-macro-element matrices of the fine problem, hanging nodes eliminated.
+class ElementBlocks:
+    """Fine problems of a set of SP macro elements, hanging nodes eliminated.
 
-    nodes lists the element's F-level node ids (ascending); local dof i of
-    node j is 3*j_local + i.  Dirichlet rows are kept.  The solver stacks
-    the blocks with their transfers and iterate in a transfer.BlockStack.
+    Block i belongs to elements[i] (ascending) and covers its kept F-level
+    nodes nodes[node_ptr[i]:node_ptr[i + 1]] (ascending); A_FF is
+    block-diagonal and A_FF, B_F take the blocks' dofs (3 per node,
+    component fastest) one block after the other.  Dirichlet rows are
+    kept.  The solver stacks the blocks in a transfer.BlockStack.
     """
 
-    element: int
+    elements: np.ndarray
     nodes: np.ndarray
+    node_ptr: np.ndarray
     A_FF: sp.csr_matrix
     B_F: np.ndarray
 
     @property
-    def ndof(self):
-        return 3 * len(self.nodes)
+    def ndof(self) -> np.ndarray:
+        """3n of every block."""
+        return 3 * np.diff(self.node_ptr)
+
+    def nodes_of(self, i) -> np.ndarray:
+        return self.nodes[self.node_ptr[i]:self.node_ptr[i + 1]]
 
 
 @dataclass
-class NspBlock:
-    """Coarse stiffness of an untouched element, split h/interface for assembly."""
+class NspBlocks:
+    """Coarse stiffness and load of a set of untouched elements (k of them)."""
 
-    element: int
-    nodes: np.ndarray          # the 4 coarse vertices
-    K: np.ndarray              # 12x12
-    B: np.ndarray              # 12
+    elements: np.ndarray       # (k,)
+    nodes: np.ndarray          # (k, 4) coarse vertices
+    K: np.ndarray              # (k, 12, 12)
+    B: np.ndarray              # (k, 12)
 
 
 def assemble_element_block(
-    e: int,
+    elements,
     nested: NestedMesh,
     material: Material,
     loads: LoadSet,
     traction_faces: dict[int, list] | None = None,
-) -> ElementBlock:
-    """Assemble A_FF = W^T K W and B_F = W^T b of one SP macro element.
+) -> ElementBlocks:
+    """Assemble A_FF = W^T K W and B_F = W^T b of a set of SP macro elements.
 
-    K and b are summed over the element's leaves on its raw nodes; W is the
-    hanging-node fold onto the kept nodes.  Dirichlet rows are retained.
-    traction_faces maps this element id to (face, label) pairs of its
-    surface triangles (precomputed from the nested mesh).
+    K and b are summed over each element's leaves on its raw nodes, keyed
+    as (element, node) slots so that one kernel call and one fold serve
+    every element; W is the hanging-node fold onto the kept nodes.
+    traction_faces maps an element id to the (face, label) pairs of its
+    surface triangles (see traction_face_table).
     """
-    leaves = nested.micro[e]
-    raw = np.unique(leaves)
-    nodes, W = hanging_fold(nested, raw)
+    elements = np.asarray(elements, dtype=np.int64).reshape(-1)
+    n, nb = nested.n_nodes, len(elements)
+    leaves = np.concatenate([np.zeros((0, 4), np.int64)] + [nested.micro[e] for e in elements])
+    group = np.repeat(np.arange(nb), [len(nested.micro[e]) for e in elements])
+    keys, leaf_slots = np.unique(group[:, None] * n + leaves, return_inverse=True)
+    leaf_slots = leaf_slots.reshape(leaves.shape)
     K_all, _ = batch_leaf_stiffness(nested.points, leaves, material)
-    A = (W.T @ leaf_matrix(np.searchsorted(raw, leaves), K_all, len(raw)) @ W).tocsr()
+    kept, W = hanging_fold(nested, keys)
+    A = fold_stiffness(W, leaf_slots, K_all).tocsr()
     A.sum_duplicates()
-    faces = (traction_faces or {}).get(e, ())
-    B = W.T @ nodal_loads(nested.points, leaves, faces, loads, raw)
-    return ElementBlock(e, nodes, A, B)
+    table = traction_faces or {}
+    faces = labelled_faces(loads, [(i, table.get(int(e), ())) for i, e in enumerate(elements)],
+                            lambda g, tris: np.searchsorted(keys, g[:, None] * n + tris))
+    B = W.T @ nodal_loads(nested.points, loads, len(keys), leaves, leaf_slots, faces)
+    return ElementBlocks(elements, kept % n, np.searchsorted(kept // n, np.arange(nb + 1)), A, B)
 
 
 def assemble_nsp(
-    e: int,
+    elements,
     nested: NestedMesh,
     material: Material,
     loads: LoadSet,
     traction_faces: dict[int, list] | None = None,
-) -> NspBlock:
-    """Coarse-element stiffness and load of an NSP element.
+) -> NspBlocks:
+    """Coarse-element stiffness and load of a set of NSP elements.
 
     The h-h block, the h-interface coupling through the identity transfer
     and the interface-interface part are all carried by the single coarse
     matrix; the caller assembles it at classical coarse dof positions.
     """
-    tet = np.asarray(nested.coarse.tets[e], dtype=np.int64)
-    K, _ = element_stiffness(nested.points[tet], material)
-    faces = (traction_faces or {}).get(e, ())
-    return NspBlock(e, tet, K, nodal_loads(nested.points, tet[None], faces, loads, tet))
+    elements = np.asarray(elements, dtype=np.int64).reshape(-1)
+    tets = nested.coarse.tets[elements].reshape(-1, 4)
+    K, _ = batch_leaf_stiffness(nested.points, tets, material)
+    table = traction_faces or {}
+
+    def slot_of(g, tris):  # position of each face node in its element's tet
+        return 4 * g[:, None] + np.argmax(tets[g][:, None, :] == tris[:, :, None], axis=2)
+
+    faces = labelled_faces(loads, [(i, table.get(int(e), ())) for i, e in enumerate(elements)],
+                            slot_of)
+    slots = np.arange(4 * len(tets)).reshape(-1, 4)
+    B = nodal_loads(nested.points, loads, 4 * len(tets), tets, slots, faces)
+    return NspBlocks(elements, tets, K, B.reshape(-1, 12))
 
 
 def traction_face_table(nested: NestedMesh, loads: LoadSet):

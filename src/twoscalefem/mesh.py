@@ -251,13 +251,21 @@ class NestedMesh:
         return len(self.points)
 
     def boundary_fine_faces(self) -> dict[tuple, list[tuple]]:
-        """Label -> list of (fine face triple, macro element id)."""
+        """Label -> list of (fine face triple, macro element id).
+
+        Only the leaves of elements having a labelled coarse face are
+        looked at: a leaf face of any other element meets a coarse face in
+        an edge at most.
+        """
         out: dict[str, list[tuple]] = {}
         for face, label in self.coarse.boundary_faces.items():
             out.setdefault(label, [])
-        for e, leaves in enumerate(self.micro):
-            for tet in leaves:
-                for f in _tet_faces(tet):
+        labelled = set(self.coarse.boundary_faces)
+        for e, tet in enumerate(self.coarse.tets):
+            if labelled.isdisjoint(_tet_faces(tet)):
+                continue
+            for leaf in self.micro[e]:
+                for f in _tet_faces(leaf):
                     carriers = (self.node_faces.get(f[0], frozenset())
                                 & self.node_faces.get(f[1], frozenset())
                                 & self.node_faces.get(f[2], frozenset()))

@@ -18,7 +18,8 @@ from .elasticity import (
     Material,
     batch_leaf_stiffness,
     expand,
-    leaf_matrix,
+    fold_stiffness,
+    labelled_faces,
     nodal_loads,
     reference_fold,
     traction_face_table,
@@ -62,15 +63,19 @@ def assemble_reference(
     material: Material,
     loads: LoadSet,
 ) -> ReferenceSystem:
-    """A_rr = W^T A_RR W and B_r = W^T B_R with W the fold onto the free dofs."""
+    """A_rr = W^T A_RR W and B_r = W^T B_R with W the fold onto the free dofs.
+
+    The leaves of every macro element go through one kernel call and the
+    element blocks' fold, with the mesh nodes as the one group of slots.
+    """
     n = nested.n_nodes
-    K_all = np.concatenate([batch_leaf_stiffness(nested.points, leaves, material)[0]
-                            for leaves in nested.micro])
-    all_leaves = np.concatenate(nested.micro)
-    faces = [f for lst in traction_face_table(nested, loads).values() for f in lst]
-    B = nodal_loads(nested.points, all_leaves, faces, loads, np.arange(n))
+    leaves = np.concatenate(nested.micro)
+    K_all, _ = batch_leaf_stiffness(nested.points, leaves, material)
+    faces = labelled_faces(loads, list(traction_face_table(nested, loads).items()),
+                            lambda g, tris: tris)
+    B = nodal_loads(nested.points, loads, n, leaves, leaves, faces)
     W = reference_fold(nested, partition)
-    A_rr = (W.T @ leaf_matrix(all_leaves, K_all, n) @ W).tocsc()
+    A_rr = fold_stiffness(W, leaves, K_all).tocsc()
     A_rr.sum_duplicates()
 
     nodes_of_free = partition.free_ref_dofs // 3

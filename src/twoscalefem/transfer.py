@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .elasticity import ElementBlock, NspBlock, node_dofs
+from .elasticity import ElementBlocks, NspBlocks, node_dofs
 from .mesh import DofPartition, NestedMesh
 from .sparsela import CscPattern
 
@@ -25,9 +25,7 @@ __all__ = [
     "BlockStack",
     "stack_blocks",
     "update_tfe",
-    "enriched_corners",
     "CoarseSystem",
-    "flatten_triplets",
     "coarse_triplets_constant",
     "coarse_triplets_enrichment",
 ]
@@ -50,18 +48,20 @@ def _hat_matrix(nested: NestedMesh, e: int, nodes) -> np.ndarray:
     return N
 
 
-def build_tfk(block: ElementBlock, nested: NestedMesh) -> sp.csr_matrix:
-    """Classical transfer of one SP element: rows F-dofs, columns C-dofs (12).
+def build_tfk(blocks: ElementBlocks, nested: NestedMesh) -> sp.csr_matrix:
+    """Classical transfers of a set of SP elements, block-diagonal (3 nodes, 12 blocks).
 
-    Row (node j, comp c) holds N^i(x_j) at column (vertex i, comp c); rows of
-    fine nodes sitting on coarse vertices are unit vectors.
+    Row (node j of block i, comp c) holds N^a(x_j) at column 12 i + 3 a + c,
+    N^a the hat of vertex a of the block's coarse element; rows of fine
+    nodes sitting on coarse vertices are unit vectors.
     """
-    return sp.csr_matrix(np.kron(_hat_matrix(nested, block.element, block.nodes), np.eye(3)))
-
-
-def enriched_corners(nested: NestedMesh, partition: DofPartition, e: int) -> list[int]:
-    """Enriched coarse vertices of element e, ascending node id."""
-    return sorted(int(v) for v in nested.coarse.tets[e] if int(v) in partition.enriched_index)
+    N = np.concatenate([np.zeros((0, 4))] + [_hat_matrix(nested, e, blocks.nodes_of(i))
+                                             for i, e in enumerate(blocks.elements)])
+    group = np.repeat(np.arange(len(blocks.elements)), np.diff(blocks.node_ptr))
+    j, c, a = np.meshgrid(np.arange(len(N)), np.arange(3), np.arange(4), indexing="ij")
+    keep = N[j, a] != 0.0
+    return sp.csr_matrix((N[j, a][keep], ((3 * j + c)[keep], (12 * group[j] + 3 * a + c)[keep])),
+                         shape=(3 * len(N), 12 * len(blocks.elements)))
 
 
 @dataclass
@@ -117,62 +117,75 @@ class BlockStack:
         return self.rows_of(e) * KMAX + self.corners[i].index(p)
 
 
-def _block_diag(mats, width, col0, ncols):
-    """CSR holding mats[i] (CSR) at rows width*i.. and columns col0[i]..; other rows empty."""
-    nnz = np.cumsum([0] + [m.nnz for m in mats])
-    indptr = np.repeat(nnz[1:], width)
-    for i, m in enumerate(mats):
-        indptr[width * i:width * i + m.shape[0]] = nnz[i] + m.indptr[1:]
-    return sp.csr_matrix(
-        (np.concatenate([np.zeros(0)] + [m.data for m in mats]),
-         np.concatenate([np.zeros(0, np.int32)] + [m.indices + int(c) for m, c in zip(mats, col0)]),
-         np.concatenate([[0], indptr])), shape=(width * len(mats), ncols))
+def _pad_blocks(M, row_ptr, width, col_ptr, col_width):
+    """Block-diagonal CSR M with block i moved to rows width*i.. and columns col_width*i..
+
+    Block i of M takes rows row_ptr[i]:row_ptr[i+1] and columns from
+    col_ptr[i]; the rows past a block's own stay empty.
+    """
+    nb = len(row_ptr) - 1
+    group = np.repeat(np.arange(nb), np.diff(row_ptr))
+    to = width * group + np.arange(len(group)) - row_ptr[group]
+    counts = np.zeros(width * nb, dtype=np.int64)
+    counts[to] = np.diff(M.indptr)
+    shift = np.repeat(col_width * np.arange(nb) - col_ptr[:-1], np.diff(M.indptr[row_ptr]))
+    return sp.csr_matrix((M.data, M.indices + shift, np.concatenate([[0], np.cumsum(counts)])),
+                         shape=(width * nb, col_width * nb))
 
 
-def stack_blocks(blocks, T_Fk, nested: NestedMesh, partition: DofPartition,
+def stack_blocks(blocks: ElementBlocks, T_Fk, nested: NestedMesh, partition: DofPartition,
                  width: int) -> BlockStack:
-    """Stack SP blocks (ascending element id) and their T_Fk into one BlockStack."""
-    nb, W = len(blocks), width
-    ndof = np.array([b.ndof for b in blocks], dtype=np.int64)
-    base = W * np.arange(nb)
+    """Stack SP blocks and their T_Fk (see build_tfk) into one BlockStack."""
+    nb, W, n = len(blocks.elements), width, nested.n_nodes
+    node_ptr, dof_ptr = blocks.node_ptr, 3 * blocks.node_ptr
+    group = np.repeat(np.arange(nb), np.diff(node_ptr))
+    rows = node_dofs(W // 3 * group + np.arange(len(group)) - node_ptr[group])
     dofs = np.full(nb * W, -1, dtype=np.int64)
-    hat = np.zeros((nb, W // 3, KMAX))
-    corner_row = np.zeros((nb, KMAX), dtype=np.int64)
-    dirichlet = np.zeros((nb, W), dtype=bool)
+    dofs[rows] = node_dofs(blocks.nodes)
     B = np.zeros(nb * W)
-    corners, c_dofs, e_dofs, e_parts, b_parts = [], [], [], [], []
-    for i, block in enumerate(blocks):
-        e, n3 = block.element, ndof[i]
-        tet = [int(v) for v in nested.coarse.tets[e]]
-        cs = enriched_corners(nested, partition, e)
-        k = len(cs)
-        corners.append(cs)
-        B[base[i]:base[i] + n3] = block.B_F
-        dofs[base[i]:base[i] + n3] = node_dofs(block.nodes)
-        hat[i, :n3 // 3, :k] = _hat_matrix(nested, e, block.nodes)[:, [tet.index(p) for p in cs]]
-        corner_row[i, :k] = np.searchsorted(block.nodes, cs)
-        dirichlet[i, :n3] = partition.ref_dirichlet[node_dofs(block.nodes)]
-        cd, ed = element_classical_dofs(nested, e), element_enriched_dofs(nested, partition, e)
-        c_dofs.append(cd)
-        e_dofs.append(np.concatenate([ed, np.full(3 * (KMAX - k), -1)]))
-        # (e,e), (e,k) and (k,e) blocks row-major, as positions in the
-        # (nb, 2, 12, 12) products [A_ee, A_ek^T]
-        a, j = np.arange(3 * k), np.arange(12)
-        src = (a[:, None] * 12 + a, 144 + j * 12 + a[:, None], 144 + j[:, None] * 12 + a)
-        for (r, c), s in zip(((ed, ed), (ed, cd), (cd, ed)), src):
-            rows, cols, keep = _free_pairs(partition, r, c)
-            e_parts.append((e, rows, cols, 288 * i + s.ravel()[keep]))
-        free = partition.coarse_dof_index[ed]
-        b_parts.append((e, free[free >= 0], 12 * i + a[free >= 0]))
-    z = np.zeros(0, np.int64)
+    B[rows] = blocks.B_F
+    # enriched corners in ascending node id, KMAX slots per block, k used
+    tets = nested.coarse.tets[blocks.elements].reshape(-1, 4)
+    enriched = np.isin(tets, partition.enriched_nodes)
+    at = np.argsort(np.where(enriched, tets, n), axis=1, kind="stable")
+    corner = np.take_along_axis(tets, at, axis=1)
+    used = np.arange(KMAX) < enriched.sum(axis=1)[:, None]
+    # the hat columns of the corners, read off T_Fk's first-component rows
+    T0 = T_Fk[0::3].tocoo()
+    N = np.zeros((len(group), 4))
+    N[T0.row, T0.col % 12 // 3] = T0.data
+    hat = np.zeros((nb * W // 3, KMAX))
+    hat[rows[0::3] // 3] = np.where(used[group], np.take_along_axis(N, at[group], axis=1), 0.0)
+    keys = group * n + blocks.nodes
+    corner_row = np.where(used, np.searchsorted(keys, np.arange(nb)[:, None] * n + corner)
+                          - node_ptr[:-1, None], 0)
+    # coarse dofs: 12 classical, 3 KMAX enriched (-1 where absent) per block
+    c_dofs = node_dofs(tets)
+    e_dofs = np.where(np.repeat(used, 3, axis=1), 3 * partition.n_coarse_nodes + node_dofs(
+        np.searchsorted(partition.enriched_nodes, corner)), -1)
+    ci = partition.coarse_dof_index[c_dofs]
+    ei = np.where(e_dofs >= 0, partition.coarse_dof_index[e_dofs], -1)
+    # (e,e), (e,k) and (k,e) blocks row-major, as positions in the
+    # (nb, 2, 12, 12) products [A_ee, A_ek^T]
+    a, j = np.arange(12)[:, None], np.arange(12)
+    parts = ((ei[:, :, None], ei[:, None, :], a * 12 + j),
+             (ei[:, :, None], ci[:, None, :], 144 + j * 12 + a),
+             (ci[:, :, None], ei[:, None, :], 144 + a * 12 + j))
+    r, c, src = (np.stack([np.broadcast_to(p[m], (nb, 12, 12)) for p in parts], axis=1)
+                 for m in range(3))
+    src = src + 288 * np.arange(nb)[:, None, None, None]
+    keep = (r >= 0) & (c >= 0)
+    b_keep = ei >= 0
     return BlockStack(
-        np.array([b.element for b in blocks], dtype=np.int64), W, corners, ndof,
-        _block_diag([b.A_FF.tocsr() for b in blocks], W, base, nb * W),
-        _block_diag(T_Fk, W, 12 * np.arange(nb), 12 * nb),
-        B, np.zeros(nb * W), np.zeros((nb, W, 3 * KMAX)), np.zeros((nb * W, KMAX)), hat,
-        corner_row, dirichlet, dofs,
-        np.concatenate([z] + c_dofs), np.concatenate([z] + e_dofs),
-        *flatten_triplets(e_parts, 3), *flatten_triplets(b_parts, 2))
+        blocks.elements, W, [cn[u].tolist() for cn, u in zip(corner, used)], blocks.ndof,
+        _pad_blocks(blocks.A_FF, dof_ptr, W, dof_ptr, W),
+        _pad_blocks(T_Fk, dof_ptr, W, 12 * np.arange(nb + 1), 12),
+        B, np.zeros(nb * W), np.zeros((nb, W, 3 * KMAX)), np.zeros((nb * W, KMAX)),
+        hat.reshape(nb, W // 3, KMAX), corner_row, partition.ref_dirichlet[dofs].reshape(nb, W)
+        & (dofs >= 0).reshape(nb, W), dofs, c_dofs.reshape(-1), e_dofs.reshape(-1),
+        np.repeat(blocks.elements, keep.sum(axis=(1, 2, 3))), r[keep], c[keep], src[keep],
+        np.repeat(blocks.elements, b_keep.sum(axis=1)), ei[b_keep],
+        (12 * np.arange(nb)[:, None] + np.arange(12))[b_keep])
 
 
 def update_tfe(stack: BlockStack) -> np.ndarray:
@@ -235,54 +248,38 @@ class CoarseSystem:
         return A, B
 
 
-def flatten_triplets(items, arity):
-    """(element id, a_1, ..., a_arity) items -> (keys, a_1, ..., a_arity).
+def _dense_triplets(elements, M, dofs, B, partition):
+    """Free-index triplets of dense square blocks M (k,m,m) at dofs (k,m), and of loads B (k,m).
 
-    The arrays are concatenated in item order and keys repeats each element
-    id over its entries; the last array holds values, the others indices.
+    Flat (keys, rows, cols, vals) and (keys, idx, vals), block by block,
+    each row-major; pairs with a Dirichlet row or column are dropped.
     """
-    items = list(items) or [(0, *[np.zeros(0, np.int64)] * arity)]
-    keys = np.concatenate([np.full(len(t[1]), t[0], dtype=np.int64) for t in items])
-    return (keys, *(np.concatenate([t[a] for t in items]) for a in range(1, arity + 1)))
-
-
-def element_classical_dofs(nested: NestedMesh, e: int) -> np.ndarray:
-    return node_dofs(nested.coarse.tets[e])
-
-
-def element_enriched_dofs(nested: NestedMesh, partition: DofPartition, e: int) -> np.ndarray:
-    idx = [partition.enriched_index[p] for p in enriched_corners(nested, partition, e)]
-    return 3 * partition.n_coarse_nodes + node_dofs(np.asarray(idx, dtype=np.int64))
-
-
-def _free_pairs(partition, row_dofs, col_dofs):
-    """Free-index (rows, cols) of a dense block in row-major order, and its keep mask.
-
-    Pairs with a Dirichlet row or column are dropped.
-    """
-    rr, cc = np.meshgrid(partition.coarse_dof_index[row_dofs],
-                         partition.coarse_dof_index[col_dofs], indexing="ij")
-    keep = ((rr >= 0) & (cc >= 0)).ravel()
-    return rr.ravel()[keep], cc.ravel()[keep], keep
-
-
-def _dense_triplets(eid, M, dofs, B, partition):
-    """Free-index triplets of a square dense block and its load vector."""
-    rows, cols, keep = _free_pairs(partition, dofs, dofs)
     idx = partition.coarse_dof_index[dofs]
-    return (eid, rows, cols, np.asarray(M).ravel()[keep]), (eid, idx[idx >= 0], B[idx >= 0])
+    rr = np.broadcast_to(idx[:, :, None], M.shape)
+    cc = np.broadcast_to(idx[:, None, :], M.shape)
+    keep, kb = (rr >= 0) & (cc >= 0), idx >= 0
+    return ((np.repeat(elements, keep.sum(axis=(1, 2))), rr[keep], cc[keep], M[keep]),
+            (np.repeat(elements, kb.sum(axis=1)), idx[kb], B[kb]))
 
 
-def coarse_triplets_constant(block: ElementBlock, T_Fk, nested, partition):
-    """A_kk = T_Fk^T A_FF T_Fk and B_k = T_Fk^T B_F of one SP element, free-indexed."""
-    return _dense_triplets(block.element, T_Fk.T @ (block.A_FF @ T_Fk).toarray(),
-                           element_classical_dofs(nested, block.element),
-                           T_Fk.T @ block.B_F, partition)
+def coarse_triplets_constant(blocks: ElementBlocks, T_Fk, nested, partition):
+    """A_kk = T_Fk^T A_FF T_Fk and B_k = T_Fk^T B_F of a set of SP elements, free-indexed.
+
+    Per block the product is the sparse A_FF T_Fk made dense, then the
+    sparse T_Fk^T times that; the block-diagonal operands keep the blocks
+    apart.
+    """
+    nb = len(blocks.elements)
+    AT = blocks.A_FF @ T_Fk
+    AT = sp.csr_matrix((AT.data, AT.indices % 12, AT.indptr), shape=(AT.shape[0], 12)).toarray()
+    return _dense_triplets(blocks.elements, (T_Fk.T @ AT).reshape(nb, 12, 12),
+                           node_dofs(nested.coarse.tets[blocks.elements].reshape(-1, 4)),
+                           (T_Fk.T @ blocks.B_F).reshape(nb, 12), partition)
 
 
-def nsp_triplets(nsp: NspBlock, partition):
-    """Coarse stiffness of an NSP element at classical free positions."""
-    return _dense_triplets(nsp.element, nsp.K, node_dofs(nsp.nodes), nsp.B, partition)
+def nsp_triplets(nsp: NspBlocks, partition):
+    """Coarse stiffness of a set of NSP elements at classical free positions."""
+    return _dense_triplets(nsp.elements, nsp.K, node_dofs(nsp.nodes), nsp.B, partition)
 
 
 def coarse_triplets_enrichment(stack: BlockStack):

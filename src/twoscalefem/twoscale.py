@@ -32,7 +32,6 @@ from .transfer import (
     build_tfk,
     coarse_triplets_constant,
     coarse_triplets_enrichment,
-    flatten_triplets,
     nsp_triplets,
     stack_blocks,
     update_tfe,
@@ -160,10 +159,8 @@ class _FoldTables:
     recv: dict              # neighbour rank -> folded-row positions of its rows
 
 
-def _fold_tables(rank, plan, block_nodes):
-    elems = sorted(block_nodes)
-    row_node = np.concatenate([np.zeros(0, np.int64), *(block_nodes[e] for e in elems)])
-    row_rank = np.repeat(plan.element_rank[elems], [len(block_nodes[e]) for e in elems])
+def _fold_tables(rank, plan, row_elem, row_node):
+    row_rank = plan.element_rank[row_elem]
     nodes = np.unique(row_node[row_rank == rank])
     folded = np.nonzero(np.isin(row_node, nodes))[0]
     owned = row_node[row_rank == rank]
@@ -176,33 +173,42 @@ def _fold_tables(rank, plan, block_nodes):
                        np.nonzero(row_rank[folded] == rank)[0], send, recv)
 
 
+def _kept_nodes(nested, elements):
+    """(element, node) of the kept nodes of every element, element-major, nodes ascending."""
+    n = nested.n_nodes
+    leaves = np.concatenate([np.zeros((0, 4), np.int64)] + [nested.micro[e] for e in elements])
+    keys = np.unique(np.repeat(elements, [len(nested.micro[e]) for e in elements])[:, None] * n
+                     + leaves)
+    keys = keys[~np.isin(keys % n, np.fromiter(nested.hanging, np.int64, len(nested.hanging)))]
+    return keys // n, keys % n
+
+
 def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config: TsConfig):
     nested, sp_info, part = problem.nested, problem.sp_info, problem.partition
     mat, loads = problem.material, problem.loads
     state = _RankState()
     tr_table = traction_face_table(nested, loads)
-    mine = set(int(e) for e in plan.elements_of(ctx.rank))
 
     # shared metadata: identical on every rank (mesh is global, plan is global)
-    hanging = np.fromiter(nested.hanging, np.int64, len(nested.hanging))
-    block_nodes = {e: np.setdiff1d(nested.micro[e], hanging) for e in map(int, sp_info.sp_elements)}
-    state.fold = _fold_tables(ctx.rank, plan, block_nodes)
+    row_elem, row_node = _kept_nodes(nested, sp_info.sp_elements)
+    state.fold = _fold_tables(ctx.rank, plan, row_elem, row_node)
     state.spf_nodes = spf_nodes(nested, part)
-    mult = np.bincount(np.concatenate([np.zeros(0, np.int64), *block_nodes.values()]))
+    mult = np.bincount(row_node)
 
     # element blocks (A_FF, B_F) of the owned SP elements and their T_Fk,
     # stacked with a width fixed by the largest SP block of the mesh; the
     # stack keeps all a block's state, the blocks are dropped after set-up
-    blocks = [assemble_element_block(e, nested, mat, loads, tr_table)
-              for e in map(int, sp_info.sp_elements) if e in mine]
-    T_Fk = [build_tfk(block, nested) for block in blocks]
-    width = 3 * max(map(len, block_nodes.values()), default=0)
+    mine = plan.element_rank == ctx.rank
+    blocks = assemble_element_block(sp_info.sp_elements[mine[sp_info.sp_elements]],
+                                    nested, mat, loads, tr_table)
+    T_Fk = build_tfk(blocks, nested)
+    width = 3 * int(np.bincount(row_elem).max(initial=0))
     stack = state.stack = stack_blocks(blocks, T_Fk, nested, part, width)
-    const = [coarse_triplets_constant(block, tk, nested, part) for block, tk in zip(blocks, T_Fk)]
-    const += [nsp_triplets(assemble_nsp(e, nested, mat, loads, tr_table), part)
-              for e in map(int, sp_info.nsp_elements) if e in mine]
-    state.const = flatten_triplets([t for t, _ in const], 3)
-    state.const_b = flatten_triplets([b for _, b in const], 2)
+    nsp = assemble_nsp(sp_info.nsp_elements[mine[sp_info.nsp_elements]], nested, mat, loads,
+                       tr_table)
+    state.const, state.const_b = (tuple(map(np.concatenate, zip(a, b))) for a, b in zip(
+        coarse_triplets_constant(blocks, T_Fk, nested, part), nsp_triplets(nsp, part)))
+    del blocks, T_Fk
 
     # residual weights of the owned rows: 1/multiplicity, 0 on Dirichlet
     # rows, and for the residual also 0 on the SPF ring rows
@@ -217,7 +223,7 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config
     state.schedule = build_schedule(ctx, *graph.rank_view(ctx.rank))
     state.patch_owner = graph.participants
 
-    _build_patch_systems(ctx, state, problem, plan, {b.element: b for b in blocks})
+    _build_patch_systems(ctx, state, problem, plan)
 
     # coarse system on rank 0 (gathered through the retained ranks): the
     # constant triplets and the structure of the enrichment triplets, whose
@@ -272,57 +278,59 @@ def _patch_positions(q_dofs, d_dofs, dofs):
     return np.where(qi >= 0, qi, np.where(di >= 0, len(q_dofs) + di, len(q_dofs) + len(d_dofs)))
 
 
-def _build_patch_systems(ctx, state, problem, plan, blocks):
+def _build_patch_systems(ctx, state, problem, plan):
     """Assemble and factorize A_qq per patch; owner is the lowest participant.
 
     Also builds the patch's gather/scatter index arrays: every participant
-    keeps, per own member element, the position of each local dof in the
-    owner's broadcast [u_q, u_d, 0] (Dirichlet dofs read the 0), and the
+    keeps, for its own member blocks, the position of each stacked row in
+    the owner's broadcast [u_q, u_d, 0] (Dirichlet dofs read the 0), and the
     owner keeps d_src, the position of each d dof's value in the
     concatenated member u_F vectors as they arrive.  A d dof takes its
     value from the highest-id member element holding it, so the patch
-    data do not depend on the rank layout.  blocks maps the owned SP
-    elements to their ElementBlock.
+    data do not depend on the rank layout.  The participants slice their
+    member blocks' A_FF rows and B_F from the rank stack and send them
+    patch-indexed, keyed by element; the owner sums them in element order.
     """
-    sp_info, part = problem.sp_info, problem.partition
+    sp_info, part, stack = problem.sp_info, problem.partition, state.stack
 
     def handle_patch(pi, group):
-        sets = part.patch_sets[pi]
+        sets, patch = part.patch_sets[pi], sp_info.patches[pi]
         q_dofs, d_dofs = sets["q"], sets["d"]
         nq, nd = len(q_dofs), len(d_dofs)
-        my_blocks = [blocks[e] for e in map(int, sp_info.patches[pi].elements)
-                     if int(plan.element_rank[e]) == ctx.rank]
-        rows, slots, pos = [], [], []
-        for b in my_blocks:
-            dofs = node_dofs(b.nodes)
-            pos.append(_patch_positions(q_dofs, d_dofs, dofs))
-            pos[-1][part.ref_dirichlet[dofs]] = nq + nd
-            rows.append(state.stack.rows_of(b.element))
-            slots.append(state.stack.field_slots(b.element, sp_info.patches[pi].node))
-        state.patch_scatter[pi] = tuple(map(np.concatenate, (rows, slots, pos)))
-        payload = [(b.element, b.nodes, b.A_FF, b.B_F) for b in my_blocks]
+        mine = [e for e in map(int, patch.elements) if int(plan.element_rank[e]) == ctx.rank]
+        rows = np.concatenate([np.zeros(0, np.int64)] + [stack.rows_of(e) for e in mine])
+        slots = np.concatenate([np.zeros(0, np.int64)]
+                               + [stack.field_slots(e, patch.node) for e in mine])
+        pos = _patch_positions(q_dofs, d_dofs, stack.dofs[rows])
+        pos[part.ref_dirichlet[stack.dofs[rows]]] = nq + nd
+        state.patch_scatter[pi] = (rows, slots, pos)
+        # the member rows on q with their q and d columns, and B_F on q
+        key = np.repeat(np.asarray(mine, dtype=np.int64),
+                        stack.ndof[np.searchsorted(stack.elements, mine)])
+        A = stack.A[rows]
+        col_pos = np.full(stack.A.shape[1], nq + nd)
+        col_pos[rows] = pos
+        r, c = np.repeat(pos, np.diff(A.indptr)), col_pos[A.indices]
+        keep = (r < nq) & (c < nq + nd)
+        q, d = pos < nq, (pos >= nq) & (pos < nq + nd)
+        payload = ((np.repeat(key, np.diff(A.indptr))[keep], r[keep], c[keep], A.data[keep]),
+                   (key[q], pos[q], stack.B[rows][q]),
+                   (key[d], pos[d] - nq, np.nonzero(d)[0]), len(rows))
         pieces = [payload] if group is None else group.gather(payload, root=0)
         if pieces is None:  # not the owner
             return
-        arrived = [t for lst in pieces for t in lst]
-        offsets = np.cumsum([0] + [3 * len(t[1]) for t in arrived])
-        d_src = np.full(nd, -1, dtype=np.int64)
-        rows, cols, vals = [], [], []
+        a_t, b_t, d_t = ([np.concatenate(x) for x in zip(*(p[k] for p in pieces))]
+                         for k in range(3))
+        base = np.cumsum([0] + [p[3] for p in pieces])[:-1]
+        d_t[2] = d_t[2] + np.repeat(base, [len(p[2][0]) for p in pieces])
+        # the member blocks in ascending element id, each in its own row order
+        (_, r, c, v), (_, bi, bv), (_, dp, src) = (
+            [x[np.argsort(t[0], kind="stable")] for x in t] for t in (a_t, b_t, d_t))
         BI = np.zeros(nq)
-        for k in np.argsort([t[0] for t in arrived]):  # ascending element id
-            e, nodes, A_FF, B_F = arrived[k]
-            col = _patch_positions(q_dofs, d_dofs, node_dofs(nodes))
-            row = np.where(col < nq, col, -1)
-            d = np.nonzero((col >= nq) & (col < nq + nd))[0]
-            d_src[col[d] - nq] = offsets[k] + d
-            coo = A_FF.tocoo()
-            keep = (row[coo.row] >= 0) & (col[coo.col] < nq + nd)
-            rows.append(row[coo.row][keep])
-            cols.append(col[coo.col][keep])
-            vals.append(coo.data[keep])
-            np.add.at(BI, row[row >= 0], B_F[row >= 0])
-        # the q and the d columns of the member blocks, in element order
-        r, c, v = (np.concatenate(a) for a in (rows, cols, vals))
+        np.add.at(BI, bi, bv)
+        d_src = np.full(nd, -1, dtype=np.int64)
+        dp, last = np.unique(dp[::-1], return_index=True)  # the highest element id wins
+        d_src[dp] = src[::-1][last]
         qq = c < nq
         A_qq = sp.coo_matrix((v[qq], (r[qq], c[qq])), shape=(nq, nq)).tocsc()
         A_qd = sp.coo_matrix((v[~qq], (r[~qq], c[~qq] - nq)), shape=(nq, nd)).tocsr()
@@ -330,7 +338,7 @@ def _build_patch_systems(ctx, state, problem, plan, blocks):
             factor = factorize(A_qq)
         except SingularMatrixError as exc:
             raise SingularMatrixError(exc.dof, exc.pivot) from RuntimeError(
-                f"patch {sp_info.patches[pi].node} has a singular interior matrix")
+                f"patch {patch.node} has a singular interior matrix")
         state.patch_sys[pi] = {"factor": factor, "BI": BI, "D_qd": -A_qd, "d_src": d_src}
 
     _iterate_schedule(ctx, state, problem, plan, handle_patch)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from twoscalefem.bench import (
     CaseSpec,
     build_cone_box_problem,
     build_cubic_problem,
+    build_microstructure_problem,
     cone_damage,
-    cone_envelope_membership,
     cubic_body_force,
     cubic_exact,
     energy_norm_fields,
@@ -17,7 +19,43 @@ from twoscalefem.bench import (
 )
 from twoscalefem.microplanes import PLANES_64
 
+from twoscalefem.elasticity import Material, leaf_moduli
+
 E0, NU0, F0, K0 = 36.5e9, 0.2, 1.0, 4.0
+
+
+def cone_envelope_membership(p, theta_deg=35.0, o1=-545.08, o2=-531.31,
+                             h=-400.0, y_floor=-469.0):
+    """Direct evaluation of the four envelope inequalities."""
+    x, y, z = p
+    theta = np.deg2rad(theta_deg)
+    rho2 = x * x + z * z
+    c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    return (rho2 * c2 < (y - o1) ** 2 * s2 and rho2 * c2 > (y - o2) ** 2 * s2
+            and y_floor < y and y < h)
+
+
+def pointwise_cone_damage(p, h=-400.0, y_floor=-469.0, theta_deg=35.0, o1=-545.08, o2=-531.31):
+    """Damage at one point, scalar arithmetic throughout."""
+    if not cone_envelope_membership(p, theta_deg, o1, o2, h, y_floor):
+        return 0.0
+    x, y, z = p
+    t = np.tan(np.deg2rad(theta_deg))
+    r1, r2 = (y - o1) * t, (y - o2) * t
+    s = abs(np.sqrt(x * x + z * z) - 0.5 * (r1 + r2)) / (0.5 * (r1 - r2))
+    return float(np.clip(2.0 * (1.0 - s), 0.0, 1.0))
+
+
+def pointwise_modulus(p, planes, E_min, E_max, jitter, seed):
+    """Micro-structure modulus at one point: its own hash and its own draw."""
+    planes = np.asarray(planes)
+    signs = (planes[:, 0] * p[0] + planes[:, 1] * p[1] + planes[:, 2] * p[2] - planes[:, 3]) >= 0
+    h = hashlib.blake2b(np.packbits(signs).tobytes(), digest_size=8).digest()
+    E = E_min * (E_max / E_min) ** (int.from_bytes(h, "big") / float(2**64))
+    if jitter:
+        code = int(region_code(p[None, :], planes)[0])
+        E = E * (1.0 + jitter * np.random.default_rng(seed * 1_000_003 + code).uniform(-1, 1))
+    return E
 
 
 def test_cubic_zero_at_origin():
@@ -133,6 +171,32 @@ def test_cone_membership_matches_inequalities():
             assert d >= 0.0
         else:
             assert d == 0.0
+
+
+def test_material_fields_match_pointwise_evaluation_bitwise():
+    # one call per field over all leaf centroids equals a call per centroid
+    spec = CaseSpec(kind="micro-structure", sp_depth=1, perturb_percent=1.0, seed=4)
+    micro = build_microstructure_problem(spec)
+    cone = build_cone_box_problem(CaseSpec(kind="cone-damage-box", sp_depth=1))
+    for problem, pointwise in (
+        (micro, lambda p: pointwise_modulus(p, PLANES_64[:16], *spec.e_range, 0.01, 4)),
+        (cone, lambda p: 26.4e9 * (1.0 - pointwise_cone_damage(p))),
+    ):
+        nested = problem.nested
+        leaves = np.concatenate(nested.micro)
+        got = leaf_moduli(nested.points, leaves, problem.material)
+        expect = np.array([pointwise(c) for c in nested.points[leaves].mean(axis=1)])
+        assert np.array_equal(got, expect)
+    assert np.count_nonzero(got < 26.4e9) > 0  # the cone case samples the band
+
+
+def test_damage_outside_unit_interval_raises():
+    leaves = np.array([[0, 1, 2, 3]])
+    points = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert leaf_moduli(points, leaves, Material(damage=lambda x: 1.0 + 1e-13))[0] == 0.0
+    for d in (1.0 + 1e-9, -1e-9, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            leaf_moduli(points, leaves, Material(damage=lambda x, d=d: np.full(len(x), d)))
 
 
 def test_cone_mid_band_fully_damaged():

@@ -7,16 +7,28 @@ from twoscalefem.elasticity import (
     assemble_element_block,
     assemble_nsp,
     batch_leaf_stiffness,
+    consistent_loads,
     element_stiffness,
-    element_volume_load,
-    face_traction_load,
     hooke_matrix,
+    leaf_moduli,
     traction_face_table,
 )
 from twoscalefem.mesh import BoundaryConditions, NestedMesh, box_mesh, build_partition, classify_sp, refine
 from twoscalefem.reference import assemble_reference
 
 TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def element_volume_load(coords, body):
+    """Consistent nodal loads (12,) of a body force over one tetrahedron."""
+    if body is None:
+        return np.zeros(12)
+    return consistent_loads(np.asarray(coords, dtype=np.float64), np.arange(4)[None], body).ravel()
+
+
+def face_traction_load(coords3, traction):
+    """Consistent nodal loads (9,) of a traction over one surface triangle."""
+    return consistent_loads(np.asarray(coords3, dtype=np.float64), np.arange(3)[None], traction).ravel()
 
 
 def test_rigid_translation_in_kernel():
@@ -59,7 +71,7 @@ def test_patch_test_uniform_strain():
 
 
 def test_full_damage_zero_stiffness():
-    mat = Material(young_modulus=5.0, poisson_ratio=0.2, damage=lambda x: 1.0)
+    mat = Material(young_modulus=5.0, poisson_ratio=0.2, damage=lambda x: np.ones(len(x)))
     K, _ = element_stiffness(TET, mat)
     assert np.abs(K).max() == 0.0
 
@@ -139,10 +151,10 @@ def test_hanging_elimination_matches_symbolic_substitution():
     dof = np.concatenate([[3 * v, 3 * v + 1, 3 * v + 2] for v in block.nodes])
     scat[np.ix_(dof, dof)] += block.A_FF.toarray()
     bvec[dof] += block.B_F
-    nsp = assemble_nsp(1, nested, mat, loads)
-    dof2 = np.concatenate([[3 * v, 3 * v + 1, 3 * v + 2] for v in nsp.nodes])
-    scat[np.ix_(dof2, dof2)] += nsp.K
-    bvec[dof2] += nsp.B
+    nsp = assemble_nsp([1], nested, mat, loads)
+    dof2 = np.concatenate([[3 * v, 3 * v + 1, 3 * v + 2] for v in nsp.nodes[0]])
+    scat[np.ix_(dof2, dof2)] += nsp.K[0]
+    bvec[dof2] += nsp.B[0]
 
     scale = np.abs(K_oracle).max()
     assert np.abs(scat - K_oracle).max() <= 1e-12 * scale
@@ -155,9 +167,9 @@ def _scatter_blocks_to_reference(nested, part, blocks, nsp_blocks):
     for block in blocks:
         dof = np.concatenate([[3 * v, 3 * v + 1, 3 * v + 2] for v in block.nodes])
         K[np.ix_(dof, dof)] += block.A_FF.toarray()
-    for nsp in nsp_blocks:
-        dof = np.concatenate([[3 * v, 3 * v + 1, 3 * v + 2] for v in nsp.nodes])
-        K[np.ix_(dof, dof)] += nsp.K
+    for nodes, Ke in nsp_blocks:
+        dof = np.concatenate([[3 * v, 3 * v + 1, 3 * v + 2] for v in nodes])
+        K[np.ix_(dof, dof)] += Ke
     free = part.free_ref_dofs
     return K[np.ix_(free, free)]
 
@@ -173,8 +185,9 @@ def test_monolithic_equivalence_and_spd():
                     tractions={"pull": lambda x: np.array([1.0, 0.0, 0.0])})
     tr = traction_face_table(nested, loads)
 
-    blocks = [assemble_element_block(e, nested, mat, loads, tr) for e in sp_info.sp_elements]
-    nsp_blocks = [assemble_nsp(e, nested, mat, loads, tr) for e in sp_info.nsp_elements]
+    blocks = [assemble_element_block([e], nested, mat, loads, tr) for e in sp_info.sp_elements]
+    nsp = assemble_nsp(sp_info.nsp_elements, nested, mat, loads, tr)
+    nsp_blocks = [(nodes, K) for nodes, K in zip(nsp.nodes, nsp.K)]
     ref = assemble_reference(nested, part, mat, loads)
 
     K_blocks = _scatter_blocks_to_reference(nested, part, blocks, nsp_blocks)
@@ -215,11 +228,11 @@ def test_nsp_coupling_sparsity():
     sp_info = classify_sp(nested)
     assert len(sp_info.nsp_elements)
     mat = Material()
-    for e in map(int, sp_info.nsp_elements):
-        nsp = assemble_nsp(e, nested, mat, LoadSet())
-        assert sorted(nsp.nodes) == sorted(nested.coarse.tets[e])
-        K, _ = element_stiffness(nested.points[nsp.nodes], mat)
-        assert np.abs(nsp.K - K).max() <= 1e-12 * np.abs(K).max()
+    nsp = assemble_nsp(sp_info.nsp_elements, nested, mat, LoadSet())
+    for e, nodes, Ke in zip(sp_info.nsp_elements, nsp.nodes, nsp.K):
+        assert sorted(nodes) == sorted(nested.coarse.tets[e])
+        K, _ = element_stiffness(nested.points[nodes], mat)
+        assert np.abs(Ke - K).max() <= 1e-12 * np.abs(K).max()
 
 
 def test_material_validation():
@@ -227,9 +240,9 @@ def test_material_validation():
         Material(young_modulus=-1.0)
     with pytest.raises(ValueError):
         Material(poisson_ratio=0.5)
-    m = Material(damage=lambda x: 2.0)
+    m = Material(damage=lambda x: np.full(len(x), 2.0))
     with pytest.raises(ValueError):
-        m.damage_at(np.zeros(3))
+        leaf_moduli(TET, np.arange(4)[None], m)
 
 
 def test_traction_consistency():

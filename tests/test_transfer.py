@@ -24,14 +24,24 @@ from twoscalefem.transfer import (
     build_tfk,
     coarse_triplets_constant,
     coarse_triplets_enrichment,
-    element_classical_dofs,
-    element_enriched_dofs,
-    enriched_corners,
-    flatten_triplets,
     nsp_triplets,
     stack_blocks,
     update_tfe,
 )
+
+
+def enriched_corners(nested, partition, e):
+    """Enriched coarse vertices of element e, ascending node id."""
+    return sorted(int(v) for v in nested.coarse.tets[e] if int(v) in partition.enriched_index)
+
+
+def element_classical_dofs(nested, e):
+    return node_dofs(nested.coarse.tets[e])
+
+
+def element_enriched_dofs(nested, partition, e):
+    idx = [partition.enriched_index[p] for p in enriched_corners(nested, partition, e)]
+    return 3 * partition.n_coarse_nodes + node_dofs(np.asarray(idx, dtype=np.int64))
 
 
 def bary_volume_ratio(coords, x):
@@ -108,7 +118,7 @@ def test_enrichment_triplets_match_dense_products():
     g_e = part.coarse_dof_index[element_enriched_dofs(nested, part, e)]
     assert (g_c < 0).any() and len(g_e) == 12
     corners = enriched_corners(nested, part, e)
-    stack = stacked_tfe([block], nested, part, {e: element_patch_fields(block, fields, corners, part)})
+    stack = stacked_tfe(block, nested, part, {e: element_patch_fields(block.nodes, fields, corners, part)})
     T = block_tfe(stack, 0)
     assert np.count_nonzero(T[part.ref_dirichlet[node_dofs(block.nodes)]]) == 0
     vals, be = coarse_triplets_enrichment(stack)
@@ -154,8 +164,7 @@ def stacked_tfe(blocks, nested, part, efields):
     efields: element -> {enriched corner -> (n, 3) field}; corners without
     a field keep a zero field.
     """
-    stack = stack_blocks(blocks, [build_tfk(b, nested) for b in blocks], nested, part,
-                         max(b.ndof for b in blocks))
+    stack = stack_blocks(blocks, build_tfk(blocks, nested), nested, part, max(blocks.ndof))
     flat = stack.fields.reshape(-1)
     for e, flds in efields.items():
         for p, arr in flds.items():
@@ -169,15 +178,15 @@ def block_tfe(stack, i):
     return stack.T[i, :stack.ndof[i], :3 * len(stack.corners[i])]
 
 
-def element_patch_fields(block, fields, corners, part):
-    """Restrict global per-patch dicts to element node order, zero on Dirichlet."""
+def element_patch_fields(nodes, fields, corners, part):
+    """Restrict global per-patch dicts to the element's nodes, zero on Dirichlet."""
     out = {}
     for p in corners:
         f = fields.get(p)
         if f is None:
             continue
-        arr = np.array([f[int(v)] for v in block.nodes])
-        for j, v in enumerate(block.nodes):
+        arr = np.array([f[int(v)] for v in nodes])
+        for j, v in enumerate(nodes):
             for c in range(3):
                 if part.ref_dirichlet[3 * int(v) + c]:
                     arr[j, c] = 0.0
@@ -193,7 +202,7 @@ def test_tfe_constant_field_vanishes():
     corners = enriched_corners(nested, part, e)
     assert corners
     const = {p: np.tile([1.0, 2.0, 3.0], (len(block.nodes), 1)) for p in corners}
-    stack = stacked_tfe([block], nested, part, {e: const})
+    stack = stacked_tfe(block, nested, part, {e: const})
     assert np.count_nonzero(stack.fields) > 0
     assert np.count_nonzero(stack.T) == 0
 
@@ -205,29 +214,28 @@ def test_tfe_transition_element_zero():
     e = int(transition[0])
     block = assemble_element_block(e, nested, Material(), LoadSet())
     # transition elements get no patch field: columns stay identically zero
-    stack = stacked_tfe([block], nested, part, {})
+    stack = stacked_tfe(block, nested, part, {})
     assert np.count_nonzero(stack.T) == 0
 
 
 def test_tfe_interior_patch_boundary_rows_zero():
     nested, sp_info, part = setup_case()
     fields = random_patch_fields(nested, sp_info, part)
-    blocks = [assemble_element_block(e, nested, Material(), LoadSet())
-              for e in map(int, sp_info.sp_elements)]
+    blocks = assemble_element_block(sp_info.sp_elements, nested, Material(), LoadSet())
     efields = {}
-    for block in blocks:
-        corners = enriched_corners(nested, part, block.element)
-        efields[block.element] = element_patch_fields(block, fields, corners, part)
+    for i, e in enumerate(blocks.elements):
+        corners = enriched_corners(nested, part, e)
+        efields[e] = element_patch_fields(blocks.nodes_of(i), fields, corners, part)
     stack = stacked_tfe(blocks, nested, part, efields)
     assert np.count_nonzero(stack.T) > 0
-    for i, block in enumerate(blocks):
+    for i, e in enumerate(blocks.elements):
         T_Fe = block_tfe(stack, i)
-        corners = enriched_corners(nested, part, block.element)
+        corners = enriched_corners(nested, part, e)
         for ci, p in enumerate(corners):
             patch = next(pa for pa in sp_info.patches if pa.node == p)
             sets = part.patch_sets[sp_info.patches.index(patch)]
             boundary_dofs = set(sets["d"])
-            for j, v in enumerate(block.nodes):
+            for j, v in enumerate(blocks.nodes_of(i)):
                 for c in range(3):
                     dof = 3 * int(v) + c
                     if dof in boundary_dofs and not _on_domain_boundary(nested, int(v)):
@@ -239,19 +247,18 @@ def test_stacked_tfe_matches_per_block_formula():
     # N^p(x_j) (field_p[j] - field_p[p]) per component, zero on Dirichlet rows
     nested, sp_info, part = setup_case(refined=range(6), boxdims=(3, 1, 1), dirichlet=True)
     fields = random_patch_fields(nested, sp_info, part, seed=7)
-    blocks, efields = [], {}
-    for e in map(int, sp_info.sp_elements):
-        block = assemble_element_block(e, nested, Material(), LoadSet())
-        blocks.append(block)
-        efields[e] = element_patch_fields(block, fields, enriched_corners(nested, part, e), part)
-    assert len({b.ndof for b in blocks}) > 1
+    blocks = assemble_element_block(sp_info.sp_elements, nested, Material(), LoadSet())
+    efields = {e: element_patch_fields(blocks.nodes_of(i), fields,
+                                       enriched_corners(nested, part, e), part)
+               for i, e in enumerate(blocks.elements)}
+    assert len(set(blocks.ndof)) > 1
     stack = stacked_tfe(blocks, nested, part, efields)
     checked = 0
-    for i, block in enumerate(blocks):
-        e, nodes = block.element, [int(v) for v in block.nodes]
+    for i, e in enumerate(blocks.elements):
+        nodes = [int(v) for v in blocks.nodes_of(i)]
         tet = [int(v) for v in nested.coarse.tets[e]]
         N = barycentric_matrix(nested, e, nodes)
-        dirichlet = part.ref_dirichlet[node_dofs(block.nodes)].reshape(-1, 3)
+        dirichlet = part.ref_dirichlet[node_dofs(nodes)].reshape(-1, 3)
         for ci, p in enumerate(enriched_corners(nested, part, e)):
             fld = efields[e][p]
             expect = N[:, [tet.index(p)]] * (fld - fld[nodes.index(p)])
@@ -272,25 +279,16 @@ def build_full_system(nested, sp_info, part, mat, loads, fields=None):
     from twoscalefem.elasticity import traction_face_table
 
     tr = traction_face_table(nested, loads)
-    blocks, efields = [], {}
-    const_trips, const_b = [], []
-    for e in map(int, sp_info.sp_elements):
-        block = assemble_element_block(e, nested, mat, loads, tr)
-        if fields is not None:
+    blocks = assemble_element_block(sp_info.sp_elements, nested, mat, loads, tr)
+    efields = {}
+    if fields is not None:
+        for i, e in enumerate(blocks.elements):
             corners = enriched_corners(nested, part, e)
-            efields[e] = element_patch_fields(block, fields, corners, part)
-        blocks.append(block)
+            efields[e] = element_patch_fields(blocks.nodes_of(i), fields, corners, part)
     stack = stacked_tfe(blocks, nested, part, efields)
-    for block in blocks:
-        t, b = coarse_triplets_constant(block, build_tfk(block, nested), nested, part)
-        const_trips.append(t)
-        const_b.append(b)
-    for e in map(int, sp_info.nsp_elements):
-        nb = assemble_nsp(e, nested, mat, loads, tr)
-        t, b = nsp_triplets(nb, part)
-        const_trips.append(t)
-        const_b.append(b)
-    cs = CoarseSystem.of(part, flatten_triplets(const_trips, 3), flatten_triplets(const_b, 2),
+    const = coarse_triplets_constant(blocks, build_tfk(blocks, nested), nested, part)
+    nsp = nsp_triplets(assemble_nsp(sp_info.nsp_elements, nested, mat, loads, tr), part)
+    cs = CoarseSystem.of(part, *(tuple(map(np.concatenate, zip(a, b))) for a, b in zip(const, nsp)),
                          (stack.e_keys, stack.e_rows, stack.e_cols), (stack.b_keys, stack.b_idx))
     A, B = cs.build(*coarse_triplets_enrichment(stack)) if fields is not None else cs.build()
     return A, B, stack, cs
@@ -340,7 +338,7 @@ def test_zero_enrichment_reduces_to_coarse_fem():
 
     # plain coarse FEM on the same mesh (homogeneous material: the reduced
     # stiffness of nested refinement equals the coarse element stiffness)
-    from twoscalefem.elasticity import element_stiffness, element_volume_load
+    from twoscalefem.elasticity import consistent_loads, element_stiffness
 
     mesh = nested.coarse
     K = np.zeros((3 * mesh.n_vertices, 3 * mesh.n_vertices))
@@ -349,7 +347,7 @@ def test_zero_enrichment_reduces_to_coarse_fem():
         Ke, _ = element_stiffness(mesh.vertices[tet], mat)
         dof = np.concatenate([[3 * v, 3 * v + 1, 3 * v + 2] for v in tet])
         K[np.ix_(dof, dof)] += Ke
-        F[dof] += element_volume_load(mesh.vertices[tet], loads.body)
+        F[dof] += consistent_loads(mesh.vertices[tet], np.arange(4)[None], loads.body).ravel()
     free = np.array([d for d in range(3 * mesh.n_vertices) if not part.coarse_dirichlet[d]])
     u_coarse = np.linalg.solve(K[np.ix_(free, free)], F[free])
 

@@ -175,7 +175,7 @@ def test_damaged_patch_displacement_jump():
     best = None
     for pi, patch in enumerate(sp_info.patches):
         sets = part.patch_sets[pi]
-        dmg = [problem.material.damage_at(nested.points[int(v)]) for v in patch.fine_nodes(nested)]
+        dmg = problem.material.damage(nested.points[patch.fine_nodes(nested)])
         if max(dmg) >= 0.99:
             q_nodes = {int(d) // 3 for d in sets["q"]}
             d_nodes = {int(d) // 3 for d in sets["d"]}
