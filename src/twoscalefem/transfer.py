@@ -233,8 +233,9 @@ class CoarseSystem:
         c, cb = np.argsort(const[0], kind="stable"), np.argsort(const_b[0], kind="stable")
         K = CscPattern.of(const[1][c], const[2][c], (n, n)).assemble(const[3][c]).tocoo()
         order, b_order = np.argsort(enrich[0], kind="stable"), np.argsort(enrich_b[0], kind="stable")
-        pattern = CscPattern.of(np.concatenate([K.row, enrich[1][order]]),
-                                np.concatenate([K.col, enrich[2][order]]), (n, n))
+        pattern = _mirrored_pattern(np.concatenate([K.row, enrich[1][order]]),
+                                    np.concatenate([K.col, enrich[2][order]]),
+                                    n, n - 3 * partition.n_enriched)
         return cls(pattern, K.data, order,
                    np.concatenate([np.arange(n), enrich_b[1][b_order]]),
                    np.bincount(const_b[1][cb], weights=const_b[2][cb], minlength=n), b_order)
@@ -246,6 +247,31 @@ class CoarseSystem:
         A = self.pattern.assemble(np.concatenate([self.const_vals, ev]))
         B = np.bincount(self.b_slot, weights=np.concatenate([self.b_const, bv]))
         return A, B
+
+
+def _mirrored_pattern(rows, cols, n, n_cl):
+    """CscPattern.of of (n, n) triplets whose (k,e) ones mirror (e,k) ones.
+
+    A (k,e) triplet (row < n_cl <= col) is the transpose of an (e,k) one,
+    so np.unique runs over the other triplets only; the transposes of the
+    (e,k) entries join the pattern and each (k,e) triplet takes the slot of
+    its transpose's mirror.  Pattern and slots equal CscPattern.of's.
+    """
+    ke = (rows < n_cl) & (cols >= n_cl)
+    keys, half_slot = np.unique(cols[~ke] * n + rows[~ke], return_inverse=True)
+    r, c = keys % n, keys // n
+    ek = (r >= n_cl) & (c < n_cl)
+    keys = np.concatenate([keys, r[ek] * n + c[ek]])  # the mirrors: column r, row c
+    order = np.argsort(keys)
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    slot = np.empty(len(rows), dtype=np.int64)
+    slot[~ke] = at[half_slot.reshape(-1)]
+    mirror = np.cumsum(ek) - 1 + len(ek)
+    slot[ke] = at[mirror[np.searchsorted(keys[:len(ek)], rows[ke] * n + cols[ke])]]
+    keys = keys[order]
+    counts = np.bincount(keys // n, minlength=n)
+    return CscPattern((n, n), np.concatenate([[0], np.cumsum(counts)]), keys % n, slot)
 
 
 def _dense_triplets(elements, M, dofs, B, partition):

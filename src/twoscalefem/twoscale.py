@@ -304,28 +304,30 @@ def _build_patch_systems(ctx, state, problem, plan):
         pos = _patch_positions(q_dofs, d_dofs, stack.dofs[rows])
         pos[part.ref_dirichlet[stack.dofs[rows]]] = nq + nd
         state.patch_scatter[pi] = (rows, slots, pos)
-        # the member rows on q with their q and d columns, and B_F on q
-        key = np.repeat(np.asarray(mine, dtype=np.int64),
-                        stack.ndof[np.searchsorted(stack.elements, mine)])
+        # the member rows on q with their q and d columns, B_F on q and the
+        # d rows, each with its count per member element
+        member = np.repeat(np.arange(len(mine)), stack.ndof[np.searchsorted(stack.elements, mine)])
         A = stack.A[rows]
         col_pos = np.full(stack.A.shape[1], nq + nd)
         col_pos[rows] = pos
         r, c = np.repeat(pos, np.diff(A.indptr)), col_pos[A.indices]
         keep = (r < nq) & (c < nq + nd)
         q, d = pos < nq, (pos >= nq) & (pos < nq + nd)
-        payload = ((np.repeat(key, np.diff(A.indptr))[keep], r[keep], c[keep], A.data[keep]),
-                   (key[q], pos[q], stack.B[rows][q]),
-                   (key[d], pos[d] - nq, np.nonzero(d)[0]), len(rows))
+        count = lambda m: np.bincount(m, minlength=len(mine))
+        payload = (mine, len(rows), (count(np.repeat(member, np.diff(A.indptr))[keep]),
+                                     r[keep].astype(np.int32), c[keep].astype(np.int32),
+                                     A.data[keep]),
+                   (count(member[q]), pos[q], stack.B[rows][q]),
+                   (count(member[d]), pos[d] - nq, np.nonzero(d)[0]))
         pieces = [payload] if group is None else group.gather(payload, root=0)
         if pieces is None:  # not the owner
             return
-        a_t, b_t, d_t = ([np.concatenate(x) for x in zip(*(p[k] for p in pieces))]
-                         for k in range(3))
-        base = np.cumsum([0] + [p[3] for p in pieces])[:-1]
-        d_t[2] = d_t[2] + np.repeat(base, [len(p[2][0]) for p in pieces])
-        # the member blocks in ascending element id, each in its own row order
-        (_, r, c, v), (_, bi, bv), (_, dp, src) = (
-            [x[np.argsort(t[0], kind="stable")] for x in t] for t in (a_t, b_t, d_t))
+        # the member blocks in ascending element id, each in its own row
+        # order; a d source is a position in the arrived u_F vectors
+        mines, base = [p[0] for p in pieces], np.cumsum([0] + [p[1] for p in pieces])
+        r, c, v = _by_element(mines, [p[2] for p in pieces])
+        bi, bv = _by_element(mines, [p[3] for p in pieces])
+        dp, src = _by_element(mines, [(n, at, s + b) for (*_, (n, at, s)), b in zip(pieces, base)])
         BI = np.zeros(nq)
         np.add.at(BI, bi, bv)
         d_src = np.full(nd, -1, dtype=np.int64)
@@ -342,6 +344,17 @@ def _build_patch_systems(ctx, state, problem, plan):
         state.patch_sys[pi] = {"factor": factor, "BI": BI, "D_qd": -A_qd, "d_src": d_src}
 
     _iterate_schedule(ctx, state, problem, plan, handle_patch)
+
+
+def _by_element(mines, parts):
+    """Payload parts (counts, *arrays) concatenated and stably sorted by member element.
+
+    counts holds the entries of each element of the matching mines list.
+    """
+    keys = np.concatenate([np.repeat(np.asarray(m, dtype=np.int64), p[0])
+                           for m, p in zip(mines, parts)])
+    order = np.argsort(keys, kind="stable")
+    return [np.concatenate([p[i] for p in parts])[order] for i in range(1, len(parts[0]))]
 
 
 def _iterate_schedule(ctx, state, problem, plan, fn):
