@@ -193,7 +193,7 @@ def batch_leaf_stiffness(points, leaves, material: Material):
     """Stiffness blocks (k,12,12) and volumes of a batch of tetrahedra."""
     grads, vol = p1_gradients(points, leaves)
     B = strain_operator(grads)
-    K = np.einsum("kia,ij,kjb->kab", B, hooke_matrix(1.0, material.poisson_ratio), B)
+    K = B.transpose(0, 2, 1) @ (hooke_matrix(1.0, material.poisson_ratio) @ B)
     return K * (leaf_moduli(points, leaves, material) * vol)[:, None, None], vol
 
 

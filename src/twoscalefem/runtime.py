@@ -34,6 +34,12 @@ class _Abort(BaseException):
     pass
 
 
+def _signal():
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
+
+
 class _Simulator:
     def __init__(self, n, seed=None):
         self.n = n
@@ -41,8 +47,10 @@ class _Simulator:
         self.channels: dict[tuple, deque] = {}
         self.sent = Counter()
         self.received = Counter()
-        self.rank_sem = [threading.Semaphore(0) for _ in range(n)]
-        self.control = threading.Semaphore(0)
+        # one-shot signals (every release is matched by one acquire): a held
+        # plain lock hands the turn over faster than a Python-level Semaphore
+        self.rank_sem = [_signal() for _ in range(n)]
+        self.control = _signal()
         self.state = ["ready"] * n        # ready | waiting | done
         self.wait_key = [None] * n
         self.errors: list = []
@@ -240,14 +248,16 @@ class RankContext:
     def all_reduce_ordered_sum(self, items):
         return self.bcast(self.reduce_ordered_sum(items, 0), 0)
 
-    def split_by_color(self, color):
+    def split_by_color(self, color, colors=None):
         """Subgroup communicator of all ranks passing the same color.
 
         Collective over the current group; ranks passing None get None back.
-        Subgroup rank order follows the parent order.
+        Subgroup rank order follows the parent order.  colors, every rank's
+        color when each rank knows them all, spares the allgather.
         """
         self._split_count += 1
-        colors = self.allgather(color)
+        if colors is None:
+            colors = self.allgather(color)
         if color is None:
             return None
         members = [self._world(r) for r, c in enumerate(colors) if c == color]

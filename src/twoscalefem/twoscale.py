@@ -368,15 +368,16 @@ def _iterate_schedule(ctx, state, problem, plan, fn):
     """
     sched = state.schedule
     M = sched.M
-    if state.groups is None:
+    if state.groups is None:  # every rank holds M and the participants: no allgather
         state.groups = []
         for s in range(sched.n_sequences):
-            my = int(M[ctx.rank, s])
-            distributed = my >= 0 and len(state.patch_owner[my]) >= 2
-            if distributed:
+            colors = [int(p) if p >= 0 and len(state.patch_owner[int(p)]) >= 2 else None
+                      for p in M[:, s]]
+            my = colors[ctx.rank]
+            if my is not None:
                 assert list(np.nonzero(M[:, s] == my)[0]) == list(state.patch_owner[my]), \
                     "schedule violation: participant mismatch"
-            state.groups.append(ctx.split_by_color(my if distributed else None))
+            state.groups.append(ctx.split_by_color(my, colors))
     for s, group in enumerate(state.groups):
         if M[ctx.rank, s] >= 0:
             fn(int(M[ctx.rank, s]), group)
