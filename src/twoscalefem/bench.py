@@ -59,6 +59,9 @@ __all__ = [
 CUBIC_E = 36.5e9
 CUBIC_NU = 0.2
 
+# box cells (6 tetrahedra each) of each case's coarse mesh before flattening
+BASES = {"cubic-plate": (4, 2, 1), "micro-structure": (2, 2, 2), "cone-damage-box": (6, 2, 6)}
+
 SIDES = ("x0", "x1", "y0", "y1", "z0", "z1")
 SIDE_NORMAL = {"x0": (-1, 0), "x1": (1, 0), "y0": (-1, 1), "y1": (1, 1),
                "z0": (-1, 2), "z1": (1, 2)}   # side -> (sign, axis) of the outer normal
@@ -90,6 +93,13 @@ class CaseSpec:
             raise ValueError("eps must be positive")
         if self.solver in ("dd", "tsdd") and self.ranks < 2:
             raise ValueError(f"{self.solver} needs at least 2 ranks")
+        if self.kind in BASES and self.ranks > self.macro_elements():
+            raise ValueError(f"{self.ranks} ranks exceed the {self.macro_elements()} macro "
+                             f"elements of the {self.kind} mesh")
+
+    def macro_elements(self) -> int:
+        """Macro-element count of the case's default mesh: 8 per flattened level."""
+        return 6 * int(np.prod(BASES[self.kind])) * 8 ** self.coarse_level
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +202,7 @@ def _box_problem(spec: CaseSpec, base, dims, material, loads, origin=(0.0, 0.0, 
     return ProblemSetup(nested, sp_info, build_partition(nested, sp_info, bc), material, loads)
 
 
-def build_cubic_problem(spec: CaseSpec, base=(4, 2, 1), dims=(4.0, 2.0, 1.0),
+def build_cubic_problem(spec: CaseSpec, base=BASES["cubic-plate"], dims=(4.0, 2.0, 1.0),
                         F=1.0, material=None, selector=None):
     """Plate problem with the cubic exact field, refined on selector (default: all elements)."""
     K = dims[0]
@@ -210,39 +220,6 @@ def build_cubic_problem(spec: CaseSpec, base=(4, 2, 1), dims=(4.0, 2.0, 1.0),
     return _box_problem(spec, base, dims, mat, loads, select=select), exact
 
 
-def build_affine_problem(spec: CaseSpec, base=(2, 1, 1), dims=(4.0, 2.0, 1.0),
-                         G=None, selector=None):
-    """Manufactured affine field u = G x: reproduced exactly by the spaces.
-
-    G must vanish below the diagonal so the corner pins are compatible with
-    zero prescribed displacements.
-    """
-    if G is None:
-        G = np.array([[3e-4, 1e-4, -2e-4], [0.0, -1e-4, 5e-5], [0.0, 0.0, 2e-4]])
-    if np.abs(np.tril(G, -1)).max() > 0:
-        raise ValueError("G must be upper-triangular for the corner pins")
-    mat = Material(young_modulus=CUBIC_E, poisson_ratio=CUBIC_NU)
-    eps_t = 0.5 * (G + G.T)
-    voigt = np.array([eps_t[0, 0], eps_t[1, 1], eps_t[2, 2],
-                      2 * eps_t[1, 2], 2 * eps_t[0, 2], 2 * eps_t[0, 1]])
-    sv = hooke_matrix(mat.young_modulus, mat.poisson_ratio) @ voigt
-    sigma = np.array([[sv[0], sv[5], sv[4]], [sv[5], sv[1], sv[3]], [sv[4], sv[3], sv[2]]])
-
-    def traction(side):
-        sign, axis = SIDE_NORMAL[side]
-        t = sign * sigma[:, axis]
-        return lambda p: t
-
-    loads = LoadSet(tractions={s: traction(s) for s in SIDES})
-    problem = _box_problem(spec, base, dims, mat, loads,
-                           select=None if selector is None else (lambda mesh: selector))
-    exact = {
-        "u": lambda p: G @ p,
-        "strain": lambda p: eps_t,
-    }
-    return problem, exact
-
-
 # ---------------------------------------------------------------------------
 # micro-structure cube
 
@@ -257,11 +234,8 @@ def microstructure_E(x, y, z, planes=None, E_min=36.5e9, E_max=3650.0e9):
 
 
 def _region_moduli(points, planes, E_min, E_max, jitter=0.0, seed=0):
-    """Moduli (n,) of points (n, 3): one hash, and one draw with jitter, per region code.
-
-    With jitter the modulus is scaled by 1 + jitter * u, u uniform in
-    [-1, 1] from a generator seeded by the seed and the region code.
-    """
+    """Moduli (n,) of points (n, 3), hashed once per region code; with jitter
+    scaled by 1 + jitter * u, u in [-1, 1] drawn once per region code."""
     if planes is None or len(planes) == 0:
         return np.full(len(points), E_min)
     planes = np.asarray(planes)
@@ -284,16 +258,7 @@ def _code_to_modulus(code: bytes, E_min, E_max):
     return E_min * (E_max / E_min) ** u
 
 
-def region_code(points, planes):
-    """Sign-code integers of an array of points (voxel oracle helper)."""
-    planes = np.asarray(planes)
-    pts = np.asarray(points)
-    signs = (pts @ planes[:, :3].T - planes[:, 3]) >= 0
-    weights = 1 << np.arange(signs.shape[1], dtype=np.int64)
-    return signs @ weights
-
-
-def build_microstructure_problem(spec: CaseSpec, base=(2, 2, 2)):
+def build_microstructure_problem(spec: CaseSpec, base=BASES["micro-structure"]):
     """Pressurized cube with plane-wise random moduli; all nodes enriched."""
     planes = PLANES_64[: spec.n_planes]
     E_min, E_max = spec.e_range
@@ -342,7 +307,7 @@ def cone_damage(x, y, z, theta_deg=35.0, o1=-545.08, o2=-531.31, h=-400.0,
     return np.where(inside, np.clip(2.0 * (1.0 - s), 0.0, 1.0), 0.0)
 
 
-def build_cone_box_problem(spec: CaseSpec, base=(6, 2, 6)):
+def build_cone_box_problem(spec: CaseSpec, base=BASES["cone-damage-box"]):
     """Box-with-cone analog of the pull-out test: NSP elements, mixed patches."""
     dims = (600.0, 119.0, 600.0)
     origin = (-300.0, -469.0, -300.0)

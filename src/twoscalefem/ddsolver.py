@@ -22,6 +22,9 @@ from .sparsela import (CgReport, CscPattern, SingularMatrixError, factorize, pcg
 __all__ = ["DdLayout", "DdResult", "dd_layout", "dd_solve_from_triplets", "reference_rank_triplets"]
 
 CONDENSE_BLOCK = 32  # right-hand sides per interior solve pass
+# the boundary CG stops after CG_ITER_MAX iterations: on a singular boundary
+# problem it stalls at round-off and its iterate drifts
+CG_ITER_MAX = 400
 
 
 @dataclass
@@ -103,7 +106,6 @@ def dd_solve_from_triplets(
     eps: float = 1e-10,
     warm: np.ndarray | None = None,
     dof_set=None,
-    iter_max: int = 10000,
     layout: DdLayout | None = None,
 ):
     """Solve a distributed SPD system given per-rank assembly triplets.
@@ -193,7 +195,7 @@ def dd_solve_from_triplets(
         return ctx.all_reduce_ordered_sum((j_dofs, u[j_local] * v[j_local]))
 
     x0 = warm if warm is not None and len(warm) == len(b_dofs) else np.zeros(len(b_dofs))
-    x_b, report = pcg(x0, apply_S, B_b, apply_M, eps, iter_max=iter_max, dot=dot)
+    x_b, report = pcg(x0, apply_S, B_b, apply_M, eps, iter_max=CG_ITER_MAX, dot=dot)
     X_I = solve_II(B_I - A_Ib @ x_b) if nI else np.zeros(0)
 
     lists = ctx.gather((np.concatenate([lay.dofs[:nI], j_dofs]),
@@ -214,30 +216,24 @@ def reference_rank_triplets(nested, sp_info, partition, material, loads, plan, r
 
     tr_table = traction_face_table(nested, loads)
     mine = plan.element_rank == rank
-    sp_mine = sp_info.sp_elements[mine[sp_info.sp_elements]]
-    nsp = assemble_nsp(sp_info.nsp_elements[mine[sp_info.nsp_elements]], nested, material, loads,
-                       tr_table)
+    sp_mine, nsp_mine = (els[mine[els]] for els in (sp_info.sp_elements, sp_info.nsp_elements))
     blocks = assemble_element_block(sp_mine, nested, material, loads, tr_table)
-    fidx = partition.ref_dof_index[node_dofs(blocks.nodes)]
-    coo = blocks.A_FF.tocoo()
-    ptr = 3 * blocks.node_ptr
-    # one item per element: its free rows / columns and load entries
-    split = np.searchsorted(coo.row, ptr[1:-1])
+    nsp = assemble_nsp(nsp_mine, nested, material, loads, tr_table)
     trips, bvecs, dof_list = [], [], []
-    for e, i, j, d, lo, hi in zip(sp_mine, np.split(coo.row, split), np.split(coo.col, split),
-                                  np.split(coo.data, split), ptr[:-1], ptr[1:]):
-        r, c = fidx[i], fidx[j]
+
+    def add(e, dofs, rows, cols, vals, B):  # one element, free entries only
+        fidx = partition.ref_dof_index[dofs]
+        r, c = fidx[rows], fidx[cols]
         keep = (r >= 0) & (c >= 0)
-        trips.append((int(e), r[keep], c[keep], d[keep]))
-        f = fidx[lo:hi]
-        bvecs.append((int(e), f[f >= 0], blocks.B_F[lo:hi][f >= 0]))
-        dof_list.append(f[f >= 0])
-    for e, tet, K, B in zip(nsp.elements, nsp.nodes, nsp.K, nsp.B):
-        fidx = partition.ref_dof_index[node_dofs(tet)]
-        rr, cc = np.meshgrid(fidx, fidx, indexing="ij")
-        keep = (rr >= 0) & (cc >= 0)
-        trips.append((int(e), rr[keep], cc[keep], K[keep]))
+        trips.append((int(e), r[keep], c[keep], vals[keep]))
         bvecs.append((int(e), fidx[fidx >= 0], B[fidx >= 0]))
         dof_list.append(fidx[fidx >= 0])
+
+    ptr = 3 * blocks.node_ptr
+    for i, e in enumerate(sp_mine):
+        A = blocks.A_FF[ptr[i]:ptr[i + 1], ptr[i]:ptr[i + 1]].tocoo()
+        add(e, node_dofs(blocks.nodes_of(i)), A.row, A.col, A.data, blocks.B_F[ptr[i]:ptr[i + 1]])
+    for e, tet, K, B in zip(nsp.elements, nsp.nodes, nsp.K, nsp.B):
+        add(e, node_dofs(tet), *np.divmod(np.arange(144), 12), K.ravel(), B)
     dofs = np.unique(np.concatenate(dof_list)) if dof_list else np.zeros(0, np.int64)
     return trips, bvecs, dofs

@@ -238,9 +238,8 @@ def consistent_loads(points, simplices, f):
 def nodal_loads(points, loads: LoadSet, n_slots, leaves, leaf_slots, faces=()):
     """Load vector (3 n_slots,): body force on leaves, tractions on surface faces.
 
-    leaf_slots (k,4) gives the slot of each leaf node; faces lists
-    (label, triangles (m,3), slots (m,3)) in the order of loads.tractions.
-    Every slot sums its contributions in that order, leaves first.
+    leaf_slots (k,4) and the faces' (label, triangles (m,3), slots (m,3))
+    place the contributions; every slot sums them in that order.
     """
     out = np.zeros((n_slots, 3))
     if loads.body is not None:
@@ -271,46 +270,32 @@ def labelled_faces(loads: LoadSet, groups, slot_of):
 
 
 def hanging_fold(nested: NestedMesh, keys):
-    """Kept slots and the substitution u_raw = W u_kept of a set of (group, node) slots.
+    """Kept slots and the substitution u_raw = W u_kept of (group, node) slots.
 
-    keys are ascending slot keys group * n_nodes + node.  The kept slots are
-    the non-hanging ones, ascending.  W is sparse, (3 len(keys), 3 len(kept)):
-    a hanging slot's rows hold its parents' interpolation weights at the
+    keys are ascending slot keys group * n_nodes + node; the kept slots are
+    the non-hanging ones.  W is sparse, (3 len(keys), 3 len(kept)): a
+    hanging slot's rows hold its parents' interpolation weights at the
     parents' slots of the same group, every other row is a unit vector.
     """
-    n = nested.n_nodes
-    keys = np.asarray(keys, dtype=np.int64)
-    hang = np.array(sorted(nested.hanging), dtype=np.int64)
-    is_hanging = np.isin(keys % n, hang)
-    kept = keys[~is_hanging]
-    h_rows = np.nonzero(is_hanging)[0]
-    # parents of every hanging node of the mesh, flat, and their owners
-    count = np.array([len(nested.hanging[int(h)]) for h in hang], dtype=np.int64)
-    ptr = np.concatenate([[0], np.cumsum(count)])
-    pairs = np.array([pw for h in hang for pw in nested.hanging[int(h)]]).reshape(-1, 2)
-    which = np.searchsorted(hang, keys[h_rows] % n)
-    take = np.repeat(ptr[which], count[which]) + _ragged_arange(count[which])
-    parent_keys = np.repeat(keys[h_rows] - keys[h_rows] % n, count[which]) + pairs[take, 0].astype(np.int64)
-    rows = np.concatenate([np.nonzero(~is_hanging)[0], np.repeat(h_rows, count[which])])
-    cols = np.concatenate([np.arange(len(kept)), np.searchsorted(kept, parent_keys)])
-    weights = np.concatenate([np.ones(len(kept)), pairs[take, 1]])
-    W = sp.csr_matrix((np.repeat(weights, 3), (node_dofs(rows), node_dofs(cols))),
+    n, keys = nested.n_nodes, np.asarray(keys, dtype=np.int64)
+    is_hanging = np.isin(keys % n, np.fromiter(nested.hanging, np.int64, len(nested.hanging)))
+    kept_rows = np.nonzero(~is_hanging)[0]
+    kept = keys[kept_rows]
+    rows, parents, weights = [kept_rows], [kept], [np.ones(len(kept_rows))]
+    for i in np.nonzero(is_hanging)[0]:
+        p, w = zip(*nested.hanging[int(keys[i] % n)])
+        rows.append(np.full(len(p), i))
+        parents.append(keys[i] - keys[i] % n + np.array(p, dtype=np.int64))
+        weights.append(np.array(w))
+    cols = np.searchsorted(kept, np.concatenate(parents))
+    W = sp.csr_matrix((np.repeat(np.concatenate(weights), 3),
+                       (node_dofs(np.concatenate(rows)), node_dofs(cols))),
                       shape=(3 * len(keys), 3 * len(kept)))
     return kept, W
 
 
-def _ragged_arange(counts):
-    """0..c-1 for every c of counts, concatenated."""
-    counts = np.asarray(counts, dtype=np.int64)
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def fold_stiffness(W, leaf_slots, K_all):
-    """W^T K W, K the leaf blocks K_all (k,12,12) summed at the raw slots leaf_slots (k,4).
-
-    W is a fold from hanging_fold (raw slots: rows / 3); the product is
-    returned as computed, in scipy's compressed format.
-    """
+    """W^T K W of a hanging_fold W, K the leaf blocks K_all (k,12,12) summed at leaf_slots (k,4)."""
     return W.T @ leaf_matrix(leaf_slots, K_all, W.shape[0] // 3) @ W
 
 
@@ -336,13 +321,11 @@ def expand(nested: NestedMesh, partition: DofPartition, u_r):
 
 @dataclass
 class ElementBlocks:
-    """Fine problems of a set of SP macro elements, hanging nodes eliminated.
+    """Fine problems of SP macro elements, hanging nodes eliminated, Dirichlet rows kept.
 
-    Block i belongs to elements[i] (ascending) and covers its kept F-level
-    nodes nodes[node_ptr[i]:node_ptr[i + 1]] (ascending); A_FF is
-    block-diagonal and A_FF, B_F take the blocks' dofs (3 per node,
-    component fastest) one block after the other.  Dirichlet rows are
-    kept.  The solver stacks the blocks in a transfer.BlockStack.
+    Block i of elements[i] (ascending) covers the kept F-level nodes
+    nodes[node_ptr[i]:node_ptr[i + 1]] (ascending), 3 dofs each; A_FF is
+    block-diagonal and B_F stacked, block after block.
     """
 
     elements: np.ndarray
@@ -353,7 +336,6 @@ class ElementBlocks:
 
     @property
     def ndof(self) -> np.ndarray:
-        """3n of every block."""
         return 3 * np.diff(self.node_ptr)
 
     def nodes_of(self, i) -> np.ndarray:
@@ -379,11 +361,9 @@ def assemble_element_block(
 ) -> ElementBlocks:
     """Assemble A_FF = W^T K W and B_F = W^T b of a set of SP macro elements.
 
-    K and b are summed over each element's leaves on its raw nodes, keyed
-    as (element, node) slots so that one kernel call and one fold serve
-    every element; W is the hanging-node fold onto the kept nodes.
-    traction_faces maps an element id to the (face, label) pairs of its
-    surface triangles (see traction_face_table).
+    K and b are summed over the leaves on (element, node) slots, so one
+    kernel call and one hanging-node fold W serve every element.
+    traction_faces is a traction_face_table.
     """
     elements = np.asarray(elements, dtype=np.int64).reshape(-1)
     n, nb = nested.n_nodes, len(elements)

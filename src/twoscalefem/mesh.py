@@ -237,7 +237,6 @@ class NestedMesh:
     micro: list[np.ndarray]                 # leaf tets per macro element
     hanging: dict[int, list[tuple[int, float]]]   # node -> [(parent, weight)]
     node_faces: dict[int, frozenset]        # node -> coarse faces it lies on
-    _adj_cache: object = field(default=None, repr=False)
 
     @classmethod
     def from_coarse(cls, mesh: CoarseMesh) -> "NestedMesh":
@@ -253,9 +252,8 @@ class NestedMesh:
     def boundary_fine_faces(self) -> dict[tuple, list[tuple]]:
         """Label -> list of (fine face triple, macro element id).
 
-        Only the leaves of elements having a labelled coarse face are
-        looked at: a leaf face of any other element meets a coarse face in
-        an edge at most.
+        Only elements with a labelled face are visited: a leaf face of
+        another element meets a coarse face in an edge at most.
         """
         out: dict[str, list[tuple]] = {}
         for face, label in self.coarse.boundary_faces.items():

@@ -34,12 +34,6 @@ class _Abort(BaseException):
     pass
 
 
-def _signal():
-    lock = threading.Lock()
-    lock.acquire()
-    return lock
-
-
 class _Simulator:
     def __init__(self, n, seed=None):
         self.n = n
@@ -47,10 +41,12 @@ class _Simulator:
         self.channels: dict[tuple, deque] = {}
         self.sent = Counter()
         self.received = Counter()
-        # one-shot signals (every release is matched by one acquire): a held
-        # plain lock hands the turn over faster than a Python-level Semaphore
-        self.rank_sem = [_signal() for _ in range(n)]
-        self.control = _signal()
+        # held locks as one-shot signals (each release meets one acquire):
+        # they hand the turn over faster than a Python-level Semaphore
+        self.rank_sem = [threading.Lock() for _ in range(n)]
+        self.control = threading.Lock()
+        for lock in (*self.rank_sem, self.control):
+            lock.acquire()
         self.state = ["ready"] * n        # ready | waiting | done
         self.wait_key = [None] * n
         self.errors: list = []
@@ -203,17 +199,6 @@ class RankContext:
     def allgather(self, obj):
         return self.bcast(self.gather(obj, 0), 0)
 
-    def scatter(self, objs, root=0):
-        if self.rank == root:
-            for r in range(self.size):
-                if r != root:
-                    self.send(r, objs[r], tag=-3)
-            return objs[root]
-        return self.recv(root, tag=-3)
-
-    def barrier(self):
-        self.bcast(self.gather(None, 0) and None, 0)
-
     def reduce_sum(self, value, root=0):
         vals = self.gather(value, root)
         if vals is None:
@@ -293,10 +278,6 @@ class PartitionPlan:
 
     def elements_of(self, rank):
         return np.nonzero(self.element_rank == rank)[0]
-
-    def imbalance(self):
-        w = self.rank_weights
-        return float(w.max() / max(w.min(), 1e-300))
 
 
 def partition_elements(weights, adjacency, n_ranks) -> PartitionPlan:

@@ -49,12 +49,9 @@ def _hat_matrix(nested: NestedMesh, e: int, nodes) -> np.ndarray:
 
 
 def build_tfk(blocks: ElementBlocks, nested: NestedMesh) -> sp.csr_matrix:
-    """Classical transfers of a set of SP elements, block-diagonal (3 nodes, 12 blocks).
-
-    Row (node j of block i, comp c) holds N^a(x_j) at column 12 i + 3 a + c,
-    N^a the hat of vertex a of the block's coarse element; rows of fine
-    nodes sitting on coarse vertices are unit vectors.
-    """
+    """Classical transfers of SP blocks, block-diagonal: row (node j of block i, comp c)
+    holds the hat N^a(x_j) of vertex a of the block's coarse element at column
+    12 i + 3 a + c; rows of fine nodes on coarse vertices are unit vectors."""
     N = np.concatenate([np.zeros((0, 4))] + [_hat_matrix(nested, e, blocks.nodes_of(i))
                                              for i, e in enumerate(blocks.elements)])
     group = np.repeat(np.arange(len(blocks.elements)), np.diff(blocks.node_ptr))
@@ -118,11 +115,8 @@ class BlockStack:
 
 
 def _pad_blocks(M, row_ptr, width, col_ptr, col_width):
-    """Block-diagonal CSR M with block i moved to rows width*i.. and columns col_width*i..
-
-    Block i of M takes rows row_ptr[i]:row_ptr[i+1] and columns from
-    col_ptr[i]; the rows past a block's own stay empty.
-    """
+    """Block-diagonal CSR M (block i: rows row_ptr[i]:row_ptr[i+1], columns from
+    col_ptr[i]) with block i moved to rows width*i.. and columns col_width*i.."""
     nb = len(row_ptr) - 1
     group = np.repeat(np.arange(nb), np.diff(row_ptr))
     to = width * group + np.arange(len(group)) - row_ptr[group]
@@ -250,13 +244,9 @@ class CoarseSystem:
 
 
 def _mirrored_pattern(rows, cols, n, n_cl):
-    """CscPattern.of of (n, n) triplets whose (k,e) ones mirror (e,k) ones.
-
-    A (k,e) triplet (row < n_cl <= col) is the transpose of an (e,k) one,
-    so np.unique runs over the other triplets only; the transposes of the
-    (e,k) entries join the pattern and each (k,e) triplet takes the slot of
-    its transpose's mirror.  Pattern and slots equal CscPattern.of's.
-    """
+    """CscPattern.of(rows, cols, (n, n)) when each (k,e) triplet (row < n_cl <= col)
+    is the transpose of an (e,k) one: np.unique runs over the others only and
+    the mirrors of the (e,k) entries take the (k,e) triplets."""
     ke = (rows < n_cl) & (cols >= n_cl)
     keys, half_slot = np.unique(cols[~ke] * n + rows[~ke], return_inverse=True)
     r, c = keys % n, keys // n
@@ -291,9 +281,7 @@ def _dense_triplets(elements, M, dofs, B, partition):
 def coarse_triplets_constant(blocks: ElementBlocks, T_Fk, nested, partition):
     """A_kk = T_Fk^T A_FF T_Fk and B_k = T_Fk^T B_F of a set of SP elements, free-indexed.
 
-    Per block the product is the sparse A_FF T_Fk made dense, then the
-    sparse T_Fk^T times that; the block-diagonal operands keep the blocks
-    apart.
+    Per block: the sparse A_FF T_Fk made dense, times the sparse T_Fk^T.
     """
     nb = len(blocks.elements)
     AT = blocks.A_FF @ T_Fk

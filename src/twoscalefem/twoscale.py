@@ -48,8 +48,8 @@ NBP_MAX = 4
 # tsi switches to PCG on the last direct factor from iteration
 # TSI_MIN_ITERATIONS on, once resi < TSI_SWITCH_FACTOR * eps; a PCG solve
 # taking more than TSI_REFRESH_CG_ITERS iterations asks for a new factor, and
-# one not converged in PCG_ITER_MAX iterations falls back to a direct solve;
-# tsdd's boundary CG stops there too: on a singular problem it drifts at round-off
+# one not converged in PCG_ITER_MAX iterations falls back to a direct solve
+# (tsdd's boundary CG has its own cap, ddsolver.CG_ITER_MAX)
 TSI_SWITCH_FACTOR = 1e4
 TSI_MIN_ITERATIONS = 2
 TSI_REFRESH_CG_ITERS = 13
@@ -175,11 +175,10 @@ def _fold_tables(rank, plan, row_elem, row_node):
 
 def _kept_nodes(nested, elements):
     """(element, node) of the kept nodes of every element, element-major, nodes ascending."""
-    n = nested.n_nodes
-    leaves = np.concatenate([np.zeros((0, 4), np.int64)] + [nested.micro[e] for e in elements])
-    keys = np.unique(np.repeat(elements, [len(nested.micro[e]) for e in elements])[:, None] * n
-                     + leaves)
-    keys = keys[~np.isin(keys % n, np.fromiter(nested.hanging, np.int64, len(nested.hanging)))]
+    n, hanging = nested.n_nodes, np.fromiter(nested.hanging, np.int64, len(nested.hanging))
+    keys = np.concatenate([np.zeros(0, np.int64)] + [e * n + np.unique(nested.micro[e])
+                                                     for e in elements])
+    keys = keys[~np.isin(keys % n, hanging)]
     return keys // n, keys % n
 
 
@@ -282,14 +281,13 @@ def _build_patch_systems(ctx, state, problem, plan):
     """Assemble and factorize A_qq per patch; owner is the lowest participant.
 
     Also builds the patch's gather/scatter index arrays: every participant
-    keeps, for its own member blocks, the position of each stacked row in
-    the owner's broadcast [u_q, u_d, 0] (Dirichlet dofs read the 0), and the
+    keeps, per own member element, the position of each stacked row in the
+    owner's broadcast [u_q, u_d, 0] (Dirichlet dofs read the 0), and the
     owner keeps d_src, the position of each d dof's value in the
     concatenated member u_F vectors as they arrive.  A d dof takes its
     value from the highest-id member element holding it, so the patch
-    data do not depend on the rank layout.  The participants slice their
-    member blocks' A_FF rows and B_F from the rank stack and send them
-    patch-indexed, keyed by element; the owner sums them in element order.
+    data do not depend on the rank layout.  Participants send their member
+    blocks' rows, sliced from the rank stack, patch-indexed.
     """
     sp_info, part, stack = problem.sp_info, problem.partition, state.stack
 
@@ -298,41 +296,35 @@ def _build_patch_systems(ctx, state, problem, plan):
         q_dofs, d_dofs = sets["q"], sets["d"]
         nq, nd = len(q_dofs), len(d_dofs)
         mine = [e for e in map(int, patch.elements) if int(plan.element_rank[e]) == ctx.rank]
-        rows = np.concatenate([np.zeros(0, np.int64)] + [stack.rows_of(e) for e in mine])
-        slots = np.concatenate([np.zeros(0, np.int64)]
-                               + [stack.field_slots(e, patch.node) for e in mine])
-        pos = _patch_positions(q_dofs, d_dofs, stack.dofs[rows])
-        pos[part.ref_dirichlet[stack.dofs[rows]]] = nq + nd
-        state.patch_scatter[pi] = (rows, slots, pos)
-        # the member rows on q with their q and d columns, B_F on q and the
-        # d rows, each with its count per member element
-        member = np.repeat(np.arange(len(mine)), stack.ndof[np.searchsorted(stack.elements, mine)])
-        A = stack.A[rows]
-        col_pos = np.full(stack.A.shape[1], nq + nd)
-        col_pos[rows] = pos
-        r, c = np.repeat(pos, np.diff(A.indptr)), col_pos[A.indices]
-        keep = (r < nq) & (c < nq + nd)
-        q, d = pos < nq, (pos >= nq) & (pos < nq + nd)
-        count = lambda m: np.bincount(m, minlength=len(mine))
-        payload = (mine, len(rows), (count(np.repeat(member, np.diff(A.indptr))[keep]),
-                                     r[keep].astype(np.int32), c[keep].astype(np.int32),
-                                     A.data[keep]),
-                   (count(member[q]), pos[q], stack.B[rows][q]),
-                   (count(member[d]), pos[d] - nq, np.nonzero(d)[0]))
+        rows = [stack.rows_of(e) for e in mine]
+        pos = [_patch_positions(q_dofs, d_dofs, stack.dofs[r]) for r in rows]
+        payload = []
+        for e, r, p in zip(mine, rows, pos):
+            p[part.ref_dirichlet[stack.dofs[r]]] = nq + nd
+            # the block's q rows with their q and d columns, B_F on q, its d rows
+            A = stack.A[r]
+            i, j = np.repeat(p, np.diff(A.indptr)), p[A.indices - r[0]]
+            keep = (i < nq) & (j < nq + nd)
+            d = np.nonzero((p >= nq) & (p < nq + nd))[0]
+            payload.append((e, len(r), i[keep].astype(np.int32), j[keep].astype(np.int32),
+                            A.data[keep], p[p < nq], stack.B[r][p < nq], p[d] - nq, d))
+        slots = [stack.field_slots(e, patch.node) for e in mine]
+        state.patch_scatter[pi] = tuple(np.concatenate([np.zeros(0, np.int64)] + a)
+                                        for a in (rows, slots, pos))
         pieces = [payload] if group is None else group.gather(payload, root=0)
         if pieces is None:  # not the owner
             return
-        # the member blocks in ascending element id, each in its own row
-        # order; a d source is a position in the arrived u_F vectors
-        mines, base = [p[0] for p in pieces], np.cumsum([0] + [p[1] for p in pieces])
-        r, c, v = _by_element(mines, [p[2] for p in pieces])
-        bi, bv = _by_element(mines, [p[3] for p in pieces])
-        dp, src = _by_element(mines, [(n, at, s + b) for (*_, (n, at, s)), b in zip(pieces, base)])
-        BI = np.zeros(nq)
-        np.add.at(BI, bi, bv)
+        arrived = [t for lst in pieces for t in lst]
+        offsets = np.cumsum([0] + [t[1] for t in arrived])
         d_src = np.full(nd, -1, dtype=np.int64)
-        dp, last = np.unique(dp[::-1], return_index=True)  # the highest element id wins
-        d_src[dp] = src[::-1][last]
+        BI, trips = np.zeros(nq), []
+        for k in np.argsort([t[0] for t in arrived]):  # ascending element id
+            e, n, i, j, v, bq, bv, dq, d = arrived[k]
+            trips.append((i, j, v))
+            np.add.at(BI, bq, bv)
+            d_src[dq] = offsets[k] + d
+        # the q and the d columns of the member blocks, in element order
+        r, c, v = (np.concatenate(a) for a in zip(*trips))
         qq = c < nq
         A_qq = sp.coo_matrix((v[qq], (r[qq], c[qq])), shape=(nq, nq)).tocsc()
         A_qd = sp.coo_matrix((v[~qq], (r[~qq], c[~qq] - nq)), shape=(nq, nd)).tocsr()
@@ -344,17 +336,6 @@ def _build_patch_systems(ctx, state, problem, plan):
         state.patch_sys[pi] = {"factor": factor, "BI": BI, "D_qd": -A_qd, "d_src": d_src}
 
     _iterate_schedule(ctx, state, problem, plan, handle_patch)
-
-
-def _by_element(mines, parts):
-    """Payload parts (counts, *arrays) concatenated and stably sorted by member element.
-
-    counts holds the entries of each element of the matching mines list.
-    """
-    keys = np.concatenate([np.repeat(np.asarray(m, dtype=np.int64), p[0])
-                           for m, p in zip(mines, parts)])
-    order = np.argsort(keys, kind="stable")
-    return [np.concatenate([p[i] for p in parts])[order] for i in range(1, len(parts[0]))]
 
 
 def _iterate_schedule(ctx, state, problem, plan, fn):
@@ -598,7 +579,7 @@ def _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich):
         const_b=[state.const_b],
         extra_trips=[(0, stack.e_rows, stack.e_cols, enrich)],
         extra_b=[(0, stack.b_idx, b_enrich)],
-        eps=config.eps * 1e-2, iter_max=PCG_ITER_MAX,
+        eps=config.eps * 1e-2,
         warm=state.dd_warm,
         layout=state.dd_layout,
     )

@@ -1,0 +1,177 @@
+"""The batched set-up against a per-element reference built here.
+
+A rank assembles its SP blocks with one kernel call and one fold, stacks
+them, forms T_Fk and the constant coarse triplets for all its blocks at
+once and slices the patch systems from the stack.  Every array must equal,
+bitwise, what assembling each element on its own gives.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from twoscalefem import twoscale
+from twoscalefem.bench import CaseSpec, build_cone_box_problem
+from twoscalefem.elasticity import (
+    batch_leaf_stiffness,
+    consistent_loads,
+    leaf_matrix,
+    node_dofs,
+    traction_face_table,
+)
+from twoscalefem.runtime import partition_mesh, run_ranks
+from twoscalefem.scheduler import PatchGraph
+from twoscalefem.transfer import barycentric_matrix
+from twoscalefem.twoscale import TsConfig, ts_init
+
+
+@pytest.fixture(scope="module")
+def cone():
+    return build_cone_box_problem(CaseSpec(kind="cone-damage-box", sp_depth=1))
+
+
+def element_loads(nested, loads, table, e, simplices, nodes):
+    """Consistent load (3 len(nodes),) of element e on its simplices' nodes."""
+    out = np.zeros((len(nodes), 3))
+    order = np.argsort(nodes)
+    at = lambda s: order[np.searchsorted(nodes, s, sorter=order)]
+    if loads.body is not None:
+        np.add.at(out, at(simplices), consistent_loads(nested.points, simplices, loads.body))
+    for label, traction in loads.tractions.items():
+        tris = np.array([f for f, lab in table.get(e, ()) if lab == label], dtype=np.int64)
+        if len(tris):
+            np.add.at(out, at(tris), consistent_loads(nested.points, tris, traction))
+    return out.ravel()
+
+
+def element_block(nested, material, loads, table, e):
+    """Kept nodes, A_FF = W^T K W and B_F = W^T b of one SP element on its own."""
+    leaves = nested.micro[e]
+    raw = np.unique(leaves)
+    hanging = np.isin(raw, list(nested.hanging))
+    kept = raw[~hanging]
+    rows, cols, vals = [np.nonzero(~hanging)[0]], [np.arange(len(kept))], [np.ones(len(kept))]
+    for i in np.nonzero(hanging)[0]:
+        parents, weights = zip(*nested.hanging[int(raw[i])])
+        rows.append(np.full(len(parents), i))
+        cols.append(np.searchsorted(kept, parents))
+        vals.append(np.array(weights))
+    W = sp.csr_matrix((np.repeat(np.concatenate(vals), 3),
+                       (node_dofs(np.concatenate(rows)), node_dofs(np.concatenate(cols)))),
+                      shape=(3 * len(raw), 3 * len(kept)))
+    K_all, _ = batch_leaf_stiffness(nested.points, leaves, material)
+    A = (W.T @ leaf_matrix(np.searchsorted(raw, leaves), K_all, len(raw)) @ W).tocsr()
+    A.sum_duplicates()
+    return kept, A, W.T @ element_loads(nested, loads, table, e, leaves, raw)
+
+
+def dense_triplets(part, e, M, dofs, B):
+    idx = part.coarse_dof_index[dofs]
+    rr, cc = np.meshgrid(idx, idx, indexing="ij")
+    keep = ((rr >= 0) & (cc >= 0)).ravel()
+    return ((np.full(keep.sum(), e), rr.ravel()[keep], cc.ravel()[keep], M.ravel()[keep]),
+            (np.full((idx >= 0).sum(), e), idx[idx >= 0], B[idx >= 0]))
+
+
+def reference(problem, plan, rank):
+    """Per-element blocks, T_Fk and constant triplets of the rank's elements."""
+    nested, sp_info, part = problem.nested, problem.sp_info, problem.partition
+    mat, loads = problem.material, problem.loads
+    table = traction_face_table(nested, loads)
+    blocks, tfk, const = {}, {}, []
+    for e in map(int, sp_info.sp_elements):
+        if plan.element_rank[e] != rank:
+            continue
+        nodes, A, B = blocks[e] = element_block(nested, mat, loads, table, e)
+        N = barycentric_matrix(nested, e, nodes)
+        N[np.abs(N) < 1e-14] = 0.0
+        T = tfk[e] = sp.csr_matrix(np.kron(N, np.eye(3)))
+        const.append(dense_triplets(part, e, T.T @ (A @ T).toarray(),
+                                    node_dofs(nested.coarse.tets[e]), T.T @ B))
+    for e in map(int, sp_info.nsp_elements):
+        if plan.element_rank[e] != rank:
+            continue
+        tet = nested.coarse.tets[e]
+        K, _ = batch_leaf_stiffness(nested.points, tet[None], mat)
+        const.append(dense_triplets(part, e, K[0], node_dofs(tet),
+                                    element_loads(nested, loads, table, e, tet[None], tet)))
+    flat = [tuple(np.concatenate([c[k][a] for c in const]) for a in range(4 - k)) for k in (0, 1)]
+    return blocks, tfk, flat
+
+
+def patch_reference(problem, plan, blocks, pi):
+    """A_qq, A_qd, BI and d_src of patch pi from the per-element blocks."""
+    part, patch = problem.partition, problem.sp_info.patches[pi]
+    q_dofs, d_dofs = part.patch_sets[pi]["q"], part.patch_sets[pi]["d"]
+    nq, nd = len(q_dofs), len(d_dofs)
+    # arrival order: participant ranks ascending, each rank's members ascending
+    arrived = sorted(map(int, patch.elements), key=lambda e: (plan.element_rank[e], e))
+    offsets = dict(zip(arrived, np.cumsum([0] + [3 * len(blocks[e][0]) for e in arrived])))
+    d_src = np.full(nd, -1, dtype=np.int64)
+    rows, cols, vals = [], [], []
+    BI = np.zeros(nq)
+    for e in map(int, patch.elements):  # ascending element id
+        nodes, A, B = blocks[e]
+        col = twoscale._patch_positions(q_dofs, d_dofs, node_dofs(nodes))
+        row = np.where(col < nq, col, -1)
+        d = np.nonzero((col >= nq) & (col < nq + nd))[0]
+        d_src[col[d] - nq] = offsets[e] + d
+        coo = A.tocoo()
+        keep = (row[coo.row] >= 0) & (col[coo.col] < nq + nd)
+        rows.append(row[coo.row][keep])
+        cols.append(col[coo.col][keep])
+        vals.append(coo.data[keep])
+        np.add.at(BI, row[row >= 0], B[row >= 0])
+    r, c, v = (np.concatenate(a) for a in (rows, cols, vals))
+    qq = c < nq
+    return (sp.coo_matrix((v[qq], (r[qq], c[qq])), shape=(nq, nq)).tocsc(),
+            sp.coo_matrix((v[~qq], (r[~qq], c[~qq] - nq)), shape=(nq, nd)).tocsr(), BI, d_src)
+
+
+def same(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("n_ranks", [1, 3])
+def test_batched_setup_equals_per_element_assembly(cone, n_ranks, monkeypatch):
+    problem = cone
+    plan = partition_mesh(problem.nested, problem.sp_info, n_ranks)
+    if n_ranks > 1:
+        assert any(len(p) >= 2 for p in PatchGraph.of(problem.sp_info, plan).participants.values())
+    # ts_init factorizes the patches it owns, in the order it stores them
+    local, factored = threading.local(), {}
+    orig = twoscale.factorize
+    monkeypatch.setattr(twoscale, "factorize", lambda A: (
+        factored.setdefault(local.rank, []).append(A.copy()), orig(A))[1])
+
+    def prog(ctx):
+        local.rank = ctx.rank
+        return ts_init(ctx, problem, plan, TsConfig())
+
+    states = run_ranks(n_ranks, prog)
+    all_blocks = {}
+    for rank, state in enumerate(states):
+        blocks, tfk, (const, const_b) = reference(problem, plan, rank)
+        all_blocks.update(blocks)
+        stack = state.stack
+        assert list(stack.elements) == sorted(blocks)
+        for i, e in enumerate(stack.elements):
+            rows = slice(stack.width * i, stack.width * i + stack.ndof[i])
+            nodes, A, B = blocks[e]
+            assert np.array_equal(stack.dofs[rows], node_dofs(nodes))
+            assert same(stack.A[rows, rows], A)
+            assert np.array_equal(stack.B[rows], B)
+            assert same(stack.T_Fk[rows, 12 * i:12 * i + 12], tfk[e])
+        for got, expect in zip(state.const + state.const_b, const + const_b):
+            assert np.array_equal(got, expect)
+    assert sum(len(s.patch_sys) for s in states) == len(problem.sp_info.patches)
+    for rank, state in enumerate(states):
+        assert len(factored.get(rank, [])) == len(state.patch_sys)
+        for A_qq, (pi, sysd) in zip(factored.get(rank, []), state.patch_sys.items()):
+            expect_qq, expect_qd, BI, d_src = patch_reference(problem, plan, all_blocks, pi)
+            assert same(A_qq, expect_qq)
+            assert same(-sysd["D_qd"], expect_qd)
+            assert np.array_equal(sysd["BI"], BI)
+            assert np.array_equal(sysd["d_src"], d_src)

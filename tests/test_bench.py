@@ -15,13 +15,19 @@ from twoscalefem.bench import (
     error_report,
     microstructure_E,
     reference_oracle,
-    region_code,
 )
 from twoscalefem.microplanes import PLANES_64
 
 from twoscalefem.elasticity import Material, leaf_moduli
 
 E0, NU0, F0, K0 = 36.5e9, 0.2, 1.0, 4.0
+
+
+def region_code(points, planes):
+    """Sign-code integers of an array of points (voxel oracle helper)."""
+    planes = np.asarray(planes)
+    signs = (np.asarray(points) @ planes[:, :3].T - planes[:, 3]) >= 0
+    return signs @ (1 << np.arange(signs.shape[1], dtype=np.int64))
 
 
 def cone_envelope_membership(p, theta_deg=35.0, o1=-545.08, o2=-531.31,

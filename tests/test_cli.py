@@ -63,7 +63,8 @@ def test_cli_run_outputs(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["--ranks", "0"], ["--solver", "tsdd", "--ranks", "1"],
-                                  ["--eps", "-1"]])
+                                  ["--eps", "-1"],
+                                  ["--case", "cubic-plate", "--levels", "0:1", "--ranks", "60"]])
 def test_cli_rejects_invalid_run_in_one_line(argv):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from twoscalefem.bench import CaseSpec, build_cubic_problem, reference_oracle
-from twoscalefem.ddsolver import dd_solve_from_triplets, reference_rank_triplets
+from twoscalefem.ddsolver import CG_ITER_MAX, dd_solve_from_triplets, reference_rank_triplets
 from twoscalefem.runtime import partition_mesh, run_ranks
 
 
@@ -77,6 +77,26 @@ def test_random_spd_partitions_match_direct(seed, n_ranks):
     err = np.sqrt(d @ A @ d) / np.sqrt(x_ref @ A @ x_ref)
     assert rep.converged
     assert err <= 10 * eps
+
+
+def test_boundary_cg_stops_at_the_cap():
+    # a floating graph Laplacian with a load of nonzero mean has no solution,
+    # so with two ranks (where block Jacobi is exact) the boundary CG cannot
+    # converge and must stop after CG_ITER_MAX steps instead of running on
+    rng = np.random.default_rng(11)
+    n = 60
+    trips, bv = [], []
+    for i in range(n - 2):
+        idx = np.array([i, i + 1, i + 2])
+        w = rng.uniform(1.0, 2.0, size=3)
+        L = np.array([[w[0] + w[2], -w[0], -w[2]], [-w[0], w[0] + w[1], -w[1]],
+                      [-w[2], -w[1], w[1] + w[2]]])
+        trips.append((i, np.repeat(idx, 3), np.tile(idx, 3), L.ravel()))
+        bv.append((i, idx, rng.normal(size=3)))
+    for x, rep in run_dd(trips, bv, n, 2, eps=1e-30):
+        assert not rep.converged
+        assert rep.iterations == CG_ITER_MAX + 1
+        assert np.all(np.isfinite(x))
 
 
 def test_single_domain_rejected():

@@ -10,11 +10,47 @@ from twoscalefem.runtime import (
 )
 
 
+def barrier(ctx):
+    """Every rank waits until all have arrived."""
+    ctx.bcast(ctx.gather(None, 0) and None, 0)
+
+
+def scatter(ctx, objs, root=0):
+    """Rank r of ctx receives objs[r] from root."""
+    if ctx.rank == root:
+        for r in range(ctx.size):
+            if r != root:
+                ctx.send(r, objs[r], tag=-3)
+        return objs[root]
+    return ctx.recv(root, tag=-3)
+
+
+def imbalance(plan):
+    """Heaviest over lightest rank weight of a partition."""
+    w = plan.rank_weights
+    return float(w.max() / max(w.min(), 1e-300))
+
+
 def test_reduce_sum_rank_ids():
     def prog(ctx):
         return ctx.all_reduce_sum(ctx.rank)
 
     assert run_ranks(4, prog) == [6, 6, 6, 6]
+
+
+def test_split_by_color_with_known_colors_skips_the_allgather():
+    def prog(ctx):
+        colors = [r % 2 for r in range(ctx.size)]
+        sub = ctx.split_by_color(colors[ctx.rank], colors)
+        return (sub.size, sub.rank, ctx._sim.sent.total())  # no rank sends anything
+
+    assert run_ranks(4, prog) == [(2, 0, 0), (2, 0, 0), (2, 1, 0), (2, 1, 0)]
+
+    def summed(ctx):
+        colors = [r % 2 for r in range(ctx.size)]
+        return ctx.split_by_color(colors[ctx.rank], colors).all_reduce_sum(ctx.rank)
+
+    assert run_ranks(4, summed) == [2, 4, 2, 4]
 
 
 def test_split_by_color_distinct():
@@ -108,9 +144,9 @@ def test_gather_scatter_roundtrip():
     def prog(ctx):
         data = ctx.gather(ctx.rank * 10, root=1)
         if ctx.rank == 1:
-            out = ctx.scatter([x + 1 for x in data], root=1)
+            out = scatter(ctx, [x + 1 for x in data], root=1)
         else:
-            out = ctx.scatter(None, root=1)
+            out = scatter(ctx, None, root=1)
         return out
 
     assert run_ranks(3, prog) == [1, 11, 21]
@@ -138,7 +174,7 @@ def test_partition_weighted_balance_ratio():
     sp_info = classify_sp(nested)
     for n_ranks in (2, 3, 4):
         plan = partition_mesh(nested, sp_info, n_ranks)
-        assert plan.imbalance() <= 1.3, plan.rank_weights
+        assert imbalance(plan) <= 1.3, plan.rank_weights
 
 
 def test_partition_too_many_ranks():
@@ -159,7 +195,7 @@ def test_rank_error_propagates():
     def prog(ctx):
         if ctx.rank == 1:
             raise ValueError("boom")
-        ctx.barrier()
+        barrier(ctx)
 
     with pytest.raises(ValueError, match="boom"):
         run_ranks(2, prog)

@@ -118,7 +118,8 @@ def test_enrichment_triplets_match_dense_products():
     g_e = part.coarse_dof_index[element_enriched_dofs(nested, part, e)]
     assert (g_c < 0).any() and len(g_e) == 12
     corners = enriched_corners(nested, part, e)
-    stack = stacked_tfe(block, nested, part, {e: element_patch_fields(block.nodes, fields, corners, part)})
+    efields = {e: element_patch_fields(block.nodes, fields, corners, part)}
+    stack = stacked_tfe(block, nested, part, efields)
     T = block_tfe(stack, 0)
     assert np.count_nonzero(T[part.ref_dirichlet[node_dofs(block.nodes)]]) == 0
     vals, be = coarse_triplets_enrichment(stack)
