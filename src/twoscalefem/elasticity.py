@@ -189,12 +189,19 @@ def leaf_moduli(points, leaves, material: Material):
     return E
 
 
+KERNEL_CHUNK = 2048  # leaves per pass: the temporaries scale with a pass, not the batch
+
+
 def batch_leaf_stiffness(points, leaves, material: Material):
     """Stiffness blocks (k,12,12) and volumes of a batch of tetrahedra."""
     grads, vol = p1_gradients(points, leaves)
-    B = strain_operator(grads)
-    K = B.transpose(0, 2, 1) @ (hooke_matrix(1.0, material.poisson_ratio) @ B)
-    return K * (leaf_moduli(points, leaves, material) * vol)[:, None, None], vol
+    D = hooke_matrix(1.0, material.poisson_ratio)
+    K = np.empty((len(leaves), 12, 12))
+    for lo in range(0, len(leaves), KERNEL_CHUNK):
+        B = strain_operator(grads[lo:lo + KERNEL_CHUNK])
+        np.matmul(B.transpose(0, 2, 1), D @ B, out=K[lo:lo + KERNEL_CHUNK])
+    K *= (leaf_moduli(points, leaves, material) * vol)[:, None, None]
+    return K, vol
 
 
 def element_stiffness(coords, material: Material):
@@ -205,7 +212,7 @@ def element_stiffness(coords, material: Material):
 
 def leaf_matrix(leaf_slots, K_all, n_slots):
     """Sparse (3n,3n) sum of leaf blocks K_all (k,12,12) placed at the slots leaf_slots (k,4)."""
-    dof = node_dofs(leaf_slots)
+    dof = node_dofs(leaf_slots).astype(np.int32)  # halves the (144 k) index arrays
     rows = np.repeat(dof, 12, axis=1).ravel()
     cols = np.tile(dof, (1, 12)).ravel()
     A = sp.coo_matrix((K_all.ravel(), (rows, cols)), shape=(3 * n_slots, 3 * n_slots)).tocsr()

@@ -250,11 +250,8 @@ class NestedMesh:
         return len(self.points)
 
     def boundary_fine_faces(self) -> dict[tuple, list[tuple]]:
-        """Label -> list of (fine face triple, macro element id).
-
-        Only elements with a labelled face are visited: a leaf face of
-        another element meets a coarse face in an edge at most.
-        """
+        """Label -> list of (fine face triple, macro element id); only elements with a
+        labelled face are visited (another element meets it in an edge at most)."""
         out: dict[str, list[tuple]] = {}
         for face, label in self.coarse.boundary_faces.items():
             out.setdefault(label, [])

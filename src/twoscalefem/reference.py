@@ -65,8 +65,7 @@ def assemble_reference(
 ) -> ReferenceSystem:
     """A_rr = W^T A_RR W and B_r = W^T B_R with W the fold onto the free dofs.
 
-    The leaves of every macro element go through one kernel call and the
-    element blocks' fold, with the mesh nodes as the one group of slots.
+    All leaves go through one kernel call and the element blocks' fold.
     """
     n = nested.n_nodes
     leaves = np.concatenate(nested.micro)

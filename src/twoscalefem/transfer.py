@@ -253,8 +253,7 @@ def _mirrored_pattern(rows, cols, n, n_cl):
     ek = (r >= n_cl) & (c < n_cl)
     keys = np.concatenate([keys, r[ek] * n + c[ek]])  # the mirrors: column r, row c
     order = np.argsort(keys)
-    at = np.empty_like(order)
-    at[order] = np.arange(len(order))
+    at = np.argsort(order)  # position of each key in the sorted pattern
     slot = np.empty(len(rows), dtype=np.int64)
     slot[~ke] = at[half_slot.reshape(-1)]
     mirror = np.cumsum(ek) - 1 + len(ek)
@@ -279,10 +278,8 @@ def _dense_triplets(elements, M, dofs, B, partition):
 
 
 def coarse_triplets_constant(blocks: ElementBlocks, T_Fk, nested, partition):
-    """A_kk = T_Fk^T A_FF T_Fk and B_k = T_Fk^T B_F of a set of SP elements, free-indexed.
-
-    Per block: the sparse A_FF T_Fk made dense, times the sparse T_Fk^T.
-    """
+    """A_kk = T_Fk^T A_FF T_Fk and B_k = T_Fk^T B_F of SP blocks, free-indexed; per block
+    the sparse A_FF T_Fk is made dense and multiplied by the sparse T_Fk^T."""
     nb = len(blocks.elements)
     AT = blocks.A_FF @ T_Fk
     AT = sp.csr_matrix((AT.data, AT.indices % 12, AT.indptr), shape=(AT.shape[0], 12)).toarray()
