@@ -32,7 +32,6 @@ __all__ = [
     "strain_operator",
     "leaf_moduli",
     "batch_leaf_stiffness",
-    "element_stiffness",
     "consistent_loads",
     "nodal_loads",
     "labelled_faces",
@@ -202,12 +201,6 @@ def batch_leaf_stiffness(points, leaves, material: Material):
         np.matmul(B.transpose(0, 2, 1), D @ B, out=K[lo:lo + KERNEL_CHUNK])
     K *= (leaf_moduli(points, leaves, material) * vol)[:, None, None]
     return K, vol
-
-
-def element_stiffness(coords, material: Material):
-    """12x12 stiffness and volume of one tetrahedron (raises on inverted ones)."""
-    K, vol = batch_leaf_stiffness(np.asarray(coords, dtype=np.float64), np.arange(4)[None], material)
-    return K[0], vol[0]
 
 
 def leaf_matrix(leaf_slots, K_all, n_slots):

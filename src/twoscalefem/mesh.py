@@ -237,6 +237,7 @@ class NestedMesh:
     micro: list[np.ndarray]                 # leaf tets per macro element
     hanging: dict[int, list[tuple[int, float]]]   # node -> [(parent, weight)]
     node_faces: dict[int, frozenset]        # node -> coarse faces it lies on
+    _fine_faces: dict | None = field(default=None, repr=False)  # boundary_fine_faces, once
 
     @classmethod
     def from_coarse(cls, mesh: CoarseMesh) -> "NestedMesh":
@@ -250,8 +251,10 @@ class NestedMesh:
         return len(self.points)
 
     def boundary_fine_faces(self) -> dict[tuple, list[tuple]]:
-        """Label -> list of (fine face triple, macro element id); only elements with a
-        labelled face are visited (another element meets it in an edge at most)."""
+        """Label -> list of (fine face triple, macro element id), computed on first use;
+        only elements with a labelled face are visited (others meet it in an edge at most)."""
+        if self._fine_faces is not None:
+            return self._fine_faces
         out: dict[str, list[tuple]] = {}
         for face, label in self.coarse.boundary_faces.items():
             out.setdefault(label, [])
@@ -268,6 +271,7 @@ class NestedMesh:
                         label = self.coarse.boundary_faces.get(cf)
                         if label is not None:
                             out.setdefault(label, []).append((f, e))
+        self._fine_faces = out
         return out
 
 

@@ -296,21 +296,25 @@ def _build_patch_systems(ctx, state, problem, plan):
         q_dofs, d_dofs = sets["q"], sets["d"]
         nq, nd = len(q_dofs), len(d_dofs)
         mine = [e for e in map(int, patch.elements) if int(plan.element_rank[e]) == ctx.rank]
-        rows = [stack.rows_of(e) for e in mine]
-        pos = [_patch_positions(q_dofs, d_dofs, stack.dofs[r]) for r in rows]
+        rows = np.concatenate([np.zeros(0, np.int64)] + [stack.rows_of(e) for e in mine])
+        slots = np.concatenate([np.zeros(0, np.int64)]
+                               + [stack.field_slots(e, patch.node) for e in mine])
+        pos = _patch_positions(q_dofs, d_dofs, stack.dofs[rows])
+        pos[part.ref_dirichlet[stack.dofs[rows]]] = nq + nd
+        state.patch_scatter[pi] = (rows, slots, pos)
+        # per member block: its q rows with their q and d columns, B_F on q, its d rows
+        A = stack.A[rows]
+        col_pos = np.full(stack.A.shape[1], nq + nd)
+        col_pos[rows] = pos
+        ii, jj = np.repeat(pos, np.diff(A.indptr)), col_pos[A.indices]
+        ends = np.cumsum(stack.ndof[np.searchsorted(stack.elements, mine)])
         payload = []
-        for e, r, p in zip(mine, rows, pos):
-            p[part.ref_dirichlet[stack.dofs[r]]] = nq + nd
-            # the block's q rows with their q and d columns, B_F on q, its d rows
-            A = stack.A[r]
-            i, j = np.repeat(p, np.diff(A.indptr)), p[A.indices - r[0]]
-            keep = (i < nq) & (j < nq + nd)
+        for e, lo, hi in zip(mine, np.concatenate([[0], ends[:-1]]), ends):
+            i, j, v = (x[A.indptr[lo]:A.indptr[hi]] for x in (ii, jj, A.data))
+            p, keep = pos[lo:hi], (i < nq) & (j < nq + nd)
             d = np.nonzero((p >= nq) & (p < nq + nd))[0]
-            payload.append((e, len(r), i[keep].astype(np.int32), j[keep].astype(np.int32),
-                            A.data[keep], p[p < nq], stack.B[r][p < nq], p[d] - nq, d))
-        slots = [stack.field_slots(e, patch.node) for e in mine]
-        state.patch_scatter[pi] = tuple(np.concatenate([np.zeros(0, np.int64)] + a)
-                                        for a in (rows, slots, pos))
+            payload.append((e, hi - lo, i[keep].astype(np.int32), j[keep].astype(np.int32),
+                            v[keep], p[p < nq], stack.B[rows[lo:hi]][p < nq], p[d] - nq, d))
         pieces = [payload] if group is None else group.gather(payload, root=0)
         if pieces is None:  # not the owner
             return

@@ -1,9 +1,15 @@
-"""The manufactured affine case: a field every space of the method reproduces exactly."""
+"""Helpers shared by the tests: one-element stiffness and the manufactured affine case."""
 
 import numpy as np
 
 from twoscalefem.bench import CUBIC_E, CUBIC_NU, SIDE_NORMAL, SIDES, CaseSpec, _box_problem
-from twoscalefem.elasticity import LoadSet, Material, hooke_matrix
+from twoscalefem.elasticity import LoadSet, Material, batch_leaf_stiffness, hooke_matrix
+
+
+def element_stiffness(coords, material: Material):
+    """12x12 stiffness and volume of one tetrahedron (raises on inverted ones)."""
+    K, vol = batch_leaf_stiffness(np.asarray(coords, dtype=np.float64), np.arange(4)[None], material)
+    return K[0], vol[0]
 
 
 def build_affine_problem(spec: CaseSpec, base=(2, 1, 1), dims=(4.0, 2.0, 1.0),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cases import element_stiffness
 from twoscalefem.elasticity import (
     LoadSet,
     Material,
@@ -8,7 +9,6 @@ from twoscalefem.elasticity import (
     assemble_nsp,
     batch_leaf_stiffness,
     consistent_loads,
-    element_stiffness,
     hooke_matrix,
     leaf_moduli,
     traction_face_table,

@@ -339,7 +339,8 @@ def test_zero_enrichment_reduces_to_coarse_fem():
 
     # plain coarse FEM on the same mesh (homogeneous material: the reduced
     # stiffness of nested refinement equals the coarse element stiffness)
-    from twoscalefem.elasticity import consistent_loads, element_stiffness
+    from cases import element_stiffness
+    from twoscalefem.elasticity import consistent_loads
 
     mesh = nested.coarse
     K = np.zeros((3 * mesh.n_vertices, 3 * mesh.n_vertices))
