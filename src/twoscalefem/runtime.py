@@ -197,41 +197,37 @@ class RankContext:
         return self.recv(root, tag=-2)
 
     def allgather(self, obj):
-        return self.bcast(self.gather(obj, 0), 0)
+        """Every rank's obj in rank order, on every rank.
 
-    def reduce_sum(self, value, root=0):
-        vals = self.gather(value, root)
-        if vals is None:
-            return None
+        Each rank sends to all the others and then receives, so a rank waits
+        at most once, where gather and bcast would hand the turn over twice.
+        """
+        for r in range(self.size):
+            if r != self.rank:
+                self.send(r, obj, tag=-4)
+        return [obj if r == self.rank else self.recv(r, tag=-4) for r in range(self.size)]
+
+    def all_reduce_sum(self, value):
+        vals = self.allgather(value)
         acc = vals[0]
-        for v in vals[1:]:
+        for v in vals[1:]:  # rank order on every rank: the same sum everywhere
             acc = acc + v
         return acc
 
-    def all_reduce_sum(self, value):
-        return self.bcast(self.reduce_sum(value, 0), 0)
-
     def all_reduce_max(self, value):
-        vals = self.gather(value, 0)
-        out = max(vals) if vals is not None else None
-        return self.bcast(out, 0)
+        return max(self.allgather(value))
 
-    def reduce_ordered_sum(self, items, root=0):
+    def all_reduce_ordered_sum(self, items):
         """Sum of (keys, values) array contributions in globally sorted key order.
 
         The values are added one by one from 0.0 in stable key order (equal
         keys in rank order), so when the keys are distinct the result is
-        bitwise identical for any rank count.
+        bitwise identical for any rank count, and on every rank.
         """
-        pieces = self.gather(items, root)
-        if pieces is None:
-            return None
+        pieces = self.allgather(items)
         keys = np.concatenate([p[0] for p in pieces])
         vals = np.concatenate([p[1] for p in pieces])[np.argsort(keys, kind="stable")]
         return float(np.cumsum(np.concatenate([[0.0], vals]))[-1])
-
-    def all_reduce_ordered_sum(self, items):
-        return self.bcast(self.reduce_ordered_sum(items, 0), 0)
 
     def split_by_color(self, color, colors=None):
         """Subgroup communicator of all ranks passing the same color.

@@ -296,25 +296,23 @@ def _build_patch_systems(ctx, state, problem, plan):
         q_dofs, d_dofs = sets["q"], sets["d"]
         nq, nd = len(q_dofs), len(d_dofs)
         mine = [e for e in map(int, patch.elements) if int(plan.element_rank[e]) == ctx.rank]
-        rows = np.concatenate([np.zeros(0, np.int64)] + [stack.rows_of(e) for e in mine])
-        slots = np.concatenate([np.zeros(0, np.int64)]
-                               + [stack.field_slots(e, patch.node) for e in mine])
-        pos = _patch_positions(q_dofs, d_dofs, stack.dofs[rows])
-        pos[part.ref_dirichlet[stack.dofs[rows]]] = nq + nd
-        state.patch_scatter[pi] = (rows, slots, pos)
-        # per member block: its q rows with their q and d columns, B_F on q, its d rows
-        A = stack.A[rows]
-        col_pos = np.full(stack.A.shape[1], nq + nd)
-        col_pos[rows] = pos
-        ii, jj = np.repeat(pos, np.diff(A.indptr)), col_pos[A.indices]
-        ends = np.cumsum(stack.ndof[np.searchsorted(stack.elements, mine)])
+        rows = [stack.rows_of(e) for e in mine]
+        pos = [_patch_positions(q_dofs, d_dofs, stack.dofs[r]) for r in rows]
         payload = []
-        for e, lo, hi in zip(mine, np.concatenate([[0], ends[:-1]]), ends):
-            i, j, v = (x[A.indptr[lo]:A.indptr[hi]] for x in (ii, jj, A.data))
-            p, keep = pos[lo:hi], (i < nq) & (j < nq + nd)
+        for e, r, p in zip(mine, rows, pos):
+            p[part.ref_dirichlet[stack.dofs[r]]] = nq + nd
+            # the block's q rows with their q and d columns, B_F on q, its d rows
+            ptr = stack.A.indptr[r[0]:r[-1] + 2]
+            i = np.repeat(p, np.diff(ptr))
+            j = p[stack.A.indices[ptr[0]:ptr[-1]] - r[0]]
+            keep = (i < nq) & (j < nq + nd)
             d = np.nonzero((p >= nq) & (p < nq + nd))[0]
-            payload.append((e, hi - lo, i[keep].astype(np.int32), j[keep].astype(np.int32),
-                            v[keep], p[p < nq], stack.B[rows[lo:hi]][p < nq], p[d] - nq, d))
+            payload.append((e, len(r), i[keep].astype(np.int32), j[keep].astype(np.int32),
+                            stack.A.data[ptr[0]:ptr[-1]][keep], p[p < nq], stack.B[r][p < nq],
+                            p[d] - nq, d))
+        slots = [stack.field_slots(e, patch.node) for e in mine]
+        state.patch_scatter[pi] = tuple(np.concatenate([np.zeros(0, np.int64)] + a)
+                                        for a in (rows, slots, pos))
         pieces = [payload] if group is None else group.gather(payload, root=0)
         if pieces is None:  # not the owner
             return
@@ -603,6 +601,7 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         _prepare_dd_coarse(ctx, state, problem)
 
     flops = {"factor": 0, "solve": 0}
+    patch_flops = []  # this rank's patch solve flops after each iteration
     records: list[IterationRecord] = []
     resi_history: list[float] = []
 
@@ -641,10 +640,9 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         resi = compute_residual(ctx, state, problem)
         resi_history.append(resi)
         resi_prev = resi
-        psolve = ctx.all_reduce_sum(
-            sum(s["factor"].solve_flops for s in state.patch_sys.values()))
+        patch_flops.append(sum(s["factor"].solve_flops for s in state.patch_sys.values()))
         records.append(IterationRecord(
-            it, resi, kind, piters, time.perf_counter() - t0, flops["factor"], psolve,
+            it, resi, kind, piters, time.perf_counter() - t0, flops["factor"], 0,
             shift, steps, fallback))
         if iterates is not None:
             iterates.append(gather_u_r(ctx, state, problem, U_g))
@@ -662,6 +660,9 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         else:
             worse = 0
 
+    # the records' patch solve flops, summed over the ranks once the loop is over
+    for record, total in zip(records, np.sum(ctx.allgather(patch_flops), axis=0)):
+        record.solve_flops = int(total)
     u_r = gather_u_r(ctx, state, problem, U_g)
     return TsResult(reason == "converged", reason, it, resi_history, U_g, u_r, records,
                     state.norm_B, state.schedule, iterates)
