@@ -98,7 +98,9 @@ class CaseSpec:
                              f"elements of the {self.kind} mesh")
 
     def macro_elements(self) -> int:
-        """Macro-element count of the case's default mesh: 8 per flattened level."""
+        """Macro-element count of the case's default mesh (BASES), the one build_problem
+        and the CLI build: 8 per flattened level.  A builder called with another base
+        is checked only by partition_elements, after the mesh is refined."""
         return 6 * int(np.prod(BASES[self.kind])) * 8 ** self.coarse_level
 
 
@@ -218,6 +220,39 @@ def build_cubic_problem(spec: CaseSpec, base=BASES["cubic-plate"], dims=(4.0, 2.
     }
     select = None if selector is None else (lambda mesh: selector)
     return _box_problem(spec, base, dims, mat, loads, select=select), exact
+
+
+def build_affine_problem(spec: CaseSpec, base=(2, 1, 1), dims=(4.0, 2.0, 1.0),
+                         G=None, selector=None):
+    """Manufactured affine field u = G x: reproduced exactly by the spaces.
+
+    G must vanish below the diagonal so the corner pins are compatible with
+    zero prescribed displacements.
+    """
+    if G is None:
+        G = np.array([[3e-4, 1e-4, -2e-4], [0.0, -1e-4, 5e-5], [0.0, 0.0, 2e-4]])
+    if np.abs(np.tril(G, -1)).max() > 0:
+        raise ValueError("G must be upper-triangular for the corner pins")
+    mat = Material(young_modulus=CUBIC_E, poisson_ratio=CUBIC_NU)
+    eps_t = 0.5 * (G + G.T)
+    voigt = np.array([eps_t[0, 0], eps_t[1, 1], eps_t[2, 2],
+                      2 * eps_t[1, 2], 2 * eps_t[0, 2], 2 * eps_t[0, 1]])
+    sv = hooke_matrix(mat.young_modulus, mat.poisson_ratio) @ voigt
+    sigma = np.array([[sv[0], sv[5], sv[4]], [sv[5], sv[1], sv[3]], [sv[4], sv[3], sv[2]]])
+
+    def traction(side):
+        sign, axis = SIDE_NORMAL[side]
+        t = sign * sigma[:, axis]
+        return lambda p: t
+
+    loads = LoadSet(tractions={s: traction(s) for s in SIDES})
+    problem = _box_problem(spec, base, dims, mat, loads,
+                           select=None if selector is None else (lambda mesh: selector))
+    exact = {
+        "u": lambda p: G @ p,
+        "strain": lambda p: eps_t,
+    }
+    return problem, exact
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Ranks run as threads but exactly one is active at a time; control is handed
 over only at blocking receives, so every communication pattern expressible
 with blocking point-to-point messages runs deterministically.  Collectives
-are built on gather/broadcast with rank-ascending, key-sorted accumulation
-so reductions are bitwise reproducible across rank counts.
+are built on gather/broadcast (two ranks swap their items instead), with
+rank-ascending, key-sorted accumulation so reductions are bitwise
+reproducible across rank counts.
 """
 
 from __future__ import annotations
@@ -196,54 +197,77 @@ class RankContext:
             return obj
         return self.recv(root, tag=-2)
 
-    def allgather(self, obj):
-        """Every rank's obj in rank order, on every rank.
+    def scatter(self, objs, root=0):
+        if self.rank == root:
+            for r in range(self.size):
+                if r != root:
+                    self.send(r, objs[r], tag=-3)
+            return objs[root]
+        return self.recv(root, tag=-3)
 
-        Each rank sends to all the others and then receives, so a rank waits
-        at most once, where gather and bcast would hand the turn over twice.
+    def _all_reduce(self, item, op):
+        """op of every rank's item in rank order, on every rank.
+
+        Two ranks swap their items and both apply op: the 2 messages of a
+        gather and a bcast, but each rank waits at most once where those hand
+        the turn over twice.  Larger groups gather to rank 0, which applies op
+        and broadcasts the result: 2(n-1) messages where a full exchange would
+        send n(n-1).
         """
+        if self.size > 2:
+            items = self.gather(item, 0)
+            return self.bcast(None if items is None else op(items), 0)
         for r in range(self.size):
             if r != self.rank:
-                self.send(r, obj, tag=-4)
-        return [obj if r == self.rank else self.recv(r, tag=-4) for r in range(self.size)]
+                self.send(r, item, tag=-4)
+        return op([item if r == self.rank else self.recv(r, tag=-4) for r in range(self.size)])
+
+    def allgather(self, obj):
+        return self._all_reduce(obj, list)
 
     def all_reduce_sum(self, value):
-        vals = self.allgather(value)
-        acc = vals[0]
-        for v in vals[1:]:  # rank order on every rank: the same sum everywhere
-            acc = acc + v
-        return acc
+        return self._all_reduce(value, _sum_in_order)
 
     def all_reduce_max(self, value):
-        return max(self.allgather(value))
+        return self._all_reduce(value, max)
 
     def all_reduce_ordered_sum(self, items):
         """Sum of (keys, values) array contributions in globally sorted key order.
 
         The values are added one by one from 0.0 in stable key order (equal
         keys in rank order), so when the keys are distinct the result is
-        bitwise identical for any rank count, and on every rank.
+        bitwise identical for any rank count.
         """
-        pieces = self.allgather(items)
-        keys = np.concatenate([p[0] for p in pieces])
-        vals = np.concatenate([p[1] for p in pieces])[np.argsort(keys, kind="stable")]
-        return float(np.cumsum(np.concatenate([[0.0], vals]))[-1])
+        return self._all_reduce(items, _ordered_sum)
 
-    def split_by_color(self, color, colors=None):
-        """Subgroup communicator of all ranks passing the same color.
+    def split_by_color(self, colors):
+        """Subgroup communicator of the ranks whose color equals this rank's.
 
-        Collective over the current group; ranks passing None get None back.
-        Subgroup rank order follows the parent order.  colors, every rank's
-        color when each rank knows them all, spares the allgather.
+        colors holds every rank's color, the same list on every rank, so the
+        split sends no message.  Collective over the current group; a rank
+        whose color is None gets None back.  Subgroup rank order follows the
+        parent order.
         """
         self._split_count += 1
-        if colors is None:
-            colors = self.allgather(color)
+        color = colors[self.rank]
         if color is None:
             return None
         members = [self._world(r) for r, c in enumerate(colors) if c == color]
         ns = self._namespace + (self._split_count, _color_key(color))
         return RankContext(self._sim, self._world_rank, members, ns)
+
+
+def _sum_in_order(vals):
+    acc = vals[0]
+    for v in vals[1:]:
+        acc = acc + v
+    return acc
+
+
+def _ordered_sum(pieces):
+    keys = np.concatenate([p[0] for p in pieces])
+    vals = np.concatenate([p[1] for p in pieces])[np.argsort(keys, kind="stable")]
+    return float(np.cumsum(np.concatenate([[0.0], vals]))[-1])
 
 
 def _color_key(color):

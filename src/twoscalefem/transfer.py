@@ -246,7 +246,8 @@ class CoarseSystem:
 def _mirrored_pattern(rows, cols, n, n_cl):
     """CscPattern.of(rows, cols, (n, n)) when each (k,e) triplet (row < n_cl <= col)
     is the transpose of an (e,k) one: np.unique runs over the others only and
-    the mirrors of the (e,k) entries take the (k,e) triplets."""
+    the mirrors of the (e,k) entries take the (k,e) triplets (ValueError when
+    one has no transpose)."""
     ke = (rows < n_cl) & (cols >= n_cl)
     keys, half_slot = np.unique(cols[~ke] * n + rows[~ke], return_inverse=True)
     r, c = keys % n, keys // n
@@ -257,7 +258,11 @@ def _mirrored_pattern(rows, cols, n, n_cl):
     slot = np.empty(len(rows), dtype=np.int64)
     slot[~ke] = at[half_slot.reshape(-1)]
     mirror = np.cumsum(ek) - 1 + len(ek)
-    slot[ke] = at[mirror[np.searchsorted(keys[:len(ek)], rows[ke] * n + cols[ke])]]
+    want = rows[ke] * n + cols[ke]
+    found = np.minimum(np.searchsorted(keys[:len(ek)], want), len(ek) - 1)
+    if not (keys[found] == want).all():
+        raise ValueError("a (k,e) triplet has no (e,k) transpose")
+    slot[ke] = at[mirror[found]]
     keys = keys[order]
     counts = np.bincount(keys // n, minlength=n)
     return CscPattern((n, n), np.concatenate([[0], np.cumsum(counts)]), keys % n, slot)

@@ -351,16 +351,17 @@ def _iterate_schedule(ctx, state, problem, plan, fn):
     """
     sched = state.schedule
     M = sched.M
-    if state.groups is None:  # every rank holds M and the participants: no allgather
+    if state.groups is None:
         state.groups = []
         for s in range(sched.n_sequences):
+            # every rank holds M and the participants, so each knows all colors
             colors = [int(p) if p >= 0 and len(state.patch_owner[int(p)]) >= 2 else None
                       for p in M[:, s]]
             my = colors[ctx.rank]
             if my is not None:
                 assert list(np.nonzero(M[:, s] == my)[0]) == list(state.patch_owner[my]), \
                     "schedule violation: participant mismatch"
-            state.groups.append(ctx.split_by_color(my, colors))
+            state.groups.append(ctx.split_by_color(colors))
     for s, group in enumerate(state.groups):
         if M[ctx.rank, s] >= 0:
             fn(int(M[ctx.rank, s]), group)
@@ -601,7 +602,6 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         _prepare_dd_coarse(ctx, state, problem)
 
     flops = {"factor": 0, "solve": 0}
-    patch_flops = []  # this rank's patch solve flops after each iteration
     records: list[IterationRecord] = []
     resi_history: list[float] = []
 
@@ -640,9 +640,10 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         resi = compute_residual(ctx, state, problem)
         resi_history.append(resi)
         resi_prev = resi
-        patch_flops.append(sum(s["factor"].solve_flops for s in state.patch_sys.values()))
+        psolve = ctx.all_reduce_sum(
+            sum(s["factor"].solve_flops for s in state.patch_sys.values()))
         records.append(IterationRecord(
-            it, resi, kind, piters, time.perf_counter() - t0, flops["factor"], 0,
+            it, resi, kind, piters, time.perf_counter() - t0, flops["factor"], psolve,
             shift, steps, fallback))
         if iterates is not None:
             iterates.append(gather_u_r(ctx, state, problem, U_g))
@@ -660,9 +661,6 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         else:
             worse = 0
 
-    # the records' patch solve flops, summed over the ranks once the loop is over
-    for record, total in zip(records, np.sum(ctx.allgather(patch_flops), axis=0)):
-        record.solve_flops = int(total)
     u_r = gather_u_r(ctx, state, problem, U_g)
     return TsResult(reason == "converged", reason, it, resi_history, U_g, u_r, records,
                     state.norm_B, state.schedule, iterates)

@@ -1,45 +1,11 @@
-"""Helpers shared by the tests: one-element stiffness and the manufactured affine case."""
+"""Helper shared by the tests: the stiffness of one tetrahedron."""
 
 import numpy as np
 
-from twoscalefem.bench import CUBIC_E, CUBIC_NU, SIDE_NORMAL, SIDES, CaseSpec, _box_problem
-from twoscalefem.elasticity import LoadSet, Material, batch_leaf_stiffness, hooke_matrix
+from twoscalefem.elasticity import Material, batch_leaf_stiffness
 
 
 def element_stiffness(coords, material: Material):
     """12x12 stiffness and volume of one tetrahedron (raises on inverted ones)."""
     K, vol = batch_leaf_stiffness(np.asarray(coords, dtype=np.float64), np.arange(4)[None], material)
     return K[0], vol[0]
-
-
-def build_affine_problem(spec: CaseSpec, base=(2, 1, 1), dims=(4.0, 2.0, 1.0),
-                         G=None, selector=None):
-    """Manufactured affine field u = G x: reproduced exactly by the spaces.
-
-    G must vanish below the diagonal so the corner pins are compatible with
-    zero prescribed displacements.
-    """
-    if G is None:
-        G = np.array([[3e-4, 1e-4, -2e-4], [0.0, -1e-4, 5e-5], [0.0, 0.0, 2e-4]])
-    if np.abs(np.tril(G, -1)).max() > 0:
-        raise ValueError("G must be upper-triangular for the corner pins")
-    mat = Material(young_modulus=CUBIC_E, poisson_ratio=CUBIC_NU)
-    eps_t = 0.5 * (G + G.T)
-    voigt = np.array([eps_t[0, 0], eps_t[1, 1], eps_t[2, 2],
-                      2 * eps_t[1, 2], 2 * eps_t[0, 2], 2 * eps_t[0, 1]])
-    sv = hooke_matrix(mat.young_modulus, mat.poisson_ratio) @ voigt
-    sigma = np.array([[sv[0], sv[5], sv[4]], [sv[5], sv[1], sv[3]], [sv[4], sv[3], sv[2]]])
-
-    def traction(side):
-        sign, axis = SIDE_NORMAL[side]
-        t = sign * sigma[:, axis]
-        return lambda p: t
-
-    loads = LoadSet(tractions={s: traction(s) for s in SIDES})
-    problem = _box_problem(spec, base, dims, mat, loads,
-                           select=None if selector is None else (lambda mesh: selector))
-    exact = {
-        "u": lambda p: G @ p,
-        "strain": lambda p: eps_t,
-    }
-    return problem, exact

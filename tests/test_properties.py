@@ -4,9 +4,8 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from cases import build_affine_problem
 from twoscalefem import costmodel as cm
-from twoscalefem.bench import CaseSpec, build_cubic_problem, reference_oracle
+from twoscalefem.bench import CaseSpec, build_affine_problem, build_cubic_problem, reference_oracle
 from twoscalefem.mesh import (
     BoundaryConditions,
     NestedMesh,

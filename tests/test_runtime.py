@@ -15,16 +15,6 @@ def barrier(ctx):
     ctx.bcast(ctx.gather(None, 0) and None, 0)
 
 
-def scatter(ctx, objs, root=0):
-    """Rank r of ctx receives objs[r] from root."""
-    if ctx.rank == root:
-        for r in range(ctx.size):
-            if r != root:
-                ctx.send(r, objs[r], tag=-3)
-        return objs[root]
-    return ctx.recv(root, tag=-3)
-
-
 def imbalance(plan):
     """Heaviest over lightest rank weight of a partition."""
     w = plan.rank_weights
@@ -38,24 +28,27 @@ def test_reduce_sum_rank_ids():
     assert run_ranks(4, prog) == [6, 6, 6, 6]
 
 
-def test_split_by_color_with_known_colors_skips_the_allgather():
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_allgather_sends_as_many_messages_as_gather_and_bcast(n):
     def prog(ctx):
-        colors = [r % 2 for r in range(ctx.size)]
-        sub = ctx.split_by_color(colors[ctx.rank], colors)
+        return ctx.allgather(10 * ctx.rank), ctx._sim.sent.total()
+
+    out = run_ranks(n, prog)
+    assert [items for items, _ in out] == [[10 * r for r in range(n)]] * n
+    assert max(sent for _, sent in out) == 2 * (n - 1)
+
+
+def test_split_by_color_sends_nothing():
+    def prog(ctx):
+        sub = ctx.split_by_color([r % 2 for r in range(ctx.size)])
         return (sub.size, sub.rank, ctx._sim.sent.total())  # no rank sends anything
 
     assert run_ranks(4, prog) == [(2, 0, 0), (2, 0, 0), (2, 1, 0), (2, 1, 0)]
 
-    def summed(ctx):
-        colors = [r % 2 for r in range(ctx.size)]
-        return ctx.split_by_color(colors[ctx.rank], colors).all_reduce_sum(ctx.rank)
-
-    assert run_ranks(4, summed) == [2, 4, 2, 4]
-
 
 def test_split_by_color_distinct():
     def prog(ctx):
-        sub = ctx.split_by_color(ctx.rank)  # distinct colors: groups of one
+        sub = ctx.split_by_color(list(range(ctx.size)))  # distinct colors: groups of one
         return (sub.size, sub.rank)
 
     assert run_ranks(3, prog) == [(1, 0)] * 3
@@ -63,9 +56,10 @@ def test_split_by_color_distinct():
 
 def test_split_by_color_groups():
     def prog(ctx):
-        sub = ctx.split_by_color(ctx.rank % 2)
+        sub = ctx.split_by_color([r % 2 for r in range(ctx.size)])
         total = sub.all_reduce_sum(ctx.rank)
-        none_sub = ctx.split_by_color(None if ctx.rank else 7)
+        none_sub = ctx.split_by_color([7] + [None] * (ctx.size - 1))
+        assert (none_sub is None) == (ctx.rank > 0)
         return total
 
     assert run_ranks(4, prog) == [2, 4, 2, 4]
@@ -144,9 +138,9 @@ def test_gather_scatter_roundtrip():
     def prog(ctx):
         data = ctx.gather(ctx.rank * 10, root=1)
         if ctx.rank == 1:
-            out = scatter(ctx, [x + 1 for x in data], root=1)
+            out = ctx.scatter([x + 1 for x in data], root=1)
         else:
-            out = scatter(ctx, None, root=1)
+            out = ctx.scatter(None, root=1)
         return out
 
     assert run_ranks(3, prog) == [1, 11, 21]

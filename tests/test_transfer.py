@@ -18,8 +18,10 @@ from twoscalefem.mesh import (
     refine,
 )
 from twoscalefem.reference import assemble_reference
+from twoscalefem.sparsela import CscPattern
 from twoscalefem.transfer import (
     CoarseSystem,
+    _mirrored_pattern,
     barycentric_matrix,
     build_tfk,
     coarse_triplets_constant,
@@ -322,6 +324,22 @@ def monolithic_transfer(nested, sp_info, partition, stack):
     rows, cols, vals = rows[keep][::-1], cols[keep][::-1], vals[keep][::-1]
     _, last = np.unique(rows * n_g + cols, return_index=True)
     return sp.csr_matrix((vals[last], (rows[last], cols[last])), shape=(n_r, n_g))
+
+
+def test_mirrored_pattern_equals_the_full_unique_and_checks_the_mirrors():
+    rng = np.random.default_rng(3)
+    n, n_cl = 9, 5
+    r, c = rng.integers(0, n, 60), rng.integers(0, n, 60)
+    ek = (r >= n_cl) & (c < n_cl)
+    half = ~((r < n_cl) & (c >= n_cl))  # everything but the (k,e) block
+    rows = np.concatenate([r[half], c[ek]])  # then the transposes of the (e,k) triplets
+    cols = np.concatenate([c[half], r[ek]])
+    got, ref = _mirrored_pattern(rows, cols, n, n_cl), CscPattern.of(rows, cols, (n, n))
+    for name in ("indptr", "indices", "slot"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    # (3,0) is an (e,k) triplet and (0,3) its transpose; (0,2) has no (2,0)
+    with pytest.raises(ValueError, match="no \\(e,k\\) transpose"):
+        _mirrored_pattern(np.array([0, 1, 3, 0, 0]), np.array([0, 1, 0, 3, 2]), 4, 2)
 
 
 def test_zero_enrichment_reduces_to_coarse_fem():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cases import build_affine_problem
 from twoscalefem.bench import (
     CaseSpec,
+    build_affine_problem,
     build_cone_box_problem,
     build_cubic_problem,
     build_microstructure_problem,
