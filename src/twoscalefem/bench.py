@@ -53,7 +53,7 @@ __all__ = [
     "build_cone_box_problem",
     "flatten_to_coarse",
     "energy_norm_fields",
-    "error_report",
+    "error_reports",
 ]
 
 CUBIC_E = 36.5e9
@@ -91,6 +91,8 @@ class CaseSpec:
             raise ValueError("ranks must be >= 1")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if not 0 <= self.n_planes <= len(PLANES_64):
+            raise ValueError(f"n_planes must lie in 0..{len(PLANES_64)}")
         if self.solver in ("dd", "tsdd") and self.ranks < 2:
             raise ValueError(f"{self.solver} needs at least 2 ranks")
         if self.kind in BASES and self.ranks > self.macro_elements():
@@ -546,10 +548,10 @@ def run_case(spec: CaseSpec, outdir=None):
         n = problem.partition.n_ref_free
 
         def prog(ctx):
-            trips, bv, dofs = reference_rank_triplets(
+            trips, bv = reference_rank_triplets(
                 problem.nested, problem.sp_info, problem.partition,
                 problem.material, problem.loads, plan, ctx.rank)
-            return dd_solve_from_triplets(ctx, n, trips, bv, eps=spec.eps, dof_set=dofs)
+            return dd_solve_from_triplets(ctx, n, trips, bv, spec.eps)
 
         res = run_ranks(spec.ranks, prog)[0]
         u_field = expand(problem.nested, problem.partition, res.x)
@@ -562,7 +564,7 @@ def run_case(spec: CaseSpec, outdir=None):
 
     if exact is not None and spec.solver in ("ts", "tsi", "tsdd"):
         u_R, system, _ = reference_oracle(problem)
-        rep = error_report(problem, res.u_r, u_R, system, exact)
+        (rep,) = error_reports(problem, [res.u_r], u_R, system, exact)
         summary["E_ts_C"] = rep.E_ts_C
         summary["E_ts_R"] = rep.E_ts_R
         summary["E_R_C"] = rep.E_R_C
@@ -607,39 +609,42 @@ class ErrorReport:
     norm_C: float
 
 
-def error_report(problem, u_ts_r, u_R_r, system: ReferenceSystem, exact) -> ErrorReport:
-    """Energy errors of Eq.-46 form plus the split-identity defects."""
-    part = problem.partition
-    f_ts = system.expand(u_ts_r)
-    f_R = system.expand(u_R_r)
-    strain = analytic_strains(problem, exact["strain"])  # shared by the three norms below
+def error_reports(problem, iterates, u_R_r, system: ReferenceSystem, exact) -> list[ErrorReport]:
+    """Energy errors of Eq.-46 form plus the split-identity defects, one report per iterate.
 
-    e2_ts_R = energy_norm_fields(problem, (f_ts, f_R))
-    e2_ts_C = energy_norm_fields(problem, (f_ts, None), strain)
+    The terms of the reference and exact fields are computed once for all iterates.
+    """
+    part = problem.partition
+    f_R = system.expand(u_R_r)
+    strain = analytic_strains(problem, exact["strain"])
     e2_R_C = energy_norm_fields(problem, (f_R, None), strain)
     zero = np.zeros((part.n_nodes, 3))
     n2_R = energy_norm_fields(problem, (f_R, zero))
     n2_C = energy_norm_fields(problem, (None, zero), strain)
-    defect = abs(e2_ts_C - e2_ts_R - e2_R_C) / max(e2_ts_C, 1e-300)
 
     # nodal-interpolant variant in the discrete A-norm
     uC_nodes = np.array([exact["u"](p) for p in problem.nested.points])
     uC_r = uC_nodes.reshape(-1)[part.free_ref_dofs]
     dA = lambda a, b: float((a - b) @ (system.A_rr @ (a - b)))
-    e2_ts_C_n = dA(u_ts_r, uC_r)
-    e2_ts_R_n = dA(u_ts_r, u_R_r)
     e2_R_C_n = dA(u_R_r, uC_r)
-    defect_n = abs(e2_ts_C_n - e2_ts_R_n - e2_R_C_n) / max(e2_ts_C_n, 1e-300)
 
-    return ErrorReport(
-        E_ts_C=np.sqrt(e2_ts_C / n2_C),
-        E_ts_R=np.sqrt(e2_ts_R / n2_R),
-        E_R_C=np.sqrt(e2_R_C / n2_C),
-        identity_defect=defect,
-        E_ts_C_nodal=np.sqrt(e2_ts_C_n / max(n2_C, 1e-300)),
-        E_ts_R_nodal=np.sqrt(e2_ts_R_n / max(n2_R, 1e-300)),
-        E_R_C_nodal=np.sqrt(e2_R_C_n / max(n2_C, 1e-300)),
-        identity_defect_nodal=defect_n,
-        norm_R=np.sqrt(n2_R),
-        norm_C=np.sqrt(n2_C),
-    )
+    reports = []
+    for u_ts_r in iterates:
+        f_ts = system.expand(u_ts_r)
+        e2_ts_R = energy_norm_fields(problem, (f_ts, f_R))
+        e2_ts_C = energy_norm_fields(problem, (f_ts, None), strain)
+        e2_ts_C_n = dA(u_ts_r, uC_r)
+        e2_ts_R_n = dA(u_ts_r, u_R_r)
+        reports.append(ErrorReport(
+            E_ts_C=np.sqrt(e2_ts_C / n2_C),
+            E_ts_R=np.sqrt(e2_ts_R / n2_R),
+            E_R_C=np.sqrt(e2_R_C / n2_C),
+            identity_defect=abs(e2_ts_C - e2_ts_R - e2_R_C) / max(e2_ts_C, 1e-300),
+            E_ts_C_nodal=np.sqrt(e2_ts_C_n / max(n2_C, 1e-300)),
+            E_ts_R_nodal=np.sqrt(e2_ts_R_n / max(n2_R, 1e-300)),
+            E_R_C_nodal=np.sqrt(e2_R_C_n / max(n2_C, 1e-300)),
+            identity_defect_nodal=abs(e2_ts_C_n - e2_ts_R_n - e2_R_C_n) / max(e2_ts_C_n, 1e-300),
+            norm_R=np.sqrt(n2_R),
+            norm_C=np.sqrt(n2_C),
+        ))
+    return reports

@@ -20,11 +20,17 @@ def _parse_levels(text):
     return lc, l
 
 
+def _refuse(reason):
+    """An invalid configuration is refused before any work, in one line."""
+    print(f"error: {reason}", file=sys.stderr)
+    return 2
+
+
 def cmd_run(args):
     from .bench import CaseSpec, run_case
 
     lc, l = args.levels
-    try:  # an invalid configuration is refused before any work, in one line
+    try:
         spec = CaseSpec(
             kind=args.case,
             coarse_level=lc,
@@ -38,8 +44,7 @@ def cmd_run(args):
             cone_h=args.cone_h,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(exc)
     summary = run_case(spec, outdir=args.outdir)
     json.dump(summary, sys.stdout, indent=2)
     print()
@@ -49,6 +54,10 @@ def cmd_run(args):
 def cmd_cost(args):
     from . import costmodel as cm
 
+    try:  # a sweep runs L from sweep_min, which is checked as L_c is: within 0..L
+        cm.CostParams(args.L, args.sweep_min if args.sweep else args.Lc, args.nl, args.sr, args.sr)
+    except ValueError as exc:
+        return _refuse(exc)
     if args.sweep:
         text = cm.sweep_csv(range(args.sweep_min, args.L + 1), args.nl, args.sr, args.sr)
         if args.out:
@@ -74,6 +83,8 @@ def cmd_cost(args):
 def cmd_schedule(args):
     from .scheduler import PatchGraph, dump_json, schedule_on_ranks
 
+    if args.ranks < 1 or args.patches < 0:
+        return _refuse("need --ranks >= 1 and --patches >= 0")
     rng = np.random.default_rng(args.seed)
     weights, participants = {}, {}
     for p in range(args.patches):

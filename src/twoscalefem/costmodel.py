@@ -21,7 +21,6 @@ __all__ = [
     "count_fact",
     "count_bf",
     "count_resolv",
-    "cost_resolve",
     "cost_coarse",
     "patch_counts",
     "patch_dofs",
@@ -77,10 +76,6 @@ def count_bf(n: float, SR: float) -> float:
 def count_resolv(n: float, SR: float) -> float:
     """One factorization followed by one backward/forward solve."""
     return count_fact(n, SR) + count_bf(n, SR)
-
-
-# Alias matching the operation name used elsewhere in the package.
-cost_resolve = count_resolv
 
 
 def cost_coarse(L_c: int, N_l: int, SR_c: float) -> float:

@@ -63,16 +63,16 @@ class DdLayout:
     m_sel: dict                 # co-rank -> owned-block positions of what it sends
 
 
-def dd_layout(ctx: RankContext, trips, bvecs, dof_set=None) -> DdLayout:
+def dd_layout(ctx: RankContext, trips, bvecs) -> DdLayout:
     """Build the dd layout of a triplet list (collective over ctx).
 
     trips: (key, rows, cols[, vals]) and bvecs (key, idx[, vals]) in global
-    dof indices, in the order their values will be given; dof_set may pin
-    this rank's dofs.
+    dof indices, in the order their values will be given; this rank's dofs
+    are the ones they name.
     """
-    rows = np.concatenate([np.zeros(0, np.int64)] + [t[1] for t in trips])
-    cols = np.concatenate([np.zeros(0, np.int64)] + [t[2] for t in trips])
-    dofs = np.unique(np.concatenate([rows, cols]) if dof_set is None else dof_set).astype(np.int64)
+    cat = lambda items, i: np.concatenate([np.zeros(0, np.int64)] + [t[i] for t in items])
+    rows, cols, idx = cat(trips, 1), cat(trips, 2), cat(bvecs, 1)
+    dofs = np.unique(np.concatenate([rows, cols, idx]))
     # held[r, i]: rank r holds dofs[i]; a shared dof is owned by its lowest holder
     held = np.array([np.isin(dofs, dl) for dl in ctx.allgather(dofs)])
     shared = held.sum(axis=0) >= 2
@@ -91,44 +91,25 @@ def dd_layout(ctx: RankContext, trips, bvecs, dof_set=None) -> DdLayout:
     lidx = lambda g: local[np.searchsorted(dofs, g)]
     return DdLayout(
         dofs[order], int((~shared).sum()),
-        CscPattern.of(lidx(rows), lidx(cols), (len(dofs), len(dofs))),
-        lidx(np.concatenate([np.zeros(0, np.int64)] + [t[1] for t in bvecs])),
+        CscPattern.of(lidx(rows), lidx(cols), (len(dofs), len(dofs))), lidx(idx),
         owner, co_ranks, {q: np.nonzero(b_held[q])[0] for q in co_ranks}, m_send, m_sel)
 
 
-def dd_solve_from_triplets(
-    ctx: RankContext,
-    n: int,
-    const_trips,
-    const_b,
-    extra_trips=(),
-    extra_b=(),
-    eps: float = 1e-10,
-    warm: np.ndarray | None = None,
-    dof_set=None,
-    layout: DdLayout | None = None,
-):
+def dd_solve_from_triplets(ctx: RankContext, n: int, trips, bvecs, eps: float,
+                           warm: np.ndarray | None = None, layout: DdLayout | None = None):
     """Solve a distributed SPD system given per-rank assembly triplets.
 
-    const/extra triplets are lists of (element id, rows, cols, vals) in
-    global dof indices; extra_b like (element id, idx, vals).  dof_set may
-    pin this rank's dof layout (needed when extras vary between calls).
-    Without a layout the triplets are sorted by element id and a layout is
-    built from them (collective); with one, from dd_layout over the same
-    structure, they are taken in the order given (const, then extra) and
-    the first member of each item is not read.
-    Raises on a single rank: the decomposition needs at least two domains.
+    trips are (key, rows, cols, vals) and bvecs (key, idx, vals) in global
+    dof indices; each list is summed in its order and the keys are not
+    read.  layout, from dd_layout over the same structure, is built here
+    (collective) when not given.  warm is this rank's boundary shard of an
+    earlier solve.  Raises on a single rank: the decomposition needs at
+    least two domains.
     """
     if ctx.size == 1:
         raise ValueError("domain decomposition does not handle the single domain case")
 
-    trips = [*const_trips, *extra_trips]
-    bvecs = [*const_b, *extra_b]
-    if layout is None:
-        trips.sort(key=lambda t: t[0])
-        bvecs.sort(key=lambda t: t[0])
-        layout = dd_layout(ctx, trips, bvecs, dof_set)
-    lay = layout
+    lay = layout if layout is not None else dd_layout(ctx, trips, bvecs)
     A = lay.pattern.assemble(np.concatenate([np.zeros(0)] + [t[3] for t in trips]))
     B = np.bincount(lay.b_loc, weights=np.concatenate([np.zeros(0)] + [t[2] for t in bvecs]),
                     minlength=len(lay.dofs))
@@ -211,7 +192,11 @@ def dd_solve_from_triplets(
 
 
 def reference_rank_triplets(nested, sp_info, partition, material, loads, plan, rank):
-    """This rank's contributions to the reduced reference system A_rr, B_r."""
+    """This rank's contributions to the reduced reference system A_rr, B_r.
+
+    Returns (trips, bvecs) in the form of dd_solve_from_triplets, one item
+    per owned element, ascending element id.
+    """
     from .elasticity import assemble_element_block, assemble_nsp, node_dofs, traction_face_table
 
     tr_table = traction_face_table(nested, loads)
@@ -219,7 +204,7 @@ def reference_rank_triplets(nested, sp_info, partition, material, loads, plan, r
     sp_mine, nsp_mine = (els[mine[els]] for els in (sp_info.sp_elements, sp_info.nsp_elements))
     blocks = assemble_element_block(sp_mine, nested, material, loads, tr_table)
     nsp = assemble_nsp(nsp_mine, nested, material, loads, tr_table)
-    trips, bvecs, dof_list = [], [], []
+    trips, bvecs = [], []
 
     def add(e, dofs, rows, cols, vals, B):  # one element, free entries only
         fidx = partition.ref_dof_index[dofs]
@@ -227,7 +212,6 @@ def reference_rank_triplets(nested, sp_info, partition, material, loads, plan, r
         keep = (r >= 0) & (c >= 0)
         trips.append((int(e), r[keep], c[keep], vals[keep]))
         bvecs.append((int(e), fidx[fidx >= 0], B[fidx >= 0]))
-        dof_list.append(fidx[fidx >= 0])
 
     ptr = 3 * blocks.node_ptr
     for i, e in enumerate(sp_mine):
@@ -235,5 +219,4 @@ def reference_rank_triplets(nested, sp_info, partition, material, loads, plan, r
         add(e, node_dofs(blocks.nodes_of(i)), A.row, A.col, A.data, blocks.B_F[ptr[i]:ptr[i + 1]])
     for e, tet, K, B in zip(nsp.elements, nsp.nodes, nsp.K, nsp.B):
         add(e, node_dofs(tet), *np.divmod(np.arange(144), 12), K.ravel(), B)
-    dofs = np.unique(np.concatenate(dof_list)) if dof_list else np.zeros(0, np.int64)
-    return trips, bvecs, dofs
+    return sorted(trips, key=lambda t: t[0]), sorted(bvecs, key=lambda t: t[0])

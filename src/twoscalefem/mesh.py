@@ -555,7 +555,6 @@ class DofPartition:
 
     coarse_dirichlet: np.ndarray    # bool mask over 3*n_coarse_nodes (D)
     coarse_h_nodes: np.ndarray
-    coarse_k_nodes: np.ndarray
 
     ref_dirichlet: np.ndarray       # bool mask over 3*n_nodes (DR)
     hanging_nodes: np.ndarray       # L-set node ids
@@ -629,15 +628,9 @@ def build_partition(nested: NestedMesh, sp: SpInfo, bc: BoundaryConditions) -> D
     enriched = sp.enriched_nodes
     en_index = {int(p): i for i, p in enumerate(enriched)}
 
-    # coarse-level classical split
+    # coarse-level classical split: free nodes outside the SP elements
     coarse_free = ~coarse_dir
-    k_nodes, h_nodes_c = [], []
-    for v in range(nc):
-        if not coarse_free[3 * v: 3 * v + 3].any():
-            continue
-        (k_nodes if sp_node_mask[v] else h_nodes_c).append(v)
-    k_nodes = np.array(sorted(k_nodes), dtype=np.int64)
-    h_nodes_c = np.array(sorted(h_nodes_c), dtype=np.int64)
+    h_nodes_c = np.nonzero(coarse_free.reshape(-1, 3).any(axis=1) & ~sp_node_mask[:nc])[0]
 
     # reference level
     f_nodes, h_nodes_r = [], []
@@ -673,7 +666,7 @@ def build_partition(nested: NestedMesh, sp: SpInfo, bc: BoundaryConditions) -> D
     return DofPartition(
         n_coarse_nodes=nc, n_nodes=nn, n_enriched=len(enriched),
         enriched_nodes=enriched, enriched_index=en_index,
-        coarse_dirichlet=coarse_dir, coarse_h_nodes=h_nodes_c, coarse_k_nodes=k_nodes,
+        coarse_dirichlet=coarse_dir, coarse_h_nodes=h_nodes_c,
         ref_dirichlet=ref_dir, hanging_nodes=hang_ids,
         f_nodes=f_nodes, h_nodes=h_nodes_r,
         free_coarse_dofs=free_coarse, coarse_dof_index=coarse_index,

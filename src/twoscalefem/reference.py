@@ -24,7 +24,7 @@ from .elasticity import (
     reference_fold,
     traction_face_table,
 )
-from .mesh import DofPartition, NestedMesh, spf_nodes
+from .mesh import DofPartition, NestedMesh
 from .sparsela import factorize
 
 __all__ = ["ReferenceSystem", "assemble_reference", "solve_reference"]
@@ -38,19 +38,15 @@ class ReferenceSystem:
     B_r: np.ndarray
     partition: DofPartition
     f_row_mask: np.ndarray   # rows of r belonging to the f-set
-    spf_row_mask: np.ndarray  # rows of r on the SP/NSP interface
     nested: NestedMesh
 
     def norm_B(self) -> float:
         return float(np.linalg.norm(self.B_r))
 
-    def residual(self, u_r: np.ndarray, zero_spf: bool = False) -> float:
+    def residual(self, u_r: np.ndarray) -> float:
         """Relative f-row residual of the reference system (Eq. of resi)."""
         res = self.A_rr @ u_r - self.B_r
-        mask = self.f_row_mask.copy()
-        if zero_spf:
-            mask &= ~self.spf_row_mask
-        return float(np.linalg.norm(res[mask]) / np.linalg.norm(self.B_r))
+        return float(np.linalg.norm(res[self.f_row_mask]) / np.linalg.norm(self.B_r))
 
     def expand(self, u_r: np.ndarray) -> np.ndarray:
         """Full nodal field (n_nodes, 3) with hanging and Dirichlet values filled."""
@@ -77,10 +73,8 @@ def assemble_reference(
     A_rr = fold_stiffness(W, leaves, K_all).tocsc()
     A_rr.sum_duplicates()
 
-    nodes_of_free = partition.free_ref_dofs // 3
-    f_mask = np.isin(nodes_of_free, partition.f_nodes)
-    spf_mask = np.isin(nodes_of_free, spf_nodes(nested, partition))
-    return ReferenceSystem(A_rr, W.T @ B, partition, f_mask, spf_mask, nested)
+    f_mask = np.isin(partition.free_ref_dofs // 3, partition.f_nodes)
+    return ReferenceSystem(A_rr, W.T @ B, partition, f_mask, nested)
 
 
 def solve_reference(system: ReferenceSystem):

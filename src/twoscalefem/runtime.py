@@ -274,15 +274,13 @@ def _color_key(color):
     return color if isinstance(color, (int, str, tuple)) else repr(color)
 
 
-def run_ranks(n, program, args=(), per_rank_args=None, seed=None):
+def run_ranks(n, program, args=(), seed=None):
     """Run an SPMD program on n simulated ranks; returns per-rank results.
 
     ``seed`` shuffles the cooperative scheduling order; outcomes must not
     depend on it (validated in the test suite).
     """
-    sim = _Simulator(n, seed)
-    args_list = per_rank_args if per_rank_args is not None else [tuple(args)] * n
-    return sim.run(program, args_list)
+    return _Simulator(n, seed).run(program, [tuple(args)] * n)
 
 
 @dataclass

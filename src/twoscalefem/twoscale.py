@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import ddsolver
 from .elasticity import (
     LoadSet,
     Material,
@@ -68,7 +69,7 @@ class TsConfig:
             raise ValueError("eps must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.coarse_strategy not in ("tsd", "tsi", "tsdd"):
+        if self.coarse_strategy not in COARSE_SOLVERS:
             raise ValueError(f"unknown coarse strategy {self.coarse_strategy}")
 
 
@@ -124,17 +125,12 @@ class _RankState:
         self.w_bnorm = None         # the same, SPF ring rows kept
         self.norm_B = 0.0
         self.coarse = None          # CoarseSystem on the solving rank
-        self.coarse_factor = None
         self.schedule = None
         self.patch_owner = None     # patch index -> participant ranks (PatchGraph)
         self.groups = None          # per schedule sequence: subgroup or None
         self.fold = None            # _FoldTables of the owned blocks' nodes
         self.spf_nodes = None       # SPF ring nodes, ascending
         self.btmp = None            # coarse classical NSP load vector (full)
-        self.u_prev_coarse = None
-        self.coarse_refresh = False  # tsi: the next coarse solve is direct
-        self.dd_warm = None         # tsdd: warm start of the next dd solve
-        self.dd_layout = None       # tsdd: ddsolver.dd_layout, built once
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +178,7 @@ def _kept_nodes(nested, elements):
     return keys // n, keys % n
 
 
-def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan, config: TsConfig):
+def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan):
     nested, sp_info, part = problem.nested, problem.sp_info, problem.partition
     mat, loads = problem.material, problem.loads
     state = _RankState()
@@ -337,10 +333,10 @@ def _build_patch_systems(ctx, state, problem, plan):
                 f"patch {patch.node} has a singular interior matrix")
         state.patch_sys[pi] = {"factor": factor, "BI": BI, "D_qd": -A_qd, "d_src": d_src}
 
-    _iterate_schedule(ctx, state, problem, plan, handle_patch)
+    _iterate_schedule(ctx, state, handle_patch)
 
 
-def _iterate_schedule(ctx, state, problem, plan, fn):
+def _iterate_schedule(ctx, state, fn):
     """Visit patches sequence by sequence (subgroups for distributed ones).
 
     fn(patch_index, subgroup_or_None); local patches pass None.  The
@@ -375,7 +371,7 @@ def _iterate_schedule(ctx, state, problem, plan, fn):
 # scale-loop procedures
 
 
-def micro_scale_resolution(ctx, state, problem, plan):
+def micro_scale_resolution(ctx, state):
     """Solve every patch with the current boundary data from u_F.
 
     The owner of a distributed patch broadcasts its solution and moves on;
@@ -401,19 +397,19 @@ def micro_scale_resolution(ctx, state, problem, plan):
             group.bcast(sol, root=0)
         fields[slots] = sol[pos]
 
-    _iterate_schedule(ctx, state, problem, plan, handle_patch)
+    _iterate_schedule(ctx, state, handle_patch)
     for pi, group in pending:
         _, slots, pos = state.patch_scatter[pi]
         fields[slots] = group.bcast(None, root=0)[pos]
 
 
-def update_macro_prb(ctx, state, problem, plan, config):
+def update_macro_prb(state):
     """Rebuild T_Fe of the rank stack; returns its enrichment values (A_gg part, B_e)."""
     update_tfe(state.stack)
     return coarse_triplets_enrichment(state.stack)
 
 
-def build_coarse_on_root(ctx, state, config, enrich, b_enrich):
+def build_coarse_on_root(ctx, state, enrich, b_enrich):
     """Route the enrichment values to rank 0 and assemble A_gg, B_g there."""
     parts = _route_to_root(ctx, [(enrich, b_enrich)])
     if ctx.rank == 0:
@@ -421,7 +417,7 @@ def build_coarse_on_root(ctx, state, config, enrich, b_enrich):
     return None, None
 
 
-def update_micro_dofs(ctx, state, problem, U_g):
+def update_micro_dofs(state, problem, U_g):
     """u_F of every owned block from the coarse solution (classical + enrichment)."""
     part, stack = problem.partition, state.stack
     # the extra last entry is the zero read by absent T_Fe columns (e_dofs -1)
@@ -473,7 +469,7 @@ def compute_b_norm(ctx, state, problem):
     return float(np.sqrt(ctx.all_reduce_ordered_sum((keys, sums))))
 
 
-def compute_residual(ctx, state, problem):
+def compute_residual(ctx, state):
     """resi = ||A_fr u_r - B_f|| / ||B_r|| with interface rows treated as zero."""
     stack = state.stack
     keys, sums = _element_sq_norms(ctx, state, stack.A @ stack.u - stack.B, state.w_resi)
@@ -511,7 +507,7 @@ def gather_u_r(ctx, state, problem, U_g):
 # coarse solves
 
 
-def _initial_coarse_solve(ctx, state, problem, config):
+def _initial_coarse_solve(ctx, state, problem):
     """Unenriched coarse problem: classical block only, enrichment pinned to zero."""
     part = problem.partition
     if ctx.rank == 0:
@@ -526,68 +522,86 @@ def _initial_coarse_solve(ctx, state, problem, config):
     return ctx.bcast(U, 0)
 
 
-def _coarse_solve(ctx, state, problem, config, A, B, resi_prev, it, flops):
-    """One dagger solve; a singular A is factorized shifted and refined against A.
+class _RootCoarse:
+    """tsd/tsi: A_gg, B_g assembled on rank 0 and solved there.
 
-    Returns (U_g, kind, pcg_iters, shifted, refinement_steps, pcg_fallback) on every rank.
+    A direct solve factorizes A, or shifted(A) refined against A when A is
+    singular, and keeps the factor; tsi preconditions PCG with it once the
+    switch condition holds.  The factor, the last U and the flop sum live
+    on rank 0.
     """
-    out = None
-    if ctx.rank == 0:
-        kind, piters, shift, steps, fallback = "direct", 0, False, 0, False
-        use_pcg = (
-            config.coarse_strategy == "tsi"
-            and state.coarse_factor is not None
-            and not state.coarse_refresh
-            and it >= TSI_MIN_ITERATIONS
-            and resi_prev is not None
-            and resi_prev < config.eps * TSI_SWITCH_FACTOR
-        )
-        if use_pcg:
-            x0 = state.u_prev_coarse if state.u_prev_coarse is not None else np.zeros(len(B))
-            factor = state.coarse_factor
-            x, rep = pcg(
-                x0, lambda v: A @ v, B, lambda v: solve(factor, v),
-                config.eps * 1e-4, iter_max=PCG_ITER_MAX,
-            )
-            if rep.converged:
-                U, kind, piters = x, "pcg", rep.iterations
-                state.coarse_refresh = rep.iterations > TSI_REFRESH_CG_ITERS
-            else:  # fall back to a direct solve this iteration
-                use_pcg, fallback = False, True
-        if not use_pcg:
-            try:
-                F = factorize(A)
-            except SingularMatrixError:
-                F, shift = factorize(shifted(A)), True
-            flops["factor"] += F.factor_flops
-            U = solve(F, B)
-            if shift:
-                U, steps = refine(F, A, B, U)
-            state.coarse_factor = F
-            state.coarse_refresh = False
-        state.u_prev_coarse = U
-        out = (U, kind, piters, shift, steps, fallback)
-    return ctx.bcast(out, 0)
+
+    def __init__(self, ctx, state, problem, config):
+        self.eps = config.eps
+        self.pcg = config.coarse_strategy == "tsi"
+        self.factor = None
+        self.U = None
+        self.refresh = False      # tsi: the next solve is direct
+        self.factor_flops = 0
+
+    def solve(self, ctx, state, enrich, b_enrich, resi_prev, it):
+        """(U_g, IterationRecord fields) on every rank."""
+        A, B = build_coarse_on_root(ctx, state, enrich, b_enrich)
+        out = None
+        if ctx.rank == 0:
+            kind, piters, shift, steps, fallback = "direct", 0, False, 0, False
+            if (self.pcg and self.factor is not None and not self.refresh
+                    and it >= TSI_MIN_ITERATIONS and resi_prev is not None
+                    and resi_prev < self.eps * TSI_SWITCH_FACTOR):
+                x, rep = pcg(self.U, lambda v: A @ v, B, lambda v: solve(self.factor, v),
+                             self.eps * 1e-4, iter_max=PCG_ITER_MAX)
+                if rep.converged:
+                    self.U, kind, piters = x, "pcg", rep.iterations
+                    self.refresh = rep.iterations > TSI_REFRESH_CG_ITERS
+                else:  # fall back to a direct solve this iteration
+                    fallback = True
+            if kind == "direct":
+                try:
+                    F = factorize(A)
+                except SingularMatrixError:
+                    F, shift = factorize(shifted(A)), True
+                self.factor_flops += F.factor_flops
+                self.U = solve(F, B)
+                if shift:
+                    self.U, steps = refine(F, A, B, self.U)
+                self.factor, self.refresh = F, False
+            out = self.U, dict(coarse_kind=kind, pcg_iterations=piters, shifted=shift,
+                               refinement_steps=steps, pcg_fallback=fallback)
+        U, fields = ctx.bcast(out, 0)
+        return U, dict(fields, factor_flops=self.factor_flops)
 
 
-def _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich):
-    """Coarse solve through the Schur-complement backend, warm boundary start."""
-    from .ddsolver import dd_solve_from_triplets
+class _DdCoarse:
+    """tsdd: the Schur-complement backend over the ranks, from a warm boundary start.
 
-    stack = state.stack
-    out = dd_solve_from_triplets(
-        ctx,
-        n=problem.partition.n_coarse_free,
-        const_trips=[state.const],
-        const_b=[state.const_b],
-        extra_trips=[(0, stack.e_rows, stack.e_cols, enrich)],
-        extra_b=[(0, stack.b_idx, b_enrich)],
-        eps=config.eps * 1e-2,
-        warm=state.dd_warm,
-        layout=state.dd_layout,
-    )
-    state.dd_warm = out.warm
-    return out.x, out.report.iterations, out.shifted
+    The dd layout is built once (collective).  Its triplets are the
+    constant ones ts_init kept on the rank state followed by the rank
+    stack's enrichment triplets, explicit zeros included, so their
+    structure holds the classical free dofs of every owned element and the
+    enriched dofs of the owned SP elements.
+    """
+
+    def __init__(self, ctx, state, problem, config):
+        stack = state.stack
+        self.n = problem.partition.n_coarse_free
+        self.eps = config.eps * 1e-2
+        self.layout = ddsolver.dd_layout(ctx, [state.const, (0, stack.e_rows, stack.e_cols)],
+                                         [state.const_b, (0, stack.b_idx)])
+        self.warm = None
+
+    def solve(self, ctx, state, enrich, b_enrich, resi_prev, it):
+        """(U_g, IterationRecord fields) on every rank."""
+        stack = state.stack
+        out = ddsolver.dd_solve_from_triplets(
+            ctx, self.n, [state.const, (0, stack.e_rows, stack.e_cols, enrich)],
+            [state.const_b, (0, stack.b_idx, b_enrich)], self.eps, warm=self.warm,
+            layout=self.layout)
+        self.warm = out.warm
+        return out.x, dict(coarse_kind="dd", pcg_iterations=out.report.iterations,
+                           factor_flops=0, shifted=out.shifted)
+
+
+COARSE_SOLVERS = {"tsd": _RootCoarse, "tsi": _RootCoarse, "tsdd": _DdCoarse}
 
 
 # ---------------------------------------------------------------------------
@@ -597,17 +611,14 @@ def _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich):
 def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
                config: TsConfig, warm_u_r=None):
     part = problem.partition
-    state = ts_init(ctx, problem, plan, config)
-    if config.coarse_strategy == "tsdd":
-        _prepare_dd_coarse(ctx, state, problem)
-
-    flops = {"factor": 0, "solve": 0}
+    state = ts_init(ctx, problem, plan)
+    coarse = COARSE_SOLVERS[config.coarse_strategy](ctx, state, problem, config)
     records: list[IterationRecord] = []
     resi_history: list[float] = []
 
     if state.norm_B == 0.0:
         U_g = np.zeros(part.n_coarse_free)
-        update_micro_dofs(ctx, state, problem, U_g)
+        update_micro_dofs(state, problem, U_g)
         u_r = gather_u_r(ctx, state, problem, U_g)
         return TsResult(True, "zero_load", 0, [0.0], U_g, u_r, records, 0.0, state.schedule)
 
@@ -615,36 +626,28 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         U_g = np.zeros(part.n_coarse_free)
         _scatter_warm(state, problem, warm_u_r)
     else:
-        U_g = _initial_coarse_solve(ctx, state, problem, config)
-        update_micro_dofs(ctx, state, problem, U_g)
+        U_g = _initial_coarse_solve(ctx, state, problem)
+        update_micro_dofs(state, problem, U_g)
 
     reason = "max_iterations"
     it = 0
-    resi_prev = None
+    resi = None
     best = np.inf
     worse = 0
     iterates = [] if config.record_iterates else None
     while it < config.max_iterations:
         t0 = time.perf_counter()
         it += 1
-        micro_scale_resolution(ctx, state, problem, plan)
-        enrich, b_enrich = update_macro_prb(ctx, state, problem, plan, config)
-        if config.coarse_strategy == "tsdd":
-            U_g, piters, shift = _coarse_solve_dd(ctx, state, problem, config, enrich, b_enrich)
-            kind, steps, fallback = "dd", 0, False
-        else:
-            A, B = build_coarse_on_root(ctx, state, config, enrich, b_enrich)
-            U_g, kind, piters, shift, steps, fallback = _coarse_solve(
-                ctx, state, problem, config, A, B, resi_prev, it, flops)
-        update_micro_dofs(ctx, state, problem, U_g)
-        resi = compute_residual(ctx, state, problem)
+        micro_scale_resolution(ctx, state)
+        enrich, b_enrich = update_macro_prb(state)
+        U_g, fields = coarse.solve(ctx, state, enrich, b_enrich, resi, it)
+        update_micro_dofs(state, problem, U_g)
+        resi = compute_residual(ctx, state)
         resi_history.append(resi)
-        resi_prev = resi
         psolve = ctx.all_reduce_sum(
             sum(s["factor"].solve_flops for s in state.patch_sys.values()))
-        records.append(IterationRecord(
-            it, resi, kind, piters, time.perf_counter() - t0, flops["factor"], psolve,
-            shift, steps, fallback))
+        records.append(IterationRecord(it, resi, wall_time=time.perf_counter() - t0,
+                                       solve_flops=psolve, **fields))
         if iterates is not None:
             iterates.append(gather_u_r(ctx, state, problem, U_g))
         if resi < config.eps:
@@ -673,21 +676,6 @@ def _scatter_warm(state, problem, warm_u_r):
     full = np.zeros(3 * part.n_nodes + 1)
     full[part.free_ref_dofs] = warm_u_r
     state.stack.u[:] = full[state.stack.dofs]
-
-
-def _prepare_dd_coarse(ctx, state, problem):
-    """Build this rank's dd coarse layout once (collective).
-
-    The triplets are the constant ones ts_init kept on the rank state
-    followed by the rank stack's enrichment triplets, explicit zeros
-    included, so their structure holds the classical free dofs of every
-    owned element and the enriched dofs of the owned SP elements.
-    """
-    from .ddsolver import dd_layout
-
-    stack = state.stack
-    state.dd_layout = dd_layout(
-        ctx, [state.const, (0, stack.e_rows, stack.e_cols)], [state.const_b, (0, stack.b_idx)])
 
 
 def solve_case(problem: ProblemSetup, plan: PartitionPlan, config: TsConfig,

@@ -16,7 +16,7 @@ from twoscalefem.bench import (
     build_cone_box_problem,
     build_cubic_problem,
     build_microstructure_problem,
-    error_report,
+    error_reports,
     reference_oracle,
 )
 from twoscalefem.runtime import partition_mesh, run_ranks
@@ -52,11 +52,11 @@ def test_criterion_01_residual_oracle_equivalence(cubic_case):
     states = [rng.normal(size=problem.partition.n_ref_free) * scale for _ in range(20)]
 
     def fn(ctx):
-        state = ts_init(ctx, problem, plan, TsConfig(eps=1e-7))
+        state = ts_init(ctx, problem, plan)
         out = []
         for u in states:
             _scatter_warm(state, problem, u)
-            out.append(compute_residual(ctx, state, problem))
+            out.append(compute_residual(ctx, state))
         return out
 
     (resis,) = run_ranks(1, fn)
@@ -85,8 +85,7 @@ def test_criterion_02_pythagorean_identity(cubic_case):
     t0 = time.perf_counter()
     problem, exact, u_R, system, res = cubic_case
     worst = 0.0
-    for u_it in res.iterates:
-        rep = error_report(problem, u_it, u_R, system, exact)
+    for rep in error_reports(problem, res.iterates, u_R, system, exact):
         worst = max(worst, rep.identity_defect)
     assert worst <= 1e-8
     dt = time.perf_counter() - t0
@@ -98,7 +97,7 @@ def test_criterion_02_pythagorean_identity(cubic_case):
 def test_criterion_03_convergence_conservative(cubic_case):
     problem, exact, u_R, system, res = cubic_case
     assert res.resi_history[-1] < 1e-7
-    rep = error_report(problem, res.u_r, u_R, system, exact)
+    (rep,) = error_reports(problem, [res.u_r], u_R, system, exact)
     assert rep.E_ts_R <= 1e-7
     assert abs(rep.E_ts_C - rep.E_R_C) <= 0.01 * rep.E_R_C
     report(3, f"resi {res.resi_history[-1]:.2e} < 1e-7, E(ts,R) {rep.E_ts_R:.2e} ≤ 1e-7, "
@@ -107,12 +106,12 @@ def test_criterion_03_convergence_conservative(cubic_case):
 
 def test_criterion_04_eps_bound(cubic_case):
     problem, exact, u_R, system, res = cubic_case
-    rep0 = error_report(problem, res.u_r, u_R, system, exact)
+    (rep0,) = error_reports(problem, [res.u_r], u_R, system, exact)
     eps = rep0.E_R_C / 10.0
     plan = partition_mesh(problem.nested, problem.sp_info, 1)
     r = solve_case(problem, plan, TsConfig(eps=eps, max_iterations=120), n_ranks=1)
     assert r.converged
-    rep = error_report(problem, r.u_r, u_R, system, exact)
+    (rep,) = error_reports(problem, [r.u_r], u_R, system, exact)
     rho = rep.norm_R**2 / rep.norm_C**2
     bound = np.sqrt(1.0 + rho / 100.0) - 1.0
     gap = (rep.E_ts_C - rep.E_R_C) / rep.E_R_C
@@ -148,9 +147,9 @@ def test_criterion_06_patch_restriction(cubic_case):
     plan = partition_mesh(problem.nested, problem.sp_info, 1)
 
     def fn(ctx):
-        state = ts_init(ctx, problem, plan, TsConfig(eps=1e-7))
+        state = ts_init(ctx, problem, plan)
         _scatter_warm(state, problem, u_R)
-        micro_scale_resolution(ctx, state, problem, plan)
+        micro_scale_resolution(ctx, state)
         full = np.zeros(3 * part.n_nodes)
         full[part.free_ref_dofs] = u_R
         worst, checked = 0.0, 0

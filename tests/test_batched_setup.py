@@ -24,7 +24,7 @@ from twoscalefem.elasticity import (
 from twoscalefem.runtime import partition_mesh, run_ranks
 from twoscalefem.scheduler import PatchGraph
 from twoscalefem.transfer import barycentric_matrix
-from twoscalefem.twoscale import TsConfig, ts_init
+from twoscalefem.twoscale import ts_init
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +148,7 @@ def test_batched_setup_equals_per_element_assembly(cone, n_ranks, monkeypatch):
 
     def prog(ctx):
         local.rank = ctx.rank
-        return ts_init(ctx, problem, plan, TsConfig())
+        return ts_init(ctx, problem, plan)
 
     states = run_ranks(n_ranks, prog)
     all_blocks = {}

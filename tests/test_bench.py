@@ -12,7 +12,7 @@ from twoscalefem.bench import (
     cubic_body_force,
     cubic_exact,
     energy_norm_fields,
-    error_report,
+    error_reports,
     microstructure_E,
     reference_oracle,
 )
@@ -232,7 +232,7 @@ def test_reference_h_convergence():
     for depth in (1, 2):
         problem, exact = build_cubic_problem(CaseSpec(sp_depth=depth), base=(2, 1, 1))
         u_R, system, _ = reference_oracle(problem)
-        rep = error_report(problem, u_R, u_R, system, exact)
+        (rep,) = error_reports(problem, [u_R], u_R, system, exact)
         reps[depth] = rep.E_R_C
     assert reps[2] < reps[1]
 
@@ -242,7 +242,7 @@ def test_error_report_identity_and_nodal_defect_recorded():
     u_R, system, _ = reference_oracle(problem)
     rng = np.random.default_rng(5)
     u_ts = u_R * (1.0 + 0.05 * rng.normal(size=len(u_R)))
-    rep = error_report(problem, u_ts, u_R, system, exact)
+    (rep,) = error_reports(problem, [u_ts], u_R, system, exact)
     assert rep.identity_defect <= 1e-12
     assert rep.identity_defect_nodal > 0.0  # recorded, not dropped
     assert rep.E_ts_R > 0 and rep.E_R_C > 0

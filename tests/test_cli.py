@@ -62,19 +62,36 @@ def test_cli_run_outputs(tmp_path):
     assert "columns" in sched and "stats" in sched
 
 
-@pytest.mark.parametrize("argv", [["--ranks", "0"], ["--solver", "tsdd", "--ranks", "1"],
-                                  ["--eps", "-1"],
-                                  ["--case", "cubic-plate", "--levels", "0:1", "--ranks", "60"]])
-def test_cli_rejects_invalid_run_in_one_line(argv):
+def run_cli(argv):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "twoscalefem", "run", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "twoscalefem", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def assert_refused_in_one_line(proc):
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--ranks", "0"], ["--solver", "tsdd", "--ranks", "1"],
+                                  ["--eps", "-1"],
+                                  ["--case", "cubic-plate", "--levels", "0:1", "--ranks", "60"],
+                                  ["--case", "micro-structure", "--planes", "-3"],
+                                  ["--case", "micro-structure", "--planes", "65"]])
+def test_cli_rejects_invalid_run_in_one_line(argv):
+    assert_refused_in_one_line(run_cli(["run", *argv]))
+
+
+@pytest.mark.parametrize("argv", [["cost", "--sr", "0"], ["cost", "--Lc", "9", "--L", "8"],
+                                  ["cost", "--nl", "0"], ["cost", "--Lc", "-1"],
+                                  ["cost", "--sweep", "--L", "4", "--sweep-min", "5"],
+                                  ["schedule", "--ranks", "0"], ["schedule", "--patches", "-1"]])
+def test_cli_rejects_invalid_cost_and_schedule_in_one_line(argv):
+    assert_refused_in_one_line(run_cli(argv))
 
 
 def test_cli_run_dd_and_fr(tmp_path):

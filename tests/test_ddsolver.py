@@ -188,10 +188,10 @@ def test_dd_on_reference_system():
     plan = partition_mesh(problem.nested, problem.sp_info, 3)
 
     def prog(ctx):
-        trips, bv, dofs = reference_rank_triplets(
+        trips, bv = reference_rank_triplets(
             problem.nested, problem.sp_info, problem.partition,
             problem.material, problem.loads, plan, ctx.rank)
-        out = dd_solve_from_triplets(ctx, n, trips, bv, eps=1e-11, dof_set=dofs)
+        out = dd_solve_from_triplets(ctx, n, trips, bv, eps=1e-11)
         return out.x
 
     x = run_ranks(3, prog)[0]

@@ -10,7 +10,7 @@ from twoscalefem.bench import (
     reference_oracle,
 )
 from twoscalefem.mesh import _tet_faces
-from twoscalefem import twoscale
+from twoscalefem import ddsolver, twoscale
 from twoscalefem.runtime import partition_mesh, run_ranks
 from twoscalefem.twoscale import (
     TSI_REFRESH_CG_ITERS,
@@ -42,10 +42,8 @@ def cubic_solved(cubic_small):
 
 
 def run_state_program(problem, plan, fn, n_ranks=1):
-    cfg = TsConfig(eps=1e-7)
-
     def prog(ctx):
-        state = ts_init(ctx, problem, plan, cfg)
+        state = ts_init(ctx, problem, plan)
         return fn(ctx, state)
 
     return run_ranks(n_ranks, prog)
@@ -118,7 +116,7 @@ def test_patch_restriction_property(cubic_small):
 
     def fn(ctx, state):
         _scatter_warm(state, problem, u_R)
-        micro_scale_resolution(ctx, state, problem, plan)
+        micro_scale_resolution(ctx, state)
         full = np.zeros(3 * part.n_nodes)
         full[part.free_ref_dofs] = u_R
         worst, checked = 0.0, 0
@@ -145,7 +143,7 @@ def test_affine_boundary_gives_affine_patch_solutions():
 
     def fn(ctx, state):
         _scatter_warm(state, problem, u_aff)
-        micro_scale_resolution(ctx, state, problem, plan)
+        micro_scale_resolution(ctx, state)
         worst, checked = 0.0, 0
         for patch in problem.sp_info.patches:
             for e in patch.elements:
@@ -193,10 +191,10 @@ def test_update_micro_idempotent(cubic_small):
     plan = partition_mesh(problem.nested, problem.sp_info, 1)
 
     def fn(ctx, state):
-        U = _initial_coarse_solve(ctx, state, problem, TsConfig(eps=1e-7))
-        update_micro_dofs(ctx, state, problem, U)
+        U = _initial_coarse_solve(ctx, state, problem)
+        update_micro_dofs(state, problem, U)
         snap = state.stack.u.copy()
-        update_micro_dofs(ctx, state, problem, U)
+        update_micro_dofs(state, problem, U)
         return np.array_equal(snap, state.stack.u)
 
     (ok,) = run_state_program(problem, plan, fn)
@@ -215,7 +213,7 @@ def test_residual_matches_monolithic_random_states(cubic_small):
         out = []
         for u in states:
             _scatter_warm(state, problem, u)
-            out.append(compute_residual(ctx, state, problem))
+            out.append(compute_residual(ctx, state))
         return out
 
     (resis,) = run_state_program(problem, plan, fn)
@@ -243,7 +241,7 @@ def test_residual_homogeneity(cubic_small):
     def fn_for(prob, uvec):
         def fn(ctx, state):
             _scatter_warm(state, prob, uvec)
-            return compute_residual(ctx, state, prob)
+            return compute_residual(ctx, state)
         return fn
 
     (r1,) = run_state_program(problem, plan, fn_for(problem, u))
@@ -268,9 +266,9 @@ def test_cubic_convergence_and_conservativeness(cubic_solved, cubic_small):
     res = cubic_solved
     assert res.converged and res.reason == "converged"
     assert res.resi_history[-1] < 1e-7
-    from twoscalefem.bench import error_report
+    from twoscalefem.bench import error_reports
 
-    rep = error_report(problem, res.u_r, u_R, system, exact)
+    (rep,) = error_reports(problem, [res.u_r], u_R, system, exact)
     assert rep.E_ts_R <= 1e-7  # conservative criterion
     assert rep.E_ts_C == pytest.approx(rep.E_R_C, rel=0.01)  # plateau
     assert rep.identity_defect <= 1e-8
@@ -354,6 +352,22 @@ def test_tsdd_matches_tsd_trajectory(cubic_small):
     assert r2.converged
     assert abs(r2.iterations - r1.iterations) <= 3
     assert r2.resi_history[-1] < 1e-7
+
+
+def test_tsdd_builds_its_dd_layout_once_per_rank(cubic_small, monkeypatch):
+    problem, *_ = cubic_small
+    plan = partition_mesh(problem.nested, problem.sp_info, 2)
+    built = []
+    dd_layout = ddsolver.dd_layout
+
+    def counted(ctx, *args):
+        built.append(ctx.rank)
+        return dd_layout(ctx, *args)
+
+    monkeypatch.setattr(ddsolver, "dd_layout", counted)
+    res = solve_case(problem, plan, TsConfig(eps=1e-7, coarse_strategy="tsdd"), n_ranks=2)
+    assert res.converged and res.iterations > 1
+    assert sorted(built) == [0, 1]
 
 
 def test_warm_restart_fewer_iterations():
