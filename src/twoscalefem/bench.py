@@ -52,6 +52,7 @@ __all__ = [
     "build_microstructure_problem",
     "build_cone_box_problem",
     "flatten_to_coarse",
+    "energy_geometry",
     "energy_norm_fields",
     "error_reports",
 ]
@@ -409,29 +410,34 @@ def reference_oracle(problem: ProblemSetup):
     return u_r, system, F
 
 
-def energy_norm_fields(problem: ProblemSetup, fields, analytic=None):
+def energy_norm_fields(problem: ProblemSetup, fields, analytic=None, geometry=None):
     """Squared energy of (field_a - field_b) by element quadrature.
 
     fields: pair of nodal arrays (n_nodes, 3) or None to use, in that slot,
     the analytic strain values ``analytic`` from analytic_strains.  The
     kernel and the per-leaf modulus are the ones of the stiffness assembly,
-    so FE-FE energies match x^T A x to round-off.
+    so FE-FE energies match x^T A x to round-off.  geometry, from
+    energy_geometry, is computed here when not given.
     """
-    nested, mat = problem.nested, problem.material
-    fa, fb = fields
     q = TET4_QUAD[0].shape[0]
     w = TET4_QUAD[1]
-    C1 = hooke_matrix(1.0, mat.poisson_ratio)
+    C1 = hooke_matrix(1.0, problem.material.poisson_ratio)
     total = 0.0
-    for i, leaves in enumerate(nested.micro):
-        grads, vols = p1_gradients(nested.points, leaves)
-        B = strain_operator(grads)
+    for i, (leaves, B, vols, moduli) in enumerate(geometry or energy_geometry(problem)):
         eps_a, eps_b = (analytic[i] if f is None else _leaf_strains(leaves, B, f, q)
-                        for f in (fa, fb))
+                        for f in fields)
         diff = eps_a - eps_b  # (k, q, 6)
         dens = np.einsum("kqi,ij,kqj->kq", diff, C1, diff)
-        total += float(np.sum(dens @ w * vols * leaf_moduli(nested.points, leaves, mat)))
+        total += float(np.sum(dens @ w * vols * moduli))
     return total
+
+
+def energy_geometry(problem: ProblemSetup):
+    """(leaves, strain operator, volumes, moduli) of each macro element, in nested.micro order."""
+    pts, micro = problem.nested.points, problem.nested.micro
+    grads = [p1_gradients(pts, leaves) for leaves in micro]
+    return [(leaves, strain_operator(g), vols, leaf_moduli(pts, leaves, problem.material))
+            for leaves, (g, vols) in zip(micro, grads)]
 
 
 def analytic_strains(problem: ProblemSetup, strain):
@@ -565,10 +571,8 @@ def run_case(spec: CaseSpec, outdir=None):
     if exact is not None and spec.solver in ("ts", "tsi", "tsdd"):
         u_R, system, _ = reference_oracle(problem)
         (rep,) = error_reports(problem, [res.u_r], u_R, system, exact)
-        summary["E_ts_C"] = rep.E_ts_C
-        summary["E_ts_R"] = rep.E_ts_R
-        summary["E_R_C"] = rep.E_R_C
-        summary["identity_defect"] = rep.identity_defect
+        summary.update(E_ts_C=rep.E_ts_C, E_ts_R=rep.E_ts_R, E_R_C=rep.E_R_C,
+                       identity_defect=rep.identity_defect)
 
     if outdir:
         os.makedirs(outdir, exist_ok=True)
@@ -617,10 +621,12 @@ def error_reports(problem, iterates, u_R_r, system: ReferenceSystem, exact) -> l
     part = problem.partition
     f_R = system.expand(u_R_r)
     strain = analytic_strains(problem, exact["strain"])
-    e2_R_C = energy_norm_fields(problem, (f_R, None), strain)
+    geom = energy_geometry(problem)
+    energy = lambda fields, analytic=None: energy_norm_fields(problem, fields, analytic, geom)
+    e2_R_C = energy((f_R, None), strain)
     zero = np.zeros((part.n_nodes, 3))
-    n2_R = energy_norm_fields(problem, (f_R, zero))
-    n2_C = energy_norm_fields(problem, (None, zero), strain)
+    n2_R = energy((f_R, zero))
+    n2_C = energy((None, zero), strain)
 
     # nodal-interpolant variant in the discrete A-norm
     uC_nodes = np.array([exact["u"](p) for p in problem.nested.points])
@@ -631,8 +637,8 @@ def error_reports(problem, iterates, u_R_r, system: ReferenceSystem, exact) -> l
     reports = []
     for u_ts_r in iterates:
         f_ts = system.expand(u_ts_r)
-        e2_ts_R = energy_norm_fields(problem, (f_ts, f_R))
-        e2_ts_C = energy_norm_fields(problem, (f_ts, None), strain)
+        e2_ts_R = energy((f_ts, f_R))
+        e2_ts_C = energy((f_ts, None), strain)
         e2_ts_C_n = dA(u_ts_r, uC_r)
         e2_ts_R_n = dA(u_ts_r, u_R_r)
         reports.append(ErrorReport(

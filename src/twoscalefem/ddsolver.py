@@ -3,9 +3,13 @@
 Each rank condenses its domain onto the shared boundary; the boundary
 problem is solved by the preconditioned conjugate gradient with owner-only
 dot products, where a boundary dof is owned by the lowest rank holding it
-(rank 0 owns its whole boundary, later ranks may own nothing).  A singular
-interior block is factorized shifted and its solves refined against it; a
-singular preconditioner block is factorized shifted.
+(rank 0 owns its whole boundary, later ranks may own nothing).  The
+condensation is sparse (Smith, Bjorstad & Gropp, Domain Decomposition, CUP
+1996, ch. 4): only the boundary columns coupled to the interior (``cpl``)
+reach the interior solve, S = A_bb - A_bI A_II^-1 A_Ib is A_bb plus a dense
+cpl x cpl block on a pattern fixed by dd_layout, and an owner receives only
+S's values on its preconditioner block.  A singular interior or
+preconditioner block is factorized shifted (interior solves then refined).
 """
 
 from __future__ import annotations
@@ -13,15 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .runtime import RankContext
 from .sparsela import (CgReport, CscPattern, SingularMatrixError, factorize, pcg, refine, shifted,
                        solve)
 
-__all__ = ["DdLayout", "DdResult", "dd_layout", "dd_solve_from_triplets", "reference_rank_triplets"]
+__all__ = ["DdLayout", "DdResult", "boundary_exchange", "condense", "dd_layout",
+           "dd_solve_from_triplets", "reference_rank_triplets"]
 
-CONDENSE_BLOCK = 32  # right-hand sides per interior solve pass
 # the boundary CG stops after CG_ITER_MAX iterations: on a singular boundary
 # problem it stalls at round-off and its iterate drifts
 CG_ITER_MAX = 400
@@ -49,7 +52,11 @@ class DdLayout:
 
     The local dofs are numbered interior first, then shared boundary dofs
     (each part ascending); the triplets sum onto ``pattern`` and load entry
-    i adds to local dof ``b_loc[i]``.
+    i adds to local dof ``b_loc[i]``.  S sums A's data at ``a_bb`` (the
+    A_bb entries) followed by minus the row-major cpl x cpl block of
+    A_bI A_II^-1 A_Ib onto ``s_pattern``; the owned preconditioner block
+    M_jj sums S's data at ``m_own`` followed by the values each co-rank
+    sends, in ascending rank order, onto ``m_pattern``.
     """
 
     dofs: np.ndarray            # global id of each local dof
@@ -59,8 +66,12 @@ class DdLayout:
     owner: np.ndarray           # owning rank per boundary dof
     co_ranks: list              # ranks sharing a boundary dof with this one
     send_idx: dict              # co-rank -> boundary positions shared with it
-    m_send: dict                # co-rank -> boundary positions it owns (preconditioner)
-    m_sel: dict                 # co-rank -> owned-block positions of what it sends
+    cpl: np.ndarray             # boundary positions coupled to the interior
+    a_bb: np.ndarray            # positions of the A_bb entries in A's data
+    s_pattern: CscPattern
+    m_send: dict                # co-rank -> S slots of the block it owns
+    m_own: np.ndarray           # S slots of the block this rank owns
+    m_pattern: CscPattern
 
 
 def dd_layout(ctx: RankContext, trips, bvecs) -> DdLayout:
@@ -81,18 +92,74 @@ def dd_layout(ctx: RankContext, trips, bvecs) -> DdLayout:
     local[order] = np.arange(len(dofs))
     b_held = held[:, shared]
     b_dofs = dofs[shared]
+    nI, nb = int((~shared).sum()), len(b_dofs)
     owner = np.argmax(b_held, axis=0)
     co_ranks = [q for q in range(ctx.size) if q != ctx.rank and b_held[q].any()]
-    m_send = {q: np.nonzero(owner == q)[0] for q in co_ranks}
-    for q in co_ranks:
-        ctx.send(q, b_dofs[m_send[q]], tag=44)
-    j_dofs = b_dofs[owner == ctx.rank]
-    m_sel = {q: np.searchsorted(j_dofs, ctx.recv(q, tag=44)) for q in co_ranks}
     lidx = lambda g: local[np.searchsorted(dofs, g)]
+    pattern = CscPattern.of(lidx(rows), lidx(cols), (len(dofs), len(dofs)))
+
+    # S: the A_bb entries plus the dense block of the boundary dofs coupled to the interior
+    r, c = pattern.indices, np.repeat(np.arange(len(dofs)), np.diff(pattern.indptr))
+    a_bb = np.nonzero((r >= nI) & (c >= nI))[0]
+    cpl = np.unique(np.concatenate([c[(r < nI) & (c >= nI)], r[(r >= nI) & (c < nI)]])) - nI
+    s_pattern = CscPattern.of(np.concatenate([r[a_bb] - nI, np.repeat(cpl, len(cpl))]),
+                              np.concatenate([c[a_bb] - nI, np.tile(cpl, len(cpl))]), (nb, nb))
+    # preconditioner: the S entries whose row and column one rank owns go to it
+    s_r, s_c = s_pattern.indices, np.repeat(np.arange(nb), np.diff(s_pattern.indptr))
+    block = np.where(owner[s_r] == owner[s_c], owner[s_r], -1)
+    m_send = {q: np.nonzero(block == q)[0] for q in co_ranks}
+    for q in co_ranks:
+        ctx.send(q, (b_dofs[s_r[m_send[q]]], b_dofs[s_c[m_send[q]]]), tag=44)
+    m_own = np.nonzero(block == ctx.rank)[0]
+    m_ij = [(b_dofs[s_r[m_own]], b_dofs[s_c[m_own]])] + [ctx.recv(q, tag=44) for q in co_ranks]
+    j_dofs = b_dofs[owner == ctx.rank]
+    m_rows, m_cols = (np.searchsorted(j_dofs, np.concatenate(g)) for g in zip(*m_ij))
     return DdLayout(
-        dofs[order], int((~shared).sum()),
-        CscPattern.of(lidx(rows), lidx(cols), (len(dofs), len(dofs))), lidx(idx),
-        owner, co_ranks, {q: np.nonzero(b_held[q])[0] for q in co_ranks}, m_send, m_sel)
+        dofs[order], nI, pattern, lidx(idx), owner, co_ranks,
+        {q: np.nonzero(b_held[q])[0] for q in co_ranks}, cpl, a_bb, s_pattern, m_send, m_own,
+        CscPattern.of(m_rows, m_cols, (len(j_dofs), len(j_dofs))))
+
+
+def condense(A, lay: DdLayout):
+    """Schur complement of a rank's assembled matrix onto its boundary (no communication).
+
+    A is the local CSC matrix on lay.pattern.  Returns (S, solve_II, shift):
+    S = A_bb - A_bI A_II^-1 A_Ib on lay.s_pattern, the interior solver
+    (refined against A_II when shift) and whether A_II was shifted.  Only
+    the coupled columns lay.cpl are solved, in one call.
+    """
+    nI, cpl = lay.nI, lay.nI + lay.cpl
+    A_II = A[:nI, :nI]
+    F_II, shift = _factorize(A_II)
+
+    def solve_II(rhs):
+        x = solve(F_II, rhs)
+        return refine(F_II, A_II, rhs, x)[0] if shift else x
+
+    C = A[cpl, :nI] @ solve_II(A[:nI, cpl].toarray())
+    return lay.s_pattern.assemble(np.concatenate([A.data[lay.a_bb], -C.ravel()])), solve_II, shift
+
+
+def _add_shared(lay: DdLayout, vec, parts):
+    """vec plus each co-rank's values at the positions shared with it, in ascending rank order."""
+    out = vec.copy()
+    for q, part in zip(lay.co_ranks, parts):
+        out[lay.send_idx[q]] += part
+    return out
+
+
+def boundary_exchange(ctx: RankContext, lay: DdLayout, S, B_b):
+    """Assembled shared load and owned preconditioner block (collective).
+
+    One message per co-rank carries this rank's load values shared with it
+    and S's values on the block it owns.  Returns (B_b summed over the
+    holders, M_jj = the owned block of S summed in ascending rank order).
+    """
+    for q in lay.co_ranks:
+        ctx.send(q, (B_b[lay.send_idx[q]], S.data[lay.m_send[q]]), tag=41)
+    parts = [ctx.recv(q, tag=41) for q in lay.co_ranks]
+    M_jj = lay.m_pattern.assemble(np.concatenate([S.data[lay.m_own]] + [m for _, m in parts]))
+    return _add_shared(lay, B_b, [b for b, _ in parts]), M_jj
 
 
 def dd_solve_from_triplets(ctx: RankContext, n: int, trips, bvecs, eps: float,
@@ -113,51 +180,21 @@ def dd_solve_from_triplets(ctx: RankContext, n: int, trips, bvecs, eps: float,
     A = lay.pattern.assemble(np.concatenate([np.zeros(0)] + [t[3] for t in trips]))
     B = np.bincount(lay.b_loc, weights=np.concatenate([np.zeros(0)] + [t[2] for t in bvecs]),
                     minlength=len(lay.dofs))
-    nI = lay.nI
-    b_dofs = lay.dofs[nI:]
-    owner, co_ranks, send_idx = lay.owner, lay.co_ranks, lay.send_idx
+    nI, owner, co_ranks, send_idx = lay.nI, lay.owner, lay.co_ranks, lay.send_idx
     owned_mask = owner == ctx.rank
     j_local = np.nonzero(owned_mask)[0]
 
-    # condensation: S = A_bb - A_bI A_II^-1 A_Ib, column-blocked interior solves
-    A_II, A_bI = A[:nI, :nI], A[nI:, :nI]
-    A_Ib, A_bb = A[:nI, nI:].toarray(), A[nI:, nI:].toarray()
-    F_II, shift = _factorize(A_II) if nI else (None, False)
-
-    def solve_II(rhs):
-        x = solve(F_II, rhs)
-        return refine(F_II, A_II, rhs, x)[0] if shift else x
-
-    Y = np.zeros_like(A_Ib)
-    for lo in range(0, A_Ib.shape[1] if nI else 0, CONDENSE_BLOCK):
-        Y[:, lo:lo + CONDENSE_BLOCK] = solve_II(A_Ib[:, lo:lo + CONDENSE_BLOCK])
-    S = A_bb - (A_bI @ Y if nI else 0.0)
+    S, solve_II, shift = condense(A, lay)
     B_I = B[:nI]
-    B_b = B[nI:] - (A_bI @ solve_II(B_I) if nI else 0.0)
-
-    def exchange_sum(vec):
-        """Assemble shared values: every replica receives the full sum."""
-        for r in co_ranks:
-            ctx.send(r, vec[send_idx[r]], tag=41)
-        parts = {r: ctx.recv(r, tag=41) for r in co_ranks}
-        out = vec.copy()
-        for r in co_ranks:  # ascending rank order: deterministic fold
-            out[send_idx[r]] += parts[r]
-        return out
-
-    B_b = exchange_sum(B_b)
-
+    B_b, M_jj = boundary_exchange(ctx, lay, S, B[nI:] - A[nI:, :nI] @ solve_II(B_I))
     # block-Jacobi preconditioner on owned boundary blocks
-    for r in co_ranks:
-        ctx.send(r, S[np.ix_(lay.m_send[r], lay.m_send[r])], tag=42)
-    M_jj = S[np.ix_(j_local, j_local)].copy()
-    for r in co_ranks:
-        sel = lay.m_sel[r]
-        M_jj[np.ix_(sel, sel)] += ctx.recv(r, tag=42)
-    F_M, shift_M = _factorize(sp.csc_matrix(M_jj)) if len(j_local) else (None, False)
+    F_M, shift_M = _factorize(M_jj) if len(j_local) else (None, False)
 
     def apply_S(x):
-        return exchange_sum(S @ x)
+        y = S @ x
+        for r in co_ranks:
+            ctx.send(r, y[send_idx[r]], tag=41)
+        return _add_shared(lay, y, [ctx.recv(r, tag=41) for r in co_ranks])
 
     def apply_M(r_vec):
         z = np.zeros_like(r_vec)
@@ -170,25 +207,22 @@ def dd_solve_from_triplets(ctx: RankContext, n: int, trips, bvecs, eps: float,
             z[owner == r] = ctx.recv(r, tag=43)
         return z
 
-    j_dofs = b_dofs[j_local]
+    j_dofs = lay.dofs[nI:][j_local]
 
     def dot(u, v):
         return ctx.all_reduce_ordered_sum((j_dofs, u[j_local] * v[j_local]))
 
-    x0 = warm if warm is not None and len(warm) == len(b_dofs) else np.zeros(len(b_dofs))
+    x0 = warm if warm is not None and len(warm) == len(owner) else np.zeros(len(owner))
     x_b, report = pcg(x0, apply_S, B_b, apply_M, eps, iter_max=CG_ITER_MAX, dot=dot)
-    X_I = solve_II(B_I - A_Ib @ x_b) if nI else np.zeros(0)
+    X_I = solve_II(B_I - A[:nI, nI:] @ x_b)
 
-    lists = ctx.gather((np.concatenate([lay.dofs[:nI], j_dofs]),
-                        np.concatenate([X_I, x_b[j_local]]), shift or shift_M), 0)
-    out = None
-    if ctx.rank == 0:
-        x = np.zeros(n)
-        for idx, v, _ in lists:
-            x[idx] = v
-        out = (x, any(s for _, _, s in lists))
-    x, shift = ctx.bcast(out, 0)
-    return DdResult(x, x_b, report, shift)
+    # every rank builds x from the same rank-ordered list
+    parts = ctx.allgather((np.concatenate([lay.dofs[:nI], j_dofs]),
+                           np.concatenate([X_I, x_b[j_local]]), shift or shift_M))
+    x = np.zeros(n)
+    for idx, v, _ in parts:
+        x[idx] = v
+    return DdResult(x, x_b, report, any(s for _, _, s in parts))
 
 
 def reference_rank_triplets(nested, sp_info, partition, material, loads, plan, rank):

@@ -508,22 +508,14 @@ def classify_sp(nested: NestedMesh) -> SpInfo:
     """
     mesh = nested.coarse
     refined = nested.levels > 0
-    enriched = np.unique(mesh.tets[refined].ravel()) if refined.any() else np.array([], dtype=np.int64)
-    support: dict[int, list[int]] = {}
-    for e, tet in enumerate(mesh.tets):
-        for v in tet:
-            support.setdefault(int(v), []).append(e)
-    enriched_set = set(int(v) for v in enriched)
-    sp = sorted({e for p in enriched for e in support[int(p)]})
-    nsp = sorted(set(range(mesh.n_elements)) - set(sp))
+    enriched = np.unique(mesh.tets[refined]).astype(np.int64)
+    in_sp = np.isin(mesh.tets, enriched).any(axis=1)
     patches = []
     for p in enriched:
-        elems = tuple(sorted(support[int(p)]))
-        weight = sum(len(nested.micro[e]) for e in elems)
-        patches.append(Patch(int(p), elems, weight))
+        elems = tuple(int(e) for e in np.nonzero((mesh.tets == p).any(axis=1))[0])
+        patches.append(Patch(int(p), elems, sum(len(nested.micro[e]) for e in elems)))
     assert all(pa.weight > 0 for pa in patches)
-    return SpInfo(refined, np.asarray(enriched, dtype=np.int64),
-                  np.asarray(sp, dtype=np.int64), np.asarray(nsp, dtype=np.int64), patches)
+    return SpInfo(refined, enriched, np.nonzero(in_sp)[0], np.nonzero(~in_sp)[0], patches)
 
 
 @dataclass
@@ -586,21 +578,15 @@ def spf_nodes(nested: NestedMesh, partition: DofPartition) -> np.ndarray:
 
 
 def _dirichlet_dof_mask(nested: NestedMesh, bc: BoundaryConditions, n_nodes: int):
-    mask = np.zeros(3 * n_nodes, dtype=bool)
-    dirichlet_faces = {f for f, lab in nested.coarse.boundary_faces.items()
-                       if lab in bc.dirichlet_labels}
-    if dirichlet_faces:
-        label_of = nested.coarse.boundary_faces
-        for node in range(n_nodes):
-            carriers = nested.node_faces.get(node, frozenset()) & dirichlet_faces
-            for cf in carriers:
-                comps = bc.dirichlet_labels[label_of[cf]]
-                for c in range(3):
-                    if comps[c]:
-                        mask[3 * node + c] = True
+    mask = np.zeros((n_nodes, 3), dtype=bool)
+    comps = {f: bc.dirichlet_labels[lab] for f, lab in nested.coarse.boundary_faces.items()
+             if lab in bc.dirichlet_labels}
+    for node, faces in nested.node_faces.items():
+        for cf in comps.keys() & faces:
+            mask[node] |= comps[cf]
     for node, comp in bc.point_constraints:
-        mask[3 * node + comp] = True
-    return mask
+        mask[node, comp] = True
+    return mask.ravel()
 
 
 def build_partition(nested: NestedMesh, sp: SpInfo, bc: BoundaryConditions) -> DofPartition:
@@ -632,31 +618,20 @@ def build_partition(nested: NestedMesh, sp: SpInfo, bc: BoundaryConditions) -> D
     coarse_free = ~coarse_dir
     h_nodes_c = np.nonzero(coarse_free.reshape(-1, 3).any(axis=1) & ~sp_node_mask[:nc])[0]
 
-    # reference level
-    f_nodes, h_nodes_r = [], []
-    for v in range(nn):
-        if hang_mask[v]:
-            continue
-        if not (~ref_dir[3 * v: 3 * v + 3]).any():
-            continue
-        (f_nodes if sp_node_mask[v] else h_nodes_r).append(v)
-    f_nodes = np.array(sorted(f_nodes), dtype=np.int64)
-    h_nodes_r = np.array(sorted(h_nodes_r), dtype=np.int64)
+    # reference level: free non-hanging nodes, split by SP membership
+    free_node = ~hang_mask & ~ref_dir.reshape(-1, 3).all(axis=1)
+    f_nodes = np.nonzero(free_node & sp_node_mask)[0]
+    h_nodes_r = np.nonzero(free_node & ~sp_node_mask)[0]
 
     # canonical free orderings
     n_coarse_dofs = 3 * nc + 3 * len(enriched)
-    classical_free = np.array(
-        [3 * v + c for v in range(nc) for c in range(3) if coarse_free[3 * v + c]],
-        dtype=np.int64)
+    classical_free = np.nonzero(coarse_free)[0]
     enr_free = np.arange(3 * nc, n_coarse_dofs, dtype=np.int64)
     free_coarse = np.concatenate([classical_free, enr_free])
     coarse_index = np.full(n_coarse_dofs, -1, dtype=np.int64)
     coarse_index[free_coarse] = np.arange(len(free_coarse))
 
-    ref_free_mask = ~ref_dir.copy()
-    for h in hang_ids:
-        ref_free_mask[3 * h: 3 * h + 3] = False
-    free_ref = np.nonzero(ref_free_mask)[0].astype(np.int64)
+    free_ref = np.nonzero(~ref_dir & ~np.repeat(hang_mask, 3))[0]
     ref_index = np.full(3 * nn, -1, dtype=np.int64)
     ref_index[free_ref] = np.arange(len(free_ref))
 
@@ -688,26 +663,11 @@ def _patch_sets(nested: NestedMesh, patch: Patch, hang_mask, ref_dir, surface):
     face_count = _face_counts(nested.coarse.tets[list(patch.elements)])
     boundary_faces = {f for f, c in face_count.items() if c == 1 and f not in surface}
 
-    all_nodes = patch.fine_nodes(nested)
-    l_nodes, q_dofs, d_dofs, dr_dofs = [], [], [], []
-    for v in all_nodes:
-        v = int(v)
-        if hang_mask[v]:
-            l_nodes.append(v)
-            continue
-        boundary = bool(nested.node_faces.get(v, frozenset()) & boundary_faces)
-        for c in range(3):
-            dof = 3 * v + c
-            if ref_dir[dof]:
-                dr_dofs.append(dof)
-            elif boundary:
-                d_dofs.append(dof)
-            else:
-                q_dofs.append(dof)
-    return {
-        "Q": all_nodes,
-        "L": np.array(l_nodes, dtype=np.int64),
-        "DR": np.array(dr_dofs, dtype=np.int64),
-        "d": np.array(d_dofs, dtype=np.int64),
-        "q": np.array(q_dofs, dtype=np.int64),
-    }
+    nodes = patch.fine_nodes(nested)
+    hang = hang_mask[nodes]
+    boundary = np.repeat([bool(nested.node_faces.get(int(v), frozenset()) & boundary_faces)
+                          for v in nodes], 3)
+    dofs = (3 * nodes[:, None] + np.arange(3)).ravel()  # node-major, in nodes order
+    kept, fixed = np.repeat(~hang, 3), ref_dir[dofs]
+    return {"Q": nodes, "L": nodes[hang], "DR": dofs[kept & fixed],
+            "d": dofs[kept & ~fixed & boundary], "q": dofs[kept & ~fixed & ~boundary]}

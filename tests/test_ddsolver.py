@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from twoscalefem.bench import CaseSpec, build_cubic_problem, reference_oracle
-from twoscalefem.ddsolver import CG_ITER_MAX, dd_solve_from_triplets, reference_rank_triplets
-from twoscalefem.runtime import partition_mesh, run_ranks
+from twoscalefem import ddsolver
+from twoscalefem.bench import CaseSpec, build_cone_box_problem, build_cubic_problem, reference_oracle
+from twoscalefem.ddsolver import (CG_ITER_MAX, boundary_exchange, condense, dd_layout,
+                                  dd_solve_from_triplets, reference_rank_triplets)
+from twoscalefem.runtime import RankContext, partition_mesh, run_ranks
+from twoscalefem.sparsela import factorize, solve
+from twoscalefem.twoscale import TsConfig, solve_case
 
 
 def covering_cliques(n_dofs, n_extra, rng):
@@ -41,17 +45,19 @@ def dense_of(trips, bv, n):
     return A, b
 
 
-def run_dd(trips, bv, n, n_ranks, eps=1e-10, warm_cycle=False, contiguous=False):
+def rank_items(ctx, trips, bv, contiguous=False):
+    """This rank's triplet and load items: round-robin or contiguous element blocks."""
     n_el = len(trips)
 
-    def owner(eid, size):
-        if contiguous:
-            return min(eid * size // n_el, size - 1)
-        return eid % size
+    def owner(eid):
+        return min(eid * ctx.size // n_el, ctx.size - 1) if contiguous else eid % ctx.size
 
+    return [t for t in trips if owner(t[0]) == ctx.rank], [t for t in bv if owner(t[0]) == ctx.rank]
+
+
+def run_dd(trips, bv, n, n_ranks, eps=1e-10, warm_cycle=False, contiguous=False):
     def prog(ctx):
-        my_t = [t for t in trips if owner(t[0], ctx.size) == ctx.rank]
-        my_b = [t for t in bv if owner(t[0], ctx.size) == ctx.rank]
+        my_t, my_b = rank_items(ctx, trips, bv, contiguous)
         out = dd_solve_from_triplets(ctx, n, my_t, my_b, eps=eps)
         if warm_cycle:
             out2 = dd_solve_from_triplets(ctx, n, my_t, my_b, eps=eps, warm=out.warm)
@@ -117,34 +123,117 @@ def test_warm_restart_single_loop_body():
     assert rep2.converged
 
 
+def assemble(lay, trips):
+    return lay.pattern.assemble(np.concatenate([t[3] for t in trips]))
+
+
+def check_condensation(ctx, trips, lay):
+    """This rank's sparse S and owned M_jj are bitwise the dense formulas (collective).
+
+    S against A_bb - A_bI F_II^-1 A_Ib with every boundary column solved;
+    M_jj against the owned block of the dense S plus, in ascending rank
+    order, each co-rank's dense block of the dofs this rank owns.
+    """
+    A, nI = assemble(lay, trips), lay.nI
+    S, _, shift = condense(A, lay)
+    assert not shift
+    S_dense = A[nI:, nI:].toarray() - A[nI:, :nI] @ solve(factorize(A[:nI, :nI]),
+                                                         A[:nI, nI:].toarray())
+    assert np.array_equal(S.toarray(), S_dense)
+    b_dofs = lay.dofs[nI:]
+    own = lay.owner == ctx.rank
+    M_dense = S_dense[np.ix_(own, own)]
+    for q, (q_dofs, S_q) in enumerate(ctx.allgather((b_dofs, S_dense))):
+        if q != ctx.rank:
+            mine = np.isin(q_dofs, b_dofs[own])
+            sel = np.searchsorted(b_dofs[own], q_dofs[mine])
+            M_dense[np.ix_(sel, sel)] += S_q[np.ix_(mine, mine)]
+    _, M = boundary_exchange(ctx, lay, S, np.zeros(len(b_dofs)))
+    assert np.array_equal(M.toarray(), M_dense)
+    return len(lay.cpl), len(b_dofs)
+
+
 def test_condensation_symmetric_positive():
-    # the assembled Schur complement is symmetric and positive on random vectors
+    # the library's Schur complements, summed over the shared boundary, are
+    # symmetric and positive on random vectors
     rng = np.random.default_rng(7)
     trips, bv = covering_cliques(40, 10, rng)
-    A, b = dense_of(trips, bv, 40)
 
     def prog(ctx):
-        my_t = [t for t in trips if t[0] % ctx.size == ctx.rank]
-        dofs = np.unique(np.concatenate([np.concatenate([t[1], t[2]]) for t in my_t]))
-        all_dofs = ctx.allgather(dofs)
-        holders = {}
-        for r, dl in enumerate(all_dofs):
-            for dd in dl:
-                holders.setdefault(int(dd), []).append(r)
-        shared = sorted(d for d, rs in holders.items() if len(rs) >= 2)
-        # global Schur complement via dense algebra on rank 0
-        if ctx.rank == 0:
-            bset = np.array(shared)
-            iset = np.array([d for d in range(40) if d not in set(shared)])
-            S = A[np.ix_(bset, bset)] - A[np.ix_(bset, iset)] @ np.linalg.solve(
-                A[np.ix_(iset, iset)], A[np.ix_(iset, bset)])
-            assert np.abs(S - S.T).max() <= 1e-12 * np.abs(S).max()
-            for k in range(5):
-                v = np.random.default_rng(k).normal(size=len(bset))
-                assert v @ S @ v > 0
-        return True
+        my_t, my_b = rank_items(ctx, trips, bv)
+        lay = dd_layout(ctx, my_t, my_b)
+        S, _, _ = condense(assemble(lay, my_t), lay)
+        return lay.dofs[lay.nI:], S.toarray()
 
-    assert all(run_ranks(2, prog))
+    parts = run_ranks(2, prog)
+    shared = np.unique(np.concatenate([dofs for dofs, _ in parts]))
+    S = np.zeros((len(shared), len(shared)))
+    for dofs, S_r in parts:
+        pos = np.searchsorted(shared, dofs)
+        S[np.ix_(pos, pos)] += S_r
+    assert np.abs(S - S.T).max() <= 1e-12 * np.abs(S).max()
+    for k in range(5):
+        v = np.random.default_rng(k).normal(size=len(shared))
+        assert v @ S @ v > 0
+
+
+@pytest.mark.parametrize("n_ranks", [2, 3, 4])
+def test_sparse_condensation_equals_dense_formula(n_ranks):
+    rng = np.random.default_rng(30 + n_ranks)
+    trips, bv = covering_cliques(80, 20, rng)
+
+    def prog(ctx):
+        my_t, my_b = rank_items(ctx, trips, bv, contiguous=True)
+        return check_condensation(ctx, my_t, dd_layout(ctx, my_t, my_b))
+
+    sizes = run_ranks(n_ranks, prog)
+    # some rank has interior-coupled and uncoupled boundary columns
+    assert any(0 < k < nb for k, nb in sizes)
+
+
+def test_sparse_condensation_on_tsdd_coarse_systems(monkeypatch):
+    problem = build_cone_box_problem(CaseSpec(kind="cone-damage-box", sp_depth=1))
+    plan = partition_mesh(problem.nested, problem.sp_info, 2)
+    dd_solve, seen = ddsolver.dd_solve_from_triplets, []
+
+    def checked(ctx, n, trips, bvecs, eps, warm=None, layout=None):
+        seen.append(check_condensation(ctx, trips, layout))
+        return dd_solve(ctx, n, trips, bvecs, eps, warm, layout)
+
+    monkeypatch.setattr(ddsolver, "dd_solve_from_triplets", checked)
+    solve_case(problem, plan, TsConfig(max_iterations=2, coarse_strategy="tsdd"), n_ranks=2)
+    assert len(seen) == 4 and any(0 < k < nb for k, nb in seen)
+
+
+def test_dd_solve_messages_and_preconditioner_payload(monkeypatch):
+    # per solve on 2 ranks: one load + preconditioner message each way, one
+    # exchange per S product and per preconditioner apply, one swap per dot
+    # and one swap for x (block Jacobi is exact on 2 ranks: one CG body); the
+    # preconditioner part is S's values on its pattern slots
+    rng = np.random.default_rng(21)
+    trips, bv, n = grid_cliques(10, rng)
+    send, solving, sent = RankContext.send, set(), []
+
+    def spy(ctx, dst, obj, tag=0):
+        if ctx.rank in solving:
+            sent.append((ctx.rank, tag, obj))
+        send(ctx, dst, obj, tag)
+
+    def prog(ctx):
+        my_t, my_b = rank_items(ctx, trips, bv, contiguous=True)
+        lay = dd_layout(ctx, my_t, my_b)
+        solving.add(ctx.rank)
+        out = dd_solve_from_triplets(ctx, n, my_t, my_b, 1e-10, layout=lay)
+        return out.report, {q: len(lay.m_send[q]) for q in lay.co_ranks}
+
+    monkeypatch.setattr(RankContext, "send", spy)
+    (rep, slots0), (_, slots1) = run_ranks(2, prog)
+    assert rep.converged and rep.loop_bodies >= 1
+    assert len(sent) == 2 * (7 + 3 * rep.loop_bodies + 2 * rep.iterations)
+    payloads = {rank: obj[1] for rank, tag, obj in sent if isinstance(obj, tuple) and tag == 41}
+    assert {r: (p.ndim, p.dtype, len(p)) for r, p in payloads.items()} == {
+        0: (1, np.float64, slots0[1]), 1: (1, np.float64, slots1[0])}
+    assert slots0[1] == 0 and slots1[0] > 0  # rank 0 owns every dof it shares
 
 
 def grid_cliques(m, rng):
