@@ -358,24 +358,17 @@ def build_cone_box_problem(spec: CaseSpec, base=BASES["cone-damage-box"]):
     def select(mesh):
         # refine every element within reach of the damage band: the band is
         # thin (radial width ~10), so select by distance to its mid surface
-        # instead of sampling the damage value
-        theta = np.deg2rad(35.0)
-        o_mid = 0.5 * (-545.08 - 531.31)
-        selector = []
-        for e in range(mesh.n_elements):
-            pts = mesh.vertices[mesh.tets[e]]
-            diam = max(np.linalg.norm(pts[i] - pts[j]) for i in range(4) for j in range(i + 1, 4))
-            probe = np.vstack([pts, pts.mean(axis=0)[None, :]])
-            for p in probe:
-                y = np.clip(p[1], y_floor, h)
-                if not (y_floor - 0.25 * diam <= p[1] <= h + 0.25 * diam):
-                    continue
-                rho = np.hypot(p[0], p[2])
-                mid = (y - o_mid) * np.tan(theta)
-                if abs(rho - mid) <= 6.9 + 0.25 * diam:
-                    selector.append(e)
-                    break
-        if not selector:
+        # from the vertices and the centroid instead of sampling the damage value
+        pts = mesh.vertices[mesh.tets]
+        i, j = np.triu_indices(4, 1)
+        diam = np.linalg.norm(pts[:, i] - pts[:, j], axis=2).max(axis=1)[:, None]
+        probe = np.concatenate([pts, pts.mean(axis=1)[:, None]], axis=1)
+        y = np.clip(probe[..., 1], y_floor, h)
+        mid = (y - 0.5 * (-545.08 - 531.31)) * np.tan(np.deg2rad(35.0))
+        near = ((y_floor - 0.25 * diam <= probe[..., 1]) & (probe[..., 1] <= h + 0.25 * diam)
+                & (np.abs(np.hypot(probe[..., 0], probe[..., 2]) - mid) <= 6.9 + 0.25 * diam))
+        selector = np.nonzero(near.any(axis=1))[0]
+        if not len(selector):
             raise ValueError("damage band does not intersect the box")
         return selector
 
@@ -511,10 +504,12 @@ def run_case(spec: CaseSpec, outdir=None):
     from .scheduler import PatchGraph, dump_json
     from .twoscale import TsConfig, solve_case
 
+    t0 = _time.perf_counter()
     out = build_problem(spec)
     problem, exact = out if isinstance(out, tuple) else (out, None)
     plan = partition_mesh(problem.nested, problem.sp_info, spec.ranks)
     summary = {
+        "setup_time": _time.perf_counter() - t0,
         "case": spec.kind,
         "solver": spec.solver,
         "ranks": spec.ranks,

@@ -56,7 +56,8 @@ class DdLayout:
     A_bb entries) followed by minus the row-major cpl x cpl block of
     A_bI A_II^-1 A_Ib onto ``s_pattern``; the owned preconditioner block
     M_jj sums S's data at ``m_own`` followed by the values each co-rank
-    sends, in ascending rank order, onto ``m_pattern``.
+    sends, in ascending rank order, onto ``m_pattern``.  A dot product sends
+    values only and sums them in ``dot_order``.
     """
 
     dofs: np.ndarray            # global id of each local dof
@@ -72,6 +73,7 @@ class DdLayout:
     m_send: dict                # co-rank -> S slots of the block it owns
     m_own: np.ndarray           # S slots of the block this rank owns
     m_pattern: CscPattern
+    dot_order: np.ndarray       # stable order of every rank's owned boundary dofs, in rank order
 
 
 def dd_layout(ctx: RankContext, trips, bvecs) -> DdLayout:
@@ -85,8 +87,12 @@ def dd_layout(ctx: RankContext, trips, bvecs) -> DdLayout:
     rows, cols, idx = cat(trips, 1), cat(trips, 2), cat(bvecs, 1)
     dofs = np.unique(np.concatenate([rows, cols, idx]))
     # held[r, i]: rank r holds dofs[i]; a shared dof is owned by its lowest holder
-    held = np.array([np.isin(dofs, dl) for dl in ctx.allgather(dofs)])
+    all_dofs = ctx.allgather(dofs)
+    held = np.array([np.isin(dofs, dl) for dl in all_dofs])
     shared = held.sum(axis=0) >= 2
+    # owner of every shared dof: ranks send their owned values in rank order
+    _, first, count = np.unique(np.concatenate(all_dofs), return_index=True, return_counts=True)
+    owners = np.repeat(np.arange(ctx.size), [len(d) for d in all_dofs])[first[count >= 2]]
     order = np.concatenate([np.nonzero(~shared)[0], np.nonzero(shared)[0]])
     local = np.empty(len(dofs), dtype=np.int64)
     local[order] = np.arange(len(dofs))
@@ -117,7 +123,8 @@ def dd_layout(ctx: RankContext, trips, bvecs) -> DdLayout:
     return DdLayout(
         dofs[order], nI, pattern, lidx(idx), owner, co_ranks,
         {q: np.nonzero(b_held[q])[0] for q in co_ranks}, cpl, a_bb, s_pattern, m_send, m_own,
-        CscPattern.of(m_rows, m_cols, (len(j_dofs), len(j_dofs))))
+        CscPattern.of(m_rows, m_cols, (len(j_dofs), len(j_dofs))),
+        np.argsort(np.argsort(owners, kind="stable")))
 
 
 def condense(A, lay: DdLayout):
@@ -210,7 +217,7 @@ def dd_solve_from_triplets(ctx: RankContext, n: int, trips, bvecs, eps: float,
     j_dofs = lay.dofs[nI:][j_local]
 
     def dot(u, v):
-        return ctx.all_reduce_ordered_sum((j_dofs, u[j_local] * v[j_local]))
+        return ctx.all_reduce_permuted_sum(u[j_local] * v[j_local], lay.dot_order)
 
     x0 = warm if warm is not None and len(warm) == len(owner) else np.zeros(len(owner))
     x_b, report = pcg(x0, apply_S, B_b, apply_M, eps, iter_max=CG_ITER_MAX, dot=dot)

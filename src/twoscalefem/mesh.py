@@ -6,6 +6,12 @@ carries two hanging nodes, and finally removes hanging nodes interior to the
 refined zone by a centroid-fan closure.  Hanging nodes survive only on the
 interface between refined elements and untouched coarse elements; their
 values are linear combinations of the parent vertices.
+
+Refinement is level-synchronous: one pass splits the leaves due at that
+level in every macro element.  Node ids follow the element-by-element
+order all the same: a midpoint is numbered at its first request under
+(macro element, level, leaf position, edge slot), and the closure
+centroids follow all midpoints in (macro element, leaf) order.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "CoarseMesh",
@@ -34,6 +41,26 @@ __all__ = [
 
 GEOM_RTOL = 1e-12
 
+# a tet's edges and faces as local vertex tuples, in slot order, and the
+# edge slots of each face's (ij, jk, ik) edges
+EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+FACE_EDGES = np.array([[0, 3, 1], [0, 4, 2], [1, 5, 2], [3, 5, 4]])
+# on a face (i, j, k) with midpoints (mij, mjk, mik), as columns 0..5: each
+# edge's end points and opposite vertex, the fan of one midpoint per edge, and
+# the three triangles of two midpoints, over columns (shared, m1, a, m2, c),
+# when the quad is cut along (a, m2) or along (m1, c)
+EDGE_ENDS, OPPOSITE = np.array([[0, 1], [1, 2], [0, 2]]), np.array([2, 0, 1])
+ONE_MIDPOINT = np.array([[[3, 2, 0], [3, 1, 2]], [[4, 0, 1], [4, 2, 0]], [[5, 1, 0], [5, 2, 1]]])
+TWO_MIDPOINTS = np.array([[[0, 1, 3], [2, 1, 3], [2, 3, 4]], [[0, 1, 3], [2, 1, 4], [1, 3, 4]]])
+# the 8 children of a split, as columns of (v0..v3, midpoints of edge slots
+# 0..5): 4 corners, then the octahedron cut along the diagonal (m01, m23),
+# (m02, m13) or (m03, m12), its ring of 4 midpoints in cyclic order
+SPLIT8 = np.array([[[0, 4, 5, 6], [1, 4, 7, 8], [2, 5, 7, 9], [3, 6, 8, 9]]
+                   + [[d1, d2, ring[i], ring[(i + 1) % 4]] for i in range(4)]
+                   for d1, d2, ring in ((4, 9, (5, 6, 8, 7)), (5, 8, (4, 6, 9, 7)),
+                                        (6, 7, (4, 5, 9, 8)))])
+
 
 class MeshError(ValueError):
     pass
@@ -43,15 +70,45 @@ class UnsupportedConfigurationError(MeshError):
     pass
 
 
-def tet_volume(p0, p1, p2, p3):
-    return float(np.linalg.det(np.stack([p1 - p0, p2 - p0, p3 - p0]))) / 6.0
-
-
 def tet_volumes(points, tets):
     a = points[tets[:, 1]] - points[tets[:, 0]]
     b = points[tets[:, 2]] - points[tets[:, 0]]
     c = points[tets[:, 3]] - points[tets[:, 0]]
     return np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
+
+
+def _oriented(points, tets):
+    """tets (k, 4), vertices 1 and 2 swapped in place where the volume is negative."""
+    flip = tet_volumes(points, tets) < 0
+    tets[flip] = tets[flip][:, [0, 2, 1, 3]]
+    return tets
+
+
+def _sorted_faces(tets):
+    """(k, 4, 3): the faces of each tet as sorted vertex triples, in slot order."""
+    return np.sort(tets[:, FACES], axis=2)
+
+
+def _face_table(tets):
+    """The distinct faces of tets in first-occurrence order, and how many tets have each."""
+    faces = _sorted_faces(tets).reshape(-1, 3)
+    n = faces.max(initial=0) + 1
+    _, first, counts = np.unique((faces[:, 0] * n + faces[:, 1]) * n + faces[:, 2],
+                                 return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return faces[first[order]], counts[order]
+
+
+def _edge_keys(pairs):
+    """One int64 key per unordered node pair (last axis of pairs)."""
+    lo, hi = np.minimum(pairs[..., 0], pairs[..., 1]), np.maximum(pairs[..., 0], pairs[..., 1])
+    return lo << 32 | hi
+
+
+def _lookup(keys, ids, query):
+    """ids of the query keys in the sorted (non-empty) keys, -1 where absent."""
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[pos] == query, ids[pos], -1)
 
 
 class CoarseMesh:
@@ -65,6 +122,7 @@ class CoarseMesh:
         self.vertices = np.asarray(vertices, dtype=np.float64)
         self.tets = np.asarray(tets, dtype=np.int64)
         self.boundary_faces: dict[tuple[int, int, int], str] = dict(boundary_faces or {})
+        self._adjacency = None
         self.validate()
 
     @property
@@ -80,65 +138,31 @@ class CoarseMesh:
         if np.any(vols <= 0):
             bad = int(np.argmin(vols))
             raise MeshError(f"element {bad} is not positively oriented (volume {vols[bad]:.3e})")
-        counts = _face_counts(self.tets)
-        if any(c > 2 for c in counts.values()):
+        faces, counts = _face_table(self.tets)
+        if np.any(counts > 2):
             raise MeshError("non-manifold face (shared by more than two elements)")
-        surface = {f for f, c in counts.items() if c == 1}
+        surface = set(map(tuple, faces[counts == 1].tolist()))
         for face in self.boundary_faces:
             if tuple(sorted(face)) not in surface:
                 raise MeshError(f"tagged face {face} is not a surface face")
 
     def surface_faces(self):
-        return [f for f, c in _face_counts(self.tets).items() if c == 1]
+        faces, counts = _face_table(self.tets)
+        return list(map(tuple, faces[counts == 1].tolist()))
 
     def element_adjacency(self):
-        """Pairs of elements sharing at least an edge (two common vertices)."""
-        incident: dict[int, list[int]] = {}
-        for e, tet in enumerate(self.tets):
-            for v in tet:
-                incident.setdefault(int(v), []).append(e)
-        adj = [set() for _ in range(self.n_elements)]
-        for e, tet in enumerate(self.tets):
-            cand: dict[int, int] = {}
-            for v in tet:
-                for o in incident[int(v)]:
-                    if o != e:
-                        cand[o] = cand.get(o, 0) + 1
-            for o, shared in cand.items():
-                if shared >= 2:
-                    adj[e].add(o)
-        return adj
-
-
-def _face_counts(tets):
-    """Sorted vertex triple -> number of the given tets having that face."""
-    counts: dict[tuple, int] = {}
-    for tet in tets:
-        for face in _tet_faces(tet):
-            counts[face] = counts.get(face, 0) + 1
-    return counts
-
-
-def _tet_faces(tet):
-    a, b, c, d = (int(v) for v in tet)
-    return (
-        tuple(sorted((a, b, c))),
-        tuple(sorted((a, b, d))),
-        tuple(sorted((a, c, d))),
-        tuple(sorted((b, c, d))),
-    )
-
-
-def _tet_edges(tet):
-    a, b, c, d = (int(v) for v in tet)
-    return (
-        tuple(sorted((a, b))),
-        tuple(sorted((a, c))),
-        tuple(sorted((a, d))),
-        tuple(sorted((b, c))),
-        tuple(sorted((b, d))),
-        tuple(sorted((c, d))),
-    )
+        """(src, dst): the ordered pairs of elements sharing an edge, ascending; built once
+        from the sorted table of element edges."""
+        if self._adjacency is None:
+            _, edge = np.unique(_edge_keys(self.tets[:, EDGES]), return_inverse=True)
+            incidence = sp.csr_matrix((np.ones(edge.size), (np.repeat(np.arange(self.n_elements), 6),
+                                                             edge.ravel())))
+            adj = sp.coo_matrix(incidence @ incidence.T)
+            keep = adj.row != adj.col
+            order = np.lexsort((adj.col[keep], adj.row[keep]))
+            self._adjacency = (adj.row[keep][order].astype(np.int64),
+                               adj.col[keep][order].astype(np.int64))
+        return self._adjacency
 
 
 def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_labels=None):
@@ -147,50 +171,32 @@ def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_l
     face_labels maps side names (x0, x1, y0, y1, z0, z1) to boundary labels;
     unlisted sides stay untagged (free).
     """
-    lx, ly, lz = lengths
-    ox, oy, oz = origin
-    xs = np.linspace(ox, ox + lx, nx + 1)
-    ys = np.linspace(oy, oy + ly, ny + 1)
-    zs = np.linspace(oz, oz + lz, nz + 1)
+    axes = [np.linspace(o, o + ln, n + 1) for o, ln, n in zip(origin, lengths, (nx, ny, nz))]
+    verts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
     def vid(i, j, k):
         return (i * (ny + 1) + j) * (nz + 1) + k
 
-    verts = np.array([[xs[i], ys[j], zs[k]]
-                      for i in range(nx + 1) for j in range(ny + 1) for k in range(nz + 1)])
     # Kuhn: 6 tets along monotone corner chains 0 -> a -> b -> 7, conforming
-    # across cells because every cell is triangulated identically
+    # across cells because every cell is triangulated identically; corner c
+    # of a cell sits at offset (c & 1, c >> 1 & 1, c >> 2)
     chains = [(1, 3), (1, 5), (2, 3), (2, 6), (4, 5), (4, 6)]
-    corner_off = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-    tets = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                c = [vid(i + di, j + dj, k + dk) for (di, dj, dk) in corner_off]
-                for a, b in chains:
-                    tet = [c[0], c[a], c[b], c[7]]
-                    if tet_volume(*(verts[t] for t in tet)) < 0:
-                        tet[1], tet[2] = tet[2], tet[1]
-                    tets.append(tet)
-    tets = np.array(tets, dtype=np.int64)
+    corner = np.array([vid(c & 1, c >> 1 & 1, c >> 2) for c in range(8)])
+    cells = vid(*np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")).ravel()
+    tets = (cells[:, None, None] + corner[[[0, a, b, 7] for a, b in chains]]).reshape(-1, 4)
 
-    mesh = CoarseMesh(verts, tets)
+    mesh = CoarseMesh(verts, _oriented(verts, tets))
     labels = {}
     if face_labels:
-        side_test = {
-            "x0": lambda p: np.isclose(p[:, 0], ox).all(),
-            "x1": lambda p: np.isclose(p[:, 0], ox + lx).all(),
-            "y0": lambda p: np.isclose(p[:, 1], oy).all(),
-            "y1": lambda p: np.isclose(p[:, 1], oy + ly).all(),
-            "z0": lambda p: np.isclose(p[:, 2], oz).all(),
-            "z1": lambda p: np.isclose(p[:, 2], oz + lz).all(),
-        }
-        for face in mesh.surface_faces():
-            pts = verts[list(face)]
-            for side, label in face_labels.items():
-                if side_test[side](pts):
-                    labels[face] = label
-                    break
+        faces = np.array(mesh.surface_faces(), dtype=np.int64).reshape(-1, 3)
+        side = np.full(len(faces), -1)
+        names = list(face_labels)
+        for s, name in enumerate(names):  # a face on two sides takes the first listed
+            axis = "xyz".index(name[0])
+            val = (origin[axis], origin[axis] + lengths[axis])[int(name[1])]
+            side[np.isclose(verts[faces][:, :, axis], val).all(axis=1) & (side < 0)] = s
+        labels = {f: face_labels[names[s]] for f, s in zip(map(tuple, faces.tolist()), side)
+                  if s >= 0}
     mesh.boundary_faces = labels
     mesh.validate()
     return mesh
@@ -250,61 +256,69 @@ class NestedMesh:
     def n_nodes(self):
         return len(self.points)
 
-    def boundary_fine_faces(self) -> dict[tuple, list[tuple]]:
-        """Label -> list of (fine face triple, macro element id), computed on first use;
-        only elements with a labelled face are visited (others meet it in an edge at most)."""
+    def boundary_fine_faces(self) -> dict[str, list[tuple]]:
+        """Label -> list of (fine face triple, macro element id) in (element, leaf, face
+        slot) order, computed on first use.  A leaf face lies on a labelled coarse face
+        when its three nodes do; the leaf face table is filtered to the faces whose
+        nodes all lie on some labelled face before the sets are intersected."""
         if self._fine_faces is not None:
             return self._fine_faces
-        out: dict[str, list[tuple]] = {}
-        for face, label in self.coarse.boundary_faces.items():
-            out.setdefault(label, [])
-        labelled = set(self.coarse.boundary_faces)
-        for e, tet in enumerate(self.coarse.tets):
-            if labelled.isdisjoint(_tet_faces(tet)):
-                continue
-            for leaf in self.micro[e]:
-                for f in _tet_faces(leaf):
-                    carriers = (self.node_faces.get(f[0], frozenset())
-                                & self.node_faces.get(f[1], frozenset())
-                                & self.node_faces.get(f[2], frozenset()))
-                    for cf in carriers:
-                        label = self.coarse.boundary_faces.get(cf)
-                        if label is not None:
-                            out.setdefault(label, []).append((f, e))
+        labelled, nf = self.coarse.boundary_faces, self.node_faces
+        out: dict[str, list[tuple]] = {label: [] for label in labelled.values()}
+        near = np.zeros(self.n_nodes, dtype=bool)
+        near[[v for v, fs in nf.items() if not labelled.keys().isdisjoint(fs)]] = True
+        faces = _sorted_faces(np.concatenate(self.micro)).reshape(-1, 3)
+        hit = np.nonzero(near[faces].all(axis=1))[0]
+        elem = np.repeat(np.arange(len(self.micro)), [4 * len(m) for m in self.micro])[hit]
+        for f, e in zip(map(tuple, faces[hit].tolist()), elem.tolist()):
+            for cf in nf[f[0]] & nf[f[1]] & nf[f[2]] & labelled.keys():
+                out[labelled[cf]].append((f, e))
         self._fine_faces = out
         return out
 
 
 def _coarse_node_faces(mesh: CoarseMesh):
     """Coarse vertex -> set of ALL coarse faces (as vertex triples) containing it."""
-    node_faces: dict[int, set] = {v: set() for v in range(mesh.n_vertices)}
-    for tet in mesh.tets:
-        for face in _tet_faces(tet):
-            for v in face:
-                node_faces[v].add(face)
-    return {v: frozenset(s) for v, s in node_faces.items()}
+    faces = _face_table(mesh.tets)[0]
+    order = np.argsort(faces.ravel(), kind="stable")
+    bounds = np.searchsorted(faces.ravel()[order], np.arange(mesh.n_vertices + 1))
+    triples = list(map(tuple, faces.tolist()))
+    return {v: frozenset(triples[i // 3] for i in order[bounds[v]:bounds[v + 1]])
+            for v in range(mesh.n_vertices)}
+
+
+def _selection(selector, ne):
+    """Boolean mask over the ne macro elements of a refine selector."""
+    if callable(selector):
+        return np.array([bool(selector(e)) for e in range(ne)], dtype=bool)
+    sel = np.asarray(selector)
+    if sel.dtype == bool:
+        if sel.shape == (ne,):
+            return sel.copy()
+        raise MeshError(f"selector mask has shape {sel.shape}, expected ({ne},)")
+    ids = sel.ravel().tolist()
+    if ids and not np.issubdtype(sel.dtype, np.integer):
+        bad = next((v for v in ids if not (isinstance(v, float) and v.is_integer())), ids[0])
+        raise MeshError(f"selector id {bad!r} is not an integer")
+    bad = [v for v in ids if not 0 <= v < ne]
+    if bad:
+        raise MeshError(f"selector id {bad[0]} is outside the elements 0..{ne - 1}")
+    return np.isin(np.arange(ne), sel)
 
 
 def refine(nested: NestedMesh, selector, levels: int = 1) -> NestedMesh:
     """Refine selected macro elements ``levels`` times with forced propagation.
 
     ``selector`` is a predicate over macro element ids (or an iterable /
-    boolean mask of ids).  The one-hanging-node-per-edge rule forces splits
-    of edge-neighbouring elements until levels differ by at most one; a final
-    centroid-fan pass removes hanging nodes interior to the refined zone.
-    Hanging nodes remain only against untouched (level 0) elements.
+    boolean mask of ids); an id outside the mesh, a non-integer id or a mask
+    of the wrong length raises MeshError.  The one-hanging-node-per-edge
+    rule forces splits of edge-neighbouring elements until levels differ by
+    at most one; a final centroid-fan pass removes hanging nodes interior to
+    the refined zone.  Hanging nodes remain only against untouched (level 0)
+    elements.
     """
     mesh = nested.coarse
-    ne = mesh.n_elements
-    if callable(selector):
-        selected = np.array([bool(selector(e)) for e in range(ne)])
-    else:
-        sel = np.asarray(selector)
-        if sel.dtype == bool:
-            selected = sel.copy()
-        else:
-            selected = np.zeros(ne, dtype=bool)
-            selected[sel] = True
+    selected = _selection(selector, mesh.n_elements)
     if not selected.any():
         raise MeshError("selector marks no elements")
     if levels < 1:
@@ -314,168 +328,143 @@ def refine(nested: NestedMesh, selector, levels: int = 1) -> NestedMesh:
     target[selected] += levels
 
     # one-hanging-node-per-edge rule: neighbouring levels differ by <= 1
-    adj = mesh.element_adjacency()
-    changed = True
-    while changed:
-        changed = False
-        for e in range(ne):
-            for o in adj[e]:
-                if target[o] < target[e] - 1:
-                    target[o] = target[e] - 1
-                    changed = True
+    src, dst = mesh.element_adjacency()
+    while True:
+        lifted = target.copy()
+        np.maximum.at(lifted, dst, target[src] - 1)
+        if np.array_equal(lifted, target):
+            break
+        target = lifted
 
     return _build_nested(mesh, target)
 
 
+def _replace_rows(leaves, elem, rows, new, sizes):
+    """(leaves, elem) with leaf rows[i] replaced by the next sizes[i] tets of new."""
+    kept = np.ones(len(leaves), dtype=bool)
+    kept[rows] = False
+    parent = np.concatenate([np.nonzero(kept)[0], np.repeat(rows, sizes)])
+    order = np.argsort(parent, kind="stable")
+    return np.concatenate([leaves[kept], new])[order], elem[parent[order]]
+
+
+def _split8(points, tets, mids):
+    """Children (k, 8, 4) of tets (k, 4) whose edge slots have midpoints mids (k, 6): the
+    corners, then the octahedron cut along its shortest diagonal, ties broken toward the
+    lowest node ids."""
+    ends = mids[:, [[0, 5], [1, 4], [2, 3]]]
+    length = np.linalg.norm(points[ends[..., 0]] - points[ends[..., 1]], axis=2)
+    row = np.repeat(np.arange(len(tets)), 3)
+    best = np.lexsort((ends.max(axis=2).ravel(), ends.min(axis=2).ravel(), length.ravel(), row))
+    nodes = np.concatenate([tets, mids], axis=1)
+    return nodes[np.arange(len(tets))[:, None, None], SPLIT8[best[::3] % 3]]
+
+
 def _build_nested(mesh: CoarseMesh, levels: np.ndarray) -> NestedMesh:
-    points = [p for p in mesh.vertices]
-    node_faces = {v: set(fs) for v, fs in _coarse_node_faces(mesh).items()}
-    midpoint: dict[tuple[int, int], int] = {}
+    nv, ne = mesh.n_vertices, mesh.n_elements
+    elem, leaves, points = np.arange(ne), mesh.tets.copy(), mesh.vertices
+    first, parents = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 2), dtype=np.int64)]
+    for lvl in range(int(levels.max(initial=0))):
+        split = np.nonzero(levels[elem] > lvl)[0]
+        tets = leaves[split]
+        # every edge of a leaf due at this level is new, since both sides of a
+        # face split it alike: number the midpoints in first-request order,
+        # which within one level is also their final relative order
+        req = tets[:, EDGES].reshape(-1, 2)  # (element, leaf, edge slot) order
+        _, at, inv = np.unique(_edge_keys(req), return_index=True, return_inverse=True)
+        rank = np.empty(len(at), dtype=np.int64)
+        rank[np.argsort(at)] = len(points) + np.arange(len(at))
+        first.append(np.repeat(elem[split], 6)[np.sort(at)])
+        pair = req[np.sort(at)]
+        parents.append(pair)
+        points = np.concatenate([points, 0.5 * (points[pair[:, 0]] + points[pair[:, 1]])])
+        children = _oriented(points, _split8(points, tets, rank[inv].reshape(-1, 6)).reshape(-1, 4))
+        leaves, elem = _replace_rows(leaves, elem, split, children, np.full(len(split), 8))
 
-    def get_mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        nid = midpoint.get(key)
-        if nid is None:
-            nid = len(points)
-            points.append(0.5 * (points[a] + points[b]))
-            midpoint[key] = nid
-            node_faces[nid] = node_faces.get(a, set()) & node_faces.get(b, set())
-        return nid
+    # element-major numbering: first requests under (element, level, leaf, slot)
+    order = np.argsort(np.concatenate(first), kind="stable")
+    remap = np.arange(len(points))
+    remap[nv + order] = np.arange(nv, len(points))
+    leaves, points = remap[leaves], np.concatenate([points[:nv], points[nv + order]])
+    parents = remap[np.concatenate(parents)[order]]
+    keys = _edge_keys(parents)
+    ids = nv + np.argsort(keys)
+    keys = keys[ids - nv]
 
-    def split8(tet):
-        v0, v1, v2, v3 = (int(v) for v in tet)
-        m = {}
-        for a, b in ((v0, v1), (v0, v2), (v0, v3), (v1, v2), (v1, v3), (v2, v3)):
-            m[(min(a, b), max(a, b))] = get_mid(a, b)
+    # centroid-fan closure of the leaves of refined elements that have a hanging edge
+    mids = _lookup(keys, ids, _edge_keys(leaves[:, EDGES]))
+    close = np.nonzero((levels[elem] > 0) & (mids >= 0).any(axis=1))[0]
+    tris, ok = _face_triangles(leaves[close][:, FACES].reshape(-1, 3),
+                               mids[close][:, FACE_EDGES].reshape(-1, 3))
+    sizes = ok.reshape(len(close), 16).sum(axis=1)
+    fan = np.column_stack([tris[ok], np.repeat(len(points) + np.arange(len(close)), sizes)])
+    points = np.concatenate([points, points[leaves[close]].mean(axis=1)])
+    leaves, elem = _replace_rows(leaves, elem, close, _oriented(points, fan), sizes)
 
-        def mid(a, b):
-            return m[(min(a, b), max(a, b))]
+    bad = tet_volumes(points, leaves) <= 0
+    if bad.any():
+        raise MeshError(f"degenerate child element in macro element {elem[bad][0]}: "
+                        "rejected input mesh")
+    micro = np.split(leaves, np.cumsum(np.bincount(elem, minlength=ne))[:-1])
 
-        children = [
-            (v0, mid(v0, v1), mid(v0, v2), mid(v0, v3)),
-            (v1, mid(v0, v1), mid(v1, v2), mid(v1, v3)),
-            (v2, mid(v0, v2), mid(v1, v2), mid(v2, v3)),
-            (v3, mid(v0, v3), mid(v1, v3), mid(v2, v3)),
-        ]
-        # inner octahedron: choose the shortest of the three diagonals,
-        # ties broken toward the lowest node id
-        pairs = (((v0, v1), (v2, v3)), ((v0, v2), (v1, v3)), ((v0, v3), (v1, v2)))
-        best = None
-        for e1, e2 in pairs:
-            d1, d2 = mid(*e1), mid(*e2)
-            length = float(np.linalg.norm(points[d1] - points[d2]))
-            key = (length, min(d1, d2), max(d1, d2))
-            if best is None or key < best[0]:
-                best = (key, e1, e2, d1, d2)
-        _, (a, b), (c, d), d1, d2 = best
-        ring = (mid(a, c), mid(a, d), mid(b, d), mid(b, c))
-        for i in range(4):
-            children.append((d1, d2, ring[i], ring[(i + 1) % 4]))
-        fixed = []
-        for ch in children:
-            if tet_volume(*(points[v] for v in ch)) < 0:
-                ch = (ch[0], ch[2], ch[1], ch[3])
-            fixed.append(ch)
-        return fixed
+    # hanging nodes: midpoints on edges of untouched elements, first seen in (element, edge slot)
+    zero = np.nonzero(levels == 0)[0]
+    found = _lookup(keys, ids, _edge_keys(mesh.tets[zero][:, EDGES])).ravel()
+    nid, at = np.unique(found, return_index=True)
+    at = np.sort(at[nid >= 0])
+    nid, tet = found[at], mesh.tets[zero[at // 6]]
+    weights = _p1_weights(mesh.vertices[tet], points[nid])
+    keep = np.abs(weights) > GEOM_RTOL
+    assert np.all(np.abs(np.where(keep, weights, 0.0).sum(axis=1) - 1.0) < 1e-9)
+    hanging = {n: [(p, w) for p, w, k in zip(t, ws, ks) if k]
+               for n, t, ws, ks in zip(nid.tolist(), tet.tolist(), weights.tolist(), keep.tolist())}
 
-    micro: list[list[tuple]] = []
-    for e, tet in enumerate(mesh.tets):
-        leaves = [tuple(int(v) for v in tet)]
-        for _ in range(int(levels[e])):
-            nxt = []
-            for leaf in leaves:
-                nxt.extend(split8(leaf))
-            leaves = nxt
-        micro.append(leaves)
+    node_faces = list(_coarse_node_faces(mesh).values())
+    for a, b in parents.tolist():
+        node_faces.append(node_faces[a] & node_faces[b])
+    node_faces += [frozenset()] * len(close)
+    return NestedMesh(mesh, points, levels.copy(), micro, hanging, dict(enumerate(node_faces)))
 
-    # centroid-fan closure of hanging nodes interior to the refined zone
-    def face_triangles(face_nodes):
-        i, j, k = face_nodes
-        mids = {}
-        for (a, b) in ((i, j), (j, k), (i, k)):
-            key = (min(a, b), max(a, b))
-            if key in midpoint:
-                mids[(a, b)] = midpoint[key]
-        if not mids:
-            return [(i, j, k)]
-        if len(mids) == 3:
-            mij, mjk, mik = mids[(i, j)], mids[(j, k)], mids[(i, k)]
-            return [(i, mij, mik), (j, mjk, mij), (k, mik, mjk), (mij, mjk, mik)]
-        if len(mids) == 1:
-            ((a, b), m), = mids.items()
-            c = ({i, j, k} - {a, b}).pop()
-            return [(m, c, a), (m, b, c)]
-        # two midpoints: triangle at the shared vertex plus a quad split
-        # along the diagonal through the smallest global id (label-invariant,
-        # so both elements sharing the face triangulate it identically)
-        (e1, m1), (e2, m2) = sorted(mids.items())
-        shared = (set(e1) & set(e2)).pop()
-        a = (set(e1) - {shared}).pop()
-        c = (set(e2) - {shared}).pop()
-        tris = [(shared, m1, m2)]
-        # quad cycle: a -> m1 -> m2 -> c; diagonals are (a, m2) and (m1, c)
-        if min(a, m1, m2, c) in (a, m2):
-            tris += [(a, m1, m2), (a, m2, c)]
-        else:
-            tris += [(a, m1, c), (m1, m2, c)]
-        return tris
 
-    for e in range(mesh.n_elements):
-        if levels[e] == 0:
-            continue
-        new_leaves = []
-        for leaf in micro[e]:
-            hang = [edge for edge in _tet_edges(leaf) if edge in midpoint]
-            if not hang:
-                new_leaves.append(leaf)
-                continue
-            gid = len(points)
-            points.append(np.mean([points[v] for v in leaf], axis=0))
-            node_faces[gid] = set()
-            v0, v1, v2, v3 = leaf
-            for fn in ((v0, v1, v2), (v0, v1, v3), (v0, v2, v3), (v1, v2, v3)):
-                for tri in face_triangles(fn):
-                    tet = (tri[0], tri[1], tri[2], gid)
-                    if tet_volume(*(points[v] for v in tet)) < 0:
-                        tet = (tet[0], tet[2], tet[1], tet[3])
-                    new_leaves.append(tet)
-        micro[e] = new_leaves
+def _face_triangles(F, M):
+    """Closing triangles (m, 4, 3) of faces F (m, 3) = (i, j, k) and which of the 4 exist.
 
-    points_arr = np.array(points)
-    micro_arr = [np.array(lv, dtype=np.int64) for lv in micro]
-
-    for e, leaves in enumerate(micro_arr):
-        vols = tet_volumes(points_arr, leaves)
-        if np.any(vols <= 0):
-            raise MeshError(f"degenerate child element in macro element {e}: rejected input mesh")
-
-    # hanging nodes: midpoints lying on edges of untouched elements
-    hanging: dict[int, list[tuple[int, float]]] = {}
-    for e in range(mesh.n_elements):
-        if levels[e] != 0:
-            continue
-        tet = mesh.tets[e]
-        coords = mesh.vertices[tet]
-        for (a, b) in _tet_edges(tet):
-            nid = midpoint.get((a, b))
-            if nid is None or nid in hanging:
-                continue
-            weights = _p1_weights(coords, points_arr[nid])
-            parents = [(int(tet[i]), float(weights[i]))
-                       for i in range(4) if abs(weights[i]) > GEOM_RTOL]
-            total = sum(w for _, w in parents)
-            assert abs(total - 1.0) < 1e-9
-            hanging[nid] = parents
-
-    nf = {v: frozenset(s) for v, s in node_faces.items()}
-    return NestedMesh(mesh, points_arr, levels.copy(), micro_arr, hanging, nf)
+    M (m, 3) holds the midpoints of the (ij, jk, ik) edges, -1 where none.  One
+    midpoint bisects the face, three split it in four; two cut off the corner
+    their edges share and split the remaining quad along the diagonal through
+    its smallest global id (label-invariant, so both elements sharing the face
+    triangulate it identically).
+    """
+    N = np.concatenate([F, M], axis=1)  # columns i, j, k, mij, mjk, mik
+    has = M >= 0
+    count = has.sum(axis=1)
+    T = np.zeros((len(F), 4, 3), dtype=np.int64)
+    r = np.nonzero(count == 0)[0]
+    T[r, :1] = N[r][:, [[0, 1, 2]]]
+    r = np.nonzero(count == 3)[0]
+    T[r] = N[r][:, [[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]]]
+    r = np.nonzero(count == 1)[0]  # edge (a, b), midpoint m, vertex c: (m, c, a), (m, b, c)
+    T[r, :2] = N[r[:, None, None], ONE_MIDPOINT[np.argmax(has[r], axis=1)]]
+    r = np.nonzero(count == 2)[0]
+    s = np.argsort(~has[r], axis=1, kind="stable")[:, :2]  # the two edge slots
+    ab = N[r[:, None, None], EDGE_ENDS[s]]
+    swap = (ab[:, 1, 0] < ab[:, 0, 0]) | ((ab[:, 1, 0] == ab[:, 0, 0]) & (ab[:, 1, 1] < ab[:, 0, 1]))
+    s = np.where(swap[:, None], s[:, ::-1], s)  # in ascending (a, b) order
+    shared = OPPOSITE[3 - s.sum(axis=1)]
+    # columns (shared, m1, a, m2, c): quad cycle a -> m1 -> m2 -> c, diagonals (a, m2), (m1, c)
+    V = N[r[:, None], np.stack([shared, 3 + s[:, 0], 3 - OPPOSITE[s[:, 0]] - shared,
+                                3 + s[:, 1], 3 - OPPOSITE[s[:, 1]] - shared], axis=1)]
+    low = V[:, 1:].min(axis=1)
+    via_a = (low == V[:, 2]) | (low == V[:, 3])
+    T[r, :3] = V[np.arange(len(r))[:, None, None], TWO_MIDPOINTS[(~via_a).astype(np.int64)]]
+    return T, np.arange(4) < np.array([1, 2, 3, 4])[count][:, None]
 
 
 def _p1_weights(coords, x):
-    """Barycentric coordinates of x in the tetrahedron given by coords (4,3)."""
-    T = np.column_stack([coords[1] - coords[0], coords[2] - coords[0], coords[3] - coords[0]])
-    lam = np.linalg.solve(T, x - coords[0])
-    return np.array([1.0 - lam.sum(), lam[0], lam[1], lam[2]])
+    """Barycentric coordinates (..., 4) of points x (..., 3) in tetrahedra coords (..., 4, 3)."""
+    T = np.swapaxes(coords[..., 1:, :] - coords[..., :1, :], -1, -2)
+    lam = np.linalg.solve(T, (x - coords[..., 0, :])[..., None])[..., 0]
+    return np.concatenate([1.0 - lam.sum(axis=-1, keepdims=True), lam], axis=-1)
 
 
 @dataclass
@@ -660,8 +649,8 @@ def _patch_sets(nested: NestedMesh, patch: Patch, hang_mask, ref_dir, surface):
     in q; interior free dofs form q as well.  surface is the set of the
     coarse mesh's surface faces.
     """
-    face_count = _face_counts(nested.coarse.tets[list(patch.elements)])
-    boundary_faces = {f for f, c in face_count.items() if c == 1 and f not in surface}
+    faces, counts = _face_table(nested.coarse.tets[list(patch.elements)])
+    boundary_faces = set(map(tuple, faces[counts == 1].tolist())) - surface
 
     nodes = patch.fine_nodes(nested)
     hang = hang_mask[nodes]

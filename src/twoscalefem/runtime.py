@@ -240,6 +240,11 @@ class RankContext:
         """
         return self._all_reduce(items, _ordered_sum)
 
+    def all_reduce_permuted_sum(self, values, order):
+        """all_reduce_ordered_sum given the stable key order (the same on every
+        rank) of the values concatenated in rank order: the keys are not sent."""
+        return self._all_reduce(values, lambda parts: _sum_from_zero(np.concatenate(parts)[order]))
+
     def split_by_color(self, colors):
         """Subgroup communicator of the ranks whose color equals this rank's.
 
@@ -266,7 +271,10 @@ def _sum_in_order(vals):
 
 def _ordered_sum(pieces):
     keys = np.concatenate([p[0] for p in pieces])
-    vals = np.concatenate([p[1] for p in pieces])[np.argsort(keys, kind="stable")]
+    return _sum_from_zero(np.concatenate([p[1] for p in pieces])[np.argsort(keys, kind="stable")])
+
+
+def _sum_from_zero(vals):
     return float(np.cumsum(np.concatenate([[0.0], vals]))[-1])
 
 
@@ -362,10 +370,9 @@ def partition_elements(weights, adjacency, n_ranks) -> PartitionPlan:
 
 def partition_mesh(nested, sp_info, n_ranks) -> PartitionPlan:
     """Partition macro elements weighted by micro count plus enriched nodes."""
-    ne = nested.coarse.n_elements
-    enriched = set(int(v) for v in sp_info.enriched_nodes)
-    weights = np.empty(ne)
-    for e in range(ne):
-        n_enr = sum(1 for v in nested.coarse.tets[e] if int(v) in enriched)
-        weights[e] = len(nested.micro[e]) + n_enr
-    return partition_elements(weights, nested.coarse.element_adjacency(), n_ranks)
+    tets = nested.coarse.tets
+    weights = (np.array([len(m) for m in nested.micro])
+               + np.isin(tets, sp_info.enriched_nodes).sum(axis=1)).astype(np.float64)
+    src, dst = nested.coarse.element_adjacency()
+    adjacency = [a.tolist() for a in np.split(dst, np.searchsorted(src, np.arange(1, len(tets))))]
+    return partition_elements(weights, adjacency, n_ranks)

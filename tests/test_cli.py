@@ -44,6 +44,7 @@ def test_cli_run_outputs(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["converged"] and summary["reason"] == "converged"
+    assert 0 < summary["setup_time"] and 0 < summary["wall_time"]
     with open(tmp_path / "resi_history.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == summary["iterations"]

@@ -234,6 +234,10 @@ def test_dd_solve_messages_and_preconditioner_payload(monkeypatch):
     assert {r: (p.ndim, p.dtype, len(p)) for r, p in payloads.items()} == {
         0: (1, np.float64, slots0[1]), 1: (1, np.float64, slots1[0])}
     assert slots0[1] == 0 and slots1[0] > 0  # rank 0 owns every dof it shares
+    # a dot sends the owned values only (the layout fixes their order); x goes with its dofs
+    swaps = [obj for _, tag, obj in sent if tag == -4]
+    assert sum(isinstance(o, tuple) for o in swaps) == 2
+    assert all(o.ndim == 1 and o.dtype == np.float64 for o in swaps if not isinstance(o, tuple))
 
 
 def grid_cliques(m, rng):

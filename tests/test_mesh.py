@@ -16,9 +16,19 @@ from twoscalefem.mesh import (
     refine,
     tet_volumes,
     write_mesh,
-    _tet_edges,
-    _tet_faces,
 )
+
+
+def _tet_faces(tet):
+    """The four faces of a tet as sorted vertex triples, in slot order."""
+    a, b, c, d = (int(v) for v in tet)
+    return tuple(tuple(sorted(f)) for f in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)))
+
+
+def _tet_edges(tet):
+    """The six edges of a tet as sorted vertex pairs, in slot order."""
+    a, b, c, d = (int(v) for v in tet)
+    return tuple(tuple(sorted(e)) for e in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)))
 
 
 def single_tet():
@@ -45,24 +55,16 @@ def union_leaves(nested):
 
 
 def hanging_rule_scan(nested):
-    """Independent scan: count hanging nodes interior to every union edge."""
+    """Independent scan: the most hanging nodes interior to any one union edge."""
     pts = nested.points
-    hang = list(nested.hanging)
-    edges = set()
-    for tet in union_leaves(nested):
-        edges.update(_tet_edges(tet))
-    worst = 0
-    for a, b in edges:
-        pa, pb = pts[a], pts[b]
-        count = 0
-        for h in hang:
-            ph = pts[h]
-            d = pb - pa
-            t = np.dot(ph - pa, d) / np.dot(d, d)
-            if 1e-9 < t < 1 - 1e-9 and np.linalg.norm(ph - (pa + t * d)) < 1e-9:
-                count += 1
-        worst = max(worst, count)
-    return worst
+    edges = np.array(sorted({e for tet in union_leaves(nested) for e in _tet_edges(tet)}))
+    pa, d = pts[edges[:, 0]], pts[edges[:, 1]] - pts[edges[:, 0]]
+    count = np.zeros(len(edges), dtype=np.int64)
+    for h in nested.hanging:
+        t = np.einsum("ij,ij->i", pts[h] - pa, d) / np.einsum("ij,ij->i", d, d)
+        off = np.linalg.norm(pts[h] - (pa + t[:, None] * d), axis=1)
+        count += (1e-9 < t) & (t < 1 - 1e-9) & (off < 1e-9)
+    return int(count.max(initial=0))
 
 
 def test_single_tet_uniform_one_level():

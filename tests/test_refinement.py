@@ -1,0 +1,119 @@
+"""Refinement pinned bit for bit, its invariants on random selectors, selector checks.
+
+The frozen digests were computed with the element-by-element refinement
+that numbers each new midpoint at its first request under (macro element,
+level, leaf position, edge slot) and breaks diagonal ties toward the lowest
+node ids; any change of numbering, orientation or closure moves them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from twoscalefem.bench import CaseSpec, build_problem
+from twoscalefem.mesh import MeshError, NestedMesh, box_mesh, refine, tet_volumes
+from twoscalefem.runtime import partition_mesh
+
+from test_mesh import _tet_faces, hanging_rule_scan
+
+FROZEN = {
+    ("cubic-plate", 0, 1):
+        "7f1ae241b1560c0a3eb78e74060b68591f53faeb800feb89380b24d76ad8019a",
+    ("cubic-plate", 0, 2):
+        "c6a4a303c9fb8208a79d26aacdd28317b846053a7f0269b1ee67da0b75c347fd",
+    ("cubic-plate", 0, 3):
+        "ab5b8cb729a4168c4e172d87e559e09dc22ad39b3564ad84247a8ac611b7d769",
+    ("cubic-plate", 1, 1):
+        "b710e40ef8daf524510b4b6bfb26526a32cafa9ad163fd610b3aafc58a411df2",
+    ("micro-structure", 0, 1):
+        "86755faf4d26fa0a5ed437ed665c72a1ead5dd9ecad3765ac7e61ecadf6a6547",
+    ("micro-structure", 0, 2):
+        "bd8b9dd67da16d63ea37fbbfce721c39071be933a3ea2ddbf436a0086e353e52",
+    ("cone-damage-box", 0, 1):
+        "bfb47e702feb6c0218f43228c855fcd531ba0bcac32fe0da8f2bb7a3e4cdab7a",
+    ("cone-damage-box", 0, 2):
+        "939a04c35e663342bd41b4c66cfe9596e4e1fe5cfebe60befddda9ca81cf882e",
+}
+
+
+def set_up_digest(problem, n_ranks=2):
+    """sha256 over the coarse mesh, every NestedMesh and DofPartition field, the
+    boundary fine faces and the partition plan, dict and list orders included."""
+    nested, part = problem.nested, problem.partition
+    h = hashlib.sha256()
+
+    def arr(a):
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode() + a.tobytes())
+
+    def obj(o):
+        h.update(repr(o).encode())
+
+    ints = lambda seq: tuple(int(v) for v in seq)
+    mesh = nested.coarse
+    arr(mesh.vertices), arr(mesh.tets)
+    obj([(ints(f), lab) for f, lab in mesh.boundary_faces.items()])
+    arr(nested.points), arr(nested.levels)
+    for leaves in nested.micro:
+        arr(leaves)
+    obj([(int(n), [(int(p), float(w).hex()) for p, w in par]) for n, par in nested.hanging.items()])
+    obj(sorted((int(v), sorted(ints(f) for f in fs)) for v, fs in nested.node_faces.items()))
+    obj([(lab, [(ints(f), int(e)) for f, e in lst])
+         for lab, lst in nested.boundary_fine_faces().items()])
+    obj((part.n_coarse_nodes, part.n_nodes, part.n_enriched, sorted(part.enriched_index.items())))
+    for name in ("enriched_nodes", "coarse_dirichlet", "coarse_h_nodes", "ref_dirichlet",
+                 "hanging_nodes", "f_nodes", "h_nodes", "free_coarse_dofs", "coarse_dof_index",
+                 "free_ref_dofs", "ref_dof_index"):
+        arr(getattr(part, name))
+    for sets in part.patch_sets:
+        obj(list(sets))
+        for a in sets.values():
+            arr(a)
+    plan = partition_mesh(nested, problem.sp_info, n_ranks)
+    arr(plan.element_rank), arr(plan.rank_weights)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind,coarse_level,sp_depth", list(FROZEN))
+def test_set_up_matches_frozen_digest(kind, coarse_level, sp_depth):
+    spec = CaseSpec(kind=kind, coarse_level=coarse_level, sp_depth=sp_depth, ranks=2)
+    problem, _ = build_problem(spec)
+    assert set_up_digest(problem) == FROZEN[(kind, coarse_level, sp_depth)]
+
+
+@pytest.mark.parametrize("dims,levels,seed", [((2, 2, 1), 1, 0), ((3, 2, 1), 1, 1),
+                                               ((2, 2, 1), 2, 2), ((3, 2, 1), 2, 3),
+                                               ((2, 2, 1), 3, 4), ((3, 2, 1), 3, 5)])
+def test_random_selectors_keep_the_refinement_invariants(dims, levels, seed):
+    rng = np.random.default_rng(seed)
+    mesh = box_mesh(*dims, lengths=tuple(rng.uniform(0.5, 2.0, 3)))
+    sel = rng.choice(mesh.n_elements, size=rng.integers(1, mesh.n_elements // 2),
+                     replace=False)
+    nested = refine(NestedMesh.from_coarse(mesh), sel, levels)
+    macro = tet_volumes(mesh.vertices, mesh.tets)
+    leaf = np.array([tet_volumes(nested.points, m).sum() for m in nested.micro])
+    assert leaf == pytest.approx(macro, rel=1e-12)
+    leaves = np.concatenate(nested.micro)
+    faces = np.sort(leaves[:, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]], axis=2)
+    assert np.all(tet_volumes(nested.points, leaves) > 0)
+    faces, counts = np.unique(faces.reshape(-1, 3), axis=0, return_counts=True)
+    assert counts.max() <= 2
+    # conforming: an unpaired leaf face lies on the surface or on a face of an unrefined element
+    open_faces = set(mesh.surface_faces()) | {f for e in np.nonzero(nested.levels == 0)[0]
+                                              for f in _tet_faces(mesh.tets[e])}
+    nf = nested.node_faces
+    for a, b, c in faces[counts == 1].tolist():
+        assert nf[a] & nf[b] & nf[c] & open_faces
+    assert hanging_rule_scan(nested) <= 1
+    for parents in nested.hanging.values():
+        assert [w for _, w in parents] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+@pytest.mark.parametrize("selector,named", [([-1], "-1"), ([2, 6], "6"), ([0.5], "0.5"),
+                                            ([1, 2.5], "2.5"), (np.ones(5, bool), "(5,)"),
+                                            (np.ones((6, 1), bool), "(6, 1)")])
+def test_refine_rejects_a_bad_selector_in_one_line(selector, named):
+    with pytest.raises(MeshError) as err:
+        refine(NestedMesh.from_coarse(box_mesh(1, 1, 1)), selector, 1)
+    assert named in str(err.value) and "\n" not in str(err.value)

@@ -123,7 +123,10 @@ def test_ordered_sum_equals_left_fold_in_stable_key_order():
 
     def prog(ctx):
         mine = np.arange(ctx.rank, 30, ctx.size)
-        return ctx.all_reduce_ordered_sum((keys[mine], vals[mine]))
+        order = np.argsort(np.concatenate([keys[r::ctx.size] for r in range(ctx.size)]),
+                           kind="stable")
+        return (ctx.all_reduce_ordered_sum((keys[mine], vals[mine])),
+                ctx.all_reduce_permuted_sum(vals[mine], order))
 
     for n in (1, 2, 3):
         arrived = [i for r in range(n) for i in range(r, 30, n)]
@@ -131,7 +134,7 @@ def test_ordered_sum_equals_left_fold_in_stable_key_order():
         for i in sorted(arrived, key=lambda i: keys[i]):  # stable: rank order on ties
             expect = expect + float(vals[i])
         for got in run_ranks(n, prog):
-            assert got == expect and isinstance(got, float)
+            assert got == (expect, expect) and all(isinstance(g, float) for g in got)
 
 
 def test_gather_scatter_roundtrip():

@@ -48,8 +48,9 @@ def element_enriched_dofs(nested, partition, e):
 
 def bary_volume_ratio(coords, x):
     """Independent barycentric evaluation via signed volume ratios."""
-    from twoscalefem.mesh import tet_volume
+    from twoscalefem.mesh import tet_volumes
 
+    tet_volume = lambda *p: tet_volumes(np.array(p), np.arange(4)[None])[0]
     vtot = tet_volume(*coords)
     lam = []
     for i in range(4):

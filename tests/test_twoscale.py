@@ -9,7 +9,6 @@ from twoscalefem.bench import (
     build_microstructure_problem,
     reference_oracle,
 )
-from twoscalefem.mesh import _tet_faces
 from twoscalefem import ddsolver, twoscale
 from twoscalefem.runtime import partition_mesh, run_ranks
 from twoscalefem.twoscale import (
@@ -24,6 +23,8 @@ from twoscalefem.twoscale import (
     ts_init,
     update_micro_dofs,
 )
+
+from test_mesh import _tet_faces
 
 
 @pytest.fixture(scope="module")
