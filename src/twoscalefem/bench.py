@@ -102,8 +102,8 @@ class CaseSpec:
 
     def macro_elements(self) -> int:
         """Macro-element count of the case's default mesh (BASES), the one build_problem
-        and the CLI build: 8 per flattened level.  A builder called with another base
-        is checked only by partition_elements, after the mesh is refined."""
+        and the CLI build: 8 per flattened level.  Every rank needs a macro element of
+        its own; a builder called with another base is checked by partition_elements."""
         return 6 * int(np.prod(BASES[self.kind])) * 8 ** self.coarse_level
 
 

@@ -8,8 +8,9 @@ condensation is sparse (Smith, Bjorstad & Gropp, Domain Decomposition, CUP
 1996, ch. 4): only the boundary columns coupled to the interior (``cpl``)
 reach the interior solve, S = A_bb - A_bI A_II^-1 A_Ib is A_bb plus a dense
 cpl x cpl block on a pattern fixed by dd_layout, and an owner receives only
-S's values on its preconditioner block.  A singular interior or
-preconditioner block is factorized shifted (interior solves then refined).
+S's values on its preconditioner block.  A singular interior block is
+factorized shifted (interior solves then refined), a singular preconditioner
+block shifted row by row (_preconditioner_shifted).
 """
 
 from __future__ import annotations
@@ -17,17 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .runtime import RankContext
-from .sparsela import (CgReport, CscPattern, SingularMatrixError, factorize, pcg, refine, shifted,
-                       solve)
+from .sparsela import (SHIFT, CgReport, CscPattern, SingularMatrixError, factorize, pcg, refine,
+                       shifted, solve)
 
 __all__ = ["DdLayout", "DdResult", "boundary_exchange", "condense", "dd_layout",
            "dd_solve_from_triplets", "reference_rank_triplets"]
 
-# the boundary CG stops after CG_ITER_MAX iterations: on a singular boundary
-# problem it stalls at round-off and its iterate drifts
+# safety cap of the boundary CG; a semi-definite boundary problem converges
+# well before it (see _preconditioner_shifted)
 CG_ITER_MAX = 400
+# relative diagonal shift of a singular preconditioner block: above the
+# round-off of the condensation, which outgrows sparsela.SHIFT
+PRECOND_SHIFT = 1e-6
 
 
 @dataclass
@@ -38,12 +43,30 @@ class DdResult:
     shifted: bool          # some rank factorized a shifted (singular) F_II or F_M
 
 
-def _factorize(A):
-    """(factorize(A), False), or (factorize(shifted(A)), True) when A is singular."""
+def _factorize(A, shift=shifted):
+    """(factorize(A), False), or (factorize(shift(A)), True) when A is singular."""
     try:
         return factorize(A), False
     except SingularMatrixError:
-        return factorize(shifted(A)), True
+        return factorize(shift(A)), True
+
+
+def _preconditioner_shifted(M):
+    """M + diag(s) for a singular preconditioner block M.
+
+    s is PRECOND_SHIFT |M_ii| (1 on an empty row), so that dofs of tiny
+    diagonal keep their weight, and SHIFT max|diag(M)| on a row that round-off
+    has made indefinite: a negative diagonal entry, or the smaller diagonal of
+    a pair with M_ij^2 > M_ii M_jj.
+    """
+    d = M.diagonal()
+    U = sp.triu(M, 1).tocoo()
+    pair = U.data ** 2 > d[U.row] * d[U.col]
+    noisy = d < 0.0
+    noisy[np.where(np.abs(d[U.row]) <= np.abs(d[U.col]), U.row, U.col)[pair]] = True
+    s = np.where(d == 0.0, 1.0, PRECOND_SHIFT * np.abs(d))
+    s[noisy] = SHIFT * np.abs(d).max()
+    return M + sp.diags(s)
 
 
 @dataclass
@@ -195,7 +218,7 @@ def dd_solve_from_triplets(ctx: RankContext, n: int, trips, bvecs, eps: float,
     B_I = B[:nI]
     B_b, M_jj = boundary_exchange(ctx, lay, S, B[nI:] - A[nI:, :nI] @ solve_II(B_I))
     # block-Jacobi preconditioner on owned boundary blocks
-    F_M, shift_M = _factorize(M_jj) if len(j_local) else (None, False)
+    F_M, shift_M = _factorize(M_jj, _preconditioner_shifted) if len(j_local) else (None, False)
 
     def apply_S(x):
         y = S @ x

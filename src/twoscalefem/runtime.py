@@ -1,11 +1,13 @@
-"""Cooperative in-process rank simulation and the weighted mesh partitioner.
+"""Cooperative in-process rank simulation and the weighted coordinate-bisection partitioner.
 
 Ranks run as threads but exactly one is active at a time; control is handed
 over only at blocking receives, so every communication pattern expressible
 with blocking point-to-point messages runs deterministically.  Collectives
 are built on gather/broadcast (two ranks swap their items instead), with
 rank-ascending, key-sorted accumulation so reductions are bitwise
-reproducible across rank counts.
+reproducible across rank counts.  Macro elements go to ranks by weighted
+recursive coordinate bisection of their centroids, which keeps most patches
+on one rank.
 """
 
 from __future__ import annotations
@@ -306,73 +308,37 @@ class PartitionPlan:
         return np.nonzero(self.element_rank == rank)[0]
 
 
-def partition_elements(weights, adjacency, n_ranks) -> PartitionPlan:
-    """Greedy growth partitioning: seeds spread by BFS, lightest rank grows.
+def partition_elements(weights, centroids, n_ranks) -> PartitionPlan:
+    """Weighted recursive coordinate bisection of elements given their centroids.
 
-    Deterministic given the element ordering: the lightest rank (ties to the
-    lowest id) absorbs its lowest-id unassigned neighbour, falling back to
-    the globally lowest-id unassigned element when its frontier is empty.
+    A group of elements bound for k ranks is ordered along its widest
+    centroid extent (ties to the lower element id) and cut where its running
+    weight comes closest to the share of the first k // 2 ranks, leaving at
+    least one element per rank on each side (Berger & Bokhari, IEEE Trans.
+    Comput. C-36 (1987) 570-580).
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    weights, centroids = np.asarray(weights, dtype=np.float64), np.asarray(centroids)
     ne = len(weights)
     if n_ranks > ne:
         raise ValueError(f"rank count {n_ranks} exceeds element count {ne}")
-    if n_ranks == 1:
-        return PartitionPlan(np.zeros(ne, dtype=np.int64), np.array([weights.sum()]))
-
-    # farthest-point seeding over the adjacency graph
-    def bfs_dist(starts):
-        dist = np.full(ne, -1, dtype=np.int64)
-        q = deque()
-        for s in starts:
-            dist[s] = 0
-            q.append(s)
-        while q:
-            u = q.popleft()
-            for v in sorted(adjacency[u]):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    q.append(v)
-        return dist
-
-    seeds = [0]
-    while len(seeds) < n_ranks:
-        dist = bfs_dist(seeds)
-        dist[dist < 0] = np.iinfo(np.int64).max  # disconnected: farthest
-        far = int(np.argmax(dist))
-        if far in seeds:
-            far = next(e for e in range(ne) if e not in seeds)
-        seeds.append(far)
-
-    rank_of = np.full(ne, -1, dtype=np.int64)
-    totals = np.zeros(n_ranks)
-    frontiers = [set() for _ in range(n_ranks)]
-    for r, s in enumerate(seeds):
-        rank_of[s] = r
-        totals[r] += weights[s]
-        frontiers[r].update(v for v in adjacency[s] if rank_of[v] < 0)
-
-    unassigned = ne - n_ranks
-    while unassigned:
-        r = int(np.lexsort((np.arange(n_ranks), totals))[0])
-        cand = sorted(v for v in frontiers[r] if rank_of[v] < 0)
-        if cand:
-            pick = cand[0]
-        else:
-            pick = next(e for e in range(ne) if rank_of[e] < 0)
-        rank_of[pick] = r
-        totals[r] += weights[pick]
-        frontiers[r].update(v for v in adjacency[pick] if rank_of[v] < 0)
-        frontiers[r].discard(pick)
-        unassigned -= 1
-    return PartitionPlan(rank_of, totals)
+    rank_of = np.zeros(ne, dtype=np.int64)
+    groups = [(np.arange(ne), 0, n_ranks)]  # (elements, first rank, rank count)
+    while groups:
+        els, first, k = groups.pop()
+        if k == 1:
+            rank_of[els] = first
+            continue
+        pts = centroids[els]
+        els = els[np.lexsort((els, pts[:, np.argmax(np.ptp(pts, axis=0))]))]
+        cum, half = np.cumsum(weights[els]), k // 2
+        cut = np.clip(np.argmin(np.abs(cum - cum[-1] * half / k)) + 1, half, len(els) - k + half)
+        groups += [(els[:cut], first, half), (els[cut:], first + half, k - half)]
+    return PartitionPlan(rank_of, np.bincount(rank_of, weights, minlength=n_ranks))
 
 
 def partition_mesh(nested, sp_info, n_ranks) -> PartitionPlan:
     """Partition macro elements weighted by micro count plus enriched nodes."""
-    tets = nested.coarse.tets
+    mesh = nested.coarse
     weights = (np.array([len(m) for m in nested.micro])
-               + np.isin(tets, sp_info.enriched_nodes).sum(axis=1)).astype(np.float64)
-    src, dst = nested.coarse.element_adjacency()
-    adjacency = [a.tolist() for a in np.split(dst, np.searchsorted(src, np.arange(1, len(tets))))]
-    return partition_elements(weights, adjacency, n_ranks)
+               + np.isin(mesh.tets, sp_info.enriched_nodes).sum(axis=1)).astype(np.float64)
+    return partition_elements(weights, mesh.vertices[mesh.tets].mean(axis=1), n_ranks)

@@ -7,7 +7,7 @@ from twoscalefem.bench import CaseSpec, build_cone_box_problem, build_cubic_prob
 from twoscalefem.ddsolver import (CG_ITER_MAX, boundary_exchange, condense, dd_layout,
                                   dd_solve_from_triplets, reference_rank_triplets)
 from twoscalefem.runtime import RankContext, partition_mesh, run_ranks
-from twoscalefem.sparsela import factorize, solve
+from twoscalefem.sparsela import SHIFT, factorize, solve
 from twoscalefem.twoscale import TsConfig, solve_case
 
 
@@ -105,6 +105,20 @@ def test_boundary_cg_stops_at_the_cap():
         assert np.all(np.isfinite(x))
 
 
+def test_singular_preconditioner_block_shifted_row_by_row():
+    # rows: unit diagonal, a tiny but consistent diagonal, an empty row, a
+    # round-off row coupled to row 0 beyond sqrt(M_00 M_33), a negative diagonal
+    M = np.diag([1.0, 1e-30, 0.0, 1e-45, -1e-40])
+    M[0, 3] = M[3, 0] = 1e-20
+    F, shifted = ddsolver._factorize(sp.csc_matrix(M), ddsolver._preconditioner_shifted)
+    s = [ddsolver.PRECOND_SHIFT, ddsolver.PRECOND_SHIFT * 1e-30, 1.0, SHIFT, SHIFT]
+    assert shifted and (F.d > 0).all()
+    assert np.allclose(F.solve(np.eye(5)), np.linalg.inv(M + np.diag(s)), rtol=1e-12, atol=0)
+    F, shifted = ddsolver._factorize(sp.csc_matrix(np.diag([2.0, 1e-30])),
+                                    ddsolver._preconditioner_shifted)
+    assert not shifted and np.allclose(F.solve(np.ones(2)), [0.5, 1e30], rtol=1e-12, atol=0)
+
+
 def test_single_domain_rejected():
     rng = np.random.default_rng(0)
     trips, bv = covering_cliques(20, 4, rng)
@@ -193,7 +207,8 @@ def test_sparse_condensation_equals_dense_formula(n_ranks):
 
 def test_sparse_condensation_on_tsdd_coarse_systems(monkeypatch):
     problem = build_cone_box_problem(CaseSpec(kind="cone-damage-box", sp_depth=1))
-    plan = partition_mesh(problem.nested, problem.sp_info, 2)
+    # on 3 ranks some rank has boundary columns both coupled and not coupled to its interior
+    plan = partition_mesh(problem.nested, problem.sp_info, 3)
     dd_solve, seen = ddsolver.dd_solve_from_triplets, []
 
     def checked(ctx, n, trips, bvecs, eps, warm=None, layout=None):
@@ -201,8 +216,8 @@ def test_sparse_condensation_on_tsdd_coarse_systems(monkeypatch):
         return dd_solve(ctx, n, trips, bvecs, eps, warm, layout)
 
     monkeypatch.setattr(ddsolver, "dd_solve_from_triplets", checked)
-    solve_case(problem, plan, TsConfig(max_iterations=2, coarse_strategy="tsdd"), n_ranks=2)
-    assert len(seen) == 4 and any(0 < k < nb for k, nb in seen)
+    solve_case(problem, plan, TsConfig(max_iterations=2, coarse_strategy="tsdd"), n_ranks=3)
+    assert len(seen) == 6 and any(0 < k < nb for k, nb in seen)
 
 
 def test_dd_solve_messages_and_preconditioner_payload(monkeypatch):

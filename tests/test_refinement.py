@@ -1,9 +1,10 @@
 """Refinement pinned bit for bit, its invariants on random selectors, selector checks.
 
-The frozen digests were computed with the element-by-element refinement
-that numbers each new midpoint at its first request under (macro element,
-level, leaf position, edge slot) and breaks diagonal ties toward the lowest
-node ids; any change of numbering, orientation or closure moves them.
+The frozen digests pin the numbering rule of the element-by-element
+refinement: each new midpoint is numbered at its first request under (macro
+element, level, leaf position, edge slot) and diagonal ties break toward the
+lowest node ids; any change of numbering, orientation or closure moves them.
+They leave out the partition plan, which is a rank-assignment policy.
 """
 
 import hashlib
@@ -13,33 +14,32 @@ import pytest
 
 from twoscalefem.bench import CaseSpec, build_problem
 from twoscalefem.mesh import MeshError, NestedMesh, box_mesh, refine, tet_volumes
-from twoscalefem.runtime import partition_mesh
 
 from test_mesh import _tet_faces, hanging_rule_scan
 
 FROZEN = {
     ("cubic-plate", 0, 1):
-        "7f1ae241b1560c0a3eb78e74060b68591f53faeb800feb89380b24d76ad8019a",
+        "ad400ceb7a850b2bb6e210a271998dc0d45bbca55ff6b4d28d1aa0947b462996",
     ("cubic-plate", 0, 2):
-        "c6a4a303c9fb8208a79d26aacdd28317b846053a7f0269b1ee67da0b75c347fd",
+        "d1f04588a42657657d70fcfdb91dc1b4eb457f55d47cb499e2186a4f7dcee314",
     ("cubic-plate", 0, 3):
-        "ab5b8cb729a4168c4e172d87e559e09dc22ad39b3564ad84247a8ac611b7d769",
+        "94b79d2d37f2023fd9ae74ca217dfa2a453e4aea9a3cdc8485d641f24e296f2f",
     ("cubic-plate", 1, 1):
-        "b710e40ef8daf524510b4b6bfb26526a32cafa9ad163fd610b3aafc58a411df2",
+        "08538aa1770f1120385443aafec8b259c35a9f8ba63b686405eb12bf2a4e2215",
     ("micro-structure", 0, 1):
-        "86755faf4d26fa0a5ed437ed665c72a1ead5dd9ecad3765ac7e61ecadf6a6547",
+        "abe78fd09b618ae23abdc86991279af5821e1be03903ebbc884771abbad55f7d",
     ("micro-structure", 0, 2):
-        "bd8b9dd67da16d63ea37fbbfce721c39071be933a3ea2ddbf436a0086e353e52",
+        "32df6b3ae41a3664daba413c2ca7fb531f7433995428171b0216c11725ec98ab",
     ("cone-damage-box", 0, 1):
-        "bfb47e702feb6c0218f43228c855fcd531ba0bcac32fe0da8f2bb7a3e4cdab7a",
+        "7c21d7ab798cbfd6eae6661c90798f623cc6c5f43229c33933551918518c6a44",
     ("cone-damage-box", 0, 2):
-        "939a04c35e663342bd41b4c66cfe9596e4e1fe5cfebe60befddda9ca81cf882e",
+        "34bdf195fae42257ffa0f204b9c343e7cbaa09ab38ab813c81d1ae70ad8aeade",
 }
 
 
-def set_up_digest(problem, n_ranks=2):
-    """sha256 over the coarse mesh, every NestedMesh and DofPartition field, the
-    boundary fine faces and the partition plan, dict and list orders included."""
+def set_up_digest(problem):
+    """sha256 over the coarse mesh, every NestedMesh and DofPartition field and the
+    boundary fine faces, dict and list orders included."""
     nested, part = problem.nested, problem.partition
     h = hashlib.sha256()
 
@@ -70,8 +70,6 @@ def set_up_digest(problem, n_ranks=2):
         obj(list(sets))
         for a in sets.values():
             arr(a)
-    plan = partition_mesh(nested, problem.sp_info, n_ranks)
-    arr(plan.element_rank), arr(plan.rank_weights)
     return h.hexdigest()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twoscalefem.bench import CaseSpec, build_problem
 from twoscalefem.mesh import NestedMesh, box_mesh, classify_sp, refine
 from twoscalefem.runtime import (
     DeadlockError,
@@ -8,6 +9,7 @@ from twoscalefem.runtime import (
     partition_mesh,
     run_ranks,
 )
+from twoscalefem.scheduler import PatchGraph
 
 
 def barrier(ctx):
@@ -150,7 +152,7 @@ def test_gather_scatter_roundtrip():
 
 
 def test_partition_single_rank():
-    plan = partition_elements([1.0, 1.0, 1.0], [set(), set(), set()], 1)
+    plan = partition_elements([1.0, 1.0, 1.0], np.zeros((3, 3)), 1)
     assert np.array_equal(plan.element_rank, [0, 0, 0])
 
 
@@ -165,7 +167,7 @@ def test_partition_uniform_box_two_ranks():
 
 
 def test_partition_weighted_balance_ratio():
-    # measured property of the greedy heuristic on meshes >= 100 elements
+    # measured property of the bisection on meshes >= 100 elements
     mesh = box_mesh(4, 3, 2)  # 144 elements
     nested = refine(NestedMesh.from_coarse(mesh), range(24), 1)
     sp_info = classify_sp(nested)
@@ -176,16 +178,40 @@ def test_partition_weighted_balance_ratio():
 
 def test_partition_too_many_ranks():
     with pytest.raises(ValueError):
-        partition_elements([1.0], [set()], 2)
+        partition_elements([1.0], np.zeros((1, 3)), 2)
+
+
+def test_partition_keeps_every_rank_non_empty():
+    nested = NestedMesh.from_coarse(box_mesh(2, 1, 1))
+    sp_info = classify_sp(nested)
+    for n_ranks in range(1, 13):
+        plan = partition_mesh(nested, sp_info, n_ranks)
+        assert (np.bincount(plan.element_rank, minlength=n_ranks) > 0).all(), n_ranks
+    # one element outweighs the rest together: each light one still gets a rank
+    plan = partition_elements([100.0, 1.0, 1.0, 1.0], np.zeros((4, 3)), 4)
+    assert sorted(plan.element_rank) == [0, 1, 2, 3]
+
+
+def test_partition_ties_go_to_the_lower_element_id():
+    plan = partition_elements(np.ones(4), np.zeros((4, 3)), 2)
+    assert np.array_equal(plan.element_rank, [0, 0, 1, 1])
 
 
 def test_partition_deterministic():
-    mesh = box_mesh(3, 2, 2)
-    nested = NestedMesh.from_coarse(mesh)
-    sp_info = classify_sp(nested)
-    a = partition_mesh(nested, sp_info, 4)
-    b = partition_mesh(nested, sp_info, 4)
-    assert np.array_equal(a.element_rank, b.element_rank)
+    plans = []
+    for _ in range(2):
+        nested = NestedMesh.from_coarse(box_mesh(3, 2, 2))
+        plans.append(partition_mesh(nested, classify_sp(nested), 4))
+    assert np.array_equal(plans[0].element_rank, plans[1].element_rank)
+    assert np.array_equal(plans[0].rank_weights, plans[1].rank_weights)
+
+
+def test_partition_keeps_most_cone_patches_on_one_rank():
+    # regression guard: the greedy growth plan left 79 of the 83 patches distributed
+    problem, _ = build_problem(CaseSpec(kind="cone-damage-box", sp_depth=2, ranks=2))
+    graph = PatchGraph.of(problem.sp_info, partition_mesh(problem.nested, problem.sp_info, 2))
+    distributed = sum(len(p) >= 2 for p in graph.participants.values())
+    assert len(graph.participants) == 83 and distributed <= 20
 
 
 def test_rank_error_propagates():

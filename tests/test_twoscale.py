@@ -410,12 +410,22 @@ def test_stagnation_reported(cubic_small, monkeypatch):
     ((2, 1, 1), [3], "tsi", 1, 1e-12),
     ((2, 1, 1), [3], "tsdd", 2, 1e-12),
     ((3, 2, 1), [4, 21, 26, 30], "tsdd", 2, 1e-8),      # singular interior blocks: refined solves
-    ((3, 2, 1), [12, 13, 25, 28, 33], "tsdd", 3, 1e-8),  # singular boundary: CG cut at PCG_ITER_MAX
+    # singular preconditioner blocks whose condensation round-off outgrows a shift
+    # of sparsela.SHIFT times each diagonal entry: so shifted, they raised
+    # SingularMatrixError, stagnated, diverged or spent CG_ITER_MAX steps per
+    # solve, under the greedy growth partitioner or the coordinate bisection
+    ((3, 2, 1), [12, 13, 25, 28, 33], "tsdd", 3, 1e-8),
+    ((3, 2, 1), [0, 2, 5, 18, 28, 35], "tsdd", 3, 1e-8),
+    ((3, 2, 1), [4, 10, 26, 35], "tsdd", 4, 1e-8),
+    ((3, 2, 1), [6, 9, 12, 19, 26, 27], "tsdd", 3, 1e-8),
+    ((3, 2, 1), [13, 20], "tsdd", 4, 1e-8),
+    ((3, 2, 1), [8, 9, 32], "tsdd", 4, 1e-8),
 ])
-def test_semidefinite_coarse_matrix_solved_shifted(base, selector, strategy, n, rtol):
+def test_semidefinite_coarse_matrix_solved_shifted(base, selector, strategy, n, rtol,
+                                                   build=build_affine_problem):
     # depth-1 partial refinement: a refined block carries its enrichment
     # only on the centroid's rows, so the coarse matrix is singular
-    problem, _ = build_affine_problem(CaseSpec(sp_depth=1), base=base, selector=selector)
+    problem, _ = build(CaseSpec(sp_depth=1), base=base, selector=selector)
     u_R, _, _ = reference_oracle(problem)
     plan = partition_mesh(problem.nested, problem.sp_info, n)
     cfg = TsConfig(eps=1e-10, max_iterations=20, coarse_strategy=strategy)
@@ -425,6 +435,20 @@ def test_semidefinite_coarse_matrix_solved_shifted(base, selector, strategy, n, 
     assert all(r.shifted for r in res.records)
     for r in res.records:
         assert r.refinement_steps >= (1 if r.coarse_kind == "direct" else 0)
+    if strategy == "tsdd":
+        assert max(r.pcg_iterations for r in res.records) < ddsolver.CG_ITER_MAX
+
+
+@pytest.mark.parametrize("selector, n", [
+    ([6, 10, 11, 17, 29], 4),  # as above
+    # shifting the whole block by SHIFT times its largest diagonal entry hides
+    # the enrichment dofs of tiny diagonal from the CG stop rule: these stalled
+    ([0, 9, 14, 19, 30, 31, 32], 2),
+    ([6, 8, 9, 33, 34], 3),
+])
+def test_semidefinite_cubic_coarse_matrix_solved_shifted(selector, n):
+    test_semidefinite_coarse_matrix_solved_shifted((3, 2, 1), selector, "tsdd", n, 1e-8,
+                                                   build=build_cubic_problem)
 
 
 def test_config_validation():
