@@ -112,7 +112,8 @@ class CaseSpec:
 
 
 def cubic_exact(x, y, z, E=CUBIC_E, nu=CUBIC_NU, F=1.0, K=4.0):
-    """Cubic displacement field over the plate; zero at the origin."""
+    """Cubic displacement field over the plate, (3, ...) at coordinates (...); zero at the
+    origin."""
     a = (nu + 1.0) * (1.0 - 2.0 * nu) * F / E
     return np.array([
         a * (x * x * (K / 2.0 - x / 3.0) + 2.0 * nu * (y * y - z * z)),
@@ -122,9 +123,13 @@ def cubic_exact(x, y, z, E=CUBIC_E, nu=CUBIC_NU, F=1.0, K=4.0):
 
 
 def cubic_strain(x, y, z, E=CUBIC_E, nu=CUBIC_NU, F=1.0, K=4.0):
-    """Strain tensor of the cubic field (diagonal)."""
+    """Strain tensors (..., 3, 3) of the cubic field at coordinates (...), diagonal."""
     a = (nu + 1.0) * (1.0 - 2.0 * nu) * F / E
-    return np.diag([a * (K * x - x * x), -4.0 * a * nu * x, 4.0 * a * nu * x])
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros(x.shape + (3, 3))
+    out[..., 0, 0], out[..., 1, 1] = a * (K * x - x * x), -4.0 * a * nu * x
+    out[..., 2, 2] = 4.0 * a * nu * x
+    return out
 
 
 def _cubic_stress_diag(x, E, nu, F, K):
@@ -158,7 +163,7 @@ def cubic_traction(side, E=CUBIC_E, nu=CUBIC_NU, F=1.0, K=4.0):
 
 def flatten_to_coarse(nested: NestedMesh) -> CoarseMesh:
     """Turn a (conforming) nested mesh into a standalone coarse mesh."""
-    if nested.hanging:
+    if len(nested.hanging):
         raise ValueError("cannot flatten a mesh with hanging nodes")
     tets = np.concatenate([nested.micro[e] for e in range(nested.coarse.n_elements)])
     used = np.unique(tets)
@@ -218,8 +223,8 @@ def build_cubic_problem(spec: CaseSpec, base=BASES["cubic-plate"], dims=(4.0, 2.
         tractions={s: cubic_traction(s, E, nu, F, K) for s in ("y0", "y1", "z0", "z1")},
     )
     exact = {
-        "u": lambda p: cubic_exact(p[0], p[1], p[2], E, nu, F, K),
-        "strain": lambda p: cubic_strain(p[0], p[1], p[2], E, nu, F, K),
+        "u": lambda p: cubic_exact(p[:, 0], p[:, 1], p[:, 2], E, nu, F, K).T,
+        "strain": lambda p: cubic_strain(p[:, 0], p[:, 1], p[:, 2], E, nu, F, K),
     }
     select = None if selector is None else (lambda mesh: selector)
     return _box_problem(spec, base, dims, mat, loads, select=select), exact
@@ -252,8 +257,8 @@ def build_affine_problem(spec: CaseSpec, base=(2, 1, 1), dims=(4.0, 2.0, 1.0),
     problem = _box_problem(spec, base, dims, mat, loads,
                            select=None if selector is None else (lambda mesh: selector))
     exact = {
-        "u": lambda p: G @ p,
-        "strain": lambda p: eps_t,
+        "u": lambda p: p @ G.T,
+        "strain": lambda p: np.broadcast_to(eps_t, (len(p), 3, 3)),
     }
     return problem, exact
 
@@ -436,19 +441,15 @@ def energy_geometry(problem: ProblemSetup):
 def analytic_strains(problem: ProblemSetup, strain):
     """Voigt strains of an analytic strain field at each leaf's quadrature points.
 
-    One (k, q, 6) array per macro element, in nested.micro order.
+    strain maps points (n, 3) to tensors (n, 3, 3) and is called once for all
+    leaves.  One (k, q, 6) array per macro element, in nested.micro order.
     """
-    bary = TET4_QUAD[0]
-    out = []
-    for leaves in problem.nested.micro:
-        xq = np.einsum("qi,kid->kqd", bary, problem.nested.points[leaves])
-        vals = np.empty(xq.shape[:2] + (6,))
-        for i in range(xq.shape[0]):
-            for j in range(xq.shape[1]):
-                e = strain(xq[i, j])
-                vals[i, j] = [e[0, 0], e[1, 1], e[2, 2], 2 * e[1, 2], 2 * e[0, 2], 2 * e[0, 1]]
-        out.append(vals)
-    return out
+    micro = problem.nested.micro
+    xq = np.einsum("qi,kid->kqd", TET4_QUAD[0], problem.nested.points[np.concatenate(micro)])
+    e = strain(xq.reshape(-1, 3)).reshape(xq.shape[:2] + (3, 3))
+    vals = np.stack([e[..., 0, 0], e[..., 1, 1], e[..., 2, 2],
+                     2 * e[..., 1, 2], 2 * e[..., 0, 2], 2 * e[..., 0, 1]], axis=-1)
+    return np.split(vals, np.cumsum([len(m) for m in micro])[:-1])
 
 
 def _leaf_strains(leaves, B, fld, q):
@@ -458,7 +459,10 @@ def _leaf_strains(leaves, B, fld, q):
 
 
 def build_problem(spec: CaseSpec):
-    """Dispatch a CaseSpec to its builder; returns (problem, exact or None)."""
+    """Dispatch a CaseSpec to its builder; returns (problem, exact or None).
+
+    exact["u"] maps points (n, 3) to displacements (n, 3), exact["strain"] to strain
+    tensors (n, 3, 3)."""
     if spec.kind == "cubic-plate":
         return build_cubic_problem(spec)
     if spec.kind == "micro-structure":
@@ -624,7 +628,7 @@ def error_reports(problem, iterates, u_R_r, system: ReferenceSystem, exact) -> l
     n2_C = energy((None, zero), strain)
 
     # nodal-interpolant variant in the discrete A-norm
-    uC_nodes = np.array([exact["u"](p) for p in problem.nested.points])
+    uC_nodes = exact["u"](problem.nested.points)
     uC_r = uC_nodes.reshape(-1)[part.free_ref_dofs]
     dA = lambda a, b: float((a - b) @ (system.A_rr @ (a - b)))
     e2_R_C_n = dA(u_R_r, uC_r)

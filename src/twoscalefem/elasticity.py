@@ -278,18 +278,16 @@ def hanging_fold(nested: NestedMesh, keys):
     parents' slots of the same group, every other row is a unit vector.
     """
     n, keys = nested.n_nodes, np.asarray(keys, dtype=np.int64)
-    is_hanging = np.isin(keys % n, np.fromiter(nested.hanging, np.int64, len(nested.hanging)))
-    kept_rows = np.nonzero(~is_hanging)[0]
-    kept = keys[kept_rows]
-    rows, parents, weights = [kept_rows], [kept], [np.ones(len(kept_rows))]
-    for i in np.nonzero(is_hanging)[0]:
-        p, w = zip(*nested.hanging[int(keys[i] % n)])
-        rows.append(np.full(len(p), i))
-        parents.append(keys[i] - keys[i] % n + np.array(p, dtype=np.int64))
-        weights.append(np.array(w))
-    cols = np.searchsorted(kept, np.concatenate(parents))
-    W = sp.csr_matrix((np.repeat(np.concatenate(weights), 3),
-                       (node_dofs(np.concatenate(rows)), node_dofs(cols))),
+    slot = np.full(n, -1)
+    slot[nested.hanging] = np.arange(len(nested.hanging))
+    slot = slot[keys % n]
+    kept_rows, hang_rows = np.nonzero(slot < 0)[0], np.nonzero(slot >= 0)[0]
+    kept, group = keys[kept_rows], keys[hang_rows] - keys[hang_rows] % n
+    parents = group[:, None] + nested.hanging_parents[slot[hang_rows]]
+    weights = np.concatenate([np.ones(len(kept)), nested.hanging_weights[slot[hang_rows]].ravel()])
+    W = sp.csr_matrix((np.repeat(weights, 3),
+                       (node_dofs(np.concatenate([kept_rows, np.repeat(hang_rows, 2)])),
+                        node_dofs(np.searchsorted(kept, np.concatenate([kept, parents.ravel()]))))),
                       shape=(3 * len(keys), 3 * len(kept)))
     return kept, W
 

@@ -39,8 +39,6 @@ __all__ = [
     "spf_nodes",
 ]
 
-GEOM_RTOL = 1e-12
-
 # a tet's edges and faces as local vertex tuples, in slot order, and the
 # edge slots of each face's (ij, jk, ik) edges
 EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
@@ -60,6 +58,9 @@ SPLIT8 = np.array([[[0, 4, 5, 6], [1, 4, 7, 8], [2, 5, 7, 9], [3, 6, 8, 9]]
                    + [[d1, d2, ring[i], ring[(i + 1) % 4]] for i in range(4)]
                    for d1, d2, ring in ((4, 9, (5, 6, 8, 7)), (5, 8, (4, 6, 9, 7)),
                                         (6, 7, (4, 5, 9, 8)))])
+# a face's sub-simplices as columns of (a, b, c, -1): its 3 vertices, 3 edges and itself
+SUBSIMPLICES = np.array([[0, 3, 3, 3], [1, 3, 3, 3], [2, 3, 3, 3], [0, 1, 3, 3], [1, 2, 3, 3],
+                         [0, 2, 3, 3], [0, 1, 2, 3]])
 
 
 class MeshError(ValueError):
@@ -90,13 +91,14 @@ def _sorted_faces(tets):
 
 
 def _face_table(tets):
-    """The distinct faces of tets in first-occurrence order, and how many tets have each."""
+    """The distinct faces of tets in first-occurrence order, how many tets have each, and
+    the face of each (tet, face slot)."""
     faces = _sorted_faces(tets).reshape(-1, 3)
     n = faces.max(initial=0) + 1
-    _, first, counts = np.unique((faces[:, 0] * n + faces[:, 1]) * n + faces[:, 2],
-                                 return_index=True, return_counts=True)
+    _, first, face, counts = np.unique((faces[:, 0] * n + faces[:, 1]) * n + faces[:, 2],
+                                       return_index=True, return_inverse=True, return_counts=True)
     order = np.argsort(first)
-    return faces[first[order]], counts[order]
+    return faces[first[order]], counts[order], np.argsort(order)[face].reshape(-1, 4)
 
 
 def _edge_keys(pairs):
@@ -106,7 +108,9 @@ def _edge_keys(pairs):
 
 
 def _lookup(keys, ids, query):
-    """ids of the query keys in the sorted (non-empty) keys, -1 where absent."""
+    """ids of the query keys in the sorted keys, -1 where absent."""
+    if not len(keys):
+        return np.full(np.shape(query), -1, dtype=np.int64)
     pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
     return np.where(keys[pos] == query, ids[pos], -1)
 
@@ -120,7 +124,7 @@ class CoarseMesh:
 
     def __init__(self, vertices, tets, boundary_faces=None):
         self.vertices = np.asarray(vertices, dtype=np.float64)
-        self.tets = np.asarray(tets, dtype=np.int64)
+        self.tets = np.asarray(tets)
         self.boundary_faces: dict[tuple[int, int, int], str] = dict(boundary_faces or {})
         self._adjacency = None
         self.validate()
@@ -134,11 +138,20 @@ class CoarseMesh:
         return len(self.tets)
 
     def validate(self):
+        """Raise a one-line MeshError on an invalid mesh."""
+        tets, nv = self.tets, self.n_vertices
+        if tets.ndim != 2 or tets.shape[1] != 4:
+            raise MeshError(f"elements must be rows of 4 vertex ids, got shape {tets.shape}")
+        bad = np.argwhere((tets < 0) | (tets >= nv) | (np.round(tets) != tets))
+        if len(bad):
+            raise MeshError(f"element {bad[0, 0]} has vertex id {tets[tuple(bad[0])]}, "
+                            f"not one of 0..{nv - 1}")
+        self.tets = tets.astype(np.int64, copy=False)
         vols = tet_volumes(self.vertices, self.tets)
         if np.any(vols <= 0):
             bad = int(np.argmin(vols))
             raise MeshError(f"element {bad} is not positively oriented (volume {vols[bad]:.3e})")
-        faces, counts = _face_table(self.tets)
+        faces, counts, _ = _face_table(self.tets)
         if np.any(counts > 2):
             raise MeshError("non-manifold face (shared by more than two elements)")
         surface = set(map(tuple, faces[counts == 1].tolist()))
@@ -147,7 +160,7 @@ class CoarseMesh:
                 raise MeshError(f"tagged face {face} is not a surface face")
 
     def surface_faces(self):
-        faces, counts = _face_table(self.tets)
+        faces, counts, _ = _face_table(self.tets)
         return list(map(tuple, faces[counts == 1].tolist()))
 
     def element_adjacency(self):
@@ -155,8 +168,8 @@ class CoarseMesh:
         from the sorted table of element edges."""
         if self._adjacency is None:
             _, edge = np.unique(_edge_keys(self.tets[:, EDGES]), return_inverse=True)
-            incidence = sp.csr_matrix((np.ones(edge.size), (np.repeat(np.arange(self.n_elements), 6),
-                                                             edge.ravel())))
+            incidence = _incidence(np.repeat(np.arange(self.n_elements), 6), edge.ravel(),
+                                   (self.n_elements, edge.max() + 1))
             adj = sp.coo_matrix(incidence @ incidence.T)
             keep = adj.row != adj.col
             order = np.lexsort((adj.col[keep], adj.row[keep]))
@@ -208,16 +221,15 @@ def read_mesh(path) -> CoarseMesh:
         tokens = [ln.split("#")[0].strip() for ln in fh]
         tokens = [ln for ln in tokens if ln]
     it = iter(tokens)
-    nv = int(next(it))
-    verts = np.array([[float(x) for x in next(it).split()] for _ in range(nv)])
-    nt = int(next(it))
-    tets = np.array([[int(x) for x in next(it).split()] for _ in range(nt)], dtype=np.int64)
-    nf = int(next(it))
-    faces = {}
-    for _ in range(nf):
-        parts = next(it).split()
-        faces[tuple(sorted(int(x) for x in parts[:3]))] = parts[3]
-    return CoarseMesh(verts, tets, faces)
+    verts = np.array([[float(x) for x in next(it).split()] for _ in range(int(next(it)))])
+    tets = [next(it).split() for _ in range(int(next(it)))]
+    faces = [next(it).split() for _ in range(int(next(it)))]
+    for what, rows in (("element", tets), ("boundary face", faces)):  # 4 ids, or 3 and a label
+        bad = next((i for i, row in enumerate(rows) if len(row) != 4), None)
+        if bad is not None:
+            raise MeshError(f"{what} {bad} has {len(rows[bad])} fields, expected 4")
+    return CoarseMesh(verts, np.array(tets, dtype=np.int64).reshape(-1, 4),
+                      {tuple(sorted(int(x) for x in f[:3])): f[3] for f in faces})
 
 
 def write_mesh(mesh: CoarseMesh, path):
@@ -235,56 +247,82 @@ def write_mesh(mesh: CoarseMesh, path):
 
 @dataclass
 class NestedMesh:
-    """Coarse mesh plus the per-macro-element nested fine discretization."""
+    """Coarse mesh plus the per-macro-element nested fine discretization.
+
+    carrier holds, per node, the vertices of the smallest coarse simplex that contains
+    it, ascending and padded with -1: the node lies on a coarse face exactly when its
+    carrier is a subset of the face.  The hanging nodes, midpoints of edges of untouched
+    elements in (element, edge slot) order of first sight, take the values
+    hanging_weights @ u[hanging_parents].
+    """
 
     coarse: CoarseMesh
     points: np.ndarray                      # all node coordinates, coarse first
     levels: np.ndarray                      # refinement level per macro element
     micro: list[np.ndarray]                 # leaf tets per macro element
-    hanging: dict[int, list[tuple[int, float]]]   # node -> [(parent, weight)]
-    node_faces: dict[int, frozenset]        # node -> coarse faces it lies on
+    carrier: np.ndarray                     # (n_nodes, 4) smallest coarse simplex per node
+    hanging: np.ndarray                     # (h,) hanging node ids
+    hanging_parents: np.ndarray             # (h, 2) their coarse edge's ends, in tet-slot order
+    hanging_weights: np.ndarray             # (h, 2) and the ends' interpolation weights
     _fine_faces: dict | None = field(default=None, repr=False)  # boundary_fine_faces, once
 
     @classmethod
     def from_coarse(cls, mesh: CoarseMesh) -> "NestedMesh":
-        micro = [mesh.tets[e:e + 1].copy() for e in range(mesh.n_elements)]
-        node_faces = _coarse_node_faces(mesh)
-        return cls(mesh, mesh.vertices.copy(), np.zeros(mesh.n_elements, dtype=np.int64),
-                   micro, {}, node_faces)
+        return _build_nested(mesh, np.zeros(mesh.n_elements, dtype=np.int64))
 
     @property
     def n_nodes(self):
         return len(self.points)
 
+    def on_faces(self, faces) -> np.ndarray:
+        """Bool per node: the node lies on one of the coarse faces (m, 3)."""
+        n, faces = self.coarse.n_vertices, np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+        return np.isin(_simplex_keys(self.carrier, n), _face_keys(np.sort(faces, axis=1), n))
+
     def boundary_fine_faces(self) -> dict[str, list[tuple]]:
         """Label -> list of (fine face triple, macro element id) in (element, leaf, face
-        slot) order, computed on first use.  A leaf face lies on a labelled coarse face
-        when its three nodes do; the leaf face table is filtered to the faces whose
-        nodes all lie on some labelled face before the sets are intersected."""
+        slot) order, computed on first use.  A leaf face lies on the coarse face that
+        the union of its nodes' carriers spans."""
         if self._fine_faces is not None:
             return self._fine_faces
-        labelled, nf = self.coarse.boundary_faces, self.node_faces
+        labelled, n = self.coarse.boundary_faces, self.coarse.n_vertices
         out: dict[str, list[tuple]] = {label: [] for label in labelled.values()}
-        near = np.zeros(self.n_nodes, dtype=bool)
-        near[[v for v, fs in nf.items() if not labelled.keys().isdisjoint(fs)]] = True
+        tagged = np.sort(np.array(list(labelled), dtype=np.int64).reshape(-1, 3), axis=1)
+        label_of = dict(zip(_face_keys(tagged, n)[:, 6].tolist(), labelled.values()))
         faces = _sorted_faces(np.concatenate(self.micro)).reshape(-1, 3)
-        hit = np.nonzero(near[faces].all(axis=1))[0]
+        near = np.nonzero(self.on_faces(tagged)[faces].all(axis=1))[0]
+        span = _simplex_keys(_carrier_union(self.carrier[faces[near]].reshape(-1, 12)), n)
+        on = np.isin(span, list(label_of))
+        hit, span = near[on], span[on]
         elem = np.repeat(np.arange(len(self.micro)), [4 * len(m) for m in self.micro])[hit]
-        for f, e in zip(map(tuple, faces[hit].tolist()), elem.tolist()):
-            for cf in nf[f[0]] & nf[f[1]] & nf[f[2]] & labelled.keys():
-                out[labelled[cf]].append((f, e))
+        for f, e, k in zip(map(tuple, faces[hit].tolist()), elem.tolist(), span.tolist()):
+            out[label_of[k]].append((f, e))
         self._fine_faces = out
         return out
 
 
-def _coarse_node_faces(mesh: CoarseMesh):
-    """Coarse vertex -> set of ALL coarse faces (as vertex triples) containing it."""
-    faces = _face_table(mesh.tets)[0]
-    order = np.argsort(faces.ravel(), kind="stable")
-    bounds = np.searchsorted(faces.ravel()[order], np.arange(mesh.n_vertices + 1))
-    triples = list(map(tuple, faces.tolist()))
-    return {v: frozenset(triples[i // 3] for i in order[bounds[v]:bounds[v + 1]])
-            for v in range(mesh.n_vertices)}
+def _carrier_union(rows):
+    """Row-wise union (k, 4) of vertex rows (k, m) padded with -1: ascending, padded with -1."""
+    rows = np.sort(rows.astype(np.uint64), axis=1)  # the -1 pads sort last
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = np.iinfo(np.uint64).max
+    return np.sort(rows, axis=1)[:, :4].astype(np.int64)
+
+
+def _simplex_keys(rows, n):
+    """One int64 key per coarse simplex (..., 4), ascending and padded with -1, of a mesh
+    with n vertices; -1 for a macro element, which lies on no face."""
+    r = rows[..., :3] + 1
+    return np.where(rows[..., 3] < 0, (r[..., 0] * (n + 1) + r[..., 1]) * (n + 1) + r[..., 2], -1)
+
+
+def _face_keys(faces, n):
+    """(m, 7) keys of the 3 vertices, 3 edges and the face itself of sorted faces (m, 3)."""
+    return _simplex_keys(np.column_stack([faces, np.full(len(faces), -1)])[:, SUBSIMPLICES], n)
+
+
+def _incidence(rows, cols, shape):
+    """Sparse (rows, cols) incidence counts."""
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
 
 
 def _selection(selector, ne):
@@ -363,6 +401,7 @@ def _split8(points, tets, mids):
 def _build_nested(mesh: CoarseMesh, levels: np.ndarray) -> NestedMesh:
     nv, ne = mesh.n_vertices, mesh.n_elements
     elem, leaves, points = np.arange(ne), mesh.tets.copy(), mesh.vertices
+    carrier = np.column_stack([np.arange(nv), np.full((nv, 3), -1)])
     first, parents = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 2), dtype=np.int64)]
     for lvl in range(int(levels.max(initial=0))):
         split = np.nonzero(levels[elem] > lvl)[0]
@@ -378,6 +417,7 @@ def _build_nested(mesh: CoarseMesh, levels: np.ndarray) -> NestedMesh:
         pair = req[np.sort(at)]
         parents.append(pair)
         points = np.concatenate([points, 0.5 * (points[pair[:, 0]] + points[pair[:, 1]])])
+        carrier = np.concatenate([carrier, _carrier_union(carrier[pair].reshape(-1, 8))])
         children = _oriented(points, _split8(points, tets, rank[inv].reshape(-1, 6)).reshape(-1, 4))
         leaves, elem = _replace_rows(leaves, elem, split, children, np.full(len(split), 8))
 
@@ -386,6 +426,7 @@ def _build_nested(mesh: CoarseMesh, levels: np.ndarray) -> NestedMesh:
     remap = np.arange(len(points))
     remap[nv + order] = np.arange(nv, len(points))
     leaves, points = remap[leaves], np.concatenate([points[:nv], points[nv + order]])
+    carrier = np.concatenate([carrier[:nv], carrier[nv + order]])
     parents = remap[np.concatenate(parents)[order]]
     keys = _edge_keys(parents)
     ids = nv + np.argsort(keys)
@@ -399,6 +440,7 @@ def _build_nested(mesh: CoarseMesh, levels: np.ndarray) -> NestedMesh:
     sizes = ok.reshape(len(close), 16).sum(axis=1)
     fan = np.column_stack([tris[ok], np.repeat(len(points) + np.arange(len(close)), sizes)])
     points = np.concatenate([points, points[leaves[close]].mean(axis=1)])
+    carrier = np.concatenate([carrier, np.sort(mesh.tets[elem[close]], axis=1)])
     leaves, elem = _replace_rows(leaves, elem, close, _oriented(points, fan), sizes)
 
     bad = tet_volumes(points, leaves) <= 0
@@ -414,16 +456,10 @@ def _build_nested(mesh: CoarseMesh, levels: np.ndarray) -> NestedMesh:
     at = np.sort(at[nid >= 0])
     nid, tet = found[at], mesh.tets[zero[at // 6]]
     weights = _p1_weights(mesh.vertices[tet], points[nid])
-    keep = np.abs(weights) > GEOM_RTOL
+    keep = (tet[:, :, None] == carrier[nid][:, None, :2]).any(axis=2)  # the edge's ends
     assert np.all(np.abs(np.where(keep, weights, 0.0).sum(axis=1) - 1.0) < 1e-9)
-    hanging = {n: [(p, w) for p, w, k in zip(t, ws, ks) if k]
-               for n, t, ws, ks in zip(nid.tolist(), tet.tolist(), weights.tolist(), keep.tolist())}
-
-    node_faces = list(_coarse_node_faces(mesh).values())
-    for a, b in parents.tolist():
-        node_faces.append(node_faces[a] & node_faces[b])
-    node_faces += [frozenset()] * len(close)
-    return NestedMesh(mesh, points, levels.copy(), micro, hanging, dict(enumerate(node_faces)))
+    return NestedMesh(mesh, points, levels.copy(), micro, carrier, nid,
+                      tet[keep].reshape(-1, 2), weights[keep].reshape(-1, 2))
 
 
 def _face_triangles(F, M):
@@ -474,9 +510,6 @@ class Patch:
     node: int                    # enriched coarse node id
     elements: tuple[int, ...]    # J^p, sorted macro element ids
     weight: int                  # embedded micro-element count
-
-    def fine_nodes(self, nested: NestedMesh) -> np.ndarray:
-        return np.unique(np.concatenate([nested.micro[e].ravel() for e in self.elements]))
 
 
 @dataclass
@@ -532,7 +565,6 @@ class DofPartition:
     n_nodes: int
     n_enriched: int
     enriched_nodes: np.ndarray
-    enriched_index: dict[int, int]
 
     coarse_dirichlet: np.ndarray    # bool mask over 3*n_coarse_nodes (D)
     coarse_h_nodes: np.ndarray
@@ -568,11 +600,9 @@ def spf_nodes(nested: NestedMesh, partition: DofPartition) -> np.ndarray:
 
 def _dirichlet_dof_mask(nested: NestedMesh, bc: BoundaryConditions, n_nodes: int):
     mask = np.zeros((n_nodes, 3), dtype=bool)
-    comps = {f: bc.dirichlet_labels[lab] for f, lab in nested.coarse.boundary_faces.items()
-             if lab in bc.dirichlet_labels}
-    for node, faces in nested.node_faces.items():
-        for cf in comps.keys() & faces:
-            mask[node] |= comps[cf]
+    for label, comps in bc.dirichlet_labels.items():
+        faces = [f for f, lab in nested.coarse.boundary_faces.items() if lab == label]
+        mask[nested.on_faces(faces)] |= comps
     for node, comp in bc.point_constraints:
         mask[node, comp] = True
     return mask.ravel()
@@ -587,21 +617,21 @@ def build_partition(nested: NestedMesh, sp: SpInfo, bc: BoundaryConditions) -> D
     ref_dir = _dirichlet_dof_mask(nested, bc, nn)
     coarse_dir = ref_dir[: 3 * nc].copy()
 
-    hang_ids = np.array(sorted(nested.hanging), dtype=np.int64)
-    for h in hang_ids:
-        if ref_dir[3 * h: 3 * h + 3].any():
-            raise UnsupportedConfigurationError(
-                f"Dirichlet label on hanging node {int(h)} is unsupported")
+    hang_ids = np.sort(nested.hanging)
+    pinned = hang_ids[ref_dir.reshape(-1, 3)[hang_ids].any(axis=1)]
+    if len(pinned):
+        raise UnsupportedConfigurationError(
+            f"Dirichlet label on hanging node {int(pinned[0])} is unsupported")
 
     hang_mask = np.zeros(nn, dtype=bool)
     hang_mask[hang_ids] = True
 
+    # every SP element belongs to a patch
+    patch_of, node, on_cut = _patch_nodes(nested, sp.patches)
     sp_node_mask = np.zeros(nn, dtype=bool)
-    for e in sp.sp_elements:
-        sp_node_mask[np.unique(nested.micro[e])] = True
+    sp_node_mask[node] = True
 
     enriched = sp.enriched_nodes
-    en_index = {int(p): i for i, p in enumerate(enriched)}
 
     # coarse-level classical split: free nodes outside the SP elements
     coarse_free = ~coarse_dir
@@ -624,12 +654,22 @@ def build_partition(nested: NestedMesh, sp: SpInfo, bc: BoundaryConditions) -> D
     ref_index = np.full(3 * nn, -1, dtype=np.int64)
     ref_index[free_ref] = np.arange(len(free_ref))
 
-    surface = set(mesh.surface_faces())
-    patch_sets = [_patch_sets(nested, patch, hang_mask, ref_dir, surface) for patch in sp.patches]
+    # Q/L/DR/d/q of every patch, node-major: the free non-hanging dofs on the cut form
+    # d and take Dirichlet data from the fine-scale field; those on the domain surface
+    # keep its conditions (tractions or free) and stay in q with the interior ones
+    hang = hang_mask[node]
+    dofs, dof_patch = (3 * node[:, None] + np.arange(3)).ravel(), np.repeat(patch_of, 3)
+    kept, fixed, cut = np.repeat(~hang, 3), ref_dir[dofs], np.repeat(on_cut, 3)
+    n_p = len(sp.patches)
+    split = lambda values, owner: np.split(values, np.searchsorted(owner, np.arange(1, n_p)))[:n_p]
+    sets = {"Q": split(node, patch_of), "L": split(node[hang], patch_of[hang])}
+    for name, m in (("DR", kept & fixed), ("d", kept & ~fixed & cut), ("q", kept & ~fixed & ~cut)):
+        sets[name] = split(dofs[m], dof_patch[m])
+    patch_sets = [dict(zip(sets, values)) for values in zip(*sets.values())]
 
     return DofPartition(
         n_coarse_nodes=nc, n_nodes=nn, n_enriched=len(enriched),
-        enriched_nodes=enriched, enriched_index=en_index,
+        enriched_nodes=enriched,
         coarse_dirichlet=coarse_dir, coarse_h_nodes=h_nodes_c,
         ref_dirichlet=ref_dir, hanging_nodes=hang_ids,
         f_nodes=f_nodes, h_nodes=h_nodes_r,
@@ -639,24 +679,26 @@ def build_partition(nested: NestedMesh, sp: SpInfo, bc: BoundaryConditions) -> D
     )
 
 
-def _patch_sets(nested: NestedMesh, patch: Patch, hang_mask, ref_dir, surface):
-    """Q/L/DP/d/q classification for one patch, at dof granularity.
+def _patch_nodes(nested: NestedMesh, patches):
+    """(patch, node) pairs of every patch's fine nodes, ascending, and whether the node lies
+    on the patch's cut: a member face neither shared by two members nor on the domain
+    surface.  A node lies on a face when its carrier is one of the face's sub-simplices."""
+    mesh, nv, ne = nested.coarse, nested.coarse.n_vertices, nested.coarse.n_elements
+    member = _incidence([i for i, p in enumerate(patches) for _ in p.elements],
+                        [e for p in patches for e in p.elements], (len(patches), ne))
+    leaf_elem = np.repeat(np.arange(ne), [4 * len(m) for m in nested.micro])
+    pn = member @ _incidence(leaf_elem, np.concatenate(nested.micro).ravel(), (ne, nested.n_nodes))
+    pn.sort_indices()
+    patch_of, node = np.repeat(np.arange(len(patches)), np.diff(pn.indptr)), pn.indices
 
-    The d-set is the artificial cut: member coarse faces not shared between
-    two members and not on the domain surface; free non-hanging dofs there
-    carry Dirichlet data from the fine-scale field.  Domain-boundary faces
-    keep their physical conditions (tractions or free), so their dofs stay
-    in q; interior free dofs form q as well.  surface is the set of the
-    coarse mesh's surface faces.
-    """
-    faces, counts = _face_table(nested.coarse.tets[list(patch.elements)])
-    boundary_faces = set(map(tuple, faces[counts == 1].tolist())) - surface
-
-    nodes = patch.fine_nodes(nested)
-    hang = hang_mask[nodes]
-    boundary = np.repeat([bool(nested.node_faces.get(int(v), frozenset()) & boundary_faces)
-                          for v in nodes], 3)
-    dofs = (3 * nodes[:, None] + np.arange(3)).ravel()  # node-major, in nodes order
-    kept, fixed = np.repeat(~hang, 3), ref_dir[dofs]
-    return {"Q": nodes, "L": nodes[hang], "DR": dofs[kept & fixed],
-            "d": dofs[kept & ~fixed & boundary], "q": dofs[kept & ~fixed & ~boundary]}
+    # cut faces: once in the patch, twice in the mesh
+    faces, twice, face = _face_table(mesh.tets)
+    pf = (member @ _incidence(np.repeat(np.arange(ne), 4), face.ravel(), (ne, len(faces)))).tocoo()
+    cut = (pf.data == 1) & (twice[pf.col] == 2)
+    # (patch, simplex id) pairs of the nodes' carriers and of the cut faces' sub-simplices
+    keys, sid = np.unique(np.concatenate([_simplex_keys(nested.carrier[node], nv),
+                                          _face_keys(faces[pf.col[cut]], nv).ravel()]),
+                          return_inverse=True)
+    on_cut = np.isin(patch_of * len(keys) + sid[:len(node)],
+                     np.repeat(pf.row[cut], 7) * len(keys) + sid[len(node):])
+    return patch_of, node.astype(np.int64), on_cut

@@ -41,20 +41,16 @@ def barycentric_matrix(nested: NestedMesh, e: int, nodes) -> np.ndarray:
     return np.column_stack([1.0 - lam.sum(axis=1), lam])
 
 
-def _hat_matrix(nested: NestedMesh, e: int, nodes) -> np.ndarray:
-    """barycentric_matrix with round-off zeros made exact."""
-    N = barycentric_matrix(nested, e, nodes)
-    N[np.abs(N) < 1e-14] = 0.0
-    return N
-
-
 def build_tfk(blocks: ElementBlocks, nested: NestedMesh) -> sp.csr_matrix:
     """Classical transfers of SP blocks, block-diagonal: row (node j of block i, comp c)
     holds the hat N^a(x_j) of vertex a of the block's coarse element at column
-    12 i + 3 a + c; rows of fine nodes on coarse vertices are unit vectors."""
-    N = np.concatenate([np.zeros((0, 4))] + [_hat_matrix(nested, e, blocks.nodes_of(i))
+    12 i + 3 a + c; rows of fine nodes on coarse vertices are unit vectors.  The hat of a
+    vertex off the node's carrier is an exact zero."""
+    N = np.concatenate([np.zeros((0, 4))] + [barycentric_matrix(nested, e, blocks.nodes_of(i))
                                              for i, e in enumerate(blocks.elements)])
     group = np.repeat(np.arange(len(blocks.elements)), np.diff(blocks.node_ptr))
+    corners = nested.coarse.tets[blocks.elements[group]]
+    N[~(corners[:, :, None] == nested.carrier[blocks.nodes][:, None, :]).any(axis=2)] = 0.0
     j, c, a = np.meshgrid(np.arange(len(N)), np.arange(3), np.arange(4), indexing="ij")
     keep = N[j, a] != 0.0
     return sp.csr_matrix((N[j, a][keep], ((3 * j + c)[keep], (12 * group[j] + 3 * a + c)[keep])),

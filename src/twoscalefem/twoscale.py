@@ -171,10 +171,10 @@ def _fold_tables(rank, plan, row_elem, row_node):
 
 def _kept_nodes(nested, elements):
     """(element, node) of the kept nodes of every element, element-major, nodes ascending."""
-    n, hanging = nested.n_nodes, np.fromiter(nested.hanging, np.int64, len(nested.hanging))
+    n = nested.n_nodes
     keys = np.concatenate([np.zeros(0, np.int64)] + [e * n + np.unique(nested.micro[e])
                                                      for e in elements])
-    keys = keys[~np.isin(keys % n, hanging)]
+    keys = keys[~np.isin(keys % n, nested.hanging)]
     return keys // n, keys % n
 
 

@@ -124,8 +124,7 @@ def test_criterion_05_affine_exactness():
     worst, worst_u = 0.0, 0.0
     for base in [(2, 1, 1), (3, 2, 1)]:
         problem, exact = build_affine_problem(CaseSpec(sp_depth=1), base=base)
-        u_exact = np.concatenate([exact["u"](p) for p in problem.nested.points])
-        u_exact = u_exact[problem.partition.free_ref_dofs]
+        u_exact = exact["u"](problem.nested.points).ravel()[problem.partition.free_ref_dofs]
         for strategy, ranks in (("tsd", (1, 2, 4)), ("tsdd", (2, 4))):
             for n in ranks:
                 plan = partition_mesh(problem.nested, problem.sp_info, n)
@@ -337,8 +336,9 @@ def test_criterion_12_hanging_continuity():
     worst = 0.0
     checked = 0
     unrefined = [e for e in range(nested.coarse.n_elements) if nested.levels[e] == 0]
-    for hnode, parents in nested.hanging.items():
-        refined_side = sum(w * full[p] for p, w in parents)
+    for hnode, parents, weights in zip(nested.hanging, nested.hanging_parents,
+                                       nested.hanging_weights):
+        refined_side = sum(w * full[p] for p, w in zip(parents, weights))
         for e in unrefined:
             tet = nested.coarse.tets[e]
             lam = _p1_weights(nested.points[tet], nested.points[hnode])

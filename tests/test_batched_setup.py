@@ -50,11 +50,12 @@ def element_block(nested, material, loads, table, e):
     """Kept nodes, A_FF = W^T K W and B_F = W^T b of one SP element on its own."""
     leaves = nested.micro[e]
     raw = np.unique(leaves)
-    hanging = np.isin(raw, list(nested.hanging))
+    hanging = np.isin(raw, nested.hanging)
     kept = raw[~hanging]
     rows, cols, vals = [np.nonzero(~hanging)[0]], [np.arange(len(kept))], [np.ones(len(kept))]
     for i in np.nonzero(hanging)[0]:
-        parents, weights = zip(*nested.hanging[int(raw[i])])
+        h = np.flatnonzero(nested.hanging == raw[i])[0]
+        parents, weights = nested.hanging_parents[h], nested.hanging_weights[h]
         rows.append(np.full(len(parents), i))
         cols.append(np.searchsorted(kept, parents))
         vals.append(np.array(weights))

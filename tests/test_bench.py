@@ -269,8 +269,9 @@ def test_cone_box_has_mixed_structure():
     full = system.expand(u_R)
     from twoscalefem.mesh import _p1_weights
 
-    for hnode, parents in nested.hanging.items():
-        via_parents = sum(w * full[p] for p, w in parents)
+    for hnode, parents, weights in zip(nested.hanging, nested.hanging_parents,
+                                       nested.hanging_weights):
+        via_parents = sum(w * full[p] for p, w in zip(parents, weights))
         # independent route: interpolate the unrefined side's P1 field
         for e in map(int, sp_info.nsp_elements):
             tet = nested.coarse.tets[e]

@@ -122,10 +122,10 @@ def symbolic_elimination_oracle(nested, mat, loads=None):
             load = element_volume_load(nested.points[leaf], loads.body)
             B[dof] += load
     W = np.eye(3 * nn)
-    for h, parents in nested.hanging.items():
+    for h, parents, weights in zip(nested.hanging, nested.hanging_parents, nested.hanging_weights):
         for c in range(3):
             W[3 * h + c, 3 * h + c] = 0.0
-            for p, w in parents:
+            for p, w in zip(parents, weights):
                 W[3 * h + c, 3 * p + c] = w
     return W.T @ K @ W, W.T @ B
 

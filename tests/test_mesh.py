@@ -70,7 +70,7 @@ def hanging_rule_scan(nested):
 def test_single_tet_uniform_one_level():
     nested = refine(NestedMesh.from_coarse(single_tet()), lambda e: True, 1)
     assert len(nested.micro[0]) == 8
-    assert nested.hanging == {}
+    assert len(nested.hanging) == 0
     vols = tet_volumes(nested.points, nested.micro[0])
     assert np.all(vols > 0)
     assert vols.sum() == pytest.approx(1.0 / 6.0)
@@ -81,7 +81,7 @@ def test_force_split_propagation():
     assert nested.levels[0] == 2
     assert nested.levels[1] == 1  # forced once by the one-hanging-node rule
     # both elements refined: interior closure leaves no hanging nodes
-    assert nested.hanging == {}
+    assert len(nested.hanging) == 0
     # union mesh is conforming: every face shared by <= 2 leaves, interface matches
     counts = {}
     for tet in union_leaves(nested):
@@ -95,10 +95,11 @@ def test_hanging_nodes_against_unrefined():
     assert list(nested.levels) == [1, 0]
     # the shared face has 3 edges, each mid-split once by element 0
     assert len(nested.hanging) == 3
-    for h, parents in nested.hanging.items():
-        assert len(parents) == 2
-        assert sum(w for _, w in parents) == pytest.approx(1.0)
-        assert all(w == pytest.approx(0.5) for _, w in parents)
+    assert nested.hanging_parents.shape == nested.hanging_weights.shape == (3, 2)
+    assert nested.hanging_weights.sum(axis=1) == pytest.approx(np.ones(3))
+    assert nested.hanging_weights == pytest.approx(np.full((3, 2), 0.5))
+    ends = nested.points[nested.hanging_parents]
+    assert nested.points[nested.hanging] == pytest.approx(ends.mean(axis=1))
     assert hanging_rule_scan(nested) <= 1
 
 
@@ -121,7 +122,7 @@ def test_box_subdivision_lattice_count():
         used = np.unique(np.concatenate([m.ravel() for m in nested.micro]))
         got = {tuple(np.rint(nested.points[v] * s).astype(int)) for v in used}
         assert got == lattice
-        assert nested.hanging == {}
+        assert len(nested.hanging) == 0
 
 
 def test_box_surface_is_on_boundary():
@@ -274,7 +275,7 @@ def test_patch_sets_cover_and_disjoint():
 def test_dirichlet_on_hanging_node_rejected():
     mesh = box_mesh(2, 1, 1, face_labels={"y0": "clamp"})
     nested = refine(NestedMesh.from_coarse(mesh), range(6), 1)
-    assert nested.hanging
+    assert len(nested.hanging)
     bc = BoundaryConditions(dirichlet_labels={"clamp": (True, True, True)})
     sp = classify_sp(nested)
     with pytest.raises(UnsupportedConfigurationError):
@@ -289,6 +290,30 @@ def test_mesh_io_roundtrip(tmp_path):
     assert np.allclose(back.vertices, mesh.vertices)
     assert np.array_equal(back.tets, mesh.tets)
     assert back.boundary_faces == mesh.boundary_faces
+
+
+@pytest.mark.parametrize("tet_line,label,named", [
+    ("0 1 4 -1", " clamp", "element 5 has vertex id -1"),
+    ("0 1 2 99", " clamp", "element 5 has vertex id 99"),
+    ("0 1 2", " clamp", "element 5 has 3 fields"),
+    (None, "", "boundary face 0 has 3 fields"),
+])
+def test_read_mesh_rejects_bad_ids_in_one_line(tmp_path, tet_line, label, named):
+    mesh = box_mesh(1, 1, 1)
+    lines = [str(mesh.n_vertices)] + [" ".join(map(str, v)) for v in mesh.vertices]
+    tets = [" ".join(map(str, t)) for t in mesh.tets]
+    face = " ".join(map(str, mesh.surface_faces()[0])) + label
+    lines += [str(len(tets))] + tets[:5] + [tet_line or tets[5], "1", face]
+    path = tmp_path / "bad.msh"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError) as err:
+        read_mesh(path)
+    assert named in str(err.value) and "\n" not in str(err.value)
+
+
+def test_coarse_mesh_rejects_rows_that_are_not_four_ids():
+    with pytest.raises(MeshError, match=r"rows of 4 vertex ids, got shape \(1, 3\)"):
+        CoarseMesh(box_mesh(1, 1, 1).vertices, [[0, 1, 2]])
 
 
 def test_tagged_face_must_be_on_surface():

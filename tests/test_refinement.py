@@ -8,6 +8,7 @@ They leave out the partition plan, which is a rank-assignment policy.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -37,6 +38,16 @@ FROZEN = {
 }
 
 
+def faces_on_nodes(nested):
+    """Per node, the coarse faces (sorted triples, ascending) that contain its carrier."""
+    faces, by_simplex = sorted({f for t in nested.coarse.tets for f in _tet_faces(t)}), {}
+    for f in faces:
+        for k in (1, 2, 3):
+            for s in itertools.combinations(f, k):
+                by_simplex.setdefault(s, []).append(f)
+    return [by_simplex.get(tuple(int(c) for c in row if c >= 0), []) for row in nested.carrier]
+
+
 def set_up_digest(problem):
     """sha256 over the coarse mesh, every NestedMesh and DofPartition field and the
     boundary fine faces, dict and list orders included."""
@@ -57,11 +68,13 @@ def set_up_digest(problem):
     arr(nested.points), arr(nested.levels)
     for leaves in nested.micro:
         arr(leaves)
-    obj([(int(n), [(int(p), float(w).hex()) for p, w in par]) for n, par in nested.hanging.items()])
-    obj(sorted((int(v), sorted(ints(f) for f in fs)) for v, fs in nested.node_faces.items()))
+    obj([(int(n), [(int(p), float(w).hex()) for p, w in zip(ps, ws)])
+         for n, ps, ws in zip(nested.hanging, nested.hanging_parents, nested.hanging_weights)])
+    obj(sorted(enumerate(faces_on_nodes(nested))))
     obj([(lab, [(ints(f), int(e)) for f, e in lst])
          for lab, lst in nested.boundary_fine_faces().items()])
-    obj((part.n_coarse_nodes, part.n_nodes, part.n_enriched, sorted(part.enriched_index.items())))
+    enriched_index = {int(p): i for i, p in enumerate(part.enriched_nodes)}
+    obj((part.n_coarse_nodes, part.n_nodes, part.n_enriched, sorted(enriched_index.items())))
     for name in ("enriched_nodes", "coarse_dirichlet", "coarse_h_nodes", "ref_dirichlet",
                  "hanging_nodes", "f_nodes", "h_nodes", "free_coarse_dofs", "coarse_dof_index",
                  "free_ref_dofs", "ref_dof_index"):
@@ -97,15 +110,24 @@ def test_random_selectors_keep_the_refinement_invariants(dims, levels, seed):
     assert np.all(tet_volumes(nested.points, leaves) > 0)
     faces, counts = np.unique(faces.reshape(-1, 3), axis=0, return_counts=True)
     assert counts.max() <= 2
+    # carrier: in every macro element holding a node, the vertices of positive
+    # barycentric coordinate
+    for e, tet in enumerate(mesh.tets):
+        nodes = np.unique(nested.micro[e])
+        corners = mesh.vertices[tet]
+        lam = np.linalg.solve((corners[1:] - corners[0]).T, (nested.points[nodes] - corners[0]).T).T
+        lam = np.column_stack([1.0 - lam.sum(axis=1), lam])
+        for v, row in zip(nodes, lam):
+            expect = sorted(int(u) for u in tet[row > 1e-9])
+            assert nested.carrier[v].tolist() == expect + [-1] * (4 - len(expect))
     # conforming: an unpaired leaf face lies on the surface or on a face of an unrefined element
     open_faces = set(mesh.surface_faces()) | {f for e in np.nonzero(nested.levels == 0)[0]
                                               for f in _tet_faces(mesh.tets[e])}
-    nf = nested.node_faces
-    for a, b, c in faces[counts == 1].tolist():
-        assert nf[a] & nf[b] & nf[c] & open_faces
+    for face in faces[counts == 1]:
+        assert tuple(sorted(set(nested.carrier[face].ravel().tolist()) - {-1})) in open_faces
     assert hanging_rule_scan(nested) <= 1
-    for parents in nested.hanging.values():
-        assert [w for _, w in parents] == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert nested.hanging_weights == pytest.approx(np.full((len(nested.hanging), 2), 0.5),
+                                                   abs=1e-12)
 
 
 @pytest.mark.parametrize("selector,named", [([-1], "-1"), ([2, 6], "6"), ([0.5], "0.5"),

@@ -34,7 +34,7 @@ from twoscalefem.transfer import (
 
 def enriched_corners(nested, partition, e):
     """Enriched coarse vertices of element e, ascending node id."""
-    return sorted(int(v) for v in nested.coarse.tets[e] if int(v) in partition.enriched_index)
+    return sorted(int(v) for v in nested.coarse.tets[e] if v in partition.enriched_nodes)
 
 
 def element_classical_dofs(nested, e):
@@ -42,8 +42,8 @@ def element_classical_dofs(nested, e):
 
 
 def element_enriched_dofs(nested, partition, e):
-    idx = [partition.enriched_index[p] for p in enriched_corners(nested, partition, e)]
-    return 3 * partition.n_coarse_nodes + node_dofs(np.asarray(idx, dtype=np.int64))
+    idx = np.searchsorted(partition.enriched_nodes, enriched_corners(nested, partition, e))
+    return 3 * partition.n_coarse_nodes + node_dofs(idx)
 
 
 def bary_volume_ratio(coords, x):
@@ -115,7 +115,7 @@ def test_enrichment_triplets_match_dense_products():
     e = 0
     block = assemble_element_block(e, nested, mat, loads)
     # the block folds hanging nodes away and carries Dirichlet rows and columns
-    assert np.isin(np.unique(nested.micro[e]), list(nested.hanging)).any()
+    assert np.isin(np.unique(nested.micro[e]), nested.hanging).any()
     assert part.ref_dirichlet[node_dofs(block.nodes)].any()
     g_c = part.coarse_dof_index[element_classical_dofs(nested, e)]
     g_e = part.coarse_dof_index[element_enriched_dofs(nested, part, e)]
@@ -156,7 +156,7 @@ def random_patch_fields(nested, sp_info, part, seed=0):
     rng = np.random.default_rng(seed)
     fields = {}
     for patch in sp_info.patches:
-        nodes = patch.fine_nodes(nested)
+        nodes = np.unique(np.concatenate([nested.micro[e] for e in patch.elements]))
         vals = rng.normal(size=(len(nodes), 3))
         fields[patch.node] = dict(zip((int(v) for v in nodes), vals))
     return fields
@@ -232,6 +232,7 @@ def test_tfe_interior_patch_boundary_rows_zero():
         efields[e] = element_patch_fields(blocks.nodes_of(i), fields, corners, part)
     stack = stacked_tfe(blocks, nested, part, efields)
     assert np.count_nonzero(stack.T) > 0
+    on_surface = nested.on_faces(nested.coarse.surface_faces())
     for i, e in enumerate(blocks.elements):
         T_Fe = block_tfe(stack, i)
         corners = enriched_corners(nested, part, e)
@@ -242,7 +243,7 @@ def test_tfe_interior_patch_boundary_rows_zero():
             for j, v in enumerate(blocks.nodes_of(i)):
                 for c in range(3):
                     dof = 3 * int(v) + c
-                    if dof in boundary_dofs and not _on_domain_boundary(nested, int(v)):
+                    if dof in boundary_dofs and not on_surface[v]:
                         assert T_Fe[3 * j + c, 3 * ci + c] == 0.0
 
 
@@ -272,11 +273,6 @@ def test_stacked_tfe_matches_per_block_formula():
             assert np.count_nonzero(got * (1 - np.eye(3))) == 0
             checked += 1
     assert checked > 0
-
-
-def _on_domain_boundary(nested, node):
-    surface = set(nested.coarse.surface_faces())
-    return bool(nested.node_faces.get(node, frozenset()) & surface)
 
 
 def build_full_system(nested, sp_info, part, mat, loads, fields=None):

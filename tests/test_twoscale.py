@@ -88,9 +88,9 @@ def test_patch_interior_dimension_counting_oracle(cubic_small):
                 face_cnt[f] = face_cnt.get(f, 0) + 1
         cut = {f for f, c in face_cnt.items() if c == 1 and f not in surface}
         interior = []
-        for v in patch.fine_nodes(nested):
-            on_cut = bool(nested.node_faces.get(int(v), frozenset()) & cut)
-            if not on_cut and int(v) not in nested.hanging:
+        on_cut = nested.on_faces(sorted(cut))
+        for v in np.unique(np.concatenate([nested.micro[e] for e in patch.elements])):
+            if not on_cut[v] and v not in nested.hanging:
                 interior.append(int(v))
         n_pinned = sum(
             1 for v in interior for c in range(3) if part.ref_dirichlet[3 * v + c])
@@ -174,7 +174,8 @@ def test_damaged_patch_displacement_jump():
     best = None
     for pi, patch in enumerate(sp_info.patches):
         sets = part.patch_sets[pi]
-        dmg = problem.material.damage(nested.points[patch.fine_nodes(nested)])
+        nodes = np.unique(np.concatenate([nested.micro[e] for e in patch.elements]))
+        dmg = problem.material.damage(nested.points[nodes])
         if max(dmg) >= 0.99:
             q_nodes = {int(d) // 3 for d in sets["q"]}
             d_nodes = {int(d) // 3 for d in sets["d"]}
