@@ -119,8 +119,9 @@ class _RankState:
         self.stack = None           # transfer.BlockStack of the owned SP blocks
         self.const = None           # constant coarse triplets of the owned elements,
         self.const_b = None         # flat (keys, rows, cols, vals) and (keys, idx, vals)
-        self.patch_sys = {}         # patch index -> dict with factor etc. (owner only)
-        self.patch_scatter = {}     # patch index -> (stack rows, field slots, solution positions)
+        self.patches = None         # _PatchPass of the owned patches
+        self.patch_scatter = {}     # distributed patch index -> (stack rows, field slots,
+                                    # solution positions) of this rank's member blocks
         self.w_resi = None          # residual weight per owned row (element order)
         self.w_bnorm = None         # the same, SPF ring rows kept
         self.norm_B = 0.0
@@ -273,19 +274,50 @@ def _patch_positions(q_dofs, d_dofs, dofs):
     return np.where(qi >= 0, qi, np.where(di >= 0, len(q_dofs) + di, len(q_dofs) + len(d_dofs)))
 
 
+@dataclass
+class _PatchPass:
+    """The patches a rank owns, in schedule order, solved as one block system.
+
+    Patch k has the q dofs q_ptr[k]:q_ptr[k+1] of the concatenated u_q and
+    the d dofs d_ptr[k]:d_ptr[k+1] of u_d.  u_d is read at d_gather from
+    [stack.u, the pieces received for the owned distributed patches in
+    schedule order], u_q solves A_qq u_q = BI + D_qd u_d patch by patch
+    (D_qd block-diagonal), and the owned fields are set at slots from
+    [u_q, u_d, 0] at src.
+    """
+
+    patches: list           # patch index of each owned patch
+    factors: list           # Factor of each A_qq
+    q_ptr: np.ndarray
+    d_ptr: np.ndarray
+    BI: np.ndarray
+    D_qd: sp.csr_matrix
+    d_gather: np.ndarray
+    slots: np.ndarray
+    src: np.ndarray
+    distributed: list       # positions of the distributed patches, schedule order
+
+    def solution(self, k, u_q, u_d):
+        """[u_q, u_d, 0] of patch k."""
+        q, d = self.q_ptr, self.d_ptr
+        return np.concatenate([u_q[q[k]:q[k + 1]], u_d[d[k]:d[k + 1]], [0.0]])
+
+
 def _build_patch_systems(ctx, state, problem, plan):
     """Assemble and factorize A_qq per patch; owner is the lowest participant.
 
-    Also builds the patch's gather/scatter index arrays: every participant
-    keeps, per own member element, the position of each stacked row in the
-    owner's broadcast [u_q, u_d, 0] (Dirichlet dofs read the 0), and the
-    owner keeps d_src, the position of each d dof's value in the
-    concatenated member u_F vectors as they arrive.  A d dof takes its
-    value from the highest-id member element holding it, so the patch
-    data do not depend on the rank layout.  Participants send their member
-    blocks' rows, sliced from the rank stack, patch-indexed.
+    Also builds the gather/scatter index arrays: every participant of a
+    distributed patch keeps, per own member element, the position of each
+    stacked row in the owner's broadcast [u_q, u_d, 0] (Dirichlet dofs read
+    the 0), and the owner keeps d_src, the position of each d dof's value
+    in the concatenated member u_F vectors as they arrive, folded into the
+    rank's _PatchPass.  A d dof takes its value from the highest-id member
+    element holding it, so the patch data do not depend on the rank layout.
+    Participants send their member blocks' rows, sliced from the rank
+    stack, patch-indexed.
     """
     sp_info, part, stack = problem.sp_info, problem.partition, state.stack
+    owned = []
 
     def handle_patch(pi, group):
         sets, patch = part.patch_sets[pi], sp_info.patches[pi]
@@ -307,8 +339,9 @@ def _build_patch_systems(ctx, state, problem, plan):
                             stack.A.data[ptr[0]:ptr[-1]][keep], p[p < nq], stack.B[r][p < nq],
                             p[d] - nq, d))
         slots = [stack.field_slots(e, patch.node) for e in mine]
-        state.patch_scatter[pi] = tuple(np.concatenate([np.zeros(0, np.int64)] + a)
-                                        for a in (rows, slots, pos))
+        scatter = tuple(np.concatenate([np.zeros(0, np.int64)] + a) for a in (rows, slots, pos))
+        if group is not None:
+            state.patch_scatter[pi] = scatter
         pieces = [payload] if group is None else group.gather(payload, root=0)
         if pieces is None:  # not the owner
             return
@@ -331,9 +364,37 @@ def _build_patch_systems(ctx, state, problem, plan):
         except SingularMatrixError as exc:
             raise SingularMatrixError(exc.dof, exc.pivot) from RuntimeError(
                 f"patch {patch.node} has a singular interior matrix")
-        state.patch_sys[pi] = {"factor": factor, "BI": BI, "D_qd": -A_qd, "d_src": d_src}
+        owned.append((pi, factor, BI, -A_qd, d_src, scatter, offsets[-1], group is not None))
 
     _iterate_schedule(ctx, state, handle_patch)
+    state.patches = _patch_pass(owned, len(stack.u))
+
+
+def _patch_pass(owned, n_u):
+    """_PatchPass of the owned patches' (index, factor, BI, D_qd, d_src, scatter, arrived
+    length, distributed) in schedule order; n_u is the length of the stack's u."""
+    pis, factors, BI, D_qd, d_src, scatter, arrived, dist = zip(*owned) if owned else ([],) * 8
+    q_ptr = np.cumsum([0] + [len(b) for b in BI])
+    d_ptr = np.cumsum([0] + [len(d) for d in d_src])
+    # d values: own rows from the stack, the rest from the received pieces
+    d_gather, recv = [], n_u
+    for (rows, _, _), src, n, is_dist in zip(scatter, d_src, arrived, dist):
+        d_gather.append(np.where(src < len(rows), rows[np.minimum(src, len(rows) - 1)],
+                                 recv + src - len(rows)))
+        recv += (n - len(rows)) * is_dist
+    # [u_q, u_d, 0] positions of the owned fields
+    nq, nd = q_ptr[-1], d_ptr[-1]
+    src = [np.where(pos < len(b), q0 + pos, np.where(pos < len(b) + len(d), nq + d0 + pos - len(b),
+                                                     nq + nd))
+           for (_, _, pos), b, d, q0, d0 in zip(scatter, BI, d_src, q_ptr, d_ptr)]
+    cat = lambda a, dtype=np.int64: np.concatenate([np.zeros(0, dtype)] + list(a))
+    nnz = np.cumsum([0] + [m.nnz for m in D_qd])
+    D = sp.csr_matrix((cat([m.data for m in D_qd], np.float64),
+                       cat([m.indices + d0 for m, d0 in zip(D_qd, d_ptr)]),
+                       cat([[0]] + [m.indptr[1:] + n0 for m, n0 in zip(D_qd, nnz)])),
+                      shape=(nq, nd))
+    return _PatchPass(list(pis), list(factors), q_ptr, d_ptr, cat(BI, np.float64), D, cat(d_gather),
+                      cat(s[1] for s in scatter), cat(src), list(np.flatnonzero(dist)))
 
 
 def _iterate_schedule(ctx, state, fn):
@@ -374,32 +435,36 @@ def _iterate_schedule(ctx, state, fn):
 def micro_scale_resolution(ctx, state):
     """Solve every patch with the current boundary data from u_F.
 
-    The owner of a distributed patch broadcasts its solution and moves on;
-    the other participants only send their boundary values during the pass
-    and receive the solutions once it is done, so within the pass a rank
-    waits only for the boundary values of the patches it solves.
+    The boundary values of the distributed patches are gathered first, in
+    schedule order, so a rank waits only for the values of the patches it
+    owns; then the rank solves its patches in one pass (see _PatchPass), the
+    owners broadcast the distributed patches' solutions, and the other
+    participants receive them.
     """
-    fields = state.stack.fields.reshape(-1)
-    pending = []
+    pp, stack = state.patches, state.stack
+    received, owned, pending = [], [], []
 
-    def handle_patch(pi, group):
-        rows, slots, pos = state.patch_scatter[pi]
-        u_mine = state.stack.u[rows]
-        pieces = [u_mine] if group is None else group.gather(u_mine, root=0)
-        if pieces is None:
-            pending.append((pi, group))
+    def gather(pi, group):
+        if group is None:
             return
-        sysd = state.patch_sys[pi]
-        u_d = np.concatenate(pieces)[sysd["d_src"]]
-        u_q = solve(sysd["factor"], sysd["BI"] + sysd["D_qd"] @ u_d)
-        sol = np.concatenate([u_q, u_d, [0.0]])
-        if group is not None:
-            group.bcast(sol, root=0)
-        fields[slots] = sol[pos]
+        rows, slots, pos = state.patch_scatter[pi]
+        pieces = group.gather(stack.u[rows] if group.rank else None, root=0)
+        if pieces is None:
+            pending.append((group, slots, pos))
+        else:
+            received.extend(pieces[1:])
+            owned.append(group)
 
-    _iterate_schedule(ctx, state, handle_patch)
-    for pi, group in pending:
-        _, slots, pos = state.patch_scatter[pi]
+    _iterate_schedule(ctx, state, gather)
+    u_d = np.concatenate([stack.u] + received)[pp.d_gather]
+    rhs = pp.BI + pp.D_qd @ u_d
+    u_q = np.concatenate([np.zeros(0)] + [solve(F, rhs[a:b]) for F, a, b in
+                                          zip(pp.factors, pp.q_ptr, pp.q_ptr[1:])])
+    fields = stack.fields.reshape(-1)
+    fields[pp.slots] = np.concatenate([u_q, u_d, [0.0]])[pp.src]
+    for k, group in zip(pp.distributed, owned):
+        group.bcast(pp.solution(k, u_q, u_d), root=0)
+    for group, slots, pos in pending:
         fields[slots] = group.bcast(None, root=0)[pos]
 
 
@@ -644,8 +709,7 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         update_micro_dofs(state, problem, U_g)
         resi = compute_residual(ctx, state)
         resi_history.append(resi)
-        psolve = ctx.all_reduce_sum(
-            sum(s["factor"].solve_flops for s in state.patch_sys.values()))
+        psolve = ctx.all_reduce_sum(sum(F.solve_flops for F in state.patches.factors))
         records.append(IterationRecord(it, resi, wall_time=time.perf_counter() - t0,
                                        solve_flops=psolve, **fields))
         if iterates is not None:

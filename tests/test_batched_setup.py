@@ -23,6 +23,7 @@ from twoscalefem.elasticity import (
 )
 from twoscalefem.runtime import partition_mesh, run_ranks
 from twoscalefem.scheduler import PatchGraph
+from twoscalefem.sparsela import factorize, solve
 from twoscalefem.transfer import barycentric_matrix
 from twoscalefem.twoscale import ts_init
 
@@ -167,12 +168,57 @@ def test_batched_setup_equals_per_element_assembly(cone, n_ranks, monkeypatch):
             assert same(stack.T_Fk[rows, 12 * i:12 * i + 12], tfk[e])
         for got, expect in zip(state.const + state.const_b, const + const_b):
             assert np.array_equal(got, expect)
-    assert sum(len(s.patch_sys) for s in states) == len(problem.sp_info.patches)
+    assert sum(len(s.patches.factors) for s in states) == len(problem.sp_info.patches)
     for rank, state in enumerate(states):
-        assert len(factored.get(rank, [])) == len(state.patch_sys)
-        for A_qq, (pi, sysd) in zip(factored.get(rank, []), state.patch_sys.items()):
+        pp, stack = state.patches, state.stack
+        assert len(factored.get(rank, [])) == len(pp.factors) == len(pp.patches)
+        recv = len(stack.u)  # the received pieces follow the stack's u
+        for k, (A_qq, pi) in enumerate(zip(factored.get(rank, []), pp.patches)):
             expect_qq, expect_qd, BI, d_src = patch_reference(problem, plan, all_blocks, pi)
+            q, d = slice(*pp.q_ptr[k:k + 2]), slice(*pp.d_ptr[k:k + 2])
             assert same(A_qq, expect_qq)
-            assert same(-sysd["D_qd"], expect_qd)
-            assert np.array_equal(sysd["BI"], BI)
-            assert np.array_equal(sysd["d_src"], d_src)
+            assert same(-pp.D_qd[q, d], expect_qd)
+            assert pp.D_qd[q].nnz == expect_qd.nnz  # block-diagonal
+            assert np.array_equal(pp.BI[q], BI)
+            # d values: the owner's member rows from its stack, the others' as received
+            members = problem.sp_info.patches[pi].elements
+            own = np.concatenate([stack.rows_of(e) for e in members if plan.element_rank[e] == rank])
+            assert np.array_equal(pp.d_gather[d], np.where(
+                d_src < len(own), own[np.minimum(d_src, len(own) - 1)], recv + d_src - len(own)))
+            if k in pp.distributed:
+                recv += sum(3 * len(all_blocks[e][0]) for e in members) - len(own)
+
+
+@pytest.mark.parametrize("n_ranks", [1, 3])
+def test_patch_pass_equals_per_patch_solves(cone, n_ranks):
+    # one micro_scale_resolution sets every patch field bitwise to the solve of
+    # the patch system assembled element by element, whichever rank owns it
+    problem = cone
+    part, sp_info = problem.partition, problem.sp_info
+    plan = partition_mesh(problem.nested, sp_info, n_ranks)
+    U_g = np.random.default_rng(5).normal(size=part.n_coarse_free)
+
+    def prog(ctx):
+        state = ts_init(ctx, problem, plan)
+        twoscale.update_micro_dofs(state, problem, U_g)
+        twoscale.micro_scale_resolution(ctx, state)
+        return state
+
+    states = run_ranks(n_ranks, prog)
+    blocks = {}
+    for rank in range(n_ranks):
+        blocks.update(reference(problem, plan, rank)[0])
+    for pi, patch in enumerate(sp_info.patches):
+        q_dofs, d_dofs = part.patch_sets[pi]["q"], part.patch_sets[pi]["d"]
+        A_qq, A_qd, BI, d_src = patch_reference(problem, plan, blocks, pi)
+        arrived = sorted(map(int, patch.elements), key=lambda e: (plan.element_rank[e], e))
+        stack_of = lambda e: states[plan.element_rank[e]].stack
+        u_d = np.concatenate([stack_of(e).u[stack_of(e).rows_of(e)] for e in arrived])[d_src]
+        sol = np.concatenate([solve(factorize(A_qq), BI + (-A_qd) @ u_d), u_d, [0.0]])
+        for e in map(int, patch.elements):
+            stack = stack_of(e)
+            dofs = stack.dofs[stack.rows_of(e)]
+            pos = twoscale._patch_positions(q_dofs, d_dofs, dofs)
+            pos[part.ref_dirichlet[dofs]] = len(sol) - 1
+            got = stack.fields.reshape(-1)[stack.field_slots(e, patch.node)]
+            assert np.array_equal(got, sol[pos])
