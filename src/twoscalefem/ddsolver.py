@@ -8,9 +8,13 @@ condensation is sparse (Smith, Bjorstad & Gropp, Domain Decomposition, CUP
 1996, ch. 4): only the boundary columns coupled to the interior (``cpl``)
 reach the interior solve, S = A_bb - A_bI A_II^-1 A_Ib is A_bb plus a dense
 cpl x cpl block on a pattern fixed by dd_layout, and an owner receives only
-S's values on its preconditioner block.  A singular interior block is
-factorized shifted (interior solves then refined), a singular preconditioner
-block shifted row by row (_preconditioner_shifted).
+S's values on its preconditioner block.  The cpl x cpl block comes from
+sparsela.schur_product: W^T W with W = L^-1 A_Ib from one triangular solve
+when the interior block has a dense Cholesky factor (at most
+sparsela.DENSE_MAX dofs), A_bI (A_II^-1 A_Ib) from SuperLU otherwise.  A
+singular interior block is factorized shifted (interior solves then
+refined), a singular preconditioner block shifted row by row
+(_preconditioner_shifted).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import scipy.sparse as sp
 
 from .runtime import RankContext
 from .sparsela import (SHIFT, CgReport, CscPattern, SingularMatrixError, factorize, pcg, refine,
-                       shifted, solve)
+                       schur_product, shifted, solve)
 
 __all__ = ["DdLayout", "DdResult", "boundary_exchange", "condense", "dd_layout",
            "dd_solve_from_triplets", "reference_rank_triplets"]
@@ -156,7 +160,8 @@ def condense(A, lay: DdLayout):
     A is the local CSC matrix on lay.pattern.  Returns (S, solve_II, shift):
     S = A_bb - A_bI A_II^-1 A_Ib on lay.s_pattern, the interior solver
     (refined against A_II when shift) and whether A_II was shifted.  Only
-    the coupled columns lay.cpl are solved, in one call.
+    the coupled columns lay.cpl are solved, in one call: through
+    sparsela.schur_product, or with refinement when shifted.
     """
     nI, cpl = lay.nI, lay.nI + lay.cpl
     A_II = A[:nI, :nI]
@@ -166,7 +171,8 @@ def condense(A, lay: DdLayout):
         x = solve(F_II, rhs)
         return refine(F_II, A_II, rhs, x)[0] if shift else x
 
-    C = A[cpl, :nI] @ solve_II(A[:nI, cpl].toarray())
+    A_bI, A_Ib = A[cpl, :nI], A[:nI, cpl]
+    C = A_bI @ solve_II(A_Ib.toarray()) if shift else schur_product(F_II, A_bI, A_Ib)
     return lay.s_pattern.assemble(np.concatenate([A.data[lay.a_bb], -C.ravel()])), solve_II, shift
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from twoscalefem import ddsolver
+from twoscalefem import ddsolver, sparsela
 from twoscalefem.bench import CaseSpec, build_cone_box_problem, build_cubic_problem, reference_oracle
 from twoscalefem.ddsolver import (CG_ITER_MAX, boundary_exchange, condense, dd_layout,
                                   dd_solve_from_triplets, reference_rank_triplets)
@@ -141,19 +141,36 @@ def assemble(lay, trips):
     return lay.pattern.assemble(np.concatenate([t[3] for t in trips]))
 
 
+def superlu_factor(A):
+    """SuperLU's factor of A whatever its size (the dense kernel switched off)."""
+    saved, sparsela.DENSE_MAX = sparsela.DENSE_MAX, 0
+    try:
+        return factorize(A)
+    finally:
+        sparsela.DENSE_MAX = saved
+
+
 def check_condensation(ctx, trips, lay):
     """This rank's sparse S and owned M_jj are bitwise the dense formulas (collective).
 
-    S against A_bb - A_bI F_II^-1 A_Ib with every boundary column solved;
+    S against A_bb - A_bI A_II^-1 A_Ib, the coupled columns lay.cpl solved
+    by the factor of A_II (W^T W with W = L^-1 A_Ib for a dense Cholesky
+    factor, A_bI (F^-1 A_Ib) for SuperLU) and the others left at A_bb; and
+    within 1e-12 of the SuperLU formula with every boundary column solved.
     M_jj against the owned block of the dense S plus, in ascending rank
     order, each co-rank's dense block of the dofs this rank owns.
     """
-    A, nI = assemble(lay, trips), lay.nI
+    A, nI, cpl = assemble(lay, trips), lay.nI, lay.cpl
     S, _, shift = condense(A, lay)
     assert not shift
-    S_dense = A[nI:, nI:].toarray() - A[nI:, :nI] @ solve(factorize(A[:nI, :nI]),
-                                                         A[:nI, nI:].toarray())
+    F, A_bI, A_Ib = factorize(A[:nI, :nI]), A[nI:, :nI], A[:nI, nI:]
+    B = A_Ib[:, cpl].toarray()
+    W = solve(F, B, half=True) if F.kind == "dense" else None
+    S_dense = A[nI:, nI:].toarray()
+    S_dense[np.ix_(cpl, cpl)] -= W.T @ W if W is not None else A_bI[cpl] @ solve(F, B)
     assert np.array_equal(S.toarray(), S_dense)
+    S_lu = A[nI:, nI:].toarray() - A_bI @ solve(superlu_factor(A[:nI, :nI]), A_Ib.toarray())
+    assert np.abs(S_dense - S_lu).max() <= 1e-12 * np.abs(S_lu).max()
     b_dofs = lay.dofs[nI:]
     own = lay.owner == ctx.rank
     M_dense = S_dense[np.ix_(own, own)]
@@ -203,6 +220,21 @@ def test_sparse_condensation_equals_dense_formula(n_ranks):
     sizes = run_ranks(n_ranks, prog)
     # some rank has interior-coupled and uncoupled boundary columns
     assert any(0 < k < nb for k, nb in sizes)
+
+
+def test_sparse_condensation_with_superlu_interior(monkeypatch):
+    # interior blocks above sparsela.DENSE_MAX take the SuperLU formula
+    monkeypatch.setattr(sparsela, "DENSE_MAX", 0)
+    rng = np.random.default_rng(33)
+    trips, bv = covering_cliques(80, 20, rng)
+
+    def prog(ctx):
+        my_t, my_b = rank_items(ctx, trips, bv, contiguous=True)
+        lay = dd_layout(ctx, my_t, my_b)
+        assert factorize(assemble(lay, my_t)[:lay.nI, :lay.nI]).kind == "superlu"
+        return check_condensation(ctx, my_t, lay)
+
+    assert any(0 < k < nb for k, nb in run_ranks(3, prog))
 
 
 def test_sparse_condensation_on_tsdd_coarse_systems(monkeypatch):
