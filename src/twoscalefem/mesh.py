@@ -216,20 +216,55 @@ def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_l
 
 
 def read_mesh(path) -> CoarseMesh:
-    """Read the in-repo ASCII format (see README: mesh file format)."""
+    """Read the in-repo ASCII format (see README: mesh file format).
+
+    A malformed line (a wrong field count, a token that is not a number of
+    the expected kind) or a file that ends early raises a one-line MeshError
+    naming the line.
+    """
     with open(path) as fh:
-        tokens = [ln.split("#")[0].strip() for ln in fh]
-        tokens = [ln for ln in tokens if ln]
-    it = iter(tokens)
-    verts = np.array([[float(x) for x in next(it).split()] for _ in range(int(next(it)))])
-    tets = [next(it).split() for _ in range(int(next(it)))]
-    faces = [next(it).split() for _ in range(int(next(it)))]
-    for what, rows in (("element", tets), ("boundary face", faces)):  # 4 ids, or 3 and a label
-        bad = next((i for i, row in enumerate(rows) if len(row) != 4), None)
-        if bad is not None:
-            raise MeshError(f"{what} {bad} has {len(rows[bad])} fields, expected 4")
-    return CoarseMesh(verts, np.array(tets, dtype=np.int64).reshape(-1, 4),
-                      {tuple(sorted(int(x) for x in f[:3])): f[3] for f in faces})
+        lines = iter([(i, f) for i, f in ((i, ln.split("#")[0].split())
+                                           for i, ln in enumerate(fh, 1)) if f])
+    last = 0
+
+    def line(what):
+        nonlocal last
+        item = next(lines, None)
+        if item is None:
+            raise MeshError(f"file ends after line {last}, before {what}")
+        last = item[0]
+        return item
+
+    def numbers(fields, kind, at):
+        out = []
+        for x in fields:
+            try:
+                out.append(kind(x))
+            except ValueError:
+                name = "an integer" if kind is int else "a number"
+                raise MeshError(f"line {last}: {at} field {x!r} is not {name}") from None
+        return out
+
+    def section(what, n_fields, n_numbers, kind):
+        _, (count, *extra) = line(f"the {what} count")
+        if extra:
+            raise MeshError(f"line {last}: {what} count has {1 + len(extra)} fields, expected 1")
+        (count,) = numbers([count], int, f"{what} count")
+        rows = []
+        for k in range(count):
+            _, fields = line(f"{what} {k} of {count}")
+            if len(fields) != n_fields:
+                raise MeshError(f"line {last}: {what} {k} has {len(fields)} fields, "
+                                f"expected {n_fields}")
+            rows.append(numbers(fields[:n_numbers], kind, f"{what} {k}") + fields[n_numbers:])
+        return rows
+
+    verts = section("vertex", 3, 3, float)
+    tets = section("element", 4, 4, int)
+    faces = section("boundary face", 4, 3, int)  # 3 vertex ids and a label
+    return CoarseMesh(np.array(verts, dtype=np.float64).reshape(-1, 3),
+                      np.array(tets, dtype=np.int64).reshape(-1, 4),
+                      {tuple(sorted(f[:3])): f[3] for f in faces})
 
 
 def write_mesh(mesh: CoarseMesh, path):

@@ -292,20 +292,33 @@ def test_mesh_io_roundtrip(tmp_path):
     assert back.boundary_faces == mesh.boundary_faces
 
 
+# whole-file edits for the rows that are not one bad element line
+FILE_EDITS = {
+    "9 vertices": lambda lines: ["9"] + lines[1:],  # one more than the 8 vertex lines
+    "truncated": lambda lines: lines[:15],          # ends after element 4
+}
+
+
 @pytest.mark.parametrize("tet_line,label,named", [
     ("0 1 4 -1", " clamp", "element 5 has vertex id -1"),
     ("0 1 2 99", " clamp", "element 5 has vertex id 99"),
     ("0 1 2", " clamp", "element 5 has 3 fields"),
     (None, "", "boundary face 0 has 3 fields"),
+    ("0 1 2 x", " clamp", "line 16: element 5 field 'x' is not an integer"),
+    ("0 1 2 3.5", " clamp", "line 16: element 5 field '3.5' is not an integer"),
+    ("9 vertices", " clamp", "line 10: vertex 8 has 1 fields, expected 3"),
+    ("truncated", " clamp", "file ends after line 15, before element 5 of 6"),
 ])
 def test_read_mesh_rejects_bad_ids_in_one_line(tmp_path, tet_line, label, named):
     mesh = box_mesh(1, 1, 1)
     lines = [str(mesh.n_vertices)] + [" ".join(map(str, v)) for v in mesh.vertices]
     tets = [" ".join(map(str, t)) for t in mesh.tets]
     face = " ".join(map(str, mesh.surface_faces()[0])) + label
-    lines += [str(len(tets))] + tets[:5] + [tet_line or tets[5], "1", face]
+    edit = FILE_EDITS.get(tet_line)
+    lines += [str(len(tets))] + tets[:5] + [tet_line if tet_line and not edit else tets[5],
+                                            "1", face]
     path = tmp_path / "bad.msh"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(edit(lines) if edit else lines) + "\n")
     with pytest.raises(MeshError) as err:
         read_mesh(path)
     assert named in str(err.value) and "\n" not in str(err.value)
