@@ -140,22 +140,24 @@ def _cubic_stress_diag(x, E, nu, F, K):
 
 
 def cubic_body_force(E=CUBIC_E, nu=CUBIC_NU, F=1.0, K=4.0):
-    """f = -div sigma of the cubic field (equilibrium residual is zero)."""
+    """f = -div sigma of the cubic field (equilibrium residual is zero), (..., 3) at
+    points (..., 3)."""
 
     def f(p):
-        return np.array([-F * (1.0 - nu) * (K - 2.0 * p[0]), 0.0, 0.0])
+        out = np.zeros(np.shape(p))
+        out[..., 0] = -F * (1.0 - nu) * (K - 2.0 * p[..., 0])
+        return out
 
     return f
 
 
 def cubic_traction(side, E=CUBIC_E, nu=CUBIC_NU, F=1.0, K=4.0):
-    """sigma . n on one box side (x faces carry zero traction)."""
+    """sigma . n on one box side (x faces carry zero traction), (..., 3) at points (..., 3)."""
     sign, axis = SIDE_NORMAL[side]
 
     def t(p):
-        s = _cubic_stress_diag(p[0], E, nu, F, K)
-        out = np.zeros(3)
-        out[axis] = sign * s[axis]
+        out = np.zeros(np.shape(p))
+        out[..., axis] = sign * _cubic_stress_diag(p[..., 0], E, nu, F, K)[axis]
         return out
 
     return t
@@ -382,12 +384,11 @@ def build_cone_box_problem(spec: CaseSpec, base=BASES["cone-damage-box"]):
     balance = r_pull**2 / (r_out**2 - r_in**2)
 
     def pull(p):
-        rho2 = p[0] ** 2 + p[2] ** 2
-        if rho2 <= r_pull**2:
-            return np.array([0.0, P, 0.0])
-        if r_in**2 <= rho2 <= r_out**2:
-            return np.array([0.0, -P * balance, 0.0])
-        return np.zeros(3)
+        rho2 = p[..., 0] ** 2 + p[..., 2] ** 2
+        out = np.zeros(np.shape(p))
+        out[..., 1] = np.where(rho2 <= r_pull**2, P,
+                               np.where((r_in**2 <= rho2) & (rho2 <= r_out**2), -P * balance, 0.0))
+        return out
 
     # self-equilibrated loading (anchor pull + support-ring reaction) with
     # 3-2-1 corner pins: no Dirichlet faces, so hanging nodes on the SP/NSP

@@ -88,9 +88,11 @@ class Material:
 class LoadSet:
     """Volume force plus labelled tractions; prescribed displacements are zero.
 
-    body(x) -> 3-vector in N/m^3; tractions maps a Neumann face label to
-    t(x) -> 3-vector in N/m^2.  Nonzero prescribed displacements are not
-    supported and must be rejected by callers that accept user data.
+    body(x) -> loads in N/m^3; tractions maps a Neumann face label to
+    t(x) -> loads in N/m^2.  A load takes points (n, 3) and returns (n, 3)
+    values, or one 3-vector when it is constant.  Nonzero prescribed
+    displacements are not supported and must be rejected by callers that
+    accept user data.
     """
 
     body: Callable | None = None
@@ -221,7 +223,8 @@ def consistent_loads(points, simplices, f):
     """Nodal loads (k,m,3): the integral of f N_i over tetrahedra (m=4) or triangles (m=3).
 
     Tetrahedra use the 4-point degree-2 rule, triangles the 6-point degree-4
-    rule; f maps one point to a 3-vector.
+    rule; f is called once on every quadrature point, (k q, 3), and returns
+    (k q, 3) values or one constant 3-vector (see LoadSet).
     """
     p = points[simplices]
     if simplices.shape[1] == 4:
@@ -231,7 +234,8 @@ def consistent_loads(points, simplices, f):
         bary, w = TRI6_QUAD
         measure = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
     xq = np.einsum("qi,kid->kqd", bary, p)
-    fq = np.array([f(x) for x in xq.reshape(-1, 3)], dtype=np.float64).reshape(xq.shape)
+    fq = np.broadcast_to(np.asarray(f(xq.reshape(-1, 3)), dtype=np.float64),
+                         (xq.shape[0] * xq.shape[1], 3)).reshape(xq.shape)
     return np.einsum("q,qi,kqd->kid", w, bary, fq) * measure[:, None, None]
 
 
