@@ -241,13 +241,14 @@ def solve(F: Factor, b: np.ndarray, half: bool = False) -> np.ndarray:
 
 
 def schur_product(F: Factor, A_bI, A_Ib) -> np.ndarray:
-    """A_bI A^-1 A_Ib as a dense array, F the factor of the symmetric A (A_bI = A_Ib^T).
+    """A_bI A^-1 A_Ib (A_Ib sparse) as a dense array, F the factor of the symmetric A
+    (A_bI = A_Ib^T).
 
     A dense Cholesky factor gives W^T W with W = L'^-1 S^-1 A_Ib from one
     triangular solve, a BLAS-3 product that is symmetric by construction;
     a SuperLU factor gives A_bI (F^-1 A_Ib).
     """
-    B = A_Ib.toarray() if sp.issparse(A_Ib) else A_Ib
+    B = A_Ib.toarray()
     if F._chol is None:
         return A_bI @ solve(F, B)
     W = solve(F, B, half=True)

@@ -297,11 +297,6 @@ class _PatchPass:
     src: np.ndarray
     distributed: list       # positions of the distributed patches, schedule order
 
-    def solution(self, k, u_q, u_d):
-        """[u_q, u_d, 0] of patch k."""
-        q, d = self.q_ptr, self.d_ptr
-        return np.concatenate([u_q[q[k]:q[k + 1]], u_d[d[k]:d[k + 1]], [0.0]])
-
 
 def _build_patch_systems(ctx, state, problem, plan):
     """Assemble and factorize A_qq per patch; owner is the lowest participant.
@@ -378,10 +373,10 @@ def _patch_pass(owned, n_u):
     d_ptr = np.cumsum([0] + [len(d) for d in d_src])
     # d values: own rows from the stack, the rest from the received pieces
     d_gather, recv = [], n_u
-    for (rows, _, _), src, n, is_dist in zip(scatter, d_src, arrived, dist):
+    for (rows, _, _), src, n in zip(scatter, d_src, arrived):
         d_gather.append(np.where(src < len(rows), rows[np.minimum(src, len(rows) - 1)],
                                  recv + src - len(rows)))
-        recv += (n - len(rows)) * is_dist
+        recv += n - len(rows)  # 0 for a local patch
     # [u_q, u_d, 0] positions of the owned fields
     nq, nd = q_ptr[-1], d_ptr[-1]
     src = [np.where(pos < len(b), q0 + pos, np.where(pos < len(b) + len(d), nq + d0 + pos - len(b),
@@ -462,8 +457,9 @@ def micro_scale_resolution(ctx, state):
                                           zip(pp.factors, pp.q_ptr, pp.q_ptr[1:])])
     fields = stack.fields.reshape(-1)
     fields[pp.slots] = np.concatenate([u_q, u_d, [0.0]])[pp.src]
+    q, d = pp.q_ptr, pp.d_ptr
     for k, group in zip(pp.distributed, owned):
-        group.bcast(pp.solution(k, u_q, u_d), root=0)
+        group.bcast(np.concatenate([u_q[q[k]:q[k + 1]], u_d[d[k]:d[k + 1]], [0.0]]), root=0)
     for group, slots, pos in pending:
         fields[slots] = group.bcast(None, root=0)[pos]
 

@@ -182,7 +182,8 @@ def test_batched_setup_equals_per_element_assembly(cone, n_ranks, monkeypatch):
             assert np.array_equal(pp.BI[q], BI)
             # d values: the owner's member rows from its stack, the others' as received
             members = problem.sp_info.patches[pi].elements
-            own = np.concatenate([stack.rows_of(e) for e in members if plan.element_rank[e] == rank])
+            own = np.concatenate([stack.rows_of(e) for e in members
+                                  if plan.element_rank[e] == rank])
             assert np.array_equal(pp.d_gather[d], np.where(
                 d_src < len(own), own[np.minimum(d_src, len(own) - 1)], recv + d_src - len(own)))
             if k in pp.distributed:
