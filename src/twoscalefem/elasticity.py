@@ -234,8 +234,8 @@ def consistent_loads(points, simplices, f):
         bary, w = TRI6_QUAD
         measure = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
     xq = np.einsum("qi,kid->kqd", bary, p)
-    fq = np.broadcast_to(np.asarray(f(xq.reshape(-1, 3)), dtype=np.float64),
-                         (xq.shape[0] * xq.shape[1], 3)).reshape(xq.shape)
+    x = xq.reshape(-1, 3)
+    fq = np.broadcast_to(np.asarray(f(x), dtype=np.float64), x.shape).reshape(xq.shape)
     return np.einsum("q,qi,kqd->kid", w, bary, fq) * measure[:, None, None]
 
 

@@ -8,10 +8,11 @@ SuperLU in symmetric mode with a minimum-degree ordering, whose unit-lower
 factor, diagonal and symmetric permutation are extracted so that perm
 applied to A reproduces L*D*L^T.  SuperLU's fixed cost per call (ordering,
 symbolic set-up, building L and U) outweighs the arithmetic of small
-systems: a 156-dof coarse matrix 0.94 ms against 0.25 ms for dpotrf, 684
-dofs 6.2 against 5.9 ms, 804 dofs 6.0 against 9.5 ms, 3285 dofs 109
-against 511 ms (one BLAS thread), hence the cut at 300.  schur_product
-forms A_bI A^-1 A_Ib with the kernel that fits the factor.
+systems: on a 2-vCPU Xeon with one BLAS thread, a 156-dof coarse matrix
+takes 0.94 ms against 0.25 ms for dpotrf, 684 dofs 6.2 against 5.9 ms,
+804 dofs 6.0 against 9.5 ms and 3285 dofs 109 against 511 ms, hence the
+cut at 300.  schur_product forms A_bI A^-1 A_Ib with the kernel that fits
+the factor.
 
 Flop counters are integers derived from the factor sparsity, identical
 across runs: factor_flops is the sum of the squared nonzero counts of the
