@@ -107,7 +107,8 @@ def factorize(A, ordering: str = "mmd") -> Factor:
     if n == 0:
         return Factor(0, np.zeros(0, int), np.zeros(0), 0, _L=sp.csc_matrix((0, 0)))
     if n <= DENSE_MAX:
-        F = _cholesky(A.toarray() if sp.issparse(A) else np.array(A, dtype=np.float64))
+        M = A.toarray() if sp.issparse(A) else np.array(A)  # a copy, overwritten
+        F = _cholesky(M.astype(np.float64, copy=False))
         if F is not None:
             return F
     if not sp.issparse(A):

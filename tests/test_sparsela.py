@@ -69,6 +69,9 @@ def test_spd_matrix_gets_the_dense_kernel():
     assert F.kind == "dense" and F._L is None  # L is built on first access
     assert np.array_equal(F.perm, np.arange(50)) and (F.d > 0).all()
     assert np.allclose(F.L.diagonal(), 1.0) and F.L.nnz == F.nnz_L
+    # an integer matrix is factored in floating point and left as it was
+    A = sp.csc_matrix(np.array([[4, 2], [2, 3]]))
+    assert np.allclose(factorize(A).d, [4.0, 2.0]) and A.dtype.kind == "i"
 
 
 def test_singular_2x2_is_refused():
