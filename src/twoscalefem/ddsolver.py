@@ -101,6 +101,13 @@ class DdLayout:
     m_own: np.ndarray           # S slots of the block this rank owns
     m_pattern: CscPattern
     dot_order: np.ndarray       # stable order of every rank's owned boundary dofs, in rank order
+    blocks: dict                # block name -> its CSC structure, data = positions in A's data
+
+    def block(self, A, name):
+        """A's block II, bI (cpl rows), Ib (cpl columns), BI or IB, read from A's data at
+        the positions dd_layout sliced once, so equal to slicing A bitwise."""
+        b = self.blocks[name]
+        return sp.csc_matrix((A.data[b.data], b.indices, b.indptr), shape=b.shape)
 
 
 def dd_layout(ctx: RankContext, trips, bvecs) -> DdLayout:
@@ -147,11 +154,19 @@ def dd_layout(ctx: RankContext, trips, bvecs) -> DdLayout:
     m_ij = [(b_dofs[s_r[m_own]], b_dofs[s_c[m_own]])] + [ctx.recv(q, tag=44) for q in co_ranks]
     j_dofs = b_dofs[owner == ctx.rank]
     m_rows, m_cols = (np.searchsorted(j_dofs, np.concatenate(g)) for g in zip(*m_ij))
+    # the blocks condense and the solve take of A: slice a matrix of 1-based data positions once
+    slot = sp.csc_matrix((np.arange(1, len(pattern.indices) + 1), pattern.indices,
+                          pattern.indptr), shape=pattern.shape)
+    I, B, C = slice(0, nI), slice(nI, len(dofs)), nI + cpl
+    blocks = {k: slot[i, j] for k, (i, j) in
+              dict(II=(I, I), bI=(C, I), Ib=(I, C), BI=(B, I), IB=(I, B)).items()}
+    for b in blocks.values():
+        b.data -= 1
     return DdLayout(
         dofs[order], nI, pattern, lidx(idx), owner, co_ranks,
         {q: np.nonzero(b_held[q])[0] for q in co_ranks}, cpl, a_bb, s_pattern, m_send, m_own,
         CscPattern.of(m_rows, m_cols, (len(j_dofs), len(j_dofs))),
-        np.argsort(np.argsort(owners, kind="stable")))
+        np.argsort(np.argsort(owners, kind="stable")), blocks)
 
 
 def condense(A, lay: DdLayout):
@@ -163,15 +178,14 @@ def condense(A, lay: DdLayout):
     the coupled columns lay.cpl are solved, in one call: through
     sparsela.schur_product, or with refinement when shifted.
     """
-    nI, cpl = lay.nI, lay.nI + lay.cpl
-    A_II = A[:nI, :nI]
+    A_II = lay.block(A, "II")
     F_II, shift = _factorize(A_II)
 
     def solve_II(rhs):
         x = solve(F_II, rhs)
         return refine(F_II, A_II, rhs, x)[0] if shift else x
 
-    A_bI, A_Ib = A[cpl, :nI], A[:nI, cpl]
+    A_bI, A_Ib = lay.block(A, "bI"), lay.block(A, "Ib")
     C = A_bI @ solve_II(A_Ib.toarray()) if shift else schur_product(F_II, A_bI, A_Ib)
     return lay.s_pattern.assemble(np.concatenate([A.data[lay.a_bb], -C.ravel()])), solve_II, shift
 
@@ -222,7 +236,7 @@ def dd_solve_from_triplets(ctx: RankContext, n: int, trips, bvecs, eps: float,
 
     S, solve_II, shift = condense(A, lay)
     B_I = B[:nI]
-    B_b, M_jj = boundary_exchange(ctx, lay, S, B[nI:] - A[nI:, :nI] @ solve_II(B_I))
+    B_b, M_jj = boundary_exchange(ctx, lay, S, B[nI:] - lay.block(A, "BI") @ solve_II(B_I))
     # block-Jacobi preconditioner on owned boundary blocks
     F_M, shift_M = _factorize(M_jj, _preconditioner_shifted) if len(j_local) else (None, False)
 
@@ -250,7 +264,7 @@ def dd_solve_from_triplets(ctx: RankContext, n: int, trips, bvecs, eps: float,
 
     x0 = warm if warm is not None and len(warm) == len(owner) else np.zeros(len(owner))
     x_b, report = pcg(x0, apply_S, B_b, apply_M, eps, iter_max=CG_ITER_MAX, dot=dot)
-    X_I = solve_II(B_I - A[:nI, nI:] @ x_b)
+    X_I = solve_II(B_I - lay.block(A, "IB") @ x_b)
 
     # every rank builds x from the same rank-ordered list
     parts = ctx.allgather((np.concatenate([lay.dofs[:nI], j_dofs]),

@@ -153,14 +153,20 @@ def superlu_factor(A):
 def check_condensation(ctx, trips, lay):
     """This rank's sparse S and owned M_jj are bitwise the dense formulas (collective).
 
-    S against A_bb - A_bI A_II^-1 A_Ib, the coupled columns lay.cpl solved
-    by the factor of A_II (W^T W with W = L^-1 A_Ib for a dense Cholesky
-    factor, A_bI (F^-1 A_Ib) for SuperLU) and the others left at A_bb; and
-    within 1e-12 of the SuperLU formula with every boundary column solved.
+    The layout's blocks of A against slicing A.  S against A_bb - A_bI
+    A_II^-1 A_Ib, the coupled columns lay.cpl solved by the factor of A_II
+    (W^T W with W = L^-1 A_Ib for a dense Cholesky factor, A_bI (F^-1 A_Ib)
+    for SuperLU) and the others left at A_bb; and within 1e-12 of the
+    SuperLU formula with every boundary column solved.
     M_jj against the owned block of the dense S plus, in ascending rank
     order, each co-rank's dense block of the dofs this rank owns.
     """
     A, nI, cpl = assemble(lay, trips), lay.nI, lay.cpl
+    I, B, C = slice(0, nI), slice(nI, A.shape[0]), nI + cpl
+    for name, (i, j) in dict(II=(I, I), bI=(C, I), Ib=(I, C), BI=(B, I), IB=(I, B)).items():
+        got, ref = lay.block(A, name), A[i, j]
+        assert all(np.array_equal(getattr(got, f), getattr(ref, f))
+                   for f in ("data", "indices", "indptr"))
     S, _, shift = condense(A, lay)
     assert not shift
     F, A_bI, A_Ib = factorize(A[:nI, :nI]), A[nI:, :nI], A[:nI, nI:]
