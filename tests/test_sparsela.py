@@ -178,6 +178,9 @@ def test_flop_counters_match_explicit_factor():
             solve(F, np.ones(n))
             solve(F, np.ones((n, 3)))
             assert F.solve_flops == 4 * (2 * F.L.nnz + F.n)
+            if F.kind == "dense":  # a half solve counts one triangle
+                solve(F, np.ones((n, 2)), half=True)
+                assert F.solve_flops == 4 * (2 * F.L.nnz + F.n) + 2 * F.L.nnz
 
 
 def test_pcg_zero_rhs():
