@@ -22,10 +22,9 @@ print(f"{n} free dofs over 3 domains; element counts per rank:",
 
 
 def prog(ctx):
-    # one item per owned element, ascending element id: summed in that order
-    trips, bv = reference_rank_triplets(
-        problem.nested, problem.sp_info, problem.partition,
-        problem.material, problem.loads, plan, ctx.rank)
+    # one item: the reference assembly over the rank's elements
+    trips, bv = reference_rank_triplets(problem.nested, problem.partition,
+                                        problem.material, problem.loads, plan, ctx.rank)
     layout = dd_layout(ctx, trips, bv)
     out = dd_solve_from_triplets(ctx, n, trips, bv, 1e-10, layout=layout)
     # a second solve of the same system restarts from the boundary solution

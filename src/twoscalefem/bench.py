@@ -171,11 +171,9 @@ def flatten_to_coarse(nested: NestedMesh) -> CoarseMesh:
     used = np.unique(tets)
     remap = -np.ones(nested.n_nodes, dtype=np.int64)
     remap[used] = np.arange(len(used))
-    faces = {}
-    for label, lst in nested.boundary_fine_faces().items():
-        for fine_face, _e in lst:
-            faces[tuple(sorted(int(remap[v]) for v in fine_face))] = label
-    return CoarseMesh(nested.points[used], remap[tets], faces)
+    faces, _, labels = nested.boundary_fine_faces()
+    faces = map(tuple, np.sort(remap[faces], axis=1).tolist())
+    return CoarseMesh(nested.points[used], remap[tets], dict(zip(faces, labels.tolist())))
 
 
 def _corner_node(mesh: CoarseMesh, point):
@@ -554,9 +552,8 @@ def run_case(spec: CaseSpec, outdir=None):
         n = problem.partition.n_ref_free
 
         def prog(ctx):
-            trips, bv = reference_rank_triplets(
-                problem.nested, problem.sp_info, problem.partition,
-                problem.material, problem.loads, plan, ctx.rank)
+            trips, bv = reference_rank_triplets(problem.nested, problem.partition,
+                                                problem.material, problem.loads, plan, ctx.rank)
             return dd_solve_from_triplets(ctx, n, trips, bv, spec.eps)
 
         res = run_ranks(spec.ranks, prog)[0]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .reference import assemble_reference
 from .runtime import RankContext
 from .sparsela import (SHIFT, CgReport, CscPattern, SingularMatrixError, factorize, pcg, refine,
                        schur_product, shifted, solve)
@@ -45,6 +46,7 @@ class DdResult:
     warm: np.ndarray       # this rank's boundary shard for restarts
     report: CgReport
     shifted: bool          # some rank factorized a shifted (singular) F_II or F_M
+    factor_flops: int      # of every rank's F_II and F_M
 
 
 def _factorize(A, shift=shifted):
@@ -113,12 +115,12 @@ class DdLayout:
 def dd_layout(ctx: RankContext, trips, bvecs) -> DdLayout:
     """Build the dd layout of a triplet list (collective over ctx).
 
-    trips: (key, rows, cols[, vals]) and bvecs (key, idx[, vals]) in global
-    dof indices, in the order their values will be given; this rank's dofs
-    are the ones they name.
+    trips: (rows, cols[, vals]) and bvecs (idx[, vals]) in global dof
+    indices, in the order their values will be given; this rank's dofs are
+    the ones they name.
     """
     cat = lambda items, i: np.concatenate([np.zeros(0, np.int64)] + [t[i] for t in items])
-    rows, cols, idx = cat(trips, 1), cat(trips, 2), cat(bvecs, 1)
+    rows, cols, idx = cat(trips, 0), cat(trips, 1), cat(bvecs, 0)
     dofs = np.unique(np.concatenate([rows, cols, idx]))
     # held[r, i]: rank r holds dofs[i]; a shared dof is owned by its lowest holder
     all_dofs = ctx.allgather(dofs)
@@ -172,10 +174,10 @@ def dd_layout(ctx: RankContext, trips, bvecs) -> DdLayout:
 def condense(A, lay: DdLayout):
     """Schur complement of a rank's assembled matrix onto its boundary (no communication).
 
-    A is the local CSC matrix on lay.pattern.  Returns (S, solve_II, shift):
-    S = A_bb - A_bI A_II^-1 A_Ib on lay.s_pattern, the interior solver
-    (refined against A_II when shift) and whether A_II was shifted.  Only
-    the coupled columns lay.cpl are solved, in one call: through
+    A is the local CSC matrix on lay.pattern.  Returns S = A_bb - A_bI
+    A_II^-1 A_Ib on lay.s_pattern, the interior solver (refined against A_II
+    when shifted), whether A_II was shifted and its factor_flops.  Only the
+    coupled columns lay.cpl are solved, in one call: through
     sparsela.schur_product, or with refinement when shifted.
     """
     A_II = lay.block(A, "II")
@@ -187,7 +189,8 @@ def condense(A, lay: DdLayout):
 
     A_bI, A_Ib = lay.block(A, "bI"), lay.block(A, "Ib")
     C = A_bI @ solve_II(A_Ib.toarray()) if shift else schur_product(F_II, A_bI, A_Ib)
-    return lay.s_pattern.assemble(np.concatenate([A.data[lay.a_bb], -C.ravel()])), solve_II, shift
+    S = lay.s_pattern.assemble(np.concatenate([A.data[lay.a_bb], -C.ravel()]))
+    return S, solve_II, shift, F_II.factor_flops
 
 
 def _add_shared(lay: DdLayout, vec, parts):
@@ -216,29 +219,29 @@ def dd_solve_from_triplets(ctx: RankContext, n: int, trips, bvecs, eps: float,
                            warm: np.ndarray | None = None, layout: DdLayout | None = None):
     """Solve a distributed SPD system given per-rank assembly triplets.
 
-    trips are (key, rows, cols, vals) and bvecs (key, idx, vals) in global
-    dof indices; each list is summed in its order and the keys are not
-    read.  layout, from dd_layout over the same structure, is built here
-    (collective) when not given.  warm is this rank's boundary shard of an
-    earlier solve.  Raises on a single rank: the decomposition needs at
-    least two domains.
+    trips are (rows, cols, vals) and bvecs (idx, vals) in global dof
+    indices; each list is summed in its order.  layout, from dd_layout over
+    the same structure, is built here (collective) when not given.  warm is
+    this rank's boundary shard of an earlier solve.  Raises on a single
+    rank: the decomposition needs at least two domains.
     """
     if ctx.size == 1:
         raise ValueError("domain decomposition does not handle the single domain case")
 
     lay = layout if layout is not None else dd_layout(ctx, trips, bvecs)
-    A = lay.pattern.assemble(np.concatenate([np.zeros(0)] + [t[3] for t in trips]))
-    B = np.bincount(lay.b_loc, weights=np.concatenate([np.zeros(0)] + [t[2] for t in bvecs]),
+    A = lay.pattern.assemble(np.concatenate([np.zeros(0)] + [t[2] for t in trips]))
+    B = np.bincount(lay.b_loc, weights=np.concatenate([np.zeros(0)] + [t[1] for t in bvecs]),
                     minlength=len(lay.dofs))
     nI, owner, co_ranks, send_idx = lay.nI, lay.owner, lay.co_ranks, lay.send_idx
     owned_mask = owner == ctx.rank
     j_local = np.nonzero(owned_mask)[0]
 
-    S, solve_II, shift = condense(A, lay)
+    S, solve_II, shift, flops = condense(A, lay)
     B_I = B[:nI]
     B_b, M_jj = boundary_exchange(ctx, lay, S, B[nI:] - lay.block(A, "BI") @ solve_II(B_I))
     # block-Jacobi preconditioner on owned boundary blocks
     F_M, shift_M = _factorize(M_jj, _preconditioner_shifted) if len(j_local) else (None, False)
+    flops += F_M.factor_flops if F_M is not None else 0
 
     def apply_S(x):
         y = S @ x
@@ -268,39 +271,17 @@ def dd_solve_from_triplets(ctx: RankContext, n: int, trips, bvecs, eps: float,
 
     # every rank builds x from the same rank-ordered list
     parts = ctx.allgather((np.concatenate([lay.dofs[:nI], j_dofs]),
-                           np.concatenate([X_I, x_b[j_local]]), shift or shift_M))
+                           np.concatenate([X_I, x_b[j_local]]), shift or shift_M, flops))
     x = np.zeros(n)
-    for idx, v, _ in parts:
+    for idx, v, _, _ in parts:
         x[idx] = v
-    return DdResult(x, x_b, report, any(s for _, _, s in parts))
+    return DdResult(x, x_b, report, any(p[2] for p in parts), sum(p[3] for p in parts))
 
 
-def reference_rank_triplets(nested, sp_info, partition, material, loads, plan, rank):
-    """This rank's contributions to the reduced reference system A_rr, B_r.
-
-    Returns (trips, bvecs) in the form of dd_solve_from_triplets, one item
-    per owned element, ascending element id.
-    """
-    from .elasticity import assemble_element_block, assemble_nsp, node_dofs, traction_face_table
-
-    tr_table = traction_face_table(nested, loads)
-    mine = plan.element_rank == rank
-    sp_mine, nsp_mine = (els[mine[els]] for els in (sp_info.sp_elements, sp_info.nsp_elements))
-    blocks = assemble_element_block(sp_mine, nested, material, loads, tr_table)
-    nsp = assemble_nsp(nsp_mine, nested, material, loads, tr_table)
-    trips, bvecs = [], []
-
-    def add(e, dofs, rows, cols, vals, B):  # one element, free entries only
-        fidx = partition.ref_dof_index[dofs]
-        r, c = fidx[rows], fidx[cols]
-        keep = (r >= 0) & (c >= 0)
-        trips.append((int(e), r[keep], c[keep], vals[keep]))
-        bvecs.append((int(e), fidx[fidx >= 0], B[fidx >= 0]))
-
-    ptr = 3 * blocks.node_ptr
-    for i, e in enumerate(sp_mine):
-        A = blocks.A_FF[ptr[i]:ptr[i + 1], ptr[i]:ptr[i + 1]].tocoo()
-        add(e, node_dofs(blocks.nodes_of(i)), A.row, A.col, A.data, blocks.B_F[ptr[i]:ptr[i + 1]])
-    for e, tet, K, B in zip(nsp.elements, nsp.nodes, nsp.K, nsp.B):
-        add(e, node_dofs(tet), *np.divmod(np.arange(144), 12), K.ravel(), B)
-    return sorted(trips, key=lambda t: t[0]), sorted(bvecs, key=lambda t: t[0])
+def reference_rank_triplets(nested, partition, material, loads, plan, rank):
+    """This rank's share of A_rr, B_r as dd_solve_from_triplets items: one item, the
+    reference assembly over the rank's elements, the load on its matrix rows."""
+    system = assemble_reference(nested, partition, material, loads, plan.elements_of(rank))
+    A = system.A_rr.tocoo()
+    idx = np.unique(A.row)
+    return [(A.row, A.col, A.data)], [(idx, system.B_r[idx])]

@@ -34,7 +34,7 @@ __all__ = [
     "batch_leaf_stiffness",
     "consistent_loads",
     "nodal_loads",
-    "labelled_faces",
+    "label_faces",
     "hanging_fold",
     "fold_stiffness",
     "reference_fold",
@@ -239,34 +239,32 @@ def consistent_loads(points, simplices, f):
     return np.einsum("q,qi,kqd->kid", w, bary, fq) * measure[:, None, None]
 
 
-def nodal_loads(points, loads: LoadSet, n_slots, leaves, leaf_slots, faces=()):
-    """Load vector (3 n_slots,): body force on leaves, tractions on surface faces.
+def label_faces(nested: NestedMesh, label, elements):
+    """Faces (m, 3) labelled label on the macro elements, in boundary_fine_faces order,
+    and the position in elements of each face's element."""
+    faces, elem, labels = nested.boundary_fine_faces()
+    pos = np.full(nested.coarse.n_elements, -1)
+    pos[elements] = np.arange(len(elements))
+    pick = (labels == label) & (pos[elem] >= 0)
+    return faces[pick], pos[elem[pick]]
 
-    leaf_slots (k,4) and the faces' (label, triangles (m,3), slots (m,3))
-    place the contributions; every slot sums them in that order.
+
+def nodal_loads(nested: NestedMesh, loads: LoadSet, n_slots, leaves, leaf_slots, elements,
+                slot_of):
+    """Load vector (3 n_slots,): body force on leaves, tractions on the elements' faces.
+
+    leaf_slots (k,4) and slot_of(positions in elements, faces (m,3)) -> (m,3)
+    place the contributions; every slot sums them in that order, the
+    tractions label by label in loads.tractions order.
     """
     out = np.zeros((n_slots, 3))
     if loads.body is not None:
-        np.add.at(out, leaf_slots, consistent_loads(points, leaves, loads.body))
-    for label, tris, slots in faces:
-        np.add.at(out, slots, consistent_loads(points, tris, loads.tractions[label]))
+        np.add.at(out, leaf_slots, consistent_loads(nested.points, leaves, loads.body))
+    for label, traction in loads.tractions.items():
+        tris, g = label_faces(nested, label, elements)
+        if len(tris):
+            np.add.at(out, slot_of(g, tris), consistent_loads(nested.points, tris, traction))
     return out.ravel()
-
-
-def labelled_faces(loads: LoadSet, groups, slot_of):
-    """(label, triangles, slots) of loads.tractions' labels over a list of face groups.
-
-    groups lists (group id, [(face, label), ...]); slot_of(group ids, faces)
-    gives the slots of the faces' nodes.  Faces keep the groups' order.
-    """
-    out = []
-    for label in loads.tractions:
-        picked = [(g, face) for g, faces in groups for face, lab in faces if lab == label]
-        if picked:
-            g = np.array([t[0] for t in picked], dtype=np.int64)
-            tris = np.array([t[1] for t in picked], dtype=np.int64)
-            out.append((label, tris, slot_of(g, tris)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +357,11 @@ def assemble_element_block(
     nested: NestedMesh,
     material: Material,
     loads: LoadSet,
-    traction_faces: dict[int, list] | None = None,
 ) -> ElementBlocks:
     """Assemble A_FF = W^T K W and B_F = W^T b of a set of SP macro elements.
 
     K and b are summed over the leaves on (element, node) slots, so one
     kernel call and one hanging-node fold W serve every element.
-    traction_faces is a traction_face_table.
     """
     elements = np.asarray(elements, dtype=np.int64).reshape(-1)
     n, nb = nested.n_nodes, len(elements)
@@ -377,10 +373,8 @@ def assemble_element_block(
     kept, W = hanging_fold(nested, keys)
     A = fold_stiffness(W, leaf_slots, K_all).tocsr()
     A.sum_duplicates()
-    table = traction_faces or {}
-    faces = labelled_faces(loads, [(i, table.get(int(e), ())) for i, e in enumerate(elements)],
-                            lambda g, tris: np.searchsorted(keys, g[:, None] * n + tris))
-    B = W.T @ nodal_loads(nested.points, loads, len(keys), leaves, leaf_slots, faces)
+    B = W.T @ nodal_loads(nested, loads, len(keys), leaves, leaf_slots, elements,
+                          lambda g, tris: np.searchsorted(keys, g[:, None] * n + tris))
     return ElementBlocks(elements, kept % n, np.searchsorted(kept // n, np.arange(nb + 1)), A, B)
 
 
@@ -389,7 +383,6 @@ def assemble_nsp(
     nested: NestedMesh,
     material: Material,
     loads: LoadSet,
-    traction_faces: dict[int, list] | None = None,
 ) -> NspBlocks:
     """Coarse-element stiffness and load of a set of NSP elements.
 
@@ -400,23 +393,10 @@ def assemble_nsp(
     elements = np.asarray(elements, dtype=np.int64).reshape(-1)
     tets = nested.coarse.tets[elements].reshape(-1, 4)
     K, _ = batch_leaf_stiffness(nested.points, tets, material)
-    table = traction_faces or {}
 
     def slot_of(g, tris):  # position of each face node in its element's tet
         return 4 * g[:, None] + np.argmax(tets[g][:, None, :] == tris[:, :, None], axis=2)
 
-    faces = labelled_faces(loads, [(i, table.get(int(e), ())) for i, e in enumerate(elements)],
-                            slot_of)
     slots = np.arange(4 * len(tets)).reshape(-1, 4)
-    B = nodal_loads(nested.points, loads, 4 * len(tets), tets, slots, faces)
+    B = nodal_loads(nested, loads, 4 * len(tets), tets, slots, elements, slot_of)
     return NspBlocks(elements, tets, K, B.reshape(-1, 12))
-
-
-def traction_face_table(nested: NestedMesh, loads: LoadSet):
-    """Element id -> [(surface fine face, label)] for labels carrying tractions."""
-    table: dict[int, list] = {}
-    by_label = nested.boundary_fine_faces()
-    for label in loads.tractions:
-        for face, e in by_label.get(label, ()):
-            table.setdefault(e, []).append((face, label))
-    return table

@@ -299,7 +299,7 @@ class NestedMesh:
     hanging: np.ndarray                     # (h,) hanging node ids
     hanging_parents: np.ndarray             # (h, 2) their coarse edge's ends, in tet-slot order
     hanging_weights: np.ndarray             # (h, 2) and the ends' interpolation weights
-    _fine_faces: dict | None = field(default=None, repr=False)  # boundary_fine_faces, once
+    _fine_faces: tuple | None = field(default=None, repr=False)  # boundary_fine_faces, once
 
     @classmethod
     def from_coarse(cls, mesh: CoarseMesh) -> "NestedMesh":
@@ -314,26 +314,28 @@ class NestedMesh:
         n, faces = self.coarse.n_vertices, np.asarray(faces, dtype=np.int64).reshape(-1, 3)
         return np.isin(_simplex_keys(self.carrier, n), _face_keys(np.sort(faces, axis=1), n))
 
-    def boundary_fine_faces(self) -> dict[str, list[tuple]]:
-        """Label -> list of (fine face triple, macro element id) in (element, leaf, face
-        slot) order, computed on first use.  A leaf face lies on the coarse face that
-        the union of its nodes' carriers spans."""
+    def boundary_fine_faces(self):
+        """(faces (m, 3), element (m,), label (m,)) of the labelled surface leaf faces,
+        computed on first use.  Faces are grouped by label, labels in first-use order of
+        coarse.boundary_faces, each label's faces in (element, leaf, face slot) order.  A
+        leaf face lies on the coarse face that the union of its nodes' carriers spans."""
         if self._fine_faces is not None:
             return self._fine_faces
         labelled, n = self.coarse.boundary_faces, self.coarse.n_vertices
-        out: dict[str, list[tuple]] = {label: [] for label in labelled.values()}
         tagged = np.sort(np.array(list(labelled), dtype=np.int64).reshape(-1, 3), axis=1)
-        label_of = dict(zip(_face_keys(tagged, n)[:, 6].tolist(), labelled.values()))
+        labels = np.array(list(labelled.values()), dtype=str)
+        # each tagged face's label, as the position of the label's first use in labels
+        _, first, use = np.unique(labels, return_index=True, return_inverse=True)
+        keys = _face_keys(tagged, n)[:, 6]
         faces = _sorted_faces(np.concatenate(self.micro)).reshape(-1, 3)
         near = np.nonzero(self.on_faces(tagged)[faces].all(axis=1))[0]
         span = _simplex_keys(_carrier_union(self.carrier[faces[near]].reshape(-1, 12)), n)
-        on = np.isin(span, list(label_of))
-        hit, span = near[on], span[on]
-        elem = np.repeat(np.arange(len(self.micro)), [4 * len(m) for m in self.micro])[hit]
-        for f, e, k in zip(map(tuple, faces[hit].tolist()), elem.tolist(), span.tolist()):
-            out[label_of[k]].append((f, e))
-        self._fine_faces = out
-        return out
+        tag = _lookup(np.sort(keys), np.argsort(keys), span)
+        hit, use = near[tag >= 0], first[use[tag[tag >= 0]]]
+        by_label = np.argsort(use, kind="stable")
+        elem = np.repeat(np.arange(len(self.micro)), [4 * len(m) for m in self.micro])
+        self._fine_faces = faces[hit[by_label]], elem[hit[by_label]], labels[use[by_label]]
+        return self._fine_faces
 
 
 def _carrier_union(rows):

@@ -19,10 +19,8 @@ from .elasticity import (
     batch_leaf_stiffness,
     expand,
     fold_stiffness,
-    labelled_faces,
     nodal_loads,
     reference_fold,
-    traction_face_table,
 )
 from .mesh import DofPartition, NestedMesh
 from .sparsela import factorize
@@ -58,17 +56,17 @@ def assemble_reference(
     partition: DofPartition,
     material: Material,
     loads: LoadSet,
+    elements=None,
 ) -> ReferenceSystem:
     """A_rr = W^T A_RR W and B_r = W^T B_R with W the fold onto the free dofs.
 
-    All leaves go through one kernel call and the element blocks' fold.
+    A_RR and B_R sum the leaves of the macro elements (all by default) in
+    one kernel call and the element blocks' fold.
     """
-    n = nested.n_nodes
-    leaves = np.concatenate(nested.micro)
+    elements = np.arange(nested.coarse.n_elements) if elements is None else elements
+    leaves = np.concatenate([nested.micro[e] for e in elements])
     K_all, _ = batch_leaf_stiffness(nested.points, leaves, material)
-    faces = labelled_faces(loads, list(traction_face_table(nested, loads).items()),
-                            lambda g, tris: tris)
-    B = nodal_loads(nested.points, loads, n, leaves, leaves, faces)
+    B = nodal_loads(nested, loads, nested.n_nodes, leaves, leaves, elements, lambda g, tris: tris)
     W = reference_fold(nested, partition)
     A_rr = fold_stiffness(W, leaves, K_all).tocsc()
     A_rr.sum_duplicates()

@@ -22,7 +22,6 @@ from .elasticity import (
     assemble_element_block,
     assemble_nsp,
     node_dofs,
-    traction_face_table,
 )
 from .mesh import DofPartition, NestedMesh, SpInfo, spf_nodes
 from .runtime import PartitionPlan, RankContext, run_ranks
@@ -183,7 +182,6 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan):
     nested, sp_info, part = problem.nested, problem.sp_info, problem.partition
     mat, loads = problem.material, problem.loads
     state = _RankState()
-    tr_table = traction_face_table(nested, loads)
 
     # shared metadata: identical on every rank (mesh is global, plan is global)
     row_elem, row_node = _kept_nodes(nested, sp_info.sp_elements)
@@ -196,12 +194,11 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan):
     # stack keeps all a block's state, the blocks are dropped after set-up
     mine = plan.element_rank == ctx.rank
     blocks = assemble_element_block(sp_info.sp_elements[mine[sp_info.sp_elements]],
-                                    nested, mat, loads, tr_table)
+                                    nested, mat, loads)
     T_Fk = build_tfk(blocks, nested)
     width = 3 * int(np.bincount(row_elem).max(initial=0))
     stack = state.stack = stack_blocks(blocks, T_Fk, nested, part, width)
-    nsp = assemble_nsp(sp_info.nsp_elements[mine[sp_info.nsp_elements]], nested, mat, loads,
-                       tr_table)
+    nsp = assemble_nsp(sp_info.nsp_elements[mine[sp_info.nsp_elements]], nested, mat, loads)
     state.const, state.const_b = (tuple(map(np.concatenate, zip(a, b))) for a, b in zip(
         coarse_triplets_constant(blocks, T_Fk, nested, part), nsp_triplets(nsp, part)))
     del blocks, T_Fk
@@ -646,20 +643,22 @@ class _DdCoarse:
         stack = state.stack
         self.n = problem.partition.n_coarse_free
         self.eps = config.eps * 1e-2
-        self.layout = ddsolver.dd_layout(ctx, [state.const, (0, stack.e_rows, stack.e_cols)],
-                                         [state.const_b, (0, stack.b_idx)])
+        self.layout = ddsolver.dd_layout(ctx, [state.const[1:], (stack.e_rows, stack.e_cols)],
+                                         [state.const_b[1:], (stack.b_idx,)])
         self.warm = None
+        self.factor_flops = 0
 
     def solve(self, ctx, state, enrich, b_enrich, resi_prev, it):
         """(U_g, IterationRecord fields) on every rank."""
         stack = state.stack
         out = ddsolver.dd_solve_from_triplets(
-            ctx, self.n, [state.const, (0, stack.e_rows, stack.e_cols, enrich)],
-            [state.const_b, (0, stack.b_idx, b_enrich)], self.eps, warm=self.warm,
+            ctx, self.n, [state.const[1:], (stack.e_rows, stack.e_cols, enrich)],
+            [state.const_b[1:], (stack.b_idx, b_enrich)], self.eps, warm=self.warm,
             layout=self.layout)
         self.warm = out.warm
+        self.factor_flops += out.factor_flops
         return out.x, dict(coarse_kind="dd", pcg_iterations=out.report.iterations,
-                           factor_flops=0, shifted=out.shifted)
+                           factor_flops=self.factor_flops, shifted=out.shifted)
 
 
 COARSE_SOLVERS = {"tsd": _RootCoarse, "tsi": _RootCoarse, "tsdd": _DdCoarse}
@@ -676,6 +675,7 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
     coarse = COARSE_SOLVERS[config.coarse_strategy](ctx, state, problem, config)
     records: list[IterationRecord] = []
     resi_history: list[float] = []
+    patch_flops: list[int] = []   # this rank's patch solve flops so far, per iteration
 
     if state.norm_B == 0.0:
         U_g = np.zeros(part.n_coarse_free)
@@ -705,9 +705,9 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         update_micro_dofs(state, problem, U_g)
         resi = compute_residual(ctx, state)
         resi_history.append(resi)
-        psolve = ctx.all_reduce_sum(sum(F.solve_flops for F in state.patches.factors))
+        patch_flops.append(sum(F.solve_flops for F in state.patches.factors))
         records.append(IterationRecord(it, resi, wall_time=time.perf_counter() - t0,
-                                       solve_flops=psolve, **fields))
+                                       solve_flops=0, **fields))  # set after the loop
         if iterates is not None:
             iterates.append(gather_u_r(ctx, state, problem, U_g))
         if resi < config.eps:
@@ -724,6 +724,8 @@ def ts_program(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan,
         else:
             worse = 0
 
+    for rec, flops in zip(records, map(sum, zip(*ctx.allgather(patch_flops)))):
+        rec.solve_flops = flops
     u_r = gather_u_r(ctx, state, problem, U_g)
     return TsResult(reason == "converged", reason, it, resi_history, U_g, u_r, records,
                     state.norm_B, state.schedule, iterates)

@@ -259,8 +259,8 @@ def test_criterion_09_dd_solver():
         eps = 1e-9
 
         def prog(ctx):
-            my_t = [t for t in trips if t[0] % ctx.size == ctx.rank]
-            my_b = [t for t in bv if t[0] % ctx.size == ctx.rank]
+            my_t = [t[1:] for t in trips if t[0] % ctx.size == ctx.rank]
+            my_b = [t[1:] for t in bv if t[0] % ctx.size == ctx.rank]
             out = dd_solve_from_triplets(ctx, n, my_t, my_b, eps=eps)
             out2 = dd_solve_from_triplets(ctx, n, my_t, my_b, eps=eps, warm=out.warm)
             return out.x, out2.report

@@ -19,7 +19,6 @@ from twoscalefem.elasticity import (
     consistent_loads,
     leaf_matrix,
     node_dofs,
-    traction_face_table,
 )
 from twoscalefem.runtime import partition_mesh, run_ranks
 from twoscalefem.scheduler import PatchGraph
@@ -31,6 +30,15 @@ from twoscalefem.twoscale import ts_init
 @pytest.fixture(scope="module")
 def cone():
     return build_cone_box_problem(CaseSpec(kind="cone-damage-box", sp_depth=1))
+
+
+def face_lookup(nested):
+    """Element id -> [(surface face, label)], from the mesh's face arrays."""
+    faces, elem, labels = nested.boundary_fine_faces()
+    table = {}
+    for face, e, label in zip(faces, elem.tolist(), labels.tolist()):
+        table.setdefault(e, []).append((face, label))
+    return table
 
 
 def element_loads(nested, loads, table, e, simplices, nodes):
@@ -81,7 +89,7 @@ def reference(problem, plan, rank):
     """Per-element blocks, T_Fk and constant triplets of the rank's elements."""
     nested, sp_info, part = problem.nested, problem.sp_info, problem.partition
     mat, loads = problem.material, problem.loads
-    table = traction_face_table(nested, loads)
+    table = face_lookup(nested)
     blocks, tfk, const = {}, {}, []
     for e in map(int, sp_info.sp_elements):
         if plan.element_rank[e] != rank:

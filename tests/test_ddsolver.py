@@ -46,13 +46,15 @@ def dense_of(trips, bv, n):
 
 
 def rank_items(ctx, trips, bv, contiguous=False):
-    """This rank's triplet and load items: round-robin or contiguous element blocks."""
+    """This rank's triplet and load items, keys stripped: round-robin or contiguous element
+    blocks."""
     n_el = len(trips)
 
     def owner(eid):
         return min(eid * ctx.size // n_el, ctx.size - 1) if contiguous else eid % ctx.size
 
-    return [t for t in trips if owner(t[0]) == ctx.rank], [t for t in bv if owner(t[0]) == ctx.rank]
+    return ([t[1:] for t in trips if owner(t[0]) == ctx.rank],
+            [t[1:] for t in bv if owner(t[0]) == ctx.rank])
 
 
 def run_dd(trips, bv, n, n_ranks, eps=1e-10, warm_cycle=False, contiguous=False):
@@ -126,6 +128,27 @@ def test_single_domain_rejected():
         run_dd(trips, bv, 20, 1)
 
 
+def test_dd_result_sums_every_rank_factorization(monkeypatch):
+    # DdResult.factor_flops: every rank's F_II and F_M, the same on every rank
+    rng = np.random.default_rng(5)
+    trips, bv = covering_cliques(50, 10, rng)
+    counted = []
+
+    def spy(A):
+        F = factorize(A)
+        counted.append(F.factor_flops)
+        return F
+
+    monkeypatch.setattr(ddsolver, "factorize", spy)
+
+    def prog(ctx):
+        my_t, my_b = rank_items(ctx, trips, bv)
+        return dd_solve_from_triplets(ctx, 50, my_t, my_b, eps=1e-10).factor_flops
+
+    out = run_ranks(3, prog)
+    assert len(counted) >= 4 and out == [sum(counted)] * 3
+
+
 def test_warm_restart_single_loop_body():
     rng = np.random.default_rng(11)
     trips, bv = covering_cliques(50, 15, rng)
@@ -138,7 +161,7 @@ def test_warm_restart_single_loop_body():
 
 
 def assemble(lay, trips):
-    return lay.pattern.assemble(np.concatenate([t[3] for t in trips]))
+    return lay.pattern.assemble(np.concatenate([t[2] for t in trips]))
 
 
 def superlu_factor(A):
@@ -167,7 +190,7 @@ def check_condensation(ctx, trips, lay):
         got, ref = lay.block(A, name), A[i, j]
         assert all(np.array_equal(getattr(got, f), getattr(ref, f))
                    for f in ("data", "indices", "indptr"))
-    S, _, shift = condense(A, lay)
+    S, _, shift, _ = condense(A, lay)
     assert not shift
     F, A_bI, A_Ib = factorize(A[:nI, :nI]), A[nI:, :nI], A[:nI, nI:]
     B = A_Ib[:, cpl].toarray()
@@ -199,7 +222,7 @@ def test_condensation_symmetric_positive():
     def prog(ctx):
         my_t, my_b = rank_items(ctx, trips, bv)
         lay = dd_layout(ctx, my_t, my_b)
-        S, _, _ = condense(assemble(lay, my_t), lay)
+        S, _, _, _ = condense(assemble(lay, my_t), lay)
         return lay.dofs[lay.nI:], S.toarray()
 
     parts = run_ranks(2, prog)
@@ -334,9 +357,8 @@ def test_dd_on_reference_system():
     plan = partition_mesh(problem.nested, problem.sp_info, 3)
 
     def prog(ctx):
-        trips, bv = reference_rank_triplets(
-            problem.nested, problem.sp_info, problem.partition,
-            problem.material, problem.loads, plan, ctx.rank)
+        trips, bv = reference_rank_triplets(problem.nested, problem.partition,
+                                            problem.material, problem.loads, plan, ctx.rank)
         out = dd_solve_from_triplets(ctx, n, trips, bv, eps=1e-11)
         return out.x
 

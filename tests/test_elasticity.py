@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from twoscalefem.elasticity import (
     consistent_loads,
     hooke_matrix,
     leaf_moduli,
-    traction_face_table,
+    node_dofs,
 )
+from twoscalefem.bench import CaseSpec, build_cone_box_problem, build_cubic_problem
 from twoscalefem.mesh import BoundaryConditions, NestedMesh, box_mesh, build_partition, classify_sp, refine
 from twoscalefem.reference import assemble_reference
+from twoscalefem.runtime import partition_mesh
 
 TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -183,10 +187,8 @@ def test_monolithic_equivalence_and_spd():
     mat = Material(young_modulus=2.0, poisson_ratio=0.3)
     loads = LoadSet(body=lambda x: np.array([0.0, -1.0, 0.0]),
                     tractions={"pull": lambda x: np.array([1.0, 0.0, 0.0])})
-    tr = traction_face_table(nested, loads)
-
-    blocks = [assemble_element_block([e], nested, mat, loads, tr) for e in sp_info.sp_elements]
-    nsp = assemble_nsp(sp_info.nsp_elements, nested, mat, loads, tr)
+    blocks = [assemble_element_block([e], nested, mat, loads) for e in sp_info.sp_elements]
+    nsp = assemble_nsp(sp_info.nsp_elements, nested, mat, loads)
     nsp_blocks = [(nodes, K) for nodes, K in zip(nsp.nodes, nsp.K)]
     ref = assemble_reference(nested, part, mat, loads)
 
@@ -252,3 +254,58 @@ def test_traction_consistency():
     load = face_traction_load(tri, lambda x: t)
     assert np.allclose(load.reshape(3, 3).sum(axis=0), t * 0.5)
     assert np.allclose(load.reshape(3, 3), np.tile(t * 0.5 / 3.0, (3, 1)))
+
+
+def rank_block_loads(problem, loads, n_ranks=2):
+    """Every rank's stacked B_F and NSP B, summed onto the free reference dofs."""
+    nested, sp_info, part = problem.nested, problem.sp_info, problem.partition
+    plan = partition_mesh(nested, sp_info, n_ranks)
+    out = np.zeros(part.n_ref_free)
+    for r in range(n_ranks):
+        sp_els, nsp_els = (e[plan.element_rank[e] == r]
+                           for e in (sp_info.sp_elements, sp_info.nsp_elements))
+        blocks = assemble_element_block(sp_els, nested, problem.material, loads)
+        nsp = assemble_nsp(nsp_els, nested, problem.material, loads)
+        idx = part.ref_dof_index[np.concatenate([node_dofs(blocks.nodes),
+                                                 node_dofs(nsp.nodes).ravel()])]
+        vals = np.concatenate([blocks.B_F, nsp.B.ravel()])
+        np.add.at(out, idx[idx >= 0], vals[idx >= 0])
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_cone_box_problem(CaseSpec(kind="cone-damage-box", sp_depth=1)),  # y1 only
+    lambda: build_cubic_problem(CaseSpec(sp_depth=1), base=(2, 1, 1))[0],  # y0, y1, z0, z1
+], ids=["cone", "cubic"])
+def test_block_loads_carry_the_tractions(build):
+    # the blocks find the traction faces on the mesh themselves: folded onto
+    # the reference dofs they give the oracle's B_r, tractions included
+    problem = build()
+    assert problem.loads.tractions
+    B_r = assemble_reference(problem.nested, problem.partition, problem.material,
+                             problem.loads).B_r
+    body_only = rank_block_loads(problem, LoadSet(body=problem.loads.body))
+    got = rank_block_loads(problem, problem.loads)
+    scale = np.abs(B_r).max()
+    assert np.abs(got - B_r).max() <= 1e-12 * scale
+    assert np.abs(body_only - B_r).max() > 1e-3 * scale
+
+
+def test_traction_labels_the_mesh_lacks_add_no_load():
+    # a label the mesh does not carry, and a mesh with no labelled faces at all
+    body = lambda x: np.array([0.0, -1.0, 0.0])
+    pull = lambda x: np.array([1.0, 0.0, 0.0])
+    for labels, tractions in (({"x1": "pull"}, {"push": pull}), (None, {"pull": pull})):
+        mesh = box_mesh(2, 1, 1, face_labels=labels)
+        nested = refine(NestedMesh.from_coarse(mesh), [0, 1, 2], 1)
+        sp_info = classify_sp(nested)
+        part = build_partition(nested, sp_info, BoundaryConditions())
+        mat = Material()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = [(assemble_element_block(sp_info.sp_elements, nested, mat, loads).B_F,
+                    assemble_nsp(sp_info.nsp_elements, nested, mat, loads).B,
+                    assemble_reference(nested, part, mat, loads).B_r)
+                   for loads in (LoadSet(body=body, tractions=tractions), LoadSet(body=body))]
+        for with_t, without in zip(*out):
+            assert np.array_equal(with_t, without)

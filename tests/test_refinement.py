@@ -71,8 +71,9 @@ def set_up_digest(problem):
     obj([(int(n), [(int(p), float(w).hex()) for p, w in zip(ps, ws)])
          for n, ps, ws in zip(nested.hanging, nested.hanging_parents, nested.hanging_weights)])
     obj(sorted(enumerate(faces_on_nodes(nested))))
-    obj([(lab, [(ints(f), int(e)) for f, e in lst])
-         for lab, lst in nested.boundary_fine_faces().items()])
+    faces, elem, labels = nested.boundary_fine_faces()
+    obj([(lab, [(ints(f), int(e)) for f, e in zip(faces[labels == lab], elem[labels == lab])])
+         for lab in dict.fromkeys(mesh.boundary_faces.values())])
     enriched_index = {int(p): i for i, p in enumerate(part.enriched_nodes)}
     obj((part.n_coarse_nodes, part.n_nodes, part.n_enriched, sorted(enriched_index.items())))
     for name in ("enriched_nodes", "coarse_dirichlet", "coarse_h_nodes", "ref_dirichlet",

@@ -276,10 +276,7 @@ def test_stacked_tfe_matches_per_block_formula():
 
 
 def build_full_system(nested, sp_info, part, mat, loads, fields=None):
-    from twoscalefem.elasticity import traction_face_table
-
-    tr = traction_face_table(nested, loads)
-    blocks = assemble_element_block(sp_info.sp_elements, nested, mat, loads, tr)
+    blocks = assemble_element_block(sp_info.sp_elements, nested, mat, loads)
     efields = {}
     if fields is not None:
         for i, e in enumerate(blocks.elements):
@@ -287,7 +284,7 @@ def build_full_system(nested, sp_info, part, mat, loads, fields=None):
             efields[e] = element_patch_fields(blocks.nodes_of(i), fields, corners, part)
     stack = stacked_tfe(blocks, nested, part, efields)
     const = coarse_triplets_constant(blocks, build_tfk(blocks, nested), nested, part)
-    nsp = nsp_triplets(assemble_nsp(sp_info.nsp_elements, nested, mat, loads, tr), part)
+    nsp = nsp_triplets(assemble_nsp(sp_info.nsp_elements, nested, mat, loads), part)
     cs = CoarseSystem.of(part, *(tuple(map(np.concatenate, zip(a, b))) for a, b in zip(const, nsp)),
                          (stack.e_keys, stack.e_rows, stack.e_cols), (stack.b_keys, stack.b_idx))
     A, B = cs.build(*coarse_triplets_enrichment(stack)) if fields is not None else cs.build()

@@ -372,6 +372,32 @@ def test_tsdd_builds_its_dd_layout_once_per_rank(cubic_small, monkeypatch):
     assert sorted(built) == [0, 1]
 
 
+def test_tsdd_records_report_the_dd_factorizations(cubic_small):
+    # every iteration factorizes each rank's A_II and M_jj; the records sum them
+    problem, *_ = cubic_small
+    plan = partition_mesh(problem.nested, problem.sp_info, 2)
+    res = solve_case(problem, plan, TsConfig(eps=1e-7, coarse_strategy="tsdd"), n_ranks=2)
+    flops = [r.factor_flops for r in res.records]
+    assert res.iterations > 1 and flops[0] > 0
+    assert all(isinstance(f, int) for f in flops)
+    assert all(a < b for a, b in zip(flops, flops[1:]))
+
+
+def test_patch_solve_flops_equal_on_any_rank_count_and_seed(cubic_small):
+    # the records' patch solve flops sum every rank's running total once the loop ends
+    problem, *_ = cubic_small
+    cfg = TsConfig(eps=1e-7, max_iterations=40)
+    runs = {}
+    for n, seed in ((1, None), (2, None), (2, 1), (2, 2)):
+        plan = partition_mesh(problem.nested, problem.sp_info, n)
+        runs[n, seed] = [r.solve_flops for r in solve_case(problem, plan, cfg, n_ranks=n,
+                                                           seed=seed).records]
+    flops = runs[1, None]
+    assert all(f == flops for f in runs.values())
+    assert flops[0] > 0 and all(isinstance(f, int) for f in flops)
+    assert all(a <= b for a, b in zip(flops, flops[1:]))
+
+
 def test_warm_restart_fewer_iterations():
     cfg = TsConfig(eps=1e-6, max_iterations=300)
     spec = CaseSpec(kind="micro-structure", sp_depth=1, n_planes=8)
