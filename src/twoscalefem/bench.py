@@ -86,8 +86,12 @@ class CaseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.coarse_level < 0:
+            raise ValueError("coarse level must be >= 0")
         if self.sp_depth < 1:
             raise ValueError("SP depth must be >= 1")
+        if not -100.0 < self.perturb_percent < 100.0:
+            raise ValueError("perturb percent must lie in (-100, 100)")
         if self.ranks < 1:
             raise ValueError("ranks must be >= 1")
         if self.eps <= 0:
@@ -472,11 +476,14 @@ def build_problem(spec: CaseSpec):
 
 
 def _perturbed_problem(spec: CaseSpec):
-    """The perturbed twin used by warm-start runs."""
+    """The perturbed twin used by warm-start runs: on micro-structure the region
+    moduli jittered by perturb_percent (1 if 0) with the next seed, elsewhere a
+    uniform stiffness change by perturb_percent (1 if 0)."""
     import dataclasses
 
     if spec.kind == "micro-structure":
-        spec2 = dataclasses.replace(spec, perturb_percent=spec.perturb_percent or 1.0)
+        spec2 = dataclasses.replace(spec, perturb_percent=spec.perturb_percent or 1.0,
+                                    seed=spec.seed + 1)
         return build_microstructure_problem(spec2)
     # cubic / cone: uniform stiffness perturbation
     p = (spec.perturb_percent or 1.0) / 100.0

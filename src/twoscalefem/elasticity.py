@@ -176,11 +176,15 @@ def _sample(field, points):
 def leaf_moduli(points, leaves, material: Material):
     """Effective Young's modulus E(1-d) of each leaf, sampled once at its centroid.
 
-    Raises when the damage leaves [0, 1] by more than round-off.
+    Raises on a sampled modulus <= 0 and when the damage leaves [0, 1] by
+    more than round-off.
     """
     centroids = points[leaves].mean(axis=1)
     E = material.young_modulus
     E = _sample(E, centroids) if callable(E) else np.full(len(centroids), E)
+    bad = ~(E > 0)
+    if bad.any():
+        raise ValueError(f"young_modulus {E[bad][0]} is not positive")
     if material.damage is not None:
         d = _sample(material.damage, centroids)
         bad = ~((d >= -1e-12) & (d <= 1.0 + 1e-12))

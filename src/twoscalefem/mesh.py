@@ -126,7 +126,6 @@ class CoarseMesh:
         self.vertices = np.asarray(vertices, dtype=np.float64)
         self.tets = np.asarray(tets)
         self.boundary_faces: dict[tuple[int, int, int], str] = dict(boundary_faces or {})
-        self._adjacency = None
         self.validate()
 
     @property
@@ -162,20 +161,6 @@ class CoarseMesh:
     def surface_faces(self):
         faces, counts, _ = _face_table(self.tets)
         return list(map(tuple, faces[counts == 1].tolist()))
-
-    def element_adjacency(self):
-        """(src, dst): the ordered pairs of elements sharing an edge, ascending; built once
-        from the sorted table of element edges."""
-        if self._adjacency is None:
-            _, edge = np.unique(_edge_keys(self.tets[:, EDGES]), return_inverse=True)
-            incidence = _incidence(np.repeat(np.arange(self.n_elements), 6), edge.ravel(),
-                                   (self.n_elements, edge.max() + 1))
-            adj = sp.coo_matrix(incidence @ incidence.T)
-            keep = adj.row != adj.col
-            order = np.lexsort((adj.col[keep], adj.row[keep]))
-            self._adjacency = (adj.row[keep][order].astype(np.int64),
-                               adj.col[keep][order].astype(np.int64))
-        return self._adjacency
 
 
 def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), face_labels=None):
@@ -402,11 +387,14 @@ def refine(nested: NestedMesh, selector, levels: int = 1) -> NestedMesh:
     target = nested.levels.copy()
     target[selected] += levels
 
-    # one-hanging-node-per-edge rule: neighbouring levels differ by <= 1
-    src, dst = mesh.element_adjacency()
+    # one-hanging-node-per-edge rule: neighbouring levels differ by <= 1; an
+    # edge takes the highest level among its elements, and every element
+    # rises to at least that level minus one
+    edge = np.unique(_edge_keys(mesh.tets[:, EDGES]), return_inverse=True)[1].reshape(-1, 6)
     while True:
-        lifted = target.copy()
-        np.maximum.at(lifted, dst, target[src] - 1)
+        top = np.zeros(edge.max() + 1, dtype=target.dtype)
+        np.maximum.at(top, edge, target[:, None])
+        lifted = np.maximum(target, top[edge].max(axis=1) - 1)
         if np.array_equal(lifted, target):
             break
         target = lifted

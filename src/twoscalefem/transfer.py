@@ -26,6 +26,7 @@ __all__ = [
     "stack_blocks",
     "update_tfe",
     "CoarseSystem",
+    "coarse_constant_system",
     "coarse_triplets_constant",
     "coarse_triplets_enrichment",
 ]
@@ -198,16 +199,25 @@ def update_tfe(stack: BlockStack) -> np.ndarray:
     return stack.T
 
 
+def coarse_constant_system(n, const, const_b):
+    """The constant coarse matrix (n x n CSC) and load (n,) from flat ``(keys, rows,
+    cols, vals)`` and ``(keys, idx, vals)`` triplets keyed by element id: every entry
+    sums its contributions one by one in element-id order, whatever order they
+    arrive in."""
+    c, cb = np.argsort(const[0], kind="stable"), np.argsort(const_b[0], kind="stable")
+    K = CscPattern.of(const[1][c], const[2][c], (n, n)).assemble(const[3][c])
+    return K, np.bincount(const_b[1][cb], weights=const_b[2][cb], minlength=n)
+
+
 @dataclass
 class CoarseSystem:
     """A_gg and B_g summed onto a CSC pattern built once.
 
-    Built from the constant parts, flat ``(keys, rows, cols, vals)`` and
-    ``(keys, idx, vals)``, and the structure of the enrichment parts,
-    ``(keys, rows, cols)`` and ``(keys, idx)`` in the order their values
-    reach ``build``.  Keys are element ids: every entry sums its
-    contributions one by one in element-id order, constants first (they
-    are summed once, which is the same sum), whatever order they arrive in.
+    Built from the summed constant system (see coarse_constant_system) and
+    the structure of the enrichment parts, ``(keys, rows, cols)`` and
+    ``(keys, idx)`` in the order their values reach ``build``.  Keys are
+    element ids: every entry adds the enrichment contributions one by one in
+    element-id order after its constant part.
     """
 
     pattern: CscPattern
@@ -218,50 +228,20 @@ class CoarseSystem:
     b_order: np.ndarray
 
     @classmethod
-    def of(cls, partition, const, const_b, enrich, enrich_b):
-        n = partition.n_coarse_free
-        c, cb = np.argsort(const[0], kind="stable"), np.argsort(const_b[0], kind="stable")
-        K = CscPattern.of(const[1][c], const[2][c], (n, n)).assemble(const[3][c]).tocoo()
+    def of(cls, K, b, enrich, enrich_b):
+        n = len(b)
+        K = K.tocoo()
         order, b_order = np.argsort(enrich[0], kind="stable"), np.argsort(enrich_b[0], kind="stable")
-        pattern = _mirrored_pattern(np.concatenate([K.row, enrich[1][order]]),
-                                    np.concatenate([K.col, enrich[2][order]]),
-                                    n, n - 3 * partition.n_enriched)
-        return cls(pattern, K.data, order,
-                   np.concatenate([np.arange(n), enrich_b[1][b_order]]),
-                   np.bincount(const_b[1][cb], weights=const_b[2][cb], minlength=n), b_order)
+        pattern = CscPattern.of(np.concatenate([K.row, enrich[1][order]]),
+                                np.concatenate([K.col, enrich[2][order]]), (n, n))
+        return cls(pattern, K.data, order, np.concatenate([np.arange(n), enrich_b[1][b_order]]),
+                   b, b_order)
 
-    def build(self, vals=None, b_vals=None):
-        """A_gg, B_g with the enrichment values in arrival order (None: all zero)."""
-        ev = np.zeros(len(self.order)) if vals is None else vals[self.order]
-        bv = np.zeros(len(self.b_order)) if b_vals is None else b_vals[self.b_order]
-        A = self.pattern.assemble(np.concatenate([self.const_vals, ev]))
-        B = np.bincount(self.b_slot, weights=np.concatenate([self.b_const, bv]))
+    def build(self, vals, b_vals):
+        """A_gg, B_g with the enrichment values in arrival order."""
+        A = self.pattern.assemble(np.concatenate([self.const_vals, vals[self.order]]))
+        B = np.bincount(self.b_slot, weights=np.concatenate([self.b_const, b_vals[self.b_order]]))
         return A, B
-
-
-def _mirrored_pattern(rows, cols, n, n_cl):
-    """CscPattern.of(rows, cols, (n, n)) when each (k,e) triplet (row < n_cl <= col)
-    is the transpose of an (e,k) one: np.unique runs over the others only and
-    the mirrors of the (e,k) entries take the (k,e) triplets (ValueError when
-    one has no transpose)."""
-    ke = (rows < n_cl) & (cols >= n_cl)
-    keys, half_slot = np.unique(cols[~ke] * n + rows[~ke], return_inverse=True)
-    r, c = keys % n, keys // n
-    ek = (r >= n_cl) & (c < n_cl)
-    keys = np.concatenate([keys, r[ek] * n + c[ek]])  # the mirrors: column r, row c
-    order = np.argsort(keys)
-    at = np.argsort(order)  # position of each key in the sorted pattern
-    slot = np.empty(len(rows), dtype=np.int64)
-    slot[~ke] = at[half_slot.reshape(-1)]
-    mirror = np.cumsum(ek) - 1 + len(ek)
-    want = rows[ke] * n + cols[ke]
-    found = np.minimum(np.searchsorted(keys[:len(ek)], want), len(ek) - 1)
-    if not (keys[found] == want).all():
-        raise ValueError("a (k,e) triplet has no (e,k) transpose")
-    slot[ke] = at[mirror[found]]
-    keys = keys[order]
-    counts = np.bincount(keys // n, minlength=n)
-    return CscPattern((n, n), np.concatenate([[0], np.cumsum(counts)]), keys % n, slot)
 
 
 def _dense_triplets(elements, M, dofs, B, partition):

@@ -30,6 +30,7 @@ from .sparsela import SingularMatrixError, factorize, pcg, refine, shifted, solv
 from .transfer import (
     CoarseSystem,
     build_tfk,
+    coarse_constant_system,
     coarse_triplets_constant,
     coarse_triplets_enrichment,
     nsp_triplets,
@@ -43,8 +44,6 @@ __all__ = ["TsConfig", "TsResult", "ProblemSetup", "solve_case", "ts_program"]
 # best value for STAGNATION_WINDOW consecutive iterations
 STAGNATION_WINDOW = 5
 STAGNATION_FACTOR = 10.0
-# coarse contributions reach rank 0 through at most NBP_MAX retained ranks
-NBP_MAX = 4
 # tsi switches to PCG on the last direct factor from iteration
 # TSI_MIN_ITERATIONS on, once resi < TSI_SWITCH_FACTOR * eps; a PCG solve
 # taking more than TSI_REFRESH_CG_ITERS iterations asks for a new factor, and
@@ -124,7 +123,7 @@ class _RankState:
         self.w_resi = None          # residual weight per owned row (element order)
         self.w_bnorm = None         # the same, SPF ring rows kept
         self.norm_B = 0.0
-        self.coarse = None          # CoarseSystem on the solving rank
+        self.coarse_const = None    # rank 0: the summed constant coarse matrix and load
         self.schedule = None
         self.patch_owner = None     # patch index -> participant ranks (PatchGraph)
         self.groups = None          # per schedule sequence: subgroup or None
@@ -218,17 +217,14 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan):
 
     _build_patch_systems(ctx, state, problem, plan)
 
-    # coarse system on rank 0 (gathered through the retained ranks): the
-    # constant triplets and the structure of the enrichment triplets, whose
-    # values arrive every iteration in the same rank order; and the NSP load
-    # vector over coarse classical free dofs, summed in element order
-    parts = _route_to_root(ctx, [(state.const, state.const_b, (
-        stack.e_keys, stack.e_rows, stack.e_cols), (stack.b_keys, stack.b_idx))])
+    # the constant coarse system on rank 0, and the NSP load vector over
+    # coarse classical free dofs, both summed in element order
+    parts = ctx.gather((state.const, state.const_b), 0)
     btmp = None
     if ctx.rank == 0:
-        cat = [[np.concatenate(a) for a in zip(*pieces)] for pieces in zip(*parts)]
-        state.coarse = CoarseSystem.of(part, *cat)
-        keys, idx, vals = cat[1]
+        const, const_b = ([np.concatenate(a) for a in zip(*p)] for p in zip(*parts))
+        state.coarse_const = coarse_constant_system(part.n_coarse_free, const, const_b)
+        keys, idx, vals = const_b
         nsp = np.flatnonzero(np.isin(keys, sp_info.nsp_elements))
         nsp = nsp[np.argsort(keys[nsp], kind="stable")]
         btmp = np.bincount(idx[nsp], weights=vals[nsp], minlength=part.n_coarse_free)
@@ -236,25 +232,6 @@ def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan):
 
     state.norm_B = compute_b_norm(ctx, state, problem)
     return state
-
-
-def _route_to_root(ctx, items):
-    """Send a list of contributions to rank 0 via the retained coarse ranks.
-
-    Rank 0 gets every rank's items in one list, in an arrival order fixed
-    by the rank count and NBP_MAX.
-    """
-    retained = min(NBP_MAX, ctx.size)
-    if ctx.rank >= retained:
-        ctx.send(ctx.rank % retained, items, tag=21)
-        items = []
-    else:
-        merged = list(items)
-        for r in range(retained + ctx.rank, ctx.size, retained):
-            merged.extend(ctx.recv(r, tag=21))
-        items = merged
-    lists = ctx.gather(items, 0)
-    return None if lists is None else [t for lst in lists for t in lst]
 
 
 def _positions(sorted_ids, ids):
@@ -467,11 +444,12 @@ def update_macro_prb(state):
     return coarse_triplets_enrichment(state.stack)
 
 
-def build_coarse_on_root(ctx, state, enrich, b_enrich):
-    """Route the enrichment values to rank 0 and assemble A_gg, B_g there."""
-    parts = _route_to_root(ctx, [(enrich, b_enrich)])
+def build_coarse_on_root(ctx, system, enrich, b_enrich):
+    """Gather the enrichment values on rank 0 and assemble A_gg, B_g there
+    (system: the CoarseSystem on rank 0)."""
+    parts = ctx.gather((enrich, b_enrich), 0)
     if ctx.rank == 0:
-        return state.coarse.build(*(np.concatenate(a) for a in zip(*parts)))
+        return system.build(*(np.concatenate(a) for a in zip(*parts)))
     return None, None
 
 
@@ -569,10 +547,9 @@ def _initial_coarse_solve(ctx, state, problem):
     """Unenriched coarse problem: classical block only, enrichment pinned to zero."""
     part = problem.partition
     if ctx.rank == 0:
-        A, B = state.coarse.build()
+        A, B = state.coarse_const
         n_cl = part.n_coarse_free - 3 * part.n_enriched
-        A_cl = A[:n_cl, :n_cl].tocsc()
-        F = factorize(A_cl)
+        F = factorize(A[:n_cl, :n_cl].tocsc())
         U = np.zeros(part.n_coarse_free)
         U[:n_cl] = solve(F, B[:n_cl])
     else:
@@ -583,13 +560,22 @@ def _initial_coarse_solve(ctx, state, problem):
 class _RootCoarse:
     """tsd/tsi: A_gg, B_g assembled on rank 0 and solved there.
 
-    A direct solve factorizes A, or shifted(A) refined against A when A is
-    singular, and keeps the factor; tsi preconditions PCG with it once the
-    switch condition holds.  The factor, the last U and the flop sum live
-    on rank 0.
+    Rank 0 builds the CoarseSystem once, from the constant system ts_init
+    summed and the structure of every rank's enrichment triplets, whose
+    values then arrive every iteration in the same rank order.  A direct
+    solve factorizes A, or shifted(A) refined against A when A is singular,
+    and keeps the factor; tsi preconditions PCG with it once the switch
+    condition holds.  The factor, the last U and the flop sum live on rank 0.
     """
 
     def __init__(self, ctx, state, problem, config):
+        stack = state.stack
+        parts = ctx.gather(((stack.e_keys, stack.e_rows, stack.e_cols),
+                            (stack.b_keys, stack.b_idx)), 0)
+        self.system = None
+        if ctx.rank == 0:
+            self.system = CoarseSystem.of(*state.coarse_const, *(
+                [np.concatenate(a) for a in zip(*p)] for p in zip(*parts)))
         self.eps = config.eps
         self.pcg = config.coarse_strategy == "tsi"
         self.factor = None
@@ -599,7 +585,7 @@ class _RootCoarse:
 
     def solve(self, ctx, state, enrich, b_enrich, resi_prev, it):
         """(U_g, IterationRecord fields) on every rank."""
-        A, B = build_coarse_on_root(ctx, state, enrich, b_enrich)
+        A, B = build_coarse_on_root(ctx, self.system, enrich, b_enrich)
         out = None
         if ctx.rank == 0:
             kind, piters, shift, steps, fallback = "direct", 0, False, 0, False

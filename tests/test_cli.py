@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from twoscalefem.bench import CaseSpec, run_case
+from twoscalefem.bench import CaseSpec, _perturbed_problem, build_problem, run_case
 from twoscalefem.cli import main
+from twoscalefem.elasticity import leaf_moduli
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -82,7 +84,9 @@ def assert_refused_in_one_line(proc):
                                   ["--eps", "-1"],
                                   ["--case", "cubic-plate", "--levels", "0:1", "--ranks", "60"],
                                   ["--case", "micro-structure", "--planes", "-3"],
-                                  ["--case", "micro-structure", "--planes", "65"]])
+                                  ["--case", "micro-structure", "--planes", "65"],
+                                  ["--levels=-1:1"], ["--perturb", "-150", "--warm-start"],
+                                  ["--case", "micro-structure", "--perturb", "150"]])
 def test_cli_rejects_invalid_run_in_one_line(argv):
     assert_refused_in_one_line(run_cli(["run", *argv]))
 
@@ -134,6 +138,11 @@ def test_cli_warm_start_summary(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["perturbed_warm_iterations"] < out["perturbed_cold_iterations"]
+    # the twin is another problem: its leaf moduli differ from the main problem's
+    spec = CaseSpec(kind="micro-structure", sp_depth=1, ranks=2, n_planes=8, perturb_percent=1.0)
+    moduli = [leaf_moduli(p.nested.points, np.concatenate(p.nested.micro), p.material)
+              for p in (build_problem(spec)[0], _perturbed_problem(spec))]
+    assert not np.array_equal(*moduli)
 
 
 def test_cli_levels_validation():

@@ -1,8 +1,4 @@
-"""The demo scripts run to completion against the package sources.
-
-cone_damage_stages.py is left out for its run time (about 45 s); the
-cone_box golden run covers its case builder.
-"""
+"""The demo scripts run to completion against the package sources."""
 
 import os
 import subprocess
@@ -12,8 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = ("cost_model_sweep.py", "cubic_convergence.py", "domain_decomposition.py",
-         "patch_scheduling.py")
+DEMOS = ("cone_damage_stages.py", "cost_model_sweep.py", "cubic_convergence.py",
+         "domain_decomposition.py", "patch_scheduling.py")
 
 
 @pytest.mark.parametrize("script", DEMOS)

@@ -247,6 +247,16 @@ def test_material_validation():
         leaf_moduli(TET, np.arange(4)[None], m)
 
 
+def test_field_modulus_that_samples_non_positive_is_rejected():
+    leaves = np.arange(4)[None]
+    for E in (0.0, -3.0, np.nan):
+        with pytest.raises(ValueError, match="young_modulus .* is not positive"):
+            leaf_moduli(TET, leaves, Material(young_modulus=lambda x, E=E: np.full(len(x), E)))
+    # the modulus is checked before damage: fully damaged leaves stay legal
+    full = Material(young_modulus=lambda x: np.full(len(x), 2.0), damage=lambda x: np.ones(len(x)))
+    assert leaf_moduli(TET, leaves, full).tolist() == [0.0]
+
+
 def test_traction_consistency():
     # constant traction on a unit right triangle: total force = t * area
     tri = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])

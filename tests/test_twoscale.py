@@ -11,6 +11,7 @@ from twoscalefem.bench import (
 )
 from twoscalefem import ddsolver, twoscale
 from twoscalefem.runtime import partition_mesh, run_ranks
+from twoscalefem.transfer import CoarseSystem
 from twoscalefem.twoscale import (
     TSI_REFRESH_CG_ITERS,
     ProblemSetup,
@@ -298,23 +299,10 @@ def test_rank_count_invariance_with_shared_boundary_values():
     ]
     for problem, cfg in cases:
         hist = {}
-        for n in (1, 2, 4, 5):  # 5 ranks route through the retained ranks
+        for n in (1, 2, 4, 5, 9):
             plan = partition_mesh(problem.nested, problem.sp_info, n)
             hist[n] = solve_case(problem, plan, cfg, n_ranks=n).resi_history
-        assert hist[1] == hist[2] == hist[4] == hist[5]  # bitwise identical
-
-
-@pytest.mark.parametrize("n", [1, 4, 5, 9, 13])
-def test_route_to_root_collects_every_rank(n):
-    # ranks >= NBP_MAX forward to rank % NBP_MAX; rank 0 gets each retained
-    # rank's own items followed by those it forwards, in rank order
-    retained = min(twoscale.NBP_MAX, n)
-    expected = [r for q in range(retained) for r in range(q, n, retained)]
-    for seed in (None, 1):
-        out = run_ranks(n, lambda ctx: twoscale._route_to_root(ctx, [ctx.rank]),
-                        seed=seed)
-        assert out[0] == expected
-        assert all(o is None for o in out[1:])
+        assert hist[1] == hist[2] == hist[4] == hist[5] == hist[9]  # bitwise identical
 
 
 def test_tsi_records_pcg_fallback(cubic_small, monkeypatch):
@@ -370,6 +358,21 @@ def test_tsdd_builds_its_dd_layout_once_per_rank(cubic_small, monkeypatch):
     res = solve_case(problem, plan, TsConfig(eps=1e-7, coarse_strategy="tsdd"), n_ranks=2)
     assert res.converged and res.iterations > 1
     assert sorted(built) == [0, 1]
+
+
+def test_only_the_root_strategies_build_a_coarse_system(cubic_small, monkeypatch):
+    # tsdd solves over the ranks: rank 0 assembles no enriched root system
+    problem, *_ = cubic_small
+    plan = partition_mesh(problem.nested, problem.sp_info, 2)
+    built = []
+    init = CoarseSystem.__init__
+    monkeypatch.setattr(CoarseSystem, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    for strategy, expected in (("tsdd", 0), ("tsd", 1)):
+        built.clear()
+        res = solve_case(problem, plan, TsConfig(eps=1e-7, coarse_strategy=strategy,
+                                                 max_iterations=3), n_ranks=2)
+        assert res.iterations == 3 and len(built) == expected, strategy
 
 
 def test_tsdd_records_report_the_dd_factorizations(cubic_small):
