@@ -4,13 +4,13 @@ This module owns the discrete operator that the two-scale blocks, the
 monolithic oracle and the error metrics share: one batched P1 kernel
 (gradients, volumes, strain operator and the modulus E(1-d) sampled once
 per leaf centroid), one hanging-node fold (u_raw = W u_kept) and one
-consistent-load integrator.  A set of macro elements is assembled in one
-batch: one kernel call over all their leaves and one fold over their
-(element, node) slots.  Constant-strain tetrahedra get exact
-single-point stiffness integration; volume loads use the 4-point degree-2
-rule and tractions the 6-point degree-4 triangle rule, which keeps the
-discrete load consistent with the energy quadrature used by the error
-metrics.
+consistent-load integrator.  A set of macro elements is assembled in
+passes of at most KERNEL_CHUNK leaves cut at element boundaries (one kernel
+call each) and one fold over their (element, node) slots.  Constant-strain
+tetrahedra get exact single-point stiffness integration; volume loads use
+the 4-point degree-2 rule and tractions the 6-point degree-4 triangle rule,
+which keeps the discrete load consistent with the energy quadrature used by
+the error metrics.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "nodal_loads",
     "label_faces",
     "hanging_fold",
+    "leaf_passes",
     "fold_stiffness",
     "reference_fold",
     "expand",
@@ -298,9 +299,34 @@ def hanging_fold(nested: NestedMesh, keys):
     return kept, W
 
 
-def fold_stiffness(W, leaf_slots, K_all):
-    """W^T K W of a hanging_fold W, K the leaf blocks K_all (k,12,12) summed at leaf_slots (k,4)."""
-    return W.T @ leaf_matrix(leaf_slots, K_all, W.shape[0] // 3) @ W
+def leaf_passes(nested: NestedMesh, elements):
+    """Leaf slices of the assembly passes over the macro elements' leaves,
+    concatenated in element order.
+
+    A pass holds at most KERNEL_CHUNK leaves and is cut at element boundaries
+    (an element with more leaves is a pass of its own).  The kernel, the
+    (leaf, slot) COO and its CSR sum run on one pass at a time, so no
+    temporary of an assembly grows with the mesh, and every entry whose
+    leaves lie in one element is summed within one pass.
+    """
+    ptr = np.cumsum([0] + [len(nested.micro[e]) for e in elements])
+    lo = 0
+    while lo < len(elements):
+        hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + KERNEL_CHUNK, side="right")) - 1)
+        yield slice(ptr[lo], ptr[hi])
+        lo = hi
+
+
+def fold_stiffness(W, parts):
+    """W^T K W of a hanging_fold W, K the sum of the pass matrices ``parts``
+    (an iterable, see leaf_passes), whose summed entries are added once."""
+    coo = [p.tocoo() for p in parts]
+    K = sp.csr_matrix((np.concatenate([np.zeros(0)] + [c.data for c in coo]),
+                       (np.concatenate([np.zeros(0, np.int32)] + [c.row for c in coo]),
+                        np.concatenate([np.zeros(0, np.int32)] + [c.col for c in coo]))),
+                      shape=(W.shape[0], W.shape[0]))
+    del coo  # the passes' entries are not held through the fold
+    return W.T @ K @ W
 
 
 def reference_fold(nested: NestedMesh, partition: DofPartition):
@@ -364,8 +390,10 @@ def assemble_element_block(
 ) -> ElementBlocks:
     """Assemble A_FF = W^T K W and B_F = W^T b of a set of SP macro elements.
 
-    K and b are summed over the leaves on (element, node) slots, so one
-    kernel call and one hanging-node fold W serve every element.
+    K and b are summed over the leaves on (element, node) slots, K in passes
+    of whole elements (leaf_passes), so that every block is bitwise what one
+    batch over all the leaves gives, and one hanging-node fold W serves every
+    element.
     """
     elements = np.asarray(elements, dtype=np.int64).reshape(-1)
     n, nb = nested.n_nodes, len(elements)
@@ -373,9 +401,10 @@ def assemble_element_block(
     group = np.repeat(np.arange(nb), [len(nested.micro[e]) for e in elements])
     keys, leaf_slots = np.unique(group[:, None] * n + leaves, return_inverse=True)
     leaf_slots = leaf_slots.reshape(leaves.shape)
-    K_all, _ = batch_leaf_stiffness(nested.points, leaves, material)
     kept, W = hanging_fold(nested, keys)
-    A = fold_stiffness(W, leaf_slots, K_all).tocsr()
+    A = fold_stiffness(W, (
+        leaf_matrix(leaf_slots[s], batch_leaf_stiffness(nested.points, leaves[s], material)[0],
+                    len(keys)) for s in leaf_passes(nested, elements))).tocsr()
     A.sum_duplicates()
     B = W.T @ nodal_loads(nested, loads, len(keys), leaves, leaf_slots, elements,
                           lambda g, tris: np.searchsorted(keys, g[:, None] * n + tris))

@@ -19,6 +19,8 @@ from .elasticity import (
     batch_leaf_stiffness,
     expand,
     fold_stiffness,
+    leaf_matrix,
+    leaf_passes,
     nodal_loads,
     reference_fold,
 )
@@ -60,15 +62,18 @@ def assemble_reference(
 ) -> ReferenceSystem:
     """A_rr = W^T A_RR W and B_r = W^T B_R with W the fold onto the free dofs.
 
-    A_RR and B_R sum the leaves of the macro elements (all by default) in
-    one kernel call and the element blocks' fold.
+    A_RR and B_R sum the leaves of the macro elements (all by default) with
+    the element blocks' fold, A_RR in the assembly passes (leaf_passes):
+    the passes' shared entries are added once at the end, so the pass size
+    moves A_rr by round-off only.
     """
     elements = np.arange(nested.coarse.n_elements) if elements is None else elements
     leaves = np.concatenate([nested.micro[e] for e in elements])
-    K_all, _ = batch_leaf_stiffness(nested.points, leaves, material)
     B = nodal_loads(nested, loads, nested.n_nodes, leaves, leaves, elements, lambda g, tris: tris)
     W = reference_fold(nested, partition)
-    A_rr = fold_stiffness(W, leaves, K_all).tocsc()
+    A_rr = fold_stiffness(W, (
+        leaf_matrix(leaves[s], batch_leaf_stiffness(nested.points, leaves[s], material)[0],
+                    nested.n_nodes) for s in leaf_passes(nested, elements))).tocsc()
     A_rr.sum_duplicates()
 
     f_mask = np.isin(partition.free_ref_dofs // 3, partition.f_nodes)

@@ -82,6 +82,7 @@ class BlockStack:
     ndof: np.ndarray             # 3n per block
     A: sp.csr_matrix             # block-diagonal A_FF
     T_Fk: sp.csr_matrix          # block-diagonal T_Fk, 12 columns per block
+    T_Fk_T: sp.csr_matrix        # T_Fk^T, transposed once for the coarse products
     B: np.ndarray                # (nb width,) B_F
     u: np.ndarray                # (nb width,) fine iterate
     T: np.ndarray                # (nb, width, 3 KMAX) T_Fe
@@ -167,10 +168,10 @@ def stack_blocks(blocks: ElementBlocks, T_Fk, nested: NestedMesh, partition: Dof
     src = src + 288 * np.arange(nb)[:, None, None, None]
     keep = (r >= 0) & (c >= 0)
     b_keep = ei >= 0
+    T_Fk = _pad_blocks(T_Fk, dof_ptr, W, 12 * np.arange(nb + 1), 12)
     return BlockStack(
         blocks.elements, W, [cn[u].tolist() for cn, u in zip(corner, used)], blocks.ndof,
-        _pad_blocks(blocks.A_FF, dof_ptr, W, dof_ptr, W),
-        _pad_blocks(T_Fk, dof_ptr, W, 12 * np.arange(nb + 1), 12),
+        _pad_blocks(blocks.A_FF, dof_ptr, W, dof_ptr, W), T_Fk, T_Fk.T.tocsr(),
         B, np.zeros(nb * W), np.zeros((nb, W, 3 * KMAX)), np.zeros((nb * W, KMAX)),
         hat.reshape(nb, W // 3, KMAX), corner_row, partition.ref_dirichlet[dofs].reshape(nb, W)
         & (dofs >= 0).reshape(nb, W), dofs, c_dofs.reshape(-1), e_dofs.reshape(-1),
@@ -285,6 +286,6 @@ def coarse_triplets_enrichment(stack: BlockStack):
     nb, W, m = stack.T.shape
     Tt = stack.T.transpose(0, 2, 1)
     AT = stack.A @ stack.T.reshape(nb * W, m)
-    prod = np.stack([Tt @ AT.reshape(nb, W, m), (stack.T_Fk.T @ AT).reshape(nb, 12, m)], axis=1)
+    prod = np.stack([Tt @ AT.reshape(nb, W, m), (stack.T_Fk_T @ AT).reshape(nb, 12, m)], axis=1)
     be = Tt @ stack.B.reshape(nb, W, 1)
     return prod.ravel()[stack.e_src], be.ravel()[stack.b_src]

@@ -171,10 +171,12 @@ def _fold_tables(rank, plan, row_elem, row_node):
 def _kept_nodes(nested, elements):
     """(element, node) of the kept nodes of every element, element-major, nodes ascending."""
     n = nested.n_nodes
-    keys = np.concatenate([np.zeros(0, np.int64)] + [e * n + np.unique(nested.micro[e])
-                                                     for e in elements])
+    leaves = np.concatenate([np.zeros((0, 4), np.int64)] + [nested.micro[e] for e in elements])
+    group = np.repeat(np.arange(len(elements)), [len(nested.micro[e]) for e in elements])
+    keys = np.sort(group[:, None] * n + leaves, axis=None)  # np.unique: 4x slower on numpy 2.4
+    keys = keys[np.diff(keys, prepend=-1) > 0]
     keys = keys[~np.isin(keys % n, nested.hanging)]
-    return keys // n, keys % n
+    return np.asarray(elements, dtype=np.int64)[keys // n], keys % n
 
 
 def ts_init(ctx: RankContext, problem: ProblemSetup, plan: PartitionPlan):
