@@ -11,10 +11,14 @@ nodal-interpolant variant is reported alongside with its defect.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import json
+import os
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .ddsolver import dd_solve_from_triplets, reference_rank_triplets
 from .elasticity import (
     TET4_QUAD,
     LoadSet,
@@ -36,7 +40,9 @@ from .mesh import (
 )
 from .microplanes import PLANES_64
 from .reference import ReferenceSystem, assemble_reference, solve_reference
-from .twoscale import ProblemSetup
+from .runtime import partition_mesh, run_ranks
+from .scheduler import PatchGraph, dump_json
+from .twoscale import ProblemSetup, TsConfig, solve_case
 
 __all__ = [
     "CaseSpec",
@@ -63,6 +69,10 @@ CUBIC_NU = 0.2
 # box cells (6 tetrahedra each) of each case's coarse mesh before flattening
 BASES = {"cubic-plate": (4, 2, 1), "micro-structure": (2, 2, 2), "cone-damage-box": (6, 2, 6)}
 
+# scale-loop solvers and the coarse strategy each runs (see TsConfig)
+TS_STRATEGY = {"ts": "tsd", "tsi": "tsi", "tsdd": "tsdd"}
+SOLVERS = (*TS_STRATEGY, "dd", "fr")
+
 SIDES = ("x0", "x1", "y0", "y1", "z0", "z1")
 SIDE_NORMAL = {"x0": (-1, 0), "x1": (1, 0), "y0": (-1, 1), "y1": (1, 1),
                "z0": (-1, 2), "z1": (1, 2)}   # side -> (sign, axis) of the outer normal
@@ -86,6 +96,10 @@ class CaseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in BASES:
+            raise ValueError(f"unknown case kind {self.kind}")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver}")
         if self.coarse_level < 0:
             raise ValueError("coarse level must be >= 0")
         if self.sp_depth < 1:
@@ -100,7 +114,7 @@ class CaseSpec:
             raise ValueError(f"n_planes must lie in 0..{len(PLANES_64)}")
         if self.solver in ("dd", "tsdd") and self.ranks < 2:
             raise ValueError(f"{self.solver} needs at least 2 ranks")
-        if self.kind in BASES and self.ranks > self.macro_elements():
+        if self.ranks > self.macro_elements():
             raise ValueError(f"{self.ranks} ranks exceed the {self.macro_elements()} macro "
                              f"elements of the {self.kind} mesh")
 
@@ -216,37 +230,29 @@ def _box_problem(spec: CaseSpec, base, dims, material, loads, origin=(0.0, 0.0, 
     return ProblemSetup(nested, sp_info, build_partition(nested, sp_info, bc), material, loads)
 
 
-def build_cubic_problem(spec: CaseSpec, base=BASES["cubic-plate"], dims=(4.0, 2.0, 1.0),
-                        F=1.0, material=None, selector=None):
+def build_cubic_problem(spec: CaseSpec, base=BASES["cubic-plate"], selector=None):
     """Plate problem with the cubic exact field, refined on selector (default: all elements)."""
-    K = dims[0]
-    mat = material or Material(young_modulus=CUBIC_E, poisson_ratio=CUBIC_NU)
-    E, nu = mat.young_modulus, mat.poisson_ratio
-    loads = LoadSet(
-        body=cubic_body_force(E, nu, F, K),
-        tractions={s: cubic_traction(s, E, nu, F, K) for s in ("y0", "y1", "z0", "z1")},
-    )
+    loads = LoadSet(body=cubic_body_force(),
+                    tractions={s: cubic_traction(s) for s in ("y0", "y1", "z0", "z1")})
     exact = {
-        "u": lambda p: cubic_exact(p[:, 0], p[:, 1], p[:, 2], E, nu, F, K).T,
-        "strain": lambda p: cubic_strain(p[:, 0], p[:, 1], p[:, 2], E, nu, F, K),
+        "u": lambda p: cubic_exact(p[:, 0], p[:, 1], p[:, 2]).T,
+        "strain": lambda p: cubic_strain(p[:, 0], p[:, 1], p[:, 2]),
     }
-    select = None if selector is None else (lambda mesh: selector)
-    return _box_problem(spec, base, dims, mat, loads, select=select), exact
-
-
-def build_affine_problem(spec: CaseSpec, base=(2, 1, 1), dims=(4.0, 2.0, 1.0),
-                         G=None, selector=None):
-    """Manufactured affine field u = G x: reproduced exactly by the spaces.
-
-    G must vanish below the diagonal so the corner pins are compatible with
-    zero prescribed displacements.
-    """
-    if G is None:
-        G = np.array([[3e-4, 1e-4, -2e-4], [0.0, -1e-4, 5e-5], [0.0, 0.0, 2e-4]])
-    if np.abs(np.tril(G, -1)).max() > 0:
-        raise ValueError("G must be upper-triangular for the corner pins")
     mat = Material(young_modulus=CUBIC_E, poisson_ratio=CUBIC_NU)
-    eps_t = 0.5 * (G + G.T)
+    select = None if selector is None else (lambda mesh: selector)
+    return _box_problem(spec, base, (4.0, 2.0, 1.0), mat, loads, select=select), exact
+
+
+# gradient of the affine field u = G x; zero below the diagonal, so u vanishes in
+# every component the corner pins of _box_problem fix (the origin, y and z of the
+# corner along x, z of the corner along y) and the pins prescribe zero
+AFFINE_G = np.array([[3e-4, 1e-4, -2e-4], [0.0, -1e-4, 5e-5], [0.0, 0.0, 2e-4]])
+
+
+def build_affine_problem(spec: CaseSpec, base=(2, 1, 1), selector=None):
+    """Manufactured affine field u = AFFINE_G x: reproduced exactly by the spaces."""
+    mat = Material(young_modulus=CUBIC_E, poisson_ratio=CUBIC_NU)
+    eps_t = 0.5 * (AFFINE_G + AFFINE_G.T)
     voigt = np.array([eps_t[0, 0], eps_t[1, 1], eps_t[2, 2],
                       2 * eps_t[1, 2], 2 * eps_t[0, 2], 2 * eps_t[0, 1]])
     sv = hooke_matrix(mat.young_modulus, mat.poisson_ratio) @ voigt
@@ -258,10 +264,10 @@ def build_affine_problem(spec: CaseSpec, base=(2, 1, 1), dims=(4.0, 2.0, 1.0),
         return lambda p: t
 
     loads = LoadSet(tractions={s: traction(s) for s in SIDES})
-    problem = _box_problem(spec, base, dims, mat, loads,
+    problem = _box_problem(spec, base, (4.0, 2.0, 1.0), mat, loads,
                            select=None if selector is None else (lambda mesh: selector))
     exact = {
-        "u": lambda p: p @ G.T,
+        "u": lambda p: p @ AFFINE_G.T,
         "strain": lambda p: np.broadcast_to(eps_t, (len(p), 3, 3)),
     }
     return problem, exact
@@ -305,16 +311,22 @@ def _code_to_modulus(code: bytes, E_min, E_max):
     return E_min * (E_max / E_min) ** u
 
 
-def build_microstructure_problem(spec: CaseSpec, base=BASES["micro-structure"]):
-    """Pressurized cube with plane-wise random moduli; all nodes enriched."""
+def _micro_material(spec: CaseSpec, perturb_percent, seed) -> Material:
+    """Plane-wise random moduli of spec's planes and e_range, jittered by perturb_percent
+    with seed (see _region_moduli)."""
     planes = PLANES_64[: spec.n_planes]
     E_min, E_max = spec.e_range
-    jitter = spec.perturb_percent / 100.0
+    jitter = perturb_percent / 100.0
 
     def modulus(points):
-        return _region_moduli(points, planes, E_min, E_max, jitter, spec.seed)
+        return _region_moduli(points, planes, E_min, E_max, jitter, seed)
 
-    mat = Material(young_modulus=modulus, poisson_ratio=0.2)
+    return Material(young_modulus=modulus, poisson_ratio=0.2)
+
+
+def build_microstructure_problem(spec: CaseSpec, base=BASES["micro-structure"]):
+    """Pressurized cube with plane-wise random moduli; all nodes enriched."""
+    mat = _micro_material(spec, spec.perturb_percent, spec.seed)
     press = 4.0e6
 
     def pressure(side):
@@ -412,53 +424,45 @@ def reference_oracle(problem: ProblemSetup):
 
 
 def energy_norm_fields(problem: ProblemSetup, fields, analytic=None, geometry=None):
-    """Squared energy of (field_a - field_b) by element quadrature.
+    """Squared energy of (field_a - field_b) by element quadrature over every leaf.
 
     fields: pair of nodal arrays (n_nodes, 3) or None to use, in that slot,
-    the analytic strain values ``analytic`` from analytic_strains.  The
-    kernel and the per-leaf modulus are the ones of the stiffness assembly,
-    so FE-FE energies match x^T A x to round-off.  geometry, from
+    the analytic strain values ``analytic`` (k, q, 6) from analytic_strains.
+    A nodal field's strain is constant on a leaf and broadcasts over its q
+    points.  The kernel and the per-leaf modulus are the ones of the stiffness
+    assembly, so FE-FE energies match x^T A x to round-off.  geometry, from
     energy_geometry, is computed here when not given.
     """
-    q = TET4_QUAD[0].shape[0]
-    w = TET4_QUAD[1]
+    leaves, B, vols, moduli = geometry if geometry is not None else energy_geometry(problem)
+    eps_a, eps_b = (analytic if f is None
+                    else np.einsum("kij,kj->ki", B, f[leaves].reshape(len(leaves), 12))[:, None]
+                    for f in fields)
+    diff = np.broadcast_to(eps_a - eps_b, (len(leaves), len(TET4_QUAD[1]), 6))
     C1 = hooke_matrix(1.0, problem.material.poisson_ratio)
-    total = 0.0
-    for i, (leaves, B, vols, moduli) in enumerate(geometry or energy_geometry(problem)):
-        eps_a, eps_b = (analytic[i] if f is None else _leaf_strains(leaves, B, f, q)
-                        for f in fields)
-        diff = eps_a - eps_b  # (k, q, 6)
-        dens = np.einsum("kqi,ij,kqj->kq", diff, C1, diff)
-        total += float(np.sum(dens @ w * vols * moduli))
-    return total
+    dens = np.einsum("kqi,ij,kqj->kq", diff, C1, diff)
+    return float(np.sum(dens @ TET4_QUAD[1] * vols * moduli))
 
 
 def energy_geometry(problem: ProblemSetup):
-    """(leaves, strain operator, volumes, moduli) of each macro element, in nested.micro order."""
-    pts, micro = problem.nested.points, problem.nested.micro
-    grads = [p1_gradients(pts, leaves) for leaves in micro]
-    return [(leaves, strain_operator(g), vols, leaf_moduli(pts, leaves, problem.material))
-            for leaves, (g, vols) in zip(micro, grads)]
+    """Leaves (k, 4), strain operators (k, 6, 12), volumes (k,) and moduli (k,) of every
+    leaf, in nested.micro order."""
+    pts = problem.nested.points
+    leaves = np.concatenate(problem.nested.micro)
+    grads, vols = p1_gradients(pts, leaves)
+    return leaves, strain_operator(grads), vols, leaf_moduli(pts, leaves, problem.material)
 
 
 def analytic_strains(problem: ProblemSetup, strain):
-    """Voigt strains of an analytic strain field at each leaf's quadrature points.
+    """Voigt strains (k, q, 6) of an analytic strain field at the quadrature points of
+    every leaf, in nested.micro order.
 
-    strain maps points (n, 3) to tensors (n, 3, 3) and is called once for all
-    leaves.  One (k, q, 6) array per macro element, in nested.micro order.
+    strain maps points (n, 3) to tensors (n, 3, 3) and is called once for all leaves.
     """
-    micro = problem.nested.micro
-    xq = np.einsum("qi,kid->kqd", TET4_QUAD[0], problem.nested.points[np.concatenate(micro)])
+    leaves = np.concatenate(problem.nested.micro)
+    xq = np.einsum("qi,kid->kqd", TET4_QUAD[0], problem.nested.points[leaves])
     e = strain(xq.reshape(-1, 3)).reshape(xq.shape[:2] + (3, 3))
-    vals = np.stack([e[..., 0, 0], e[..., 1, 1], e[..., 2, 2],
+    return np.stack([e[..., 0, 0], e[..., 1, 1], e[..., 2, 2],
                      2 * e[..., 1, 2], 2 * e[..., 0, 2], 2 * e[..., 0, 1]], axis=-1)
-    return np.split(vals, np.cumsum([len(m) for m in micro])[:-1])
-
-
-def _leaf_strains(leaves, B, fld, q):
-    """Voigt strains of a nodal field at the q quadrature points of each leaf, (k, q, 6)."""
-    voigt = np.einsum("kij,kj->ki", B, fld[leaves].reshape(len(leaves), 12))  # constant per leaf
-    return np.repeat(voigt[:, None, :], q, axis=1)
 
 
 def build_problem(spec: CaseSpec):
@@ -470,56 +474,88 @@ def build_problem(spec: CaseSpec):
         return build_cubic_problem(spec)
     if spec.kind == "micro-structure":
         return build_microstructure_problem(spec), None
-    if spec.kind == "cone-damage-box":
-        return build_cone_box_problem(spec), None
-    raise ValueError(f"unknown case kind {spec.kind}")
+    return build_cone_box_problem(spec), None
 
 
-def _perturbed_problem(spec: CaseSpec):
-    """The perturbed twin used by warm-start runs: on micro-structure the region
-    moduli jittered by perturb_percent (1 if 0) with the next seed, elsewhere a
-    uniform stiffness change by perturb_percent (1 if 0)."""
-    import dataclasses
+def _perturbed_problem(spec: CaseSpec, problem: ProblemSetup) -> ProblemSetup:
+    """The perturbed twin of a warm-start run: problem with another material on the
+    same mesh, partition and loads.
 
+    On micro-structure the region moduli are jittered by perturb_percent (1 if 0)
+    with the next seed; elsewhere E is scaled by 1 + perturb_percent / 100 (1 % if
+    0).  The cubic loads do not read E, so they hold for the twin unchanged.
+    """
+    p, mat = spec.perturb_percent or 1.0, problem.material
     if spec.kind == "micro-structure":
-        spec2 = dataclasses.replace(spec, perturb_percent=spec.perturb_percent or 1.0,
-                                    seed=spec.seed + 1)
-        return build_microstructure_problem(spec2)
-    # cubic / cone: uniform stiffness perturbation
-    p = (spec.perturb_percent or 1.0) / 100.0
-    if spec.kind == "cubic-plate":
-        problem, _ = build_cubic_problem(
-            spec, material=Material(young_modulus=CUBIC_E * (1 + p), poisson_ratio=CUBIC_NU))
-        return problem
-    base = build_cone_box_problem(spec)
-    mat = base.material
-    mat2 = Material(young_modulus=26.4e9 * (1 + p), poisson_ratio=mat.poisson_ratio,
-                    damage=mat.damage)
-    return ProblemSetup(base.nested, base.sp_info, base.partition, mat2, base.loads)
+        return replace(problem, material=_micro_material(spec, p, spec.seed + 1))
+    return replace(problem, material=replace(mat, young_modulus=mat.young_modulus * (1 + p / 100)))
+
+
+def _solve(spec: CaseSpec, problem: ProblemSetup, plan):
+    """Solve with spec.solver: (free reference vector, summary fields, iteration records,
+    schedule or None).  A warm-start ts run also solves the perturbed twin, cold and
+    warm from the main solution."""
+    if spec.solver == "fr":
+        u_r, system, _ = reference_oracle(problem)
+        return u_r, dict(converged=True, iterations=1, final_resi=system.residual(u_r)), [], None
+    if spec.solver == "dd":
+        def prog(ctx):
+            trips, bv = reference_rank_triplets(problem.nested, problem.partition,
+                                                problem.material, problem.loads, plan, ctx.rank)
+            return dd_solve_from_triplets(ctx, problem.partition.n_ref_free, trips, bv, spec.eps)
+
+        res = run_ranks(spec.ranks, prog)[0]
+        return res.x, dict(converged=bool(res.report.converged), iterations=res.report.iterations,
+                           final_resi=res.report.crit), [], None
+    cfg = TsConfig(eps=spec.eps, coarse_strategy=TS_STRATEGY[spec.solver], max_iterations=400)
+    res = solve_case(problem, plan, cfg, n_ranks=spec.ranks)
+    fields = dict(converged=bool(res.converged), reason=res.reason, iterations=res.iterations,
+                  final_resi=res.resi_history[-1] if res.resi_history else 0.0, norm_B=res.norm_B)
+    if spec.warm_start:
+        twin = _perturbed_problem(spec, problem)
+        fields["perturbed_cold_iterations"] = solve_case(twin, plan, cfg,
+                                                         n_ranks=spec.ranks).iterations
+        fields["perturbed_warm_iterations"] = solve_case(twin, plan, cfg, n_ranks=spec.ranks,
+                                                         warm_u_r=res.u_r).iterations
+    return res.u_r, fields, res.records, res.schedule
+
+
+def _write_outputs(outdir, summary, records, problem: ProblemSetup, u_r, schedule, plan):
+    """summary.json, resi_history.csv, field_u.txt and, given a schedule, schedule.json."""
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, "summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=2)
+    with open(os.path.join(outdir, "resi_history.csv"), "w") as fh:
+        fh.write("iteration,resi,coarse_kind,pcg_iterations,wall_time,"
+                 "factor_flops,solve_flops,shifted,refinement_steps,pcg_fallback\n")
+        for r in records:
+            fh.write(f"{r.iteration},{r.resi:.16e},{r.coarse_kind},"
+                     f"{r.pcg_iterations},{r.wall_time:.6f},"
+                     f"{r.factor_flops},{r.solve_flops},"
+                     f"{int(r.shifted)},{r.refinement_steps},{int(r.pcg_fallback)}\n")
+    u_field = expand(problem.nested, problem.partition, u_r)
+    with open(os.path.join(outdir, "field_u.txt"), "w") as fh:
+        fh.write("# node  x  y  z  ux  uy  uz\n")
+        for i, (p, u) in enumerate(zip(problem.nested.points, u_field)):
+            fh.write(f"{i} {p[0]:.9g} {p[1]:.9g} {p[2]:.9g} "
+                     f"{u[0]:.12e} {u[1]:.12e} {u[2]:.12e}\n")
+    if schedule is not None:
+        with open(os.path.join(outdir, "schedule.json"), "w") as fh:
+            fh.write(dump_json(schedule, PatchGraph.of(problem.sp_info, plan)))
 
 
 def run_case(spec: CaseSpec, outdir=None):
-    """Run one benchmark case; returns the summary dict (files if outdir given).
+    """Run one benchmark case: build, solve, errors, write; returns the summary dict.
 
-    Output files: resi_history.csv (per-iteration records), summary.json,
-    field_u.txt (ASCII node-value table), schedule.json for ts runs.
-    See the README for the field-by-field schemas.
+    Output files (only if outdir is given): resi_history.csv (per-iteration
+    records), summary.json, field_u.txt (ASCII node-value table),
+    schedule.json for ts runs.  See the README for the field-by-field schemas.
     """
-    import json
-    import os
-    import time as _time
-
-    from .ddsolver import dd_solve_from_triplets, reference_rank_triplets
-    from .runtime import partition_mesh, run_ranks
-    from .scheduler import PatchGraph, dump_json
-    from .twoscale import TsConfig, solve_case
-
-    t0 = _time.perf_counter()
-    out = build_problem(spec)
-    problem, exact = out if isinstance(out, tuple) else (out, None)
+    t0 = time.perf_counter()
+    problem, exact = build_problem(spec)
     plan = partition_mesh(problem.nested, problem.sp_info, spec.ranks)
     summary = {
-        "setup_time": _time.perf_counter() - t0,
+        "setup_time": time.perf_counter() - t0,
         "case": spec.kind,
         "solver": spec.solver,
         "ranks": spec.ranks,
@@ -532,72 +568,18 @@ def run_case(spec: CaseSpec, outdir=None):
         "n_nsp": len(problem.sp_info.nsp_elements),
         "n_hanging": len(problem.nested.hanging),
     }
-    records = []
-    schedule = None
-    t0 = _time.perf_counter()
-    if spec.solver in ("ts", "tsi", "tsdd"):
-        strategy = {"ts": "tsd", "tsi": "tsi", "tsdd": "tsdd"}[spec.solver]
-        cfg = TsConfig(eps=spec.eps, coarse_strategy=strategy, max_iterations=400)
-        res = solve_case(problem, plan, cfg, n_ranks=spec.ranks)
-        u_field = expand(problem.nested, problem.partition, res.u_r)
-        summary.update(converged=bool(res.converged), reason=res.reason, iterations=res.iterations,
-                       final_resi=res.resi_history[-1] if res.resi_history else 0.0,
-                       norm_B=res.norm_B)
-        records = res.records
-        schedule = res.schedule
-        if spec.warm_start:
-            problem2 = _perturbed_problem(spec)
-            cold2 = solve_case(problem2, plan, cfg, n_ranks=spec.ranks)
-            warm2 = solve_case(problem2, plan, cfg, n_ranks=spec.ranks, warm_u_r=res.u_r)
-            summary["perturbed_cold_iterations"] = cold2.iterations
-            summary["perturbed_warm_iterations"] = warm2.iterations
-    elif spec.solver == "fr":
+    t0 = time.perf_counter()
+    u_r, fields, records, schedule = _solve(spec, problem, plan)
+    summary.update(fields, wall_time=time.perf_counter() - t0)
+
+    if exact is not None and spec.solver in TS_STRATEGY:
         u_R, system, _ = reference_oracle(problem)
-        u_field = expand(problem.nested, problem.partition, u_R)
-        summary.update(converged=True, iterations=1, final_resi=system.residual(u_R))
-    elif spec.solver == "dd":
-        n = problem.partition.n_ref_free
-
-        def prog(ctx):
-            trips, bv = reference_rank_triplets(problem.nested, problem.partition,
-                                                problem.material, problem.loads, plan, ctx.rank)
-            return dd_solve_from_triplets(ctx, n, trips, bv, spec.eps)
-
-        res = run_ranks(spec.ranks, prog)[0]
-        u_field = expand(problem.nested, problem.partition, res.x)
-        summary.update(converged=bool(res.report.converged),
-                       iterations=res.report.iterations,
-                       final_resi=res.report.crit)
-    else:
-        raise ValueError(f"unknown solver {spec.solver}")
-    summary["wall_time"] = _time.perf_counter() - t0
-
-    if exact is not None and spec.solver in ("ts", "tsi", "tsdd"):
-        u_R, system, _ = reference_oracle(problem)
-        (rep,) = error_reports(problem, [res.u_r], u_R, system, exact)
+        (rep,) = error_reports(problem, [u_r], u_R, system, exact)
         summary.update(E_ts_C=rep.E_ts_C, E_ts_R=rep.E_ts_R, E_R_C=rep.E_R_C,
                        identity_defect=rep.identity_defect)
 
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2)
-        with open(os.path.join(outdir, "resi_history.csv"), "w") as fh:
-            fh.write("iteration,resi,coarse_kind,pcg_iterations,wall_time,"
-                     "factor_flops,solve_flops,shifted,refinement_steps,pcg_fallback\n")
-            for r in records:
-                fh.write(f"{r.iteration},{r.resi:.16e},{r.coarse_kind},"
-                         f"{r.pcg_iterations},{r.wall_time:.6f},"
-                         f"{r.factor_flops},{r.solve_flops},"
-                         f"{int(r.shifted)},{r.refinement_steps},{int(r.pcg_fallback)}\n")
-        with open(os.path.join(outdir, "field_u.txt"), "w") as fh:
-            fh.write("# node  x  y  z  ux  uy  uz\n")
-            for i, (p, u) in enumerate(zip(problem.nested.points, u_field)):
-                fh.write(f"{i} {p[0]:.9g} {p[1]:.9g} {p[2]:.9g} "
-                         f"{u[0]:.12e} {u[1]:.12e} {u[2]:.12e}\n")
-        if schedule is not None:
-            with open(os.path.join(outdir, "schedule.json"), "w") as fh:
-                fh.write(dump_json(schedule, PatchGraph.of(problem.sp_info, plan)))
+        _write_outputs(outdir, summary, records, problem, u_r, schedule, plan)
     return summary
 
 

@@ -199,13 +199,11 @@ KERNEL_CHUNK = 2048  # leaves per pass: the temporaries scale with a pass, not t
 
 
 def batch_leaf_stiffness(points, leaves, material: Material):
-    """Stiffness blocks (k,12,12) and volumes of a batch of tetrahedra."""
+    """Stiffness blocks (k,12,12) and volumes of a batch of tetrahedra; the assemblies
+    call it once per pass (leaf_passes), so its temporaries scale with a pass."""
     grads, vol = p1_gradients(points, leaves)
-    D = hooke_matrix(1.0, material.poisson_ratio)
-    K = np.empty((len(leaves), 12, 12))
-    for lo in range(0, len(leaves), KERNEL_CHUNK):
-        B = strain_operator(grads[lo:lo + KERNEL_CHUNK])
-        np.matmul(B.transpose(0, 2, 1), D @ B, out=K[lo:lo + KERNEL_CHUNK])
+    B = strain_operator(grads)
+    K = B.transpose(0, 2, 1) @ (hooke_matrix(1.0, material.poisson_ratio) @ B)
     K *= (leaf_moduli(points, leaves, material) * vol)[:, None, None]
     return K, vol
 
@@ -260,7 +258,8 @@ def nodal_loads(nested: NestedMesh, loads: LoadSet, n_slots, leaves, leaf_slots,
 
     leaf_slots (k,4) and slot_of(positions in elements, faces (m,3)) -> (m,3)
     place the contributions; every slot sums them in that order, the
-    tractions label by label in loads.tractions order.
+    tractions label by label in loads.tractions order (a label with no face
+    on the elements adds nothing).
     """
     out = np.zeros((n_slots, 3))
     if loads.body is not None:

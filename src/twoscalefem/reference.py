@@ -65,7 +65,7 @@ def assemble_reference(
     A_RR and B_R sum the leaves of the macro elements (all by default) with
     the element blocks' fold, A_RR in the assembly passes (leaf_passes):
     the passes' shared entries are added once at the end, so the pass size
-    moves A_rr by round-off only.
+    moves A_rr by round-off only and B_r not at all.
     """
     elements = np.arange(nested.coarse.n_elements) if elements is None else elements
     leaves = np.concatenate([nested.micro[e] for e in elements])

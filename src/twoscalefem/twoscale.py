@@ -299,7 +299,6 @@ def _build_patch_systems(ctx, state, problem, plan):
         pos = [_patch_positions(q_dofs, d_dofs, stack.dofs[r]) for r in rows]
         payload = []
         for e, r, p in zip(mine, rows, pos):
-            p[part.ref_dirichlet[stack.dofs[r]]] = nq + nd
             # the block's q rows with their q and d columns, B_F on q, its d rows
             ptr = stack.A.indptr[r[0]:r[-1] + 2]
             i = np.repeat(p, np.diff(ptr))

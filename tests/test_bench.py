@@ -1,10 +1,15 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from twoscalefem.bench import (
+    CUBIC_E,
+    CUBIC_NU,
     CaseSpec,
+    _perturbed_problem,
+    analytic_strains,
     build_cone_box_problem,
     build_cubic_problem,
     build_microstructure_problem,
@@ -13,12 +18,20 @@ from twoscalefem.bench import (
     cubic_exact,
     energy_norm_fields,
     error_reports,
+    build_problem,
     microstructure_E,
     reference_oracle,
 )
 from twoscalefem.microplanes import PLANES_64
 
-from twoscalefem.elasticity import Material, leaf_moduli
+from twoscalefem.elasticity import (
+    TET4_QUAD,
+    Material,
+    hooke_matrix,
+    leaf_moduli,
+    p1_gradients,
+    strain_operator,
+)
 
 E0, NU0, F0, K0 = 36.5e9, 0.2, 1.0, 4.0
 
@@ -257,6 +270,29 @@ def test_energy_matches_discrete_quadratic_form():
     assert e_quad == pytest.approx(e_disc, rel=1e-11)
 
 
+def test_energy_against_a_leaf_by_leaf_quadrature():
+    # the batched energy of (FE field - analytic strain) against a loop over
+    # leaves and quadrature points; only the summation order differs
+    problem, exact = build_cubic_problem(CaseSpec(sp_depth=1), base=(2, 1, 1))
+    u_R, system, _ = reference_oracle(problem)
+    full = system.expand(u_R)
+    pts, nu = problem.nested.points, problem.material.poisson_ratio
+    C1 = hooke_matrix(1.0, nu)
+    expect = 0.0
+    for leaf in np.concatenate(problem.nested.micro):
+        grads, vol = p1_gradients(pts, leaf[None])
+        eps_h = strain_operator(grads)[0] @ full[leaf].ravel()
+        E = leaf_moduli(pts, leaf[None], problem.material)[0]
+        for bary, w in zip(*TET4_QUAD):
+            e = exact["strain"]((bary @ pts[leaf])[None])[0]
+            voigt = [e[0, 0], e[1, 1], e[2, 2], 2 * e[1, 2], 2 * e[0, 2], 2 * e[0, 1]]
+            diff = np.array(voigt) - eps_h
+            expect += w * vol[0] * E * (diff @ C1 @ diff)
+    strain = analytic_strains(problem, exact["strain"])
+    got = energy_norm_fields(problem, (None, full), strain)
+    assert got == pytest.approx(expect, rel=1e-13)
+
+
 def test_cone_box_has_mixed_structure():
     problem = build_cone_box_problem(CaseSpec(sp_depth=2, cone_h=-400.0))
     nested, sp_info = problem.nested, problem.sp_info
@@ -294,3 +330,41 @@ def test_case_spec_validation():
         CaseSpec(solver="tsdd", ranks=1)
     with pytest.raises(ValueError):
         CaseSpec(eps=-1.0)
+    with pytest.raises(ValueError, match="unknown solver"):
+        CaseSpec(solver="bogus")
+    with pytest.raises(ValueError, match="unknown case kind"):
+        CaseSpec(kind="nope")
+
+
+def _rebuilt_twin_moduli(spec, problem):
+    """Leaf moduli of a twin rebuilt from scratch: the micro-structure case built anew
+    with the jitter and the next seed, the others with E scaled by 1 + p."""
+    p = (spec.perturb_percent or 1.0) / 100.0
+    if spec.kind == "micro-structure":
+        twin = build_microstructure_problem(replace(spec, perturb_percent=spec.perturb_percent
+                                                    or 1.0, seed=spec.seed + 1))
+        nested, mat = twin.nested, twin.material
+    elif spec.kind == "cubic-plate":
+        nested, mat = problem.nested, Material(CUBIC_E * (1 + p), CUBIC_NU)
+    else:
+        nested = problem.nested
+        mat = Material(26.4e9 * (1 + p), 0.193, damage=problem.material.damage)
+    return leaf_moduli(nested.points, np.concatenate(nested.micro), mat)
+
+
+@pytest.mark.parametrize("spec", [
+    CaseSpec(kind="micro-structure", sp_depth=1, n_planes=8, perturb_percent=1.0),
+    CaseSpec(kind="micro-structure", sp_depth=1, n_planes=8, seed=3),
+    CaseSpec(kind="cubic-plate", sp_depth=1),
+    CaseSpec(kind="cone-damage-box", sp_depth=1, perturb_percent=2.0),
+], ids=["micro", "micro-p0", "cubic", "cone"])
+def test_perturbed_twin_swaps_only_the_material(spec):
+    problem, _ = build_problem(spec)
+    twin = _perturbed_problem(spec, problem)
+    for name in ("nested", "sp_info", "partition", "loads"):
+        assert getattr(twin, name) is getattr(problem, name)
+    leaves = np.concatenate(problem.nested.micro)
+    got = leaf_moduli(problem.nested.points, leaves, twin.material)
+    assert np.array_equal(got, _rebuilt_twin_moduli(spec, problem))
+    main = leaf_moduli(problem.nested.points, leaves, problem.material)
+    assert not np.array_equal(got, main)

@@ -140,8 +140,9 @@ def test_cli_warm_start_summary(capsys):
     assert out["perturbed_warm_iterations"] < out["perturbed_cold_iterations"]
     # the twin is another problem: its leaf moduli differ from the main problem's
     spec = CaseSpec(kind="micro-structure", sp_depth=1, ranks=2, n_planes=8, perturb_percent=1.0)
+    problem = build_problem(spec)[0]
     moduli = [leaf_moduli(p.nested.points, np.concatenate(p.nested.micro), p.material)
-              for p in (build_problem(spec)[0], _perturbed_problem(spec))]
+              for p in (problem, _perturbed_problem(spec, problem))]
     assert not np.array_equal(*moduli)
 
 
